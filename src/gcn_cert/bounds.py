@@ -69,14 +69,6 @@ class ActivationBounds:
         return sorted(self.lower.keys())
 
 
-def _topk_sum_rows(values: np.ndarray, k: int):
-    """Indices of the k largest entries per row, ties by ascending column."""
-    n, d = values.shape
-    cols = np.tile(np.arange(d), (n, 1))
-    order = np.lexsort((cols, -values), axis=1)
-    return order[:, :k]
-
-
 def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     """Tight bounds (R^(2), S^(2)) on the first hidden pre-activations.
 
@@ -85,13 +77,19 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     for neighbor n is one of the q largest per-feature effects.  All
     selections are frozen index masks, so the result is differentiable in
     the parameters under the fixed-mask convention.
+
+    Contract: ``sp.sliced_attrs`` is binary (``Graph`` enforces it and
+    ``slice_problem`` is the only constructor of ``SlicedProblem``), so
+    toggling X[n, d] changes unit j by W+[d, j] or W-[d, j], whichever
+    direction the bound moves.  Ties in a row's top q go to the ascending
+    feature id; ties in the top Q across rows go to the ascending
+    (node, feature) id n*D + d.  Both rules fix which entries the
+    gradient flows through.
     """
     X = sp.sliced_attrs
     A1 = sp.sliced_mp[0]
     W, b = params.weights[0], params.biases[0]
     n_outer, D = X.shape
-    M = A1.shape[0]
-    h2 = grad.val(W).shape[1]
 
     q = budget.effective_q(D)
     Q = budget.effective_Q(n_outer, D)
@@ -100,44 +98,75 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     if q == 0 or Q == 0:
         return H_dot, H_dot
 
-    Wp, Wm = grad.pos(W), grad.negpart(W)
-    # per-flip effect of toggling X[n, d] on hidden dim j, always >= 0
-    up = grad.expand_dims(1.0 - X, 2) * grad.expand_dims(Wp, 0) + grad.expand_dims(X, 2) * grad.expand_dims(Wm, 0)
-    down = grad.expand_dims(X, 2) * grad.expand_dims(Wp, 0) + grad.expand_dims(1.0 - X, 2) * grad.expand_dims(Wm, 0)
+    # active features of each row, ascending, padded with the id D
+    nnz = np.count_nonzero(X, axis=1)
+    active = np.full((n_outer, nnz.max(initial=0)), D)
+    active[np.arange(active.shape[1]) < nnz[:, None]] = np.nonzero(X)[1]
 
-    upper = _budgeted_increase(A1, up, q, Q, n_outer, D, M, h2)
-    lower = _budgeted_increase(A1, down, q, Q, n_outer, D, M, h2)
+    # toggling an off feature raises unit j by W+[d, j] and lowers it by
+    # W-[d, j]; toggling an active one does the reverse
+    Wp, Wm = grad.pos(W), grad.negpart(W)
+    A1 = grad.val(A1)
+    upper = _budgeted_increase(A1, X, active, Wp, Wm, q, Q)
+    lower = _budgeted_increase(A1, X, active, Wm, Wp, q, Q)
     return H_dot - lower, H_dot + upper
 
 
-def _budgeted_increase(A1, effect, q, Q, n_outer, D, M, h2):
-    """Sum of the top-Q of {A1[m,n] * (q-largest effects of row n)} per (m,j)."""
-    eff_val = grad.val(effect)  # (n_outer, D, h2)
-    A1_val = grad.val(A1)
-    # q-largest effect features per (n, j), ties by ascending feature id
-    sel_mask = np.zeros((n_outer, D, h2))
-    for j in range(h2):
-        idx = _topk_sum_rows(eff_val[:, :, j], q)
-        np.put_along_axis(sel_mask[:, :, j], idx, 1.0, axis=1)
+def _top(values, ids, k):
+    """Indices of the k largest values along the last axis, ties to the smaller id.
 
-    # candidate values A1[m,n] * eff[n,d,j] for selected (n,d); pick top Q
-    # per (m,j) with ties by ascending (node, feature)
-    cand = A1_val[:, :, None, None] * eff_val[None, :, :, :] * sel_mask[None, :, :, :]
-    flat = cand.reshape(M, n_outer * D, h2)
-    keep = np.zeros_like(flat)
-    sel_flat = np.broadcast_to(sel_mask.reshape(1, n_outer * D, h2), flat.shape)
-    for m in range(M):
-        for j in range(h2):
-            valid = np.flatnonzero(sel_flat[m, :, j])
-            if valid.size == 0:
-                continue
-            vals = flat[m, valid, j]
-            order = np.lexsort((valid, -vals))
-            keep[m, valid[order[:Q]], j] = 1.0
+    Complex numbers order by real part, then imaginary part, so the k
+    smallest keys -value + i*id are exactly that selection; they come
+    back in no particular order.
+    """
+    key = np.empty(values.shape, dtype=np.complex128)
+    key.real = -values
+    key.imag = ids
+    return np.argpartition(key, k - 1, axis=-1)[..., :k]
 
-    keep4 = keep.reshape(M, n_outer, D, h2)
-    contrib = grad.expand_dims(effect, 0) * (keep4 * A1_val[:, :, None, None])
-    return grad.asum(contrib, axis=(1, 2))
+
+def _budgeted_increase(A1, X, active, W_off, W_on, q, Q):
+    """Sum of the top-Q of {A1[m,n] * (q-largest effects of row n)} per (m,j).
+
+    The effect of toggling X[n, d] on unit j is W_off[d, j] when the
+    feature is off and W_on[d, j] when it is active; both are >= 0.
+    """
+    n_outer, D = X.shape
+    off, on = grad.val(W_off), grad.val(W_on)
+    h2 = off.shape[1]
+    units = np.arange(h2)[:, None]
+
+    # Row n's q largest effects on unit j lie among its active features
+    # and its first q off features in the order of W_off[:, j] (descending,
+    # ties to the smaller d); at most nnz(n) active features come before
+    # those, so the top q + nnz_max features of that order hold them.
+    K = min(D, q + active.shape[1])
+    head = _top(off.T, np.arange(D), K)  # (h2, K)
+    # candidates per (j, n): the head features that are off in row n, then
+    # the row's active features; an entry of -inf is never picked
+    off_eff = np.where(X[:, head] == 0, np.take_along_axis(off.T, head, axis=1), -np.inf)
+    off_eff = off_eff.transpose(1, 0, 2)
+    on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(2, 0, 1)
+    feat = np.concatenate(
+        [np.broadcast_to(head[:, None, :], off_eff.shape), np.broadcast_to(active, on_eff.shape)], axis=2
+    )  # (h2, n, K + nnz_max)
+    eff = np.concatenate([off_eff, on_eff], axis=2)
+    pick = _top(eff, feat, q)  # (h2, n, q)
+    # the picks of unit j as one row over (n, k): (h2, n*q)
+    feat = np.take_along_axis(feat, pick, axis=2).reshape(h2, n_outer * q)
+    eff = np.take_along_axis(eff, pick, axis=2).reshape(h2, n_outer * q)
+    is_on = (pick >= K).reshape(h2, n_outer * q)
+
+    # top Q of the candidates A1[m, n] * eff per (m, j), ties to the
+    # smaller (node, feature) id n*D + d; A1 >= 0 keeps each row's top q
+    node = np.repeat(np.arange(n_outer), q)
+    top = _top(A1[:, None, node] * eff, node * D + feat, Q)  # (M, h2, Q)
+
+    coef = A1[np.arange(A1.shape[0])[:, None, None], node[top]]
+    at = feat[units, top] * h2 + units  # flat index of (d, j) in W
+    on_pick = is_on[units, top]
+    picked = grad.gather(W_off, at) * (coef * ~on_pick) + grad.gather(W_on, at) * (coef * on_pick)
+    return grad.asum(picked, axis=2)
 
 
 def deeper_layer_bounds(lower_prev, upper_prev, A_dot, W, b):

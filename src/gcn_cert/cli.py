@@ -251,7 +251,6 @@ TRAIN_CONFIG_KEYS = {
     "phase2_epochs": int,
     "patience": int,
     "seed": int,
-    "workers": int,
     "checkpoint_out": str,
     "log_out": str,
 }
@@ -292,8 +291,24 @@ def _default_workers():
 # -- shared command helpers ------------------------------------------------
 
 
+def _budget(q, Q) -> Budget:
+    try:
+        return Budget(q, Q)
+    except ValueError as exc:
+        raise CliError(f"{exc} (q={q}, Q={Q})")
+
+
+def _check_node(n, graph) -> int:
+    if not (0 <= n < graph.num_nodes):
+        raise CliError(f"node id {n} out of range [0, {graph.num_nodes})")
+    return n
+
+
 def _load_for_model(args) -> tuple:
-    params = gcn.load_checkpoint(args.checkpoint)
+    try:
+        params = gcn.load_checkpoint(args.checkpoint)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"{args.checkpoint}: not a valid checkpoint ({type(exc).__name__}: {exc})")
     bundle = load_dataset(
         args.edges,
         args.attributes,
@@ -315,10 +330,11 @@ def _select_nodes(spec_text, graph) -> list:
         return list(range(graph.num_nodes))
     nodes = []
     for tok in spec_text.split(","):
-        n = int(tok)
-        if not (0 <= n < graph.num_nodes):
-            raise CliError(f"node id {n} out of range [0, {graph.num_nodes})")
-        nodes.append(n)
+        try:
+            n = int(tok)
+        except ValueError:
+            raise CliError(f"bad node id {tok!r} in --nodes")
+        nodes.append(_check_node(n, graph))
     return nodes
 
 
@@ -374,7 +390,7 @@ def cmd_train(args):
     )
     graph = bundle.graph
     q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
-    budget = Budget(q, cfg.get("Q", 12))
+    budget = _budget(q, cfg.get("Q", 12))
     hidden = tuple(
         int(tok) for tok in cfg.get("hidden_dims", "32").split(",") if tok.strip()
     )
@@ -416,7 +432,7 @@ def cmd_train(args):
 
 def cmd_certify(args):
     params, graph = _load_for_model(args)
-    budget = Budget(args.q, args.Q)
+    budget = _budget(args.q, args.Q)
     nodes = _select_nodes(args.nodes, graph)
     certs = _certify_nodes(
         graph, params, budget, nodes, args.mode, args.use_labels, args.workers
@@ -445,7 +461,7 @@ def cmd_curve(args):
     }
     rows = []
     for Q in range(args.Q_max + 1):
-        budget = Budget(args.q, Q)
+        budget = _budget(args.q, Q)
         certs = _certify_nodes(
             graph,
             params,
@@ -479,9 +495,9 @@ def cmd_curve(args):
 
 def cmd_attack(args):
     params, graph = _load_for_model(args)
-    budget = Budget(args.q, args.Q)
+    budget = _budget(args.q, args.Q)
     mp = build_message_passing(graph)
-    spr = slice_problem(graph, mp, args.node, params.layer_count)
+    spr = slice_problem(graph, mp, _check_node(args.node, graph), params.layer_count)
     y_star = gcn.predict(gcn.forward_sliced(spr, params))
     n, D = spr.sliced_attrs.shape
     if budget.effective_Q(n, D) == 0:

@@ -274,7 +274,7 @@ def total(a):
 
 
 def gather(a, indices):
-    """Select flat entries of a by a fixed index array; returns 1-d."""
+    """Select flat entries of a by a fixed index array, shaped like the index."""
     idx = np.asarray(indices, dtype=np.intp)
     if not is_var(a):
         return np.asarray(a, dtype=np.float64).ravel()[idx]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcn_cert import gcn, oracle
+from gcn_cert import gcn, grad, oracle
 from gcn_cert.bounds import (
     CROSSING,
     NONNEG,
@@ -13,7 +13,7 @@ from gcn_cert.bounds import (
     first_layer_bounds,
 )
 from gcn_cert.gcn import GcnParams
-from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
+from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 
 from conftest import random_tiny_instance
 
@@ -44,6 +44,106 @@ def _enumerated_range(sp, params, budget):
         lo = H if lo is None else np.minimum(lo, H)
         hi = H if hi is None else np.maximum(hi, H)
     return lo, hi
+
+
+def _reference_first_layer_bounds(sp, params, budget):
+    """The earlier dense implementation: M x n x D x h candidate tensor.
+
+    Kept as the reference that ``first_layer_bounds`` must reproduce,
+    values and gradients alike.
+    """
+    X = sp.sliced_attrs
+    A1 = sp.sliced_mp[0]
+    W, b = params.weights[0], params.biases[0]
+    n_outer, D = X.shape
+    M = A1.shape[0]
+    h2 = grad.val(W).shape[1]
+    q = budget.effective_q(D)
+    Q = budget.effective_Q(n_outer, D)
+    H_dot = grad.matmul(grad.matmul(A1, X), W) + b
+    if q == 0 or Q == 0:
+        return H_dot, H_dot
+    Wp, Wm = grad.pos(W), grad.negpart(W)
+    up = grad.expand_dims(1.0 - X, 2) * grad.expand_dims(Wp, 0) + grad.expand_dims(X, 2) * grad.expand_dims(Wm, 0)
+    down = grad.expand_dims(X, 2) * grad.expand_dims(Wp, 0) + grad.expand_dims(1.0 - X, 2) * grad.expand_dims(Wm, 0)
+
+    def budgeted_increase(effect):
+        eff_val = grad.val(effect)
+        A1_val = grad.val(A1)
+        sel_mask = np.zeros((n_outer, D, h2))
+        cols = np.tile(np.arange(D), (n_outer, 1))
+        for j in range(h2):
+            idx = np.lexsort((cols, -eff_val[:, :, j]), axis=1)[:, :q]
+            np.put_along_axis(sel_mask[:, :, j], idx, 1.0, axis=1)
+        cand = A1_val[:, :, None, None] * eff_val[None, :, :, :] * sel_mask[None, :, :, :]
+        flat = cand.reshape(M, n_outer * D, h2)
+        keep = np.zeros_like(flat)
+        for m in range(M):
+            for j in range(h2):
+                valid = np.flatnonzero(sel_mask.reshape(n_outer * D, h2)[:, j])
+                order = np.lexsort((valid, -flat[m, valid, j]))
+                keep[m, valid[order[:Q]], j] = 1.0
+        keep4 = keep.reshape(M, n_outer, D, h2)
+        contrib = grad.expand_dims(effect, 0) * (keep4 * A1_val[:, :, None, None])
+        return grad.asum(contrib, axis=(1, 2))
+
+    return H_dot - budgeted_increase(down), H_dot + budgeted_increase(up)
+
+
+def _random_first_layer_instance(rng, ties):
+    """A sliced problem plus parameters and budget, built directly.
+
+    With ``ties`` the weights are small integers (with duplicated
+    columns and feature rows) and A1 has equal nonzero entries, so both
+    selections meet equal values.  Some rows of X are all zero, some all
+    one; q ranges past D and Q covers 1 and n*q.
+    """
+    n, D, M, h = (int(v) for v in rng.integers(1, [7, 9, 5, 5]))
+    X = (rng.random((n, D)) < rng.choice([0.1, 0.5, 0.9])).astype(float)
+    X[rng.random(n) < 0.2] = 0.0
+    X[rng.random(n) < 0.2] = 1.0
+    A1 = rng.random((M, n)) * (rng.random((M, n)) < 0.7)
+    W = rng.normal(size=(D, h))
+    if ties:
+        A1 = np.where(A1 > 0, 0.5, 0.0)
+        W = rng.integers(-2, 3, size=(D, h)).astype(float)
+        if h > 1:
+            W[:, 1] = W[:, 0]
+        if D > 1:
+            W[-1] = W[0]
+    params = GcnParams([W, rng.normal(size=(h, 2))], [rng.normal(size=h), np.zeros(2)])
+    q = int(rng.integers(0, D + 2))
+    qe = min(q, D)
+    Q = int(rng.choice([1, n * qe, rng.integers(1, n * qe + 2)]))
+    A2 = rng.random((1, M))
+    sp = SlicedProblem(
+        target=0,
+        layer_count=3,
+        sliced_mp=[A1, A2],
+        sliced_attrs=X,
+        hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
+    )
+    return sp, params, Budget(q, Q)
+
+
+def test_first_layer_bounds_match_dense_reference(rng):
+    """The partition-based selection equals the old 4-D one, ties included."""
+    for trial in range(240):
+        sp, params, budget = _random_first_layer_instance(rng, ties=trial % 3 == 0)
+        R, S = first_layer_bounds(sp, params, budget)
+        R_ref, S_ref = _reference_first_layer_bounds(sp, params, budget)
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(S, S_ref, rtol=0, atol=1e-12)
+        for side in (0, 1):
+            G = rng.normal(size=R.shape)
+
+            def loss(p, fn):
+                return grad.total(fn(sp, p, budget)[side] * G)
+
+            _, got = grad.gradient(lambda p: loss(p, first_layer_bounds), params)
+            _, ref = grad.gradient(lambda p: loss(p, _reference_first_layer_bounds), params)
+            np.testing.assert_allclose(got.weights[0], ref.weights[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.biases[0], ref.biases[0], rtol=0, atol=1e-12)
 
 
 def test_budget_validation_and_clamping():

@@ -102,6 +102,12 @@ def test_parse_config_unknown_key_lists_valid_keys(tmp_path):
         parse_config(cfg)
 
 
+def test_parse_config_rejects_workers(tmp_path):
+    cfg = _write(tmp_path / "old.cfg", "workers = 2\n")
+    with pytest.raises(CliError, match="unknown key 'workers'; valid keys"):
+        parse_config(cfg)
+
+
 def test_parse_config_bad_value(tmp_path):
     cfg = _write(tmp_path / "bad.cfg", "seed = soon\n")
     with pytest.raises(CliError, match="bad value 'soon'"):
@@ -185,6 +191,44 @@ def test_cmd_certify_node_out_of_range(dataset, checkpoint, capsys):
     )
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def _assert_one_line_error(rc, capsys):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_cmd_certify_malformed_checkpoint(tmp_path, dataset, capsys):
+    ckpt = _write(tmp_path / "broken.json", '{"L": 3, "dims": [2, 3')
+    rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
+    assert "broken.json" in _assert_one_line_error(rc, capsys)
+
+
+def test_cmd_certify_bad_node_id(dataset, checkpoint, capsys):
+    rc = main(
+        ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),
+         "--q", "1", "--Q", "1", "--nodes", "0,x"]
+    )
+    assert "'x'" in _assert_one_line_error(rc, capsys)
+
+
+def test_cmd_certify_negative_budget(dataset, checkpoint, capsys):
+    rc = main(
+        ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),
+         "--q", "-1", "--Q", "1"]
+    )
+    assert "nonnegative" in _assert_one_line_error(rc, capsys)
+
+
+def test_cmd_attack_node_out_of_range(dataset, checkpoint, capsys):
+    rc = main(
+        ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),
+         "--node", "7", "--q", "1", "--Q", "1"]
+    )
+    assert "out of range" in _assert_one_line_error(rc, capsys)
 
 
 def test_cmd_certify_dimension_mismatch(tmp_path, dataset, capsys):
