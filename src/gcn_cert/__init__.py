@@ -13,7 +13,7 @@ from .dual_cert import (
     optimize_omega,
 )
 from .gcn import GcnParams, forward_full, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
-from .graph_core import Graph, MessagePassing, SlicedProblem, build_message_passing, slice_problem
+from .graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 from .primal_attack import Perturbation, construct, construct_and_evaluate
 from .robust_train import TrainConfig, Trainer, train
 
@@ -27,7 +27,6 @@ __all__ = [
     "GcnParams",
     "Graph",
     "MarginVector",
-    "MessagePassing",
     "Perturbation",
     "SlicedProblem",
     "TrainConfig",

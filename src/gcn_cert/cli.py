@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dual_cert, gcn, grad, oracle, primal_attack, robust_train
 from .bounds import Budget, compute_bounds
@@ -170,12 +171,15 @@ def load_dataset(
         if num_features == 0:
             raise CliError("cannot infer feature count; pass num_features")
 
-    A = np.zeros((num_nodes, num_nodes))
     for lineno, u, v in edge_pairs:
         if u >= num_nodes or v >= num_nodes:
             raise CliError(f"{edges_path}:{lineno}: node id >= N={num_nodes}")
-        if u != v:
-            A[u, v] = A[v, u] = 1.0
+    u, v = np.array([(u, v) for _, u, v in edge_pairs if u != v], dtype=np.int64).reshape(-1, 2).T
+    A = sp.csr_array(
+        (np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(num_nodes, num_nodes),
+    )
+    A.data[:] = 1.0  # duplicate edges were summed
 
     if dense_attrs is not None:
         X = np.asarray(dense_attrs)
@@ -533,7 +537,7 @@ def cmd_oracle_verify(args):
     worst = 0.0
     failures = 0
     for i in range(args.instances):
-        spr, params, budget = _random_tiny_instance(rng)
+        spr, params, budget = oracle.random_tiny_instance(rng)
         y_star = gcn.predict(gcn.forward_sliced(spr, params))
         K = params.dims[-1]
         bnds = compute_bounds(spr, params, budget)
@@ -569,8 +573,8 @@ def cmd_grad_check(args):
     for mode in ("CE", "RCE", "RH", "RH_U"):
         errs = []
         for _ in range(args.draws):
-            graph, params, budget = _random_tiny_graph(rng)
-            tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=(3,))
+            graph, params, budget = oracle.random_tiny_graph(rng)
+            tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]))
             trainer = robust_train.Trainer(graph, tc)
             trainer._labeled_set = set(int(t) for t in trainer.labeled)
             batch = sorted(trainer._labeled_set)
@@ -581,42 +585,6 @@ def cmd_grad_check(args):
         worst[mode] = max(errs)
         print(f"{mode}: max relative error {worst[mode]!r} over {args.draws} draws")
     return 0 if max(worst.values()) <= args.tol else 1
-
-
-# -- tiny random instances (oracle-verify / grad-check) --------------------
-
-
-def _random_tiny_graph(rng):
-    n = int(rng.integers(3, 7))
-    D = int(rng.integers(2, 6))
-    K = int(rng.integers(2, 4))
-    A = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
-    A = A + A.T
-    X = (rng.random((n, D)) < 0.5).astype(float)
-    labels = rng.integers(0, K, size=n)
-    labels[rng.random(n) < 0.4] = -1  # leave some nodes unlabeled
-    labels[0] = rng.integers(0, K)
-    graph = Graph(
-        num_nodes=n,
-        num_features=D,
-        num_classes=K,
-        adjacency=A,
-        attributes=X,
-        labels=labels,
-    )
-    budget = Budget(int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-    params = gcn.glorot_params([D, 3, K], seed=int(rng.integers(2**31)))
-    # nonzero biases keep pre-activations off the exact ReLU kink
-    for b in params.biases:
-        b += rng.normal(scale=0.1, size=b.shape)
-    return graph, params, budget
-
-
-def _random_tiny_instance(rng):
-    graph, params, budget = _random_tiny_graph(rng)
-    mp = build_message_passing(graph)
-    spr = slice_problem(graph, mp, int(rng.integers(graph.num_nodes)), 3)
-    return spr, params, budget
 
 
 # -- entry point -----------------------------------------------------------

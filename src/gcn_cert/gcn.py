@@ -6,9 +6,10 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import grad
-from .graph_core import Graph, MessagePassing, SlicedProblem
+from .graph_core import Graph, SlicedProblem
 
 __all__ = [
     "GcnParams",
@@ -132,15 +133,14 @@ def forward_sliced(
     return ForwardTrace(pre_activations=pre, post_activations=post, logits=logits)
 
 
-def forward_full(graph: Graph, mp: MessagePassing, params: GcnParams, attrs_override=None):
+def forward_full(graph: Graph, mp: csr_array, params: GcnParams, attrs_override=None):
     """Full-graph logits (N x K), softmax omitted."""
-    H = graph.dense_attributes() if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
-    A_hat = mp.dense()
+    H = graph.attributes if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
     L = params.layer_count
     for l in range(1, L):
         W = grad.val(params.weights[l - 1])
         b = grad.val(params.biases[l - 1])
-        H_hat = A_hat @ H @ W + b
+        H_hat = mp @ H @ W + b
         H = np.maximum(H_hat, 0.0) if l < L - 1 else H_hat
     return H
 

@@ -1,4 +1,4 @@
-"""Graph data model, GCN message-passing matrices, per-target slicing."""
+"""Graph data model, GCN message-passing matrix, per-target slicing."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Graph", "MessagePassing", "SlicedProblem", "build_message_passing", "slice_problem"]
-
-# below this size the normalized adjacency is kept dense (perf only)
-_DENSE_CUTOFF = 64
+__all__ = ["Graph", "SlicedProblem", "build_message_passing", "slice_problem"]
 
 LABELED = "labeled"
 UNLABELED = "unlabeled"
@@ -20,8 +17,9 @@ UNLABELED = "unlabeled"
 class Graph:
     """Attributed graph with binary adjacency and binary node attributes.
 
-    adjacency: N x N symmetric binary, zero diagonal allowed.
-    attributes: N x D binary.
+    adjacency: N x N symmetric binary, dense or SciPy sparse; stored as a
+        CSR array with no explicit zeros. Diagonal entries are allowed.
+    attributes: N x D binary, stored as a dense float64 array.
     labels: optional int array of length N, -1 where unknown.
     split: optional array of "labeled"/"unlabeled" strings, length N.
     """
@@ -29,39 +27,37 @@ class Graph:
     num_nodes: int
     num_features: int
     num_classes: int
-    adjacency: object  # scipy csr or dense ndarray
-    attributes: object
+    adjacency: sp.csr_array
+    attributes: np.ndarray
     labels: np.ndarray | None = None
     split: np.ndarray | None = None
 
     def __post_init__(self):
-        A = self.adjacency
-        Ad = np.asarray(A.toarray() if sp.issparse(A) else A)
-        if Ad.shape != (self.num_nodes, self.num_nodes):
-            raise ValueError(f"adjacency shape {Ad.shape} != N={self.num_nodes}")
-        if not np.array_equal(Ad, Ad.T):
+        # copy: the canonicalisation below works in place
+        A = sp.csr_array(self.adjacency, dtype=np.float64, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        if A.shape != (self.num_nodes, self.num_nodes):
+            raise ValueError(f"adjacency shape {A.shape} != N={self.num_nodes}")
+        if (A != A.T).nnz:
             raise ValueError("adjacency must be symmetric")
-        if not np.isin(Ad, (0, 1)).all():
+        if not (A.data == 1.0).all():
             raise ValueError("adjacency must be binary")
-        X = self.attributes
-        Xd = np.asarray(X.toarray() if sp.issparse(X) else X)
-        if Xd.shape != (self.num_nodes, self.num_features):
-            raise ValueError(f"attributes shape {Xd.shape} != ({self.num_nodes}, {self.num_features})")
-        if not np.isin(Xd, (0, 1)).all():
+        X = np.asarray(self.attributes, dtype=np.float64)
+        if X.shape != (self.num_nodes, self.num_features):
+            raise ValueError(f"attributes shape {X.shape} != ({self.num_nodes}, {self.num_features})")
+        if not np.isin(X, (0, 1)).all():
             raise ValueError("attributes must be binary")
         if self.labels is not None:
             lab = np.asarray(self.labels)
             known = lab[lab >= 0]
             if known.size and (known.max() >= self.num_classes):
                 raise ValueError("label out of range")
+        object.__setattr__(self, "adjacency", A)
+        object.__setattr__(self, "attributes", X)
 
     def dense_adjacency(self) -> np.ndarray:
-        A = self.adjacency
-        return np.asarray(A.toarray() if sp.issparse(A) else A, dtype=np.float64)
-
-    def dense_attributes(self) -> np.ndarray:
-        X = self.attributes
-        return np.asarray(X.toarray() if sp.issparse(X) else X, dtype=np.float64)
+        return self.adjacency.toarray()
 
     def labeled_nodes(self) -> np.ndarray:
         if self.split is None:
@@ -76,22 +72,6 @@ class Graph:
                 return np.arange(self.num_nodes)
             return np.flatnonzero(np.asarray(self.labels) < 0)
         return np.flatnonzero(np.asarray(self.split) == UNLABELED)
-
-
-@dataclass(frozen=True)
-class MessagePassing:
-    """Symmetrically normalized GCN propagation matrix, shared by all layers."""
-
-    matrix: object  # N x N, csr or dense
-    normalization: str = "gcn_sym"
-
-    def dense(self) -> np.ndarray:
-        M = self.matrix
-        return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=np.float64)
-
-    def matrices(self, layer_count: int):
-        """The L-1 (identical) per-layer propagation matrices."""
-        return [self.matrix] * (layer_count - 1)
 
 
 @dataclass(frozen=True)
@@ -115,50 +95,53 @@ class SlicedProblem:
         return self.hop_sets[-1]
 
 
-def build_message_passing(graph: Graph) -> MessagePassing:
-    """A_hat = D~^{-1/2} (A v I) D~^{-1/2} with self-loops merged."""
-    A = graph.dense_adjacency()
-    A_tilde = A.copy()
-    np.fill_diagonal(A_tilde, 1.0)
-    deg = A_tilde.sum(axis=1)
+def build_message_passing(graph: Graph) -> sp.csr_array:
+    """A_hat = D~^{-1/2} (A v I) D~^{-1/2} as CSR; every diagonal entry is stored."""
+    A_tilde = graph.adjacency + sp.identity(graph.num_nodes, format="csr")
+    deg = np.diff(A_tilde.indptr)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    A_hat = inv_sqrt[:, None] * A_tilde * inv_sqrt[None, :]
-    if graph.num_nodes >= _DENSE_CUTOFF:
-        return MessagePassing(sp.csr_array(A_hat))
-    return MessagePassing(A_hat)
+    rows = np.repeat(np.arange(graph.num_nodes), deg)
+    A_tilde.data = inv_sqrt[rows] * inv_sqrt[A_tilde.indices]
+    return A_tilde
 
 
-def _hop_sets(graph: Graph, target: int, layer_count: int):
-    A = graph.dense_adjacency()
-    N = graph.num_nodes
-    reach = np.zeros(N, dtype=bool)
-    reach[target] = True
-    sets = [np.array([target], dtype=int)]
-    for _ in range(layer_count - 1):
-        reach = reach | (A[reach].sum(axis=0) > 0)
-        sets.append(np.flatnonzero(reach))
-    return sets
+def slice_problem(graph: Graph, mp: sp.csr_array, target: int, layer_count: int) -> SlicedProblem:
+    """Restrict the GCN to the (L-1)-hop neighborhood of the target.
 
-
-def slice_problem(graph: Graph, mp: MessagePassing, target: int, layer_count: int) -> SlicedProblem:
-    """Restrict the GCN to the (L-1)-hop neighborhood of the target."""
+    Because A_hat stores its diagonal, the columns that the rows
+    A_hat[hop_k] touch are exactly hop_{k+1}, so one pass over those rows'
+    stored entries yields both the next hop set and the dense block
+    A_hat[hop_k, hop_{k+1}].
+    """
     if not (0 <= target < graph.num_nodes):
         raise ValueError(f"target {target} out of range [0, {graph.num_nodes})")
     if layer_count < 2:
         raise ValueError("layer_count must be >= 2")
-    hop_sets = _hop_sets(graph, target, layer_count)
-    A_hat = mp.dense()
-    sliced = []
-    for l in range(1, layer_count):
-        rows = hop_sets[layer_count - l - 1]
-        cols = hop_sets[layer_count - l]
-        sliced.append(A_hat[np.ix_(rows, cols)])
-    X = graph.dense_attributes()
-    attrs = X[hop_sets[-1], :]
+    # work arrays are per call: threads may slice the same graph concurrently
+    reach = np.zeros(graph.num_nodes, dtype=bool)
+    reach[target] = True
+    position = np.empty(graph.num_nodes, dtype=np.intp)  # index of a node in its hop set
+    hop_sets = [np.array([target], dtype=int)]
+    blocks = []
+    for _ in range(layer_count - 1):
+        hop = hop_sets[-1]
+        starts = mp.indptr[hop]
+        lengths = mp.indptr[hop + 1] - starts
+        ends = np.cumsum(lengths)
+        # where the rows' stored entries sit in indices/data, row after row
+        span = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        cols = mp.indices[span]
+        reach[cols] = True
+        nxt = np.flatnonzero(reach)
+        position[nxt] = np.arange(nxt.size)
+        block = np.zeros((hop.size, nxt.size))
+        block[np.repeat(np.arange(hop.size), lengths), position[cols]] = mp.data[span]
+        blocks.append(block)
+        hop_sets.append(nxt)
     return SlicedProblem(
         target=target,
         layer_count=layer_count,
-        sliced_mp=sliced,
-        sliced_attrs=attrs,
+        sliced_mp=blocks[::-1],
+        sliced_attrs=graph.attributes[hop_sets[-1]],
         hop_sets=hop_sets,
     )

@@ -1,10 +1,10 @@
 """Independent verification machinery.
 
-Everything here is a test fixture: brute-force enumeration of the exact
-worst-case margin, the explicit linear program of the relaxation with its
-auditable constraint-to-dual-variable naming, a dense two-phase simplex
-solver (Bland's anti-cycling rule), and the optimality checks for the
-closed-form budget duals.
+Everything here is a test fixture: seeded tiny random instances,
+brute-force enumeration of the exact worst-case margin, the explicit
+linear program of the relaxation with its auditable constraint-to-dual-
+variable naming, a dense two-phase simplex solver (Bland's anti-cycling
+rule), and the optimality checks for the closed-form budget duals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import gcn, grad
 from .bounds import CROSSING, NONNEG, Budget
 from .gcn import GcnParams
-from .graph_core import SlicedProblem
+from .graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 
 __all__ = [
     "LpModel",
@@ -34,6 +34,8 @@ __all__ = [
     "binary_inner_lp_minimum",
     "check_integrality",
     "check_eta_rho_optimality",
+    "random_tiny_graph",
+    "random_tiny_instance",
 ]
 
 MAX_LP_VARIABLES = 300
@@ -73,6 +75,48 @@ class EnumerationResult:
     exact_min_margin: float
     argmin_perturbation: np.ndarray
     count_enumerated: int
+
+
+# ---------------------------------------------------------------------------
+# tiny random instances (tests, oracle-verify, grad-check)
+
+
+def random_tiny_graph(rng, all_labeled=False):
+    """Random graph small enough for exhaustive oracles (2-hop nbhd <= 6)."""
+    n = int(rng.integers(3, 7))
+    D = int(rng.integers(2, 6))
+    K = int(rng.integers(2, 4))
+    A = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    A = A + A.T
+    X = (rng.random((n, D)) < 0.5).astype(float)
+    labels = rng.integers(0, K, size=n)
+    if not all_labeled:
+        labels[rng.random(n) < 0.4] = -1
+        labels[0] = rng.integers(0, K)
+    graph = Graph(
+        num_nodes=n,
+        num_features=D,
+        num_classes=K,
+        adjacency=A,
+        attributes=X,
+        labels=labels,
+    )
+    budget = Budget(int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+    hidden = int(rng.integers(2, 5))
+    params = gcn.glorot_params([D, hidden, K], seed=int(rng.integers(2**31)))
+    # nonzero biases keep pre-activations off the exact ReLU kink
+    for b in params.biases:
+        b += rng.normal(scale=0.1, size=b.shape)
+    return graph, params, budget
+
+
+def random_tiny_instance(rng, all_labeled=False):
+    """A random tiny graph sliced at a random target for a 2-layer GCN."""
+    graph, params, budget = random_tiny_graph(rng, all_labeled=all_labeled)
+    mp = build_message_passing(graph)
+    target = int(rng.integers(graph.num_nodes))
+    spr = slice_problem(graph, mp, target, 3)
+    return spr, params, budget
 
 
 # ---------------------------------------------------------------------------

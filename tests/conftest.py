@@ -3,46 +3,8 @@
 import numpy as np
 import pytest
 
-from gcn_cert import gcn
-from gcn_cert.bounds import Budget
-from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
-
-
-def random_tiny_graph(rng, all_labeled=False):
-    """Random graph small enough for exhaustive oracles (2-hop nbhd <= 6)."""
-    n = int(rng.integers(3, 7))
-    D = int(rng.integers(2, 6))
-    K = int(rng.integers(2, 4))
-    A = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
-    A = A + A.T
-    X = (rng.random((n, D)) < 0.5).astype(float)
-    labels = rng.integers(0, K, size=n)
-    if not all_labeled:
-        labels[rng.random(n) < 0.4] = -1
-        labels[0] = rng.integers(0, K)
-    graph = Graph(
-        num_nodes=n,
-        num_features=D,
-        num_classes=K,
-        adjacency=A,
-        attributes=X,
-        labels=labels,
-    )
-    budget = Budget(int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-    hidden = int(rng.integers(2, 5))
-    params = gcn.glorot_params([D, hidden, K], seed=int(rng.integers(2**31)))
-    # nonzero biases keep pre-activations off the exact ReLU kink
-    for b in params.biases:
-        b += rng.normal(scale=0.1, size=b.shape)
-    return graph, params, budget
-
-
-def random_tiny_instance(rng, all_labeled=False):
-    graph, params, budget = random_tiny_graph(rng, all_labeled=all_labeled)
-    mp = build_message_passing(graph)
-    target = int(rng.integers(graph.num_nodes))
-    spr = slice_problem(graph, mp, target, 3)
-    return spr, params, budget
+from gcn_cert.graph_core import Graph
+from gcn_cert.oracle import random_tiny_graph, random_tiny_instance  # noqa: F401  (re-exported)
 
 
 def path_graph():

@@ -41,7 +41,7 @@ def test_load_dataset_edges_and_attrs(dataset):
     assert g.num_nodes == 3 and g.num_features == 2 and g.num_classes == 2
     A = g.dense_adjacency()
     assert A[0, 1] == A[1, 0] == 1.0 and A[0, 2] == 0.0
-    X = g.dense_attributes()
+    X = g.attributes
     np.testing.assert_array_equal(X, [[1, 0], [0, 1], [1, 1]])
     np.testing.assert_array_equal(g.labels, [0, 1, -1])
 
@@ -56,7 +56,7 @@ def test_load_dataset_sparse_triplet(tmp_path):
     edges = _write(tmp_path / "e.tsv", "")
     attrs = _write(tmp_path / "a.tsv", "3\t7\n")
     g = load_dataset(edges, attrs, num_nodes=4, num_features=10, num_classes=2).graph
-    X = g.dense_attributes()
+    X = g.attributes
     assert X[3, 7] == 1.0 and X.sum() == 1.0
 
 
@@ -64,7 +64,7 @@ def test_load_dataset_dense_csv(tmp_path):
     edges = _write(tmp_path / "e.tsv", "0\t1\n")
     attrs = _write(tmp_path / "a.csv", "1,0\n0,1\n")
     g = load_dataset(edges, attrs, num_classes=2).graph
-    np.testing.assert_array_equal(g.dense_attributes(), np.eye(2))
+    np.testing.assert_array_equal(g.attributes, np.eye(2))
 
 
 def test_load_dataset_errors(tmp_path, dataset):
