@@ -9,6 +9,7 @@ from .dual_cert import (
     MarginVector,
     certify,
     dual_state,
+    dual_states,
     margin_vector,
     optimize_omega,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "construct",
     "construct_and_evaluate",
     "dual_state",
+    "dual_states",
     "forward_full",
     "forward_sliced",
     "glorot_params",

@@ -112,17 +112,18 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     return H_dot - lower, H_dot + upper
 
 
-def _top(values, ids, k):
-    """Indices of the k largest values along the last axis, ties to the smaller id.
-
-    Complex numbers order by real part, then imaginary part, so the k
-    smallest keys -value + i*id are exactly that selection; they come
-    back in no particular order.
-    """
-    key = np.empty(values.shape, dtype=np.complex128)
+def _key(values, ids):
+    """Complex keys -value + i*id: complex numbers order by real, then imaginary part
+    (sort, partition and max alike), so ascending keys are descending values, ties to the smaller id."""
+    key = np.empty(np.shape(values), dtype=np.complex128)
     key.real = -values
     key.imag = ids
-    return np.argpartition(key, k - 1, axis=-1)[..., :k]
+    return key
+
+
+def _top(values, ids, k):
+    """Indices of the k largest values along the last axis, ties to the smaller id, in no particular order."""
+    return np.argpartition(_key(values, ids), k - 1, axis=-1)[..., :k]
 
 
 def _budgeted_increase(A1, X, active, W_off, W_on, q, Q):

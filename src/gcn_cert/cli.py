@@ -184,13 +184,13 @@ def load_dataset(
     if dense_attrs is not None:
         X = np.asarray(dense_attrs)
     else:
-        X = np.zeros((num_nodes, num_features))
+        X = np.zeros((num_nodes, num_features), dtype=bool)
         for lineno, n, d in attr_pairs:
             if n >= num_nodes:
                 raise CliError(f"{attributes_path}:{lineno}: node id >= N={num_nodes}")
             if d >= num_features:
                 raise CliError(f"{attributes_path}:{lineno}: feature id >= D={num_features}")
-            X[n, d] = 1.0
+            X[n, d] = True
 
     labels = None
     if labels_path is not None:
@@ -509,12 +509,9 @@ def cmd_attack(args):
         return 0
     K = params.dims[-1]
     bnds = compute_bounds(spr, params, budget)
+    others, C = dual_cert.competing_classes(y_star, K)
     best = None
-    for k in range(K):
-        if k == y_star:
-            continue
-        c = dual_cert.class_vector(y_star, k, K)
-        st = dual_cert.dual_state(spr, params, bnds, budget, c)
+    for k, st in zip(others, dual_cert.dual_states(spr, params, bnds, budget, C)):
         pert = primal_attack.construct(st, budget, spr.sliced_attrs)
         trace = gcn.forward_sliced(spr, params, attrs_override=pert.perturbed_attrs)
         logits = grad.val(trace.logits)
@@ -541,11 +538,8 @@ def cmd_oracle_verify(args):
         y_star = gcn.predict(gcn.forward_sliced(spr, params))
         K = params.dims[-1]
         bnds = compute_bounds(spr, params, budget)
-        for k in range(K):
-            if k == y_star:
-                continue
-            c = dual_cert.class_vector(y_star, k, K)
-            st = dual_cert.dual_state(spr, params, bnds, budget, c)
+        others, C = dual_cert.competing_classes(y_star, K)
+        for k, c, st in zip(others, C, dual_cert.dual_states(spr, params, bnds, budget, C)):
             opt = dual_cert.optimize_omega(spr, params, bnds, budget, c, steps=args.pga_steps)
             model = oracle.build_primal_lp(spr, params, bnds, budget, c)
             lp_val, _ = oracle.solve_lp(model)

@@ -135,7 +135,7 @@ def forward_sliced(
 
 def forward_full(graph: Graph, mp: csr_array, params: GcnParams, attrs_override=None):
     """Full-graph logits (N x K), softmax omitted."""
-    H = graph.attributes if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
+    H = np.asarray(graph.attributes if attrs_override is None else attrs_override, dtype=np.float64)
     L = params.layer_count
     for l in range(1, L):
         W = grad.val(params.weights[l - 1])

@@ -151,6 +151,8 @@ def val(x):
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` undoing numpy broadcasting."""
     g = np.asarray(g, dtype=np.float64)
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -212,10 +214,11 @@ def matmul(a, b):
     av, bv = val(a), val(b)
     out = av @ bv
     parents = []
+    # leading batch axes of the other operand are summed out of the VJP
     if is_var(a):
-        parents.append((a, lambda g, o=bv: g @ o.T))
+        parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g @ o.swapaxes(-1, -2), sh)))
     if is_var(b):
-        parents.append((b, lambda g, o=av: o.T @ g))
+        parents.append((b, lambda g, o=av, sh=bv.shape: _unbroadcast(o.swapaxes(-1, -2) @ g, sh)))
     return Var(out, parents, recompute=lambda: val(a) @ val(b))
 
 
@@ -251,14 +254,10 @@ def asum(a, axis=None, keepdims=False):
     if not is_var(a):
         return np.asarray(a, dtype=np.float64).sum(axis=axis, keepdims=keepdims)
 
-    def vjp(g, sh=a.value.shape, ax=axis, kd=keepdims):
-        g = np.asarray(g, dtype=np.float64)
-        if ax is None:
-            return np.broadcast_to(g, sh).copy()
-        if not kd:
-            axes = ax if isinstance(ax, tuple) else (ax,)
-            for x in sorted(a % len(sh) for a in axes):
-                g = np.expand_dims(g, x)
+    def vjp(g, sh=a.value.shape, ax=axis):
+        if ax is not None:  # put the summed axes back as unit axes
+            axes = [x % len(sh) for x in (ax if isinstance(ax, tuple) else (ax,))]
+            g = np.reshape(g, [1 if i in axes else size for i, size in enumerate(sh)])
         return np.broadcast_to(g, sh).copy()
 
     return Var(
@@ -290,13 +289,14 @@ def gather(a, indices):
 
 
 def expand_dims(a, axis):
+    """a with a unit axis inserted at `axis` (a reshape: cheaper than np.expand_dims)."""
+    x = val(a)
+    ax = axis % (x.ndim + 1)
+    shape = x.shape[:ax] + (1,) + x.shape[ax:]
     if not is_var(a):
-        return np.expand_dims(np.asarray(a, dtype=np.float64), axis)
-    return Var(
-        np.expand_dims(a.value, axis),
-        [(a, lambda g, ax=axis: np.squeeze(np.asarray(g), axis=ax))],
-        recompute=lambda: np.expand_dims(a.value, axis),
-    )
+        return x.reshape(shape)
+    vjp = [(a, lambda g, sh=x.shape: np.reshape(g, sh))]
+    return Var(x.reshape(shape), vjp, recompute=lambda: a.value.reshape(shape))
 
 
 def exp(a):

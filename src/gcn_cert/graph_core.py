@@ -19,7 +19,8 @@ class Graph:
 
     adjacency: N x N symmetric binary, dense or SciPy sparse; stored as a
         CSR array with no explicit zeros. Diagonal entries are allowed.
-    attributes: N x D binary, stored as a dense float64 array.
+    attributes: N x D binary, stored as a dense bool array (8x smaller
+        than float64); slices convert their rows to float64.
     labels: optional int array of length N, -1 where unknown.
     split: optional array of "labeled"/"unlabeled" strings, length N.
     """
@@ -43,10 +44,11 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if not (A.data == 1.0).all():
             raise ValueError("adjacency must be binary")
-        X = np.asarray(self.attributes, dtype=np.float64)
+        X = np.asarray(self.attributes)
         if X.shape != (self.num_nodes, self.num_features):
             raise ValueError(f"attributes shape {X.shape} != ({self.num_nodes}, {self.num_features})")
-        if not np.isin(X, (0, 1)).all():
+        X_bool = X.astype(bool)
+        if not np.array_equal(X_bool, X):
             raise ValueError("attributes must be binary")
         if self.labels is not None:
             lab = np.asarray(self.labels)
@@ -54,7 +56,7 @@ class Graph:
             if known.size and (known.max() >= self.num_classes):
                 raise ValueError("label out of range")
         object.__setattr__(self, "adjacency", A)
-        object.__setattr__(self, "attributes", X)
+        object.__setattr__(self, "attributes", X_bool)
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
@@ -142,6 +144,6 @@ def slice_problem(graph: Graph, mp: sp.csr_array, target: int, layer_count: int)
         target=target,
         layer_count=layer_count,
         sliced_mp=blocks[::-1],
-        sliced_attrs=graph.attributes[hop_sets[-1]],
+        sliced_attrs=graph.attributes[hop_sets[-1]].astype(np.float64),
         hop_sets=hop_sets,
     )

@@ -65,34 +65,23 @@ class TrainConfig:
             raise ValueError("phase2_epochs must be >= 1 when set")
 
 
-def robust_cross_entropy_loss(p: dual_cert.MarginVector, y_star: int):
-    """Cross entropy with the negated dual margins as logits."""
-    return float(grad.val(gcn.cross_entropy(p.entries, y_star)))
-
-
-def robust_hinge_loss(p: dual_cert.MarginVector, y_star: int, margin: float):
-    """Sum over competing classes of max(0, p_k + M)."""
-    others = np.delete(p.entries, y_star)
-    return float(np.maximum(0.0, others + margin).sum())
-
-
-def _hinge_terms(entries, y_star, margin):
-    """Grad-aware hinge over a list of scalar p_k entries."""
-    loss = 0.0
-    for k, p_k in enumerate(entries):
-        if k == y_star:
-            continue
-        loss = loss + grad.relu(p_k + margin)
-    return loss
-
-
-def _rce_terms(entries, y_star):
-    """Grad-aware -log softmax(p)[y*] over scalar entries, max-shifted."""
-    shift = max(float(grad.val(p)) for p in entries)
+def robust_cross_entropy_loss(p, y_star: int):
+    """-log softmax(p)[y*], max-shifted; grad-aware.  p holds one entry per class (numbers
+    or scalar grad.Vars), p[y*] = 0: the negated dual margins act as logits."""
+    shift = max(float(grad.val(p_k)) for p_k in p)
     s = 0.0
-    for p_k in entries:
+    for p_k in p:
         s = s + grad.exp(p_k - shift)
-    return grad.log(s) + shift - entries[y_star]
+    return grad.log(s) + shift - p[y_star]
+
+
+def robust_hinge_loss(p, y_star: int, margin: float):
+    """Sum over competing classes of max(0, p_k + M); grad-aware."""
+    loss = 0.0
+    for k, p_k in enumerate(p):
+        if k != y_star:
+            loss = loss + grad.relu(p_k + margin)
+    return loss
 
 
 class _Adam:
@@ -139,18 +128,13 @@ class Trainer:
     # -- grad-aware loss pieces -------------------------------------------
 
     def _p_vector(self, sp, params, y):
+        """p_k = -g(e_y - e_k) from one batched dual pass, p_y = 0; grad-aware."""
         bnds = compute_bounds(sp, params, self.budget)
-        omega = dual_cert.default_omega(bnds)
-        K = self.graph.num_classes
-        entries = []
-        for k in range(K):
-            if k == y:
-                entries.append(np.float64(0.0))
-                continue
-            c = dual_cert.class_vector(y, k, K)
-            g = dual_cert.dual_value_differentiable(sp, params, bnds, self.budget, c, omega)
-            entries.append(-g)
-        return entries
+        others, C = dual_cert.competing_classes(y, self.graph.num_classes)
+        p = [np.float64(0.0)] * self.graph.num_classes
+        for k, st in zip(others, dual_cert.dual_states(sp, params, bnds, self.budget, C)):
+            p[k] = -st.value
+        return p
 
     def _exact_ce(self, sp, params, y, dropout_rng=None):
         rate = self.config.dropout_rate if (self.config.use_dropout and dropout_rng is not None) else 0.0
@@ -170,7 +154,7 @@ class Trainer:
             y = int(self.labels[t])
             sp = self.slices[t]
             entries = self._p_vector(sp, params, y)
-            loss = loss + _hinge_terms(entries, y, self.config.margin_labeled)
+            loss = loss + robust_hinge_loss(entries, y, self.config.margin_labeled)
             loss = loss + self._exact_ce(sp, params, y, dropout_rng)
         return loss
 
@@ -183,7 +167,7 @@ class Trainer:
             trace = gcn.forward_sliced(sp, params.copy())  # prediction is a constant
             y_pred = gcn.predict(trace)
             entries = self._p_vector(sp, params, y_pred)
-            loss = loss + _hinge_terms(entries, y_pred, self.config.margin_unlabeled)
+            loss = loss + robust_hinge_loss(entries, y_pred, self.config.margin_unlabeled)
         return loss
 
     def rce_loss(self, batch, params):
@@ -191,7 +175,7 @@ class Trainer:
         for t in batch:
             y = int(self.labels[t])
             entries = self._p_vector(self.slices[t], params, y)
-            loss = loss + _rce_terms(entries, y)
+            loss = loss + robust_cross_entropy_loss(entries, y)
         return loss
 
     def ce_loss(self, batch, params, dropout_rng=None):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcn_cert import dual_cert, gcn, oracle
+from gcn_cert import dual_cert, gcn, grad, oracle
 from gcn_cert.bounds import ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
+    DualState,
     NON_ROBUST,
     ROBUST,
     UNDECIDED,
@@ -14,12 +15,18 @@ from gcn_cert.dual_cert import (
     certify,
     class_vector,
     closed_form_eta_rho,
+    competing_classes,
     default_omega,
     dual_state,
+    dual_states,
+    dual_value_differentiable,
     evaluate_dual,
     margin_vector,
     optimize_omega,
 )
+
+from gcn_cert.gcn import GcnParams
+from gcn_cert.graph_core import SlicedProblem
 
 from conftest import random_tiny_instance
 
@@ -259,3 +266,247 @@ def test_certify_statuses_consistent_with_enumeration(rng):
                 if k != y_star:
                     assert cert.dual_lower[k] <= cert.primal_margins[k] + 1e-9
     assert ROBUST in seen  # the sample exercises the common branch
+
+
+def test_certify_zero_dual_bound_is_not_robust(rng):
+    """A dual bound of exactly 0.0 does not certify: robust needs g > 0."""
+    sp, params, _ = random_tiny_instance(rng)
+    W2, b2 = params.weights[-1].copy(), params.biases[-1].copy()
+    W2[:, :2], b2[1] = 0.0, b2[0]  # classes 0 and 1 tie on every input, with exact zeros
+    params = params.replace(weights=[params.weights[0], W2], biases=[params.biases[0], b2])
+    cert = certify(sp, params, Budget(1, 2), 0)
+    assert cert.dual_lower[1] == 0.0
+    assert cert.status != ROBUST
+
+
+# -- the per-class dual pass as it was before class batching: the reference
+# the batched dual_states is compared against
+
+
+def _reference_backward_phi(sp, params, bounds, omega, c):
+    L = sp.layer_count
+    c = np.asarray(c, dtype=np.float64)
+    phi = {L: -c.reshape(1, -1)}
+    phi_hat = {}
+    for l in range(L - 1, 0, -1):
+        A_dot = sp.sliced_mp[l - 1]
+        W = params.weights[l - 1]
+        phi_hat[l] = grad.matmul(grad.matmul(A_dot.T, phi[l + 1]), grad.transpose(W))
+        if l >= 2:
+            slope, _, cross = dual_cert._envelope_slope(bounds, l)
+            nonneg = bounds.nonneg_mask(l)
+            crossing_part = slope * grad.pos(phi_hat[l]) - omega[l] * cross * grad.negpart(phi_hat[l])
+            phi[l] = nonneg * phi_hat[l] + cross * crossing_part
+    X = sp.sliced_attrs
+    delta = grad.pos(phi_hat[1]) * (1.0 - X) + grad.negpart(phi_hat[1]) * X
+    return phi, phi_hat, delta
+
+
+def _reference_closed_form_eta_rho(delta, budget):
+    delta_v = grad.val(delta)
+    n, D = delta_v.shape
+    q = budget.effective_q(D)
+    Q = budget.effective_Q(n, D)
+    if q == 0 or Q == 0:
+        return np.zeros(n), 0.0, [], {"o_idx": None, "rho_idx": None, "q": q, "Q": Q}
+    cols = np.tile(np.arange(D), (n, 1))
+    order = np.lexsort((cols, -delta_v), axis=1)
+    top_q = order[:, :q]
+    rows = np.repeat(np.arange(n), q)
+    feats = top_q.ravel()
+    vals = delta_v[rows, feats]
+    global_order = np.lexsort((feats, rows, -vals))
+    chosen = global_order[:Q]
+    s_q = [(int(rows[i]), int(feats[i])) for i in chosen]
+    rho_pos = chosen[-1]
+    rho = float(vals[rho_pos])
+    o_idx = np.arange(n) * D + top_q[:, q - 1]
+    eta = np.maximum(0.0, delta_v.ravel()[o_idx] - rho)
+    info = {"o_idx": o_idx, "rho_idx": int(rows[rho_pos]) * D + int(feats[rho_pos]), "q": q, "Q": Q}
+    return eta, rho, s_q, info
+
+
+def _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
+    L = sp.layer_count
+    X = sp.sliced_attrs
+    n, D = X.shape
+    q, Q = budget.effective_q(D), budget.effective_Q(n, D)
+    g = 0.0
+    for l in bounds.layers():
+        R, S = bounds.lower[l], bounds.upper[l]
+        _, denom, cross = dual_cert._envelope_slope(bounds, l)
+        g = g + grad.total((S * R * cross) / denom * grad.pos(phi_hat[l]))
+    for l in range(1, L):
+        g = g - grad.total(phi[l + 1] * params.biases[l - 1])
+    g = g - grad.total(X * phi_hat[1])
+    if q > 0 and Q > 0:
+        eta_col = grad.expand_dims(eta, 1) if grad.is_var(eta) else np.asarray(eta).reshape(-1, 1)
+        psi = grad.relu(delta - eta_col - rho)
+        g = g - grad.total(psi)
+        g = g - q * grad.total(eta) - Q * grad.total(rho)
+    else:
+        psi = np.zeros_like(grad.val(delta))
+    return g, psi
+
+
+def _reference_dual_state(sp, params, bounds, budget, c, omega=None):
+    if omega is None:
+        omega = default_omega(bounds)
+    phi, phi_hat, delta = _reference_backward_phi(sp, params, bounds, omega, c)
+    eta, rho, s_q, _ = _reference_closed_form_eta_rho(delta, budget)
+    g, psi = _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
+    return DualState(
+        omega={l: grad.val(om).copy() for l, om in omega.items()},
+        eta=np.asarray(eta, dtype=np.float64),
+        rho=float(rho),
+        phi={l: grad.val(p) for l, p in phi.items()},
+        phi_hat={l: grad.val(p) for l, p in phi_hat.items()},
+        delta=grad.val(delta),
+        psi=grad.val(psi),
+        value=float(grad.val(g)),
+        s_q=s_q,
+        c=np.asarray(c, dtype=np.float64),
+    )
+
+
+def _reference_dual_value_differentiable(sp, params, bounds, budget, c, omega):
+    phi, phi_hat, delta = _reference_backward_phi(sp, params, bounds, omega, c)
+    _, _, _, info = _reference_closed_form_eta_rho(grad.val(delta), budget)
+    if info["o_idx"] is None:
+        eta, rho = np.zeros(grad.val(delta).shape[0]), 0.0
+    else:
+        flat_rho = grad.gather(delta, [info["rho_idx"]])
+        o = grad.gather(delta, info["o_idx"])
+        mask = (grad.val(o) - grad.val(flat_rho) > 0).astype(np.float64)
+        eta = (o - flat_rho) * mask
+        rho = flat_rho
+    g, _ = _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
+    return g
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def _assert_dual_states_match_reference(sp, params, budget, y):
+    """dual_states over every competing class against the per-class reference."""
+    K = params.dims[-1]
+    n, D = sp.sliced_attrs.shape
+    bnds = compute_bounds(sp, params, budget)
+    others, C = competing_classes(y, K)
+    np.testing.assert_array_equal(C, [class_vector(y, k, K) for k in others])
+    states = dual_states(sp, params, bnds, budget, C)
+    _, _, _, info = closed_form_eta_rho(np.stack([st_.delta for st_ in states]), budget)
+    for b, (c, st_) in enumerate(zip(C, states)):
+        ref = _reference_dual_state(sp, params, bnds, budget, c)
+        _, _, _, ref_info = _reference_closed_form_eta_rho(ref.delta, budget)
+        assert isinstance(st_.value, float)
+        _close(st_.value, ref.value)
+        assert st_.s_q == ref.s_q
+        if ref_info["o_idx"] is None:
+            assert info["o_idx"] is None and info["rho_idx"] is None
+        else:
+            np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
+            assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
+        for got, want in [(st_.eta, ref.eta), (st_.rho, ref.rho), (st_.delta, ref.delta), (st_.psi, ref.psi)]:
+            _close(got, want)
+        for l in ref.phi:
+            _close(st_.phi[l], ref.phi[l])
+        for l in ref.phi_hat:
+            _close(st_.phi_hat[l], ref.phi_hat[l])
+        np.testing.assert_array_equal(st_.c, ref.c)
+        assert dual_state(sp, params, bnds, budget, c).s_q == ref.s_q
+
+    # tape gradients in the parameters (training) of a random mix of classes
+    r = np.random.default_rng(len(C)).normal(size=len(C))
+
+    def batched(shadow):
+        bb = compute_bounds(sp, shadow, budget)
+        sts = dual_states(sp, shadow, bb, budget, C)
+        return sum((w * st_.value for w, st_ in zip(r, sts)), 0.0)
+
+    def per_class(shadow):
+        bb = compute_bounds(sp, shadow, budget)
+        om = default_omega(bb)
+        terms = (w * _reference_dual_value_differentiable(sp, shadow, bb, budget, c, om) for w, c in zip(r, C))
+        return sum(terms, 0.0)
+
+    v_new, g_new = grad.gradient(batched, params)
+    v_ref, g_ref = grad.gradient(per_class, params)
+    _close(v_new, v_ref)
+    for a, b_ in zip(g_new.weights + g_new.biases, g_ref.weights + g_ref.biases):
+        _close(a, b_)
+
+    # tape gradients in Omega (Omega-PGA) for one class
+    if bnds.layers():
+        c = C[-1]
+        om_new = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+        om_ref = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+        g1 = dual_value_differentiable(sp, params, bnds, budget, c, om_new)
+        g2 = _reference_dual_value_differentiable(sp, params, bnds, budget, c, om_ref)
+        _close(grad.val(g1), grad.val(g2))
+        grad.backward(g1)
+        grad.backward(g2)
+        for l in om_new:
+            _close(om_new[l].grad, om_ref[l].grad)
+
+
+@pytest.mark.parametrize("budget", [None, Budget(0, 3), Budget(2, 0), Budget(9, 2), Budget(2, 10**6)])
+def test_dual_states_match_per_class_reference_on_tiny_instances(budget):
+    """q = 0, Q = 0, q >= D and Q = n*q, besides each instance's own budget."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        sp, params, own = random_tiny_instance(rng)
+        y = int(rng.integers(params.dims[-1]))
+        _assert_dual_states_match_reference(sp, params, budget or own, y)
+
+
+def _forced_tie_slice(rng, n, M, D, h, K):
+    """A Cora-ML-shape slice (L = 3) built to put many delta entries in exact ties.
+
+    Dyadic message-passing weights and integer W keep the arithmetic exact;
+    duplicated feature columns (with equal W rows) and all-zero attribute
+    rows repeat whole delta columns and rows.
+    """
+    A1 = rng.choice([0.0, 0.25, 0.5], size=(M, n), p=[0.6, 0.2, 0.2])
+    A1[np.arange(M), np.arange(M)] = 0.5
+    A2 = np.full((1, M), 0.25)
+    X = (rng.random((n, D)) < 0.02).astype(float)
+    src = rng.integers(D, size=D // 4)
+    dst = rng.integers(D, size=D // 4)
+    X[:, dst] = X[:, src]
+    X[rng.random(n) < 0.2] = 0.0
+    W1 = rng.integers(-2, 3, size=(D, h)).astype(float)
+    W1[dst] = W1[src]
+    W2 = rng.integers(-2, 3, size=(h, K)).astype(float)
+    b1 = rng.integers(-3, 4, size=h).astype(float)
+    b2 = rng.integers(-1, 2, size=K).astype(float)
+    sp = SlicedProblem(
+        target=0, layer_count=3, sliced_mp=[A1, A2], sliced_attrs=X,
+        hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
+    )
+    return sp, GcnParams([W1, W2], [b1, b2])
+
+
+@pytest.mark.parametrize("q, Q", [(29, 12), (29, 29 * 30), (0, 12), (29, 0), (3000, 40)])
+def test_dual_states_match_per_class_reference_on_forced_ties(q, Q):
+    rng = np.random.default_rng(q + Q)
+    sp, params = _forced_tie_slice(rng, n=30, M=9, D=2879, h=16, K=7)
+    _assert_dual_states_match_reference(sp, params, Budget(q, Q), 2)
+
+
+def test_closed_form_eta_rho_batched_matches_reference_on_ties():
+    """Small-integer delta stacks: nearly every selection is decided by a tie rule."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        B, n, D = (int(v) for v in rng.integers(1, 6, size=3))
+        delta = rng.integers(0, 3, size=(B, n, D)).astype(float)
+        budget = Budget(int(rng.integers(0, D + 2)), int(rng.integers(0, n * D + 2)))
+        eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
+        for b in range(B):
+            e, r, s, ref_info = _reference_closed_form_eta_rho(delta[b], budget)
+            np.testing.assert_array_equal(eta[b], e)
+            assert rho[b] == r and s_q[b] == s
+            if ref_info["o_idx"] is not None:
+                np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
+                assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]

@@ -1,0 +1,14 @@
+import os
+import re
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_quick_tour_runs(capsys):
+    """The README's Python quick tour runs as written and prints a status."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip() in ("robust", "non_robust", "undecided")

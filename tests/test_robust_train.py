@@ -5,7 +5,6 @@ import pytest
 
 from gcn_cert import dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget, compute_bounds
-from gcn_cert.dual_cert import MarginVector
 from gcn_cert.graph_core import Graph
 from gcn_cert.robust_train import (
     MARGIN_LABELED,
@@ -21,8 +20,8 @@ from gcn_cert.robust_train import (
 from conftest import random_tiny_graph
 
 
-def _mv(entries, y=0):
-    return MarginVector(entries=np.asarray(entries, dtype=float), y=y)
+def _mv(entries):
+    return np.asarray(entries, dtype=float)
 
 
 def test_margin_constants():
@@ -90,7 +89,7 @@ def test_combined_loss_decomposition(rng):
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_hinge_loss(mv, y, tr.config.margin_labeled)
+        expected += robust_hinge_loss(mv.entries, y, tr.config.margin_labeled)
         expected += float(gcn.cross_entropy(gcn.forward_sliced(sp, params).logits, y))
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -128,7 +127,7 @@ def test_semi_supervised_loss_decomposition(rng):
         y_pred = gcn.predict(gcn.forward_sliced(sp, params))
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y_pred)
-        expected += robust_hinge_loss(mv, y_pred, tr.config.margin_unlabeled)
+        expected += robust_hinge_loss(mv.entries, y_pred, tr.config.margin_unlabeled)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
     assert float(tr.semi_supervised_loss(lab, [], params)) == pytest.approx(
         float(tr.combined_loss(lab, params)), abs=1e-12
@@ -145,7 +144,7 @@ def test_rce_loss_decomposition(rng):
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_cross_entropy_loss(mv, y)
+        expected += robust_cross_entropy_loss(mv.entries, y)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
