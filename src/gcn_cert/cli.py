@@ -302,6 +302,12 @@ def _budget(q, Q) -> Budget:
         raise CliError(f"{exc} (q={q}, Q={Q})")
 
 
+def _check_count(value, flag) -> int:
+    if value < 0:
+        raise CliError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _check_node(n, graph) -> int:
     if not (0 <= n < graph.num_nodes):
         raise CliError(f"node id {n} out of range [0, {graph.num_nodes})")
@@ -530,17 +536,20 @@ def cmd_attack(args):
 
 
 def cmd_oracle_verify(args):
+    instances = _check_count(args.instances, "--instances")
+    steps = _check_count(args.pga_steps, "--pga-steps")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0
-    for i in range(args.instances):
+    for i in range(instances):
         spr, params, budget = oracle.random_tiny_instance(rng)
         y_star = gcn.predict(gcn.forward_sliced(spr, params))
         K = params.dims[-1]
         bnds = compute_bounds(spr, params, budget)
         others, C = dual_cert.competing_classes(y_star, K)
-        for k, c, st in zip(others, C, dual_cert.dual_states(spr, params, bnds, budget, C)):
-            opt = dual_cert.optimize_omega(spr, params, bnds, budget, c, steps=args.pga_steps)
+        states = dual_cert.dual_states(spr, params, bnds, budget, C)
+        opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=steps)
+        for k, c, st, opt in zip(others, C, states, opts):
             model = oracle.build_primal_lp(spr, params, bnds, budget, c)
             lp_val, _ = oracle.solve_lp(model)
             exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k).exact_min_margin
@@ -557,16 +566,17 @@ def cmd_oracle_verify(args):
                         f"exact={exact!r} primal={primal!r}"
                     )
                     break
-    print(f"instances={args.instances} failures={failures} worst_gap={worst!r}")
+    print(f"instances={instances} failures={failures} worst_gap={worst!r}")
     return 1 if failures else 0
 
 
 def cmd_grad_check(args):
+    draws = _check_count(args.draws, "--draws")
     rng = np.random.default_rng(args.seed)
     worst = {}
     for mode in ("CE", "RCE", "RH", "RH_U"):
         errs = []
-        for _ in range(args.draws):
+        for _ in range(draws):
             graph, params, budget = oracle.random_tiny_graph(rng)
             tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]))
             trainer = robust_train.Trainer(graph, tc)
@@ -576,8 +586,8 @@ def cmd_grad_check(args):
                 batch.append(int(trainer.unlabeled[0]))
             closure = trainer._batch_loss_closure(2 if mode == "RH_U" else 1, batch)
             errs.append(grad.finite_difference_check(closure, params, rng=rng, num_coords=4))
-        worst[mode] = max(errs)
-        print(f"{mode}: max relative error {worst[mode]!r} over {args.draws} draws")
+        worst[mode] = max(errs, default=0.0)
+        print(f"{mode}: max relative error {worst[mode]!r} over {draws} draws")
     return 0 if max(worst.values()) <= args.tol else 1
 
 
@@ -635,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-verify",
-        help="check dual <= LP <= exact <= primal on random tiny instances",
+        help="check dual <= PGA <= LP <= exact <= primal on random tiny instances",
     )
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

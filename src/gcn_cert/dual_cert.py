@@ -10,6 +10,7 @@ competing class certifies robustness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +201,52 @@ def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
     return g, psi
 
 
+class _Pass(NamedTuple):
+    """The tensors of one dual evaluation; batched ones carry a leading row axis."""
+
+    phi: dict
+    phi_hat: dict
+    delta: object
+    eta: object
+    rho: object
+    psi: object
+    g: object
+    s_q: list
+    info: dict
+
+
+def _dual_pass(sp, params, bounds, budget, c, omega) -> _Pass:
+    """`backward_phi`, closed-form (eta, rho) and `evaluate_dual` for c (K,) or a stack C (B, K).
+
+    When params, bounds or omega carry grad.Vars, eta and rho are gathered from delta
+    at the frozen selection, so the pass is differentiable.
+    """
+    phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, c)
+    eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
+    if grad.is_var(delta) and info["o_idx"] is not None:
+        rho = grad.gather(delta, info["rho_idx"])
+        o = grad.gather(delta, info["o_idx"])
+        eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[..., None])
+    g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
+    return _Pass(phi, phi_hat, delta, eta, rho, psi, g, s_q, info)
+
+
+def _state(p: _Pass, b, c, omega, value, s_q) -> DualState:
+    """The DualState of row b of the numeric pass p; b = () takes an unbatched pass whole."""
+    return DualState(
+        omega=omega,
+        eta=p.eta[b],
+        rho=float(p.rho[b]),
+        phi={l: x[b] for l, x in p.phi.items()},
+        phi_hat={l: x[b] for l, x in p.phi_hat.items()},
+        delta=p.delta[b],
+        psi=p.psi[b],
+        value=value,
+        s_q=s_q,
+        c=c,
+    )
+
+
 def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
     """One DualState per row of the class matrix C (B, K), from one batched pass.
 
@@ -211,39 +258,23 @@ def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
     # one class runs unbatched: 2-D arithmetic is cheaper on small slices
     one = len(C) == 1
-    phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, C[0] if one else C)
-    eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
-    if grad.is_var(delta) and info["o_idx"] is not None:
-        rho = grad.gather(delta, info["rho_idx"])
-        o = grad.gather(delta, info["o_idx"])
-        eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[..., None])
-    g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
-
+    p = _dual_pass(sp, params, bounds, budget, C[0] if one else C, omega)
+    # the states hold values; g stays a grad.Var on the tape
+    p = p._replace(
+        phi={l: grad.val(x) for l, x in p.phi.items()},
+        phi_hat={l: grad.val(x) for l, x in p.phi_hat.items()},
+        delta=grad.val(p.delta),
+        eta=grad.val(p.eta),
+        rho=grad.val(p.rho),
+        psi=grad.val(p.psi),
+    )
     om = {l: grad.val(w).copy() for l, w in omega.items()}
-    phi = {l: grad.val(p) for l, p in phi.items()}
-    phi_hat = {l: grad.val(p) for l, p in phi_hat.items()}
-    eta, rho, delta, psi = grad.val(eta), grad.val(rho), grad.val(delta), grad.val(psi)
-    # row b of each batched array; the index () keeps an unbatched one whole
     if one:
-        rows, s_q, values = [()], [s_q], [g if grad.is_var(g) else float(grad.val(g))]
+        rows, s_q, values = [()], [p.s_q], [p.g if grad.is_var(p.g) else float(grad.val(p.g))]
     else:
-        rows = range(len(C))
-        values = [grad.gather(g, b) for b in rows] if grad.is_var(g) else grad.val(g).tolist()
-    return [
-        DualState(
-            omega=om,
-            eta=eta[b],
-            rho=float(rho[b]),
-            phi={l: p[b] for l, p in phi.items()},
-            phi_hat={l: p[b] for l, p in phi_hat.items()},
-            delta=delta[b],
-            psi=psi[b],
-            value=value,
-            s_q=s_q_b,
-            c=c,
-        )
-        for b, value, s_q_b, c in zip(rows, values, s_q, C)
-    ]
+        rows, s_q = range(len(C)), p.s_q
+        values = [grad.gather(p.g, b) for b in rows] if grad.is_var(p.g) else grad.val(p.g).tolist()
+    return [_state(p, b, c, om, value, s_q_b) for b, c, value, s_q_b in zip(rows, C, values, s_q)]
 
 
 def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
@@ -256,43 +287,106 @@ def dual_value_differentiable(sp, params, bounds, budget, c, omega):
     return dual_states(sp, params, bounds, budget, c, omega)[0].value
 
 
-def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA_STEP_SIZE) -> DualState:
-    """Monotone projected gradient ascent on Omega.
+def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
+    """dg/dOmega[l] for `rows` of a numeric batched pass p; `omega` is those rows' Omega.
 
-    Each step moves from the best iterate so far with closed-form (eta,
-    rho); the step size is halved whenever the move does not improve g
-    (backtracking), so the result converges to a local maximum and never
-    degrades the default-Omega start.
+    Omega enters g only through phi[l] at crossing entries, as -Omega * [phi_hat[l]]_-,
+    so this is one reverse sweep of the backward pass: from dg/d delta, through A_dot
+    and W, up the layers.  It is the tape's subgradient of `dual_value_differentiable`:
+    every case-split mask and the eta/rho selection of p stay frozen, and relu'(0) = 0.
     """
-    best_om = {l: grad.val(om).copy() for l, om in default_omega(bounds).items()}
-    best = dual_state(sp, params, bounds, budget, c, omega=best_om)
-    lr = step_size
+    L = sp.layer_count
+    X = sp.sliced_attrs
+    n, D = X.shape
+    info = p.info
+    psi_pos = p.psi[rows] > 0
+    # dg/d delta: -1 where psi > 0, plus the eta/rho terms at the selected entries
+    g_delta = -psi_pos.astype(np.float64)
+    if info["o_idx"] is not None:
+        B = len(g_delta)
+        count = psi_pos.sum(axis=2)
+        # eta_n = [o_n - rho]_+ at the frozen selection; g holds -q sum(eta) - Q rho
+        g_o = (count - info["q"]) * (p.eta[rows] > 0)
+        g_rho = count.sum(axis=1) - info["Q"] - g_o.sum(axis=1)
+        flat = g_delta.reshape(B, n * D)
+        flat[np.arange(B)[:, None], info["o_idx"][rows] % (n * D)] += g_o
+        flat[np.arange(B), info["rho_idx"][rows] % (n * D)] += g_rho
+    # delta = [phi_hat[1] (1 - 2X)]_+, and g holds -<X, phi_hat[1]>
+    g_hat = g_delta * (p.delta[rows] > 0) * (1.0 - 2.0 * X) - X
+    out = {}
+    for l in range(2, L):
+        A, W, b = sp.sliced_mp[l - 2], grad.val(params.weights[l - 2]), grad.val(params.biases[l - 2])
+        g_phi = A @ (g_hat @ W) - b
+        ph = p.phi_hat[l][rows]
+        slope, denom, cross = _envelope_slope(bounds, l)
+        out[l] = -(g_phi * np.maximum(-ph, 0.0)) * cross
+        if l < L - 1:
+            R, S = bounds.lower[l], bounds.upper[l]
+            g_cross = g_phi * cross
+            g_hat = (
+                g_phi * bounds.nonneg_mask(l)
+                + g_cross * slope * (ph > 0)
+                + g_cross * (omega[l] * cross) * (ph < 0)
+                + (S * R * cross) / denom * (ph > 0)
+            )
+    return out
+
+
+def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA_STEP_SIZE):
+    """Monotone projected gradient ascent on Omega, for c (K,) or every row of a stack C (B, K).
+
+    Returns a DualState for c, or one per row of C.  Each row starts at the
+    default Omega and keeps its own best iterate, step size and stopping
+    rule.  A step moves every active row from its best iterate along
+    dg/dOmega (`_omega_gradient`, no tape), projects onto [0, 1] and
+    evaluates all candidates in one batched dual pass with closed-form
+    (eta, rho).  A candidate that improves g by more than 1e-15 becomes its
+    row's best, and its pass supplies the row's next gradient; otherwise the
+    row's step size is halved (backtracking).  So each step costs one dual
+    evaluation, the result never degrades the default-Omega start, and it
+    converges to a local maximum.  A row leaves the batch when its step
+    size falls below PGA_MIN_STEP, or when its projected move is exactly
+    zero: the candidate would equal the best iterate at every smaller step.
+    """
+    C = np.atleast_2d(np.asarray(c, dtype=np.float64))
+    rows = np.arange(len(C))
+    best_om = {l: np.repeat(grad.val(om)[None], len(C), axis=0) for l, om in default_omega(bounds).items()}
+    p = _dual_pass(sp, params, bounds, budget, C, best_om)
+    dg = _omega_gradient(sp, params, bounds, p, rows, best_om)
+    # each row's best value, and the pass and row of it that hold the best iterate
+    best_g, at = p.g.copy(), [(p, b) for b in rows]
+    cross = {l: bounds.crossing_mask(l) for l in best_om}
+    lr = np.full(len(C), float(step_size))
+    active = rows
     for _ in range(steps):
-        om_vars = {l: grad.Var(best_om[l]) for l in best_om}
-        g = dual_value_differentiable(sp, params, bounds, budget, c, om_vars)
-        if not grad.is_var(g):
-            break  # no crossing entries: g does not depend on Omega
-        grad.backward(g)
-        cand_om = {}
-        moved = False
-        for l in best_om:
-            dg = om_vars[l].grad
-            if dg is None:
-                cand_om[l] = best_om[l]
-                continue
-            cross = bounds.crossing_mask(l)
-            cand_om[l] = np.clip(best_om[l] + lr * dg * cross, 0.0, 1.0)
-            moved = True
-        if not moved:
+        cand_om = {
+            l: np.clip(om[active] + lr[active, None, None] * dg[l][active] * cross[l], 0.0, 1.0)
+            for l, om in best_om.items()
+        }
+        moved = np.zeros(active.size, dtype=bool)
+        for l, om in cand_om.items():
+            moved |= (om != best_om[l][active]).any(axis=(1, 2))
+        active, cand_om = active[moved], {l: om[moved] for l, om in cand_om.items()}
+        if not active.size:
             break
-        cand = dual_state(sp, params, bounds, budget, c, omega=cand_om)
-        if cand.value > best.value + 1e-15:
-            best, best_om = cand, cand_om
-        else:
-            lr *= PGA_STEP_SHRINK
-            if lr < PGA_MIN_STEP:
-                break
-    return best
+        p = _dual_pass(sp, params, bounds, budget, C[active], cand_om)
+        improved = p.g > best_g[active] + 1e-15
+        up, won = np.flatnonzero(improved), active[improved]
+        best_g[won] = p.g[up]
+        up_om = {l: om[up] for l, om in cand_om.items()}
+        for l, om in up_om.items():
+            best_om[l][won] = om
+        for b, i in zip(won, up):
+            at[b] = (p, i)
+        for l, g_l in _omega_gradient(sp, params, bounds, p, up, up_om).items():
+            dg[l][won] = g_l
+        lr[active[~improved]] *= PGA_STEP_SHRINK
+        active = active[lr[active] >= PGA_MIN_STEP]
+    best = [
+        _state(q, i, C[b], {l: om[b] for l, om in best_om.items()}, float(q.g[i]), q.s_q[i])
+        for b, (q, i) in enumerate(at)
+    ]
+    return best if np.ndim(c) == 2 else best[0]
 
 
 def competing_classes(y: int, num_classes: int):
@@ -310,7 +404,7 @@ def _competing_states(sp, params, bounds, budget, y, mode):
         raise ValueError(f"class {y} out of range [0, {K})")
     others, C = competing_classes(y, K)
     if mode == "optimized":
-        return others, [optimize_omega(sp, params, bounds, budget, c) for c in C]
+        return others, optimize_omega(sp, params, bounds, budget, C)
     return others, dual_states(sp, params, bounds, budget, C)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Var",
-    "Tape",
     "val",
     "is_var",
     "matmul",
@@ -37,44 +36,6 @@ __all__ = [
 ]
 
 
-_ACTIVE_TAPE = None
-
-
-class Tape:
-    """Records primitive nodes in creation order.
-
-    Used only for auditing determinism: :meth:`replay` recomputes every
-    recorded node from its saved parents and checks bit-identity with the
-    stored forward values.
-    """
-
-    def __init__(self):
-        self.nodes = []
-
-    def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
-        return self
-
-    def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
-        return False
-
-    def replay(self):
-        """Recompute all recorded nodes; True iff bit-identical."""
-        for node in self.nodes:
-            if node._recompute is None:
-                continue
-            fresh = node._recompute()
-            if fresh.shape != node.value.shape:
-                return False
-            if not np.array_equal(fresh, node.value):
-                return False
-        return True
-
-
 class Var:
     """A node in the computation graph wrapping a float ndarray."""
 
@@ -82,15 +43,12 @@ class Var:
     # operators on Var handle ndarray <op> Var
     __array_ufunc__ = None
 
-    __slots__ = ("value", "grad", "_parents", "_recompute")
+    __slots__ = ("value", "grad", "_parents")
 
-    def __init__(self, value, parents=(), recompute=None):
+    def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = tuple(parents)  # (Var, vjp) pairs
-        self._recompute = recompute
-        if _ACTIVE_TAPE is not None:
-            _ACTIVE_TAPE.nodes.append(self)
 
     @property
     def shape(self):
@@ -171,13 +129,13 @@ def _add(a, b):
         parents.append((a, lambda g, sh=av.shape: _unbroadcast(g, sh)))
     if is_var(b):
         parents.append((b, lambda g, sh=bv.shape: _unbroadcast(g, sh)))
-    return Var(out, parents, recompute=lambda: val(a) + val(b))
+    return Var(out, parents)
 
 
 def _neg(a):
     if not is_var(a):
         return -np.asarray(a, dtype=np.float64)
-    return Var(-a.value, [(a, lambda g: -g)], recompute=lambda: -a.value)
+    return Var(-a.value, [(a, lambda g: -g)])
 
 
 def _mul(a, b):
@@ -190,7 +148,7 @@ def _mul(a, b):
         parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh)))
     if is_var(b):
         parents.append((b, lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh)))
-    return Var(out, parents, recompute=lambda: val(a) * val(b))
+    return Var(out, parents)
 
 
 def _div(a, b):
@@ -205,7 +163,7 @@ def _div(a, b):
         parents.append(
             (b, lambda g, n=av, d=bv, sh=bv.shape: _unbroadcast(-g * n / (d * d), sh))
         )
-    return Var(out, parents, recompute=lambda: val(a) / val(b))
+    return Var(out, parents)
 
 
 def matmul(a, b):
@@ -219,13 +177,13 @@ def matmul(a, b):
         parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g @ o.swapaxes(-1, -2), sh)))
     if is_var(b):
         parents.append((b, lambda g, o=av, sh=bv.shape: _unbroadcast(o.swapaxes(-1, -2) @ g, sh)))
-    return Var(out, parents, recompute=lambda: val(a) @ val(b))
+    return Var(out, parents)
 
 
 def transpose(a):
     if not is_var(a):
         return np.asarray(a, dtype=np.float64).T
-    return Var(a.value.T, [(a, lambda g: g.T)], recompute=lambda: a.value.T)
+    return Var(a.value.T, [(a, lambda g: g.T)])
 
 
 def relu(a):
@@ -233,11 +191,7 @@ def relu(a):
     if not is_var(a):
         return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
     mask = (a.value > 0).astype(np.float64)
-    return Var(
-        a.value * mask,
-        [(a, lambda g, m=mask: g * m)],
-        recompute=lambda: np.maximum(a.value, 0.0),
-    )
+    return Var(a.value * mask, [(a, lambda g, m=mask: g * m)])
 
 
 def pos(a):
@@ -260,11 +214,7 @@ def asum(a, axis=None, keepdims=False):
             g = np.reshape(g, [1 if i in axes else size for i, size in enumerate(sh)])
         return np.broadcast_to(g, sh).copy()
 
-    return Var(
-        a.value.sum(axis=axis, keepdims=keepdims),
-        [(a, vjp)],
-        recompute=lambda: a.value.sum(axis=axis, keepdims=keepdims),
-    )
+    return Var(a.value.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
 def total(a):
@@ -283,9 +233,7 @@ def gather(a, indices):
         np.add.at(out, ix, np.asarray(g, dtype=np.float64))
         return out.reshape(sh)
 
-    return Var(
-        a.value.ravel()[idx], [(a, vjp)], recompute=lambda: a.value.ravel()[idx]
-    )
+    return Var(a.value.ravel()[idx], [(a, vjp)])
 
 
 def expand_dims(a, axis):
@@ -296,24 +244,20 @@ def expand_dims(a, axis):
     if not is_var(a):
         return x.reshape(shape)
     vjp = [(a, lambda g, sh=x.shape: np.reshape(g, sh))]
-    return Var(x.reshape(shape), vjp, recompute=lambda: a.value.reshape(shape))
+    return Var(x.reshape(shape), vjp)
 
 
 def exp(a):
     if not is_var(a):
         return np.exp(np.asarray(a, dtype=np.float64))
     out = np.exp(a.value)
-    return Var(out, [(a, lambda g, o=out: g * o)], recompute=lambda: np.exp(a.value))
+    return Var(out, [(a, lambda g, o=out: g * o)])
 
 
 def log(a):
     if not is_var(a):
         return np.log(np.asarray(a, dtype=np.float64))
-    return Var(
-        np.log(a.value),
-        [(a, lambda g, o=a.value: g / o)],
-        recompute=lambda: np.log(a.value),
-    )
+    return Var(np.log(a.value), [(a, lambda g, o=a.value: g / o)])
 
 
 def log_softmax_entry(logits, index):

@@ -81,8 +81,9 @@ class EnumerationResult:
 # tiny random instances (tests, oracle-verify, grad-check)
 
 
-def random_tiny_graph(rng, all_labeled=False):
-    """Random graph small enough for exhaustive oracles (2-hop nbhd <= 6)."""
+def random_tiny_graph(rng, all_labeled=False, hidden_layers=1):
+    """Random graph small enough for exhaustive oracles (<= 6 nodes), with a GCN of
+    `hidden_layers` hidden layers; one hidden layer draws what it always drew."""
     n = int(rng.integers(3, 7))
     D = int(rng.integers(2, 6))
     K = int(rng.integers(2, 4))
@@ -102,20 +103,20 @@ def random_tiny_graph(rng, all_labeled=False):
         labels=labels,
     )
     budget = Budget(int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-    hidden = int(rng.integers(2, 5))
-    params = gcn.glorot_params([D, hidden, K], seed=int(rng.integers(2**31)))
+    hidden = [int(rng.integers(2, 5)) for _ in range(hidden_layers)]
+    params = gcn.glorot_params([D, *hidden, K], seed=int(rng.integers(2**31)))
     # nonzero biases keep pre-activations off the exact ReLU kink
     for b in params.biases:
         b += rng.normal(scale=0.1, size=b.shape)
     return graph, params, budget
 
 
-def random_tiny_instance(rng, all_labeled=False):
-    """A random tiny graph sliced at a random target for a 2-layer GCN."""
-    graph, params, budget = random_tiny_graph(rng, all_labeled=all_labeled)
+def random_tiny_instance(rng, all_labeled=False, hidden_layers=1):
+    """A random tiny graph sliced at a random target for a GCN of `hidden_layers` + 1 layers."""
+    graph, params, budget = random_tiny_graph(rng, all_labeled=all_labeled, hidden_layers=hidden_layers)
     mp = build_message_passing(graph)
     target = int(rng.integers(graph.num_nodes))
-    spr = slice_problem(graph, mp, target, 3)
+    spr = slice_problem(graph, mp, target, hidden_layers + 2)
     return spr, params, budget
 
 

@@ -299,3 +299,15 @@ def test_cmd_grad_check_passes(capsys):
     out = capsys.readouterr().out
     for mode in ("CE", "RCE", "RH", "RH_U"):
         assert f"{mode}: max relative error" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle-verify", "--instances", "-1"], "--instances"),
+        (["oracle-verify", "--instances", "1", "--pga-steps", "-5"], "--pga-steps"),
+        (["grad-check", "--draws", "-2"], "--draws"),
+    ],
+)
+def test_verification_commands_reject_negative_counts(argv, flag, capsys):
+    assert f"{flag} must be >= 0" in _assert_one_line_error(main(argv), capsys)

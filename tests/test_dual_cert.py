@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcn_cert import dual_cert, gcn, grad, oracle
+from gcn_cert import dual_cert, gcn, grad, oracle, primal_attack
 from gcn_cert.bounds import ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
     DualState,
@@ -510,3 +510,168 @@ def test_closed_form_eta_rho_batched_matches_reference_on_ties():
             if ref_info["o_idx"] is not None:
                 np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
                 assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
+
+
+# -- Omega-PGA as it was before the written-out gradient: one class at a time,
+# a tape for every step's dg/dOmega, and a second dual evaluation of the candidate
+
+
+def _reference_optimize_omega(sp, params, bounds, budget, c, steps=dual_cert.PGA_STEPS, step_size=dual_cert.PGA_STEP_SIZE):
+    best_om = {l: grad.val(om).copy() for l, om in default_omega(bounds).items()}
+    best = dual_state(sp, params, bounds, budget, c, omega=best_om)
+    lr = step_size
+    for _ in range(steps):
+        om_vars = {l: grad.Var(best_om[l]) for l in best_om}
+        g = dual_value_differentiable(sp, params, bounds, budget, c, om_vars)
+        if not grad.is_var(g):
+            break
+        grad.backward(g)
+        cand_om = {}
+        moved = False
+        for l in best_om:
+            dg = om_vars[l].grad
+            if dg is None:
+                cand_om[l] = best_om[l]
+                continue
+            cross = bounds.crossing_mask(l)
+            cand_om[l] = np.clip(best_om[l] + lr * dg * cross, 0.0, 1.0)
+            moved = True
+        if not moved:
+            break
+        cand = dual_state(sp, params, bounds, budget, c, omega=cand_om)
+        if cand.value > best.value + 1e-15:
+            best, best_om = cand, cand_om
+        else:
+            lr *= dual_cert.PGA_STEP_SHRINK
+            if lr < dual_cert.PGA_MIN_STEP:
+                break
+    return best
+
+
+def _assert_pga_matches_reference(sp, params, bnds, budget, C, steps):
+    states = optimize_omega(sp, params, bnds, budget, C, steps=steps)
+    assert len(states) == len(C)
+    for c, st_ in zip(C, states):
+        ref = _reference_optimize_omega(sp, params, bnds, budget, c, steps=steps)
+        assert isinstance(st_.value, float)
+        _close(st_.value, ref.value)
+        assert st_.s_q == ref.s_q
+        assert st_.omega.keys() == ref.omega.keys()
+        for l in ref.omega:
+            _close(st_.omega[l], ref.omega[l])
+        for got, want in [(st_.eta, ref.eta), (st_.rho, ref.rho), (st_.delta, ref.delta), (st_.psi, ref.psi)]:
+            _close(got, want)
+        np.testing.assert_array_equal(st_.c, ref.c)
+    # the one-class form runs the same ascent
+    one = optimize_omega(sp, params, bnds, budget, C[-1], steps=steps)
+    assert isinstance(one, DualState) and one.value == states[-1].value
+
+
+def _nonneg_bounds_like(bnds):
+    """Every hidden entry in the exactly-linear nonnegative case: no crossing neuron."""
+    lower = {l: np.full(np.shape(r), 0.5) for l, r in bnds.lower.items()}
+    upper = {l: np.full(np.shape(r), 2.0) for l, r in bnds.upper.items()}
+    return ActivationBounds(lower=lower, upper=upper, partition={l: classify_partition(lower[l], upper[l]) for l in lower})
+
+
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+def test_optimize_omega_matches_taped_reference_on_tiny_instances(hidden_layers):
+    """Batched PGA against the per-class taped ascent: 100 instances each at L = 3 and L = 4.
+
+    Steps cycle through 0, 1, 50 and 200; budgets through each instance's own,
+    q = 0, Q = 0 and q >= D; every fifth instance has no crossing neuron.
+    """
+    rng = np.random.default_rng(17 + hidden_layers)
+    seen_crossing = 0
+    for i in range(100):
+        sp, params, own = random_tiny_instance(rng, hidden_layers=hidden_layers)
+        assert sp.layer_count == hidden_layers + 2
+        budget = [own, Budget(0, 3), Budget(2, 0), Budget(9, 2)][(i // 4) % 4]
+        bnds = compute_bounds(sp, params, budget)
+        if i % 5 == 4:
+            bnds = _nonneg_bounds_like(bnds)
+        seen_crossing += any(bnds.crossing_mask(l).any() for l in bnds.layers())
+        _, C = competing_classes(int(rng.integers(params.dims[-1])), params.dims[-1])
+        _assert_pga_matches_reference(sp, params, bnds, budget, C, steps=[0, 1, 50, 200][i % 4])
+    assert seen_crossing >= 30
+
+
+@pytest.mark.parametrize("steps", [0, 1, 50, 200])
+def test_optimize_omega_matches_taped_reference_on_forced_ties(steps):
+    """certify-pga shape (D = 300, h = 32, K = 7, q = 3, Q = 12) with forced delta and phi_hat ties."""
+    rng = np.random.default_rng(40 + steps)
+    sp, params = _forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
+    budget = Budget(3, 12)
+    bnds = compute_bounds(sp, params, budget)
+    assert bnds.crossing_mask(2).any()
+    _, C = competing_classes(2, 7)
+    _assert_pga_matches_reference(sp, params, bnds, budget, C, steps)
+
+
+def _written_out_gradient(sp, params, bnds, budget, C, omega):
+    """dg/dOmega for every row of C at one Omega, from one batched pass."""
+    om = {l: np.repeat(o[None], len(C), axis=0) for l, o in omega.items()}
+    p = dual_cert._dual_pass(sp, params, bnds, budget, C, om)
+    return dual_cert._omega_gradient(sp, params, bnds, p, np.arange(len(C)), om)
+
+
+def _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega):
+    mine = _written_out_gradient(sp, params, bnds, budget, C, omega)
+    assert mine.keys() == omega.keys()
+    for b, c in enumerate(C):
+        om_vars = {l: grad.Var(o) for l, o in omega.items()}
+        grad.backward(dual_value_differentiable(sp, params, bnds, budget, c, om_vars))
+        for l, v in om_vars.items():
+            _close(mine[l][b], v.grad)
+
+
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+def test_omega_gradient_matches_tape_on_tiny_instances(hidden_layers):
+    """Random Omega and Omega at 0 and at 1 on the crossing entries, every competing class."""
+    rng = np.random.default_rng(23 + hidden_layers)
+    for _ in range(60):
+        sp, params, budget = random_tiny_instance(rng, hidden_layers=hidden_layers)
+        bnds = compute_bounds(sp, params, budget)
+        _, C = competing_classes(int(rng.integers(params.dims[-1])), params.dims[-1])
+        for fill in (None, 0.0, 1.0):
+            omega = {
+                l: (rng.random(np.shape(o)) if fill is None else np.full(np.shape(o), fill)) * bnds.crossing_mask(l)
+                for l, o in default_omega(bnds).items()
+            }
+            _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
+
+
+@pytest.mark.parametrize("q, Q", [(3, 12), (1, 1), (400, 40), (3, 10**6)])
+def test_omega_gradient_matches_tape_at_relu_ties(q, Q):
+    """Integer weights put phi_hat entries exactly at 0, where relu'(0) = 0 on the tape.
+
+    Zero rows of W1 make whole columns of phi_hat[1], and so of delta, exactly 0.
+    """
+    rng = np.random.default_rng(q + Q)
+    sp, params = _forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
+    params.weights[0][:10] = 0.0
+    budget = Budget(q, Q)
+    bnds = compute_bounds(sp, params, budget)
+    _, C = competing_classes(2, 7)
+    omega = default_omega(bnds)
+    p = dual_cert._dual_pass(sp, params, bnds, budget, C, omega)
+    cross = bnds.crossing_mask(2).astype(bool)
+    assert (p.phi_hat[2][:, cross] == 0).any() and (p.phi_hat[1] == 0).any()
+    _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
+
+
+def test_deeper_gcn_sandwich_chain():
+    """dual(default) <= dual(PGA) <= exact <= primal on two-hidden-layer instances (L = 4)."""
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        sp, params, budget = random_tiny_instance(rng, hidden_layers=2)
+        y = gcn.predict(gcn.forward_sliced(sp, params))
+        bnds = compute_bounds(sp, params, budget)
+        others, C = competing_classes(y, params.dims[-1])
+        opts = optimize_omega(sp, params, bnds, budget, C, steps=100)
+        for k, base, opt in zip(others, dual_states(sp, params, bnds, budget, C), opts):
+            exact = oracle.enumerate_exact_margin(sp, params, budget, y, k).exact_min_margin
+            primal = primal_attack.construct_and_evaluate(sp, params, base, budget, y, k)
+            chain = [base.value, opt.value, exact, primal]
+            for a, b in zip(chain, chain[1:]):
+                assert a <= b + 1e-9, chain

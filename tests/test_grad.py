@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from gcn_cert import grad
+from gcn_cert import dual_cert, gcn, grad
+from gcn_cert.bounds import compute_bounds
 from gcn_cert.gcn import GcnParams
-from gcn_cert.grad import Tape, Var, backward, finite_difference_check, gradient
+from gcn_cert.grad import Var, backward, finite_difference_check, gradient
+
+from conftest import random_tiny_instance
 
 
 def _scalar_fd(fn, x, eps=1e-6):
@@ -88,13 +91,23 @@ def test_broadcasting_gradients(rng):
     np.testing.assert_allclose(vb.grad, np.broadcast_to(a, (3, 4)).sum(axis=0, keepdims=True))
 
 
-def test_tape_replay_is_bit_identical(rng):
-    A = rng.normal(size=(3, 3))
-    with Tape() as tape:
-        v = Var(A)
-        out = grad.total(grad.relu(grad.matmul(v, v.T)) + grad.exp(0.01 * v))
-    assert len(tape.nodes) > 0
-    assert tape.replay()
+def test_loss_and_gradient_are_bit_identical_on_rerun(rng):
+    """One robust loss through bounds and the class-batched dual, and its gradient, computed twice."""
+    sp, params, budget = random_tiny_instance(rng)
+    _, C = dual_cert.competing_classes(0, params.dims[-1])
+
+    def loss(shadow):
+        bnds = compute_bounds(sp, shadow, budget)
+        states = dual_cert.dual_states(sp, shadow, bnds, budget, C)
+        logits = gcn.forward_sliced(sp, shadow).logits
+        return sum((st.value * st.value for st in states), -grad.log_softmax_entry(logits, 0))
+
+    first_value, first = gradient(loss, params)
+    second_value, second = gradient(loss, params)
+    assert first_value == second_value
+    for a, b in zip(first.weights + first.biases, second.weights + second.biases):
+        np.testing.assert_array_equal(a, b)
+    assert any(np.any(a != 0) for a in first.weights)
 
 
 def test_backward_errors():
