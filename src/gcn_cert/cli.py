@@ -308,6 +308,12 @@ def _check_count(value, flag) -> int:
     return value
 
 
+def _check_tol(value) -> float:
+    if not (np.isfinite(value) and value >= 0):
+        raise CliError(f"--tol must be >= 0 and finite, got {value}")
+    return value
+
+
 def _check_node(n, graph) -> int:
     if not (0 <= n < graph.num_nodes):
         raise CliError(f"node id {n} out of range [0, {graph.num_nodes})")
@@ -538,6 +544,7 @@ def cmd_attack(args):
 def cmd_oracle_verify(args):
     instances = _check_count(args.instances, "--instances")
     steps = _check_count(args.pga_steps, "--pga-steps")
+    tol = _check_tol(args.tol)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0
@@ -558,7 +565,7 @@ def cmd_oracle_verify(args):
             for a, b in zip(chain, chain[1:]):
                 gap = a - b
                 worst = max(worst, gap)
-                if gap > args.tol:
+                if gap > tol:
                     failures += 1
                     print(
                         f"instance {i} class {k}: ordering violated: "
@@ -572,6 +579,7 @@ def cmd_oracle_verify(args):
 
 def cmd_grad_check(args):
     draws = _check_count(args.draws, "--draws")
+    tol = _check_tol(args.tol)
     rng = np.random.default_rng(args.seed)
     worst = {}
     for mode in ("CE", "RCE", "RH", "RH_U"):
@@ -586,9 +594,9 @@ def cmd_grad_check(args):
                 batch.append(int(trainer.unlabeled[0]))
             closure = trainer._batch_loss_closure(2 if mode == "RH_U" else 1, batch)
             errs.append(grad.finite_difference_check(closure, params, rng=rng, num_coords=4))
-        worst[mode] = max(errs, default=0.0)
+        worst[mode] = float(max(errs, default=0.0))
         print(f"{mode}: max relative error {worst[mode]!r} over {draws} draws")
-    return 0 if max(worst.values()) <= args.tol else 1
+    return 0 if max(worst.values()) <= tol else 1
 
 
 # -- entry point -----------------------------------------------------------

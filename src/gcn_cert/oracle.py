@@ -2,15 +2,14 @@
 
 Everything here is a test fixture: seeded tiny random instances,
 brute-force enumeration of the exact worst-case margin, the explicit
-linear program of the relaxation with its auditable constraint-to-dual-
-variable naming, a dense two-phase simplex solver (Bland's anti-cycling
-rule), and the optimality checks for the closed-form budget duals.
+linear program of the relaxation solved by SciPy's HiGHS, and the
+optimality checks for the closed-form budget duals.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -23,14 +22,12 @@ from .graph_core import Graph, SlicedProblem, build_message_passing, slice_probl
 __all__ = [
     "LpModel",
     "EnumerationResult",
-    "SimplexError",
     "enumerate_exact_margin",
     "admissible_flip_count",
     "iter_admissible",
     "build_primal_lp",
     "solve_lp",
     "solve_lp_multipliers",
-    "write_lp_text",
     "binary_inner_lp_minimum",
     "check_integrality",
     "check_eta_rho_optimality",
@@ -39,10 +36,6 @@ __all__ = [
 ]
 
 MAX_LP_VARIABLES = 300
-
-
-class SimplexError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -57,8 +50,6 @@ class LpModel:
     b_ub: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    eq_names: list = field(default_factory=list)
-    ub_names: list = field(default_factory=list)
 
     @property
     def num_vars(self):
@@ -206,7 +197,6 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
     Variables: the attribute block (= H^(1)), slack magnitudes eps, every
     pre-activation Hhat^(l), and post-activations H^(l) for crossing
     neurons only (the exactly-linear cases are substituted away).
-    Constraint names record the dual variable owning each row.
     """
     L = sp.layer_count
     X = sp.sliced_attrs
@@ -241,10 +231,10 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
 
     nv = len(names)
     if nv > MAX_LP_VARIABLES:
-        raise ValueError(f"LP too large for the dense oracle: {nv} > {MAX_LP_VARIABLES} variables")
+        raise ValueError(f"LP too large for the LP oracle: {nv} > {MAX_LP_VARIABLES} variables")
 
-    a_eq, b_eq, eq_names = [], [], []
-    a_ub, b_ub, ub_names = [], [], []
+    a_eq, b_eq = [], []
+    a_ub, b_ub = [], []
 
     # layer equalities (dual variables Phi)
     for l in range(2, L + 1):
@@ -273,7 +263,6 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
                                 row[hhat_idx[(l - 1, n, k)]] -= coef
                 a_eq.append(row)
                 b_eq.append(b[j])
-                eq_names.append(f"phi{l}_{m}_{j}")
 
     # |X - Xdot| <= eps (dual gamma+/-)
     for n in range(n_outer):
@@ -283,13 +272,11 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
             row[e_idx[(n, d)]] = -1.0
             a_ub.append(row)
             b_ub.append(X[n, d])
-            ub_names.append(f"gamma_plus_{n}_{d}")
             row = np.zeros(nv)
             row[x_idx[(n, d)]] = -1.0
             row[e_idx[(n, d)]] = -1.0
             a_ub.append(row)
             b_ub.append(-X[n, d])
-            ub_names.append(f"gamma_minus_{n}_{d}")
 
     # budget rows (dual eta, rho)
     for n in range(n_outer):
@@ -298,13 +285,11 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
             row[e_idx[(n, d)]] = 1.0
         a_ub.append(row)
         b_ub.append(float(budget.local_q))
-        ub_names.append(f"eta_{n}")
     row = np.zeros(nv)
     for key, i in e_idx.items():
         row[i] = 1.0
     a_ub.append(row)
     b_ub.append(float(budget.global_Q))
-    ub_names.append("rho")
 
     # convex envelope on crossing neurons (dual mu, lambda; tau is the
     # H >= 0 variable bound)
@@ -316,13 +301,11 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
         row[hi_var] = -1.0
         a_ub.append(row)
         b_ub.append(0.0)
-        ub_names.append(f"mu_{l}_{m}_{j}")
         row = np.zeros(nv)
         row[hi_var] = S - R
         row[hhat_idx[(l, m, j)]] = -S
         a_ub.append(row)
         b_ub.append(-S * R)
-        ub_names.append(f"lambda_{l}_{m}_{j}")
 
     objective = np.zeros(nv)
     for k in range(K):
@@ -337,211 +320,38 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
         b_ub=np.array(b_ub, dtype=np.float64),
         lo=np.array(lo, dtype=np.float64),
         hi=np.array(hi, dtype=np.float64),
-        eq_names=eq_names,
-        ub_names=ub_names,
     )
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex
+# LP solve (HiGHS)
 
 
-def _pivot(T, cost, basis, r, col):
-    T[r] /= T[r, col]
-    for i in range(T.shape[0]):
-        if i != r and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[r]
-    if cost[col] != 0.0:
-        cost -= cost[col] * T[r]
-    basis[r] = col
-
-
-def _simplex(T, cost, basis, tol=1e-9, max_iter=20000):
-    """Bland's-rule simplex on an equality tableau; cost row updated in place."""
-    m = T.shape[0]
-    for i in range(m):
-        j = basis[i]
-        if abs(cost[j]) > 0.0:
-            cost -= cost[j] * T[i]
-    for _ in range(max_iter):
-        enter = -1
-        for j in range(T.shape[1] - 1):
-            if cost[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return
-        ratio, leave = np.inf, -1
-        for i in range(m):
-            if T[i, enter] > tol:
-                r = T[i, -1] / T[i, enter]
-                if r < ratio - tol or (abs(r - ratio) <= tol and (leave < 0 or basis[i] < basis[leave])):
-                    ratio, leave = r, i
-        if leave < 0:
-            raise SimplexError("unbounded linear program")
-        _pivot(T, cost, basis, leave, enter)
-    raise SimplexError("simplex iteration limit reached")
-
-
-def solve_lp(model: LpModel, tol: float = 1e-8):
-    """Optimal value and primal point of an LpModel.
-
-    Two-phase dense simplex with Bland's anti-cycling rule.  On numerical
-    failure the solve is retried once with a slightly perturbed objective
-    to break degeneracy; the returned value is re-evaluated with the
-    original objective at the recovered vertex.
-    """
-    value, x, _ = solve_lp_multipliers(model, tol)
+def solve_lp(model: LpModel):
+    """Optimal value and primal point of an LpModel."""
+    value, x, _ = solve_lp_multipliers(model)
     return value, x
 
 
-def solve_lp_multipliers(model: LpModel, tol: float = 1e-8):
+def solve_lp_multipliers(model: LpModel):
     """Like solve_lp, plus optimal multipliers y of the equality rows.
 
-    y comes from the final simplex basis (B^T y = c_B), so the Lagrangian
+    y is HiGHS's dual of the equality rows, so the Lagrangian
     c.x - y.(A_eq x - b_eq) minimised over the remaining constraints
-    attains the LP optimum.  Rows dropped as redundant get multiplier 0.
-    After a perturbed retry, y belongs to the perturbed objective.
+    attains the LP optimum.  Raises RuntimeError with HiGHS's message
+    when the LP is infeasible, unbounded or not solved.
     """
-    try:
-        return _solve_lp_once(model, model.objective, tol)
-    except SimplexError:
-        rng = np.random.default_rng(0)
-        jitter = model.objective + rng.normal(scale=1e-9, size=model.num_vars)
-        _, x, y = _solve_lp_once(model, jitter, tol)
-        return float(model.objective @ x), x, y
+    from scipy.optimize import linprog  # here, so importing the CLI does not load scipy.optimize
 
-
-def _solve_lp_once(model: LpModel, objective, tol):
-    nv = model.num_vars
-    lo, hi = model.lo.copy(), model.hi.copy()
-
-    # substitute each variable by one or two nonnegative columns
-    cols, col_sign, col_shift, extra_ub = [], [], [], []
-    for i in range(nv):
-        if np.isfinite(lo[i]):
-            cols.append((i, 1.0, lo[i]))
-            if np.isfinite(hi[i]):
-                extra_ub.append((len(cols) - 1, hi[i] - lo[i]))
-        elif np.isfinite(hi[i]):
-            cols.append((i, -1.0, hi[i]))
-        else:
-            cols.append((i, 1.0, 0.0))
-            cols.append((i, -1.0, 0.0))
-
-    nz = len(cols)
-    sub = np.zeros((nv, nz))
-    shift = np.zeros(nv)
-    for zj, (i, sign, off) in enumerate(cols):
-        sub[i, zj] = sign
-        if off != 0.0:
-            shift[i] = off  # at most one shifted column per variable
-
-    rows = []
+    rows = {}
     if model.a_eq.size:
-        rows.append((model.a_eq, model.b_eq, False))
+        rows.update(A_eq=model.a_eq, b_eq=model.b_eq)
     if model.a_ub.size:
-        rows.append((model.a_ub, model.b_ub, True))
-
-    A_rows, b_rows, is_slack_row = [], [], []
-    for A, b, slacked in rows:
-        for r in range(A.shape[0]):
-            A_rows.append(A[r] @ sub)
-            b_rows.append(b[r] - A[r] @ shift)
-            is_slack_row.append(slacked)
-    for zj, ub in extra_ub:
-        row = np.zeros(nz)
-        row[zj] = 1.0
-        A_rows.append(row)
-        b_rows.append(ub)
-        is_slack_row.append(True)
-
-    n_slack = sum(is_slack_row)
-    m = len(A_rows)
-    A_full = np.zeros((m, nz + n_slack))
-    b_full = np.array(b_rows, dtype=np.float64)
-    si = 0
-    for r in range(m):
-        A_full[r, :nz] = A_rows[r]
-        if is_slack_row[r]:
-            A_full[r, nz + si] = 1.0
-            si += 1
-    neg = b_full < 0
-    A_full[neg] *= -1.0
-    b_full[neg] *= -1.0
-
-    n_total = nz + n_slack
-    # phase 1
-    A1 = np.hstack([A_full, np.eye(m)])
-    T = np.hstack([A1, b_full[:, None]])
-    basis = list(range(n_total, n_total + m))
-    cost1 = np.zeros(n_total + m + 1)
-    cost1[n_total:-1] = 1.0
-    _simplex(T, cost1, basis)
-    if -cost1[-1] > 1e-7:
-        raise SimplexError("infeasible linear program")
-    # drive artificials out of the basis
-    keep_rows = []
-    redundant = []  # original rows that the kept rows span
-    for i in range(m):
-        if basis[i] >= n_total:
-            piv = -1
-            for j in range(n_total):
-                if abs(T[i, j]) > 1e-9:
-                    piv = j
-                    break
-            if piv < 0:
-                # the artificial's unit column shows that its own row is a
-                # combination of the others
-                redundant.append(basis[i] - n_total)
-                continue
-            _pivot(T, cost1, basis, i, piv)
-        keep_rows.append(i)
-    T = T[keep_rows][:, list(range(n_total)) + [-1]]
-    basis = [basis[i] for i in keep_rows]
-
-    # phase 2
-    c_orig = np.asarray(objective, dtype=np.float64)
-    cz = np.zeros(n_total + 1)
-    cz[:nz] = c_orig @ sub
-    c_basic_cols = cz[:n_total].copy()
-    _simplex(T, cz, basis)
-
-    z = np.zeros(n_total)
-    for i, j in enumerate(basis):
-        z[j] = T[i, -1]
-    x = sub @ z[:nz] + shift
-    value = float(c_orig @ x)
-
-    # multipliers: B^T y = c_B on the final basis, in the original row signs
-    spanning = np.setdiff1d(np.arange(m), redundant)
-    y = np.zeros(m)
-    y[spanning] = np.linalg.solve(A_full[np.ix_(spanning, basis)].T, c_basic_cols[basis])
-    y[neg] *= -1.0
-    n_eq = model.a_eq.shape[0] if model.a_eq.size else 0
-    return value, x, y[:n_eq]
-
-
-def write_lp_text(model: LpModel, path):
-    """Dump the model in CPLEX LP text format for external cross-checking."""
-    lines = ["Minimize", " obj: " + _lin_expr(model.objective, model.var_names), "Subject To"]
-    for name, row, rhs in zip(model.eq_names, model.a_eq, model.b_eq):
-        lines.append(f" {name}: {_lin_expr(row, model.var_names)} = {rhs!r}")
-    for name, row, rhs in zip(model.ub_names, model.a_ub, model.b_ub):
-        lines.append(f" {name}: {_lin_expr(row, model.var_names)} <= {rhs!r}")
-    lines.append("Bounds")
-    for i, name in enumerate(model.var_names):
-        lno = "-inf" if not np.isfinite(model.lo[i]) else repr(model.lo[i])
-        hno = "+inf" if not np.isfinite(model.hi[i]) else repr(model.hi[i])
-        lines.append(f" {lno} <= {name} <= {hno}")
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _lin_expr(row, names):
-    terms = [f"{'+' if v >= 0 else '-'} {abs(v)!r} {n}" for v, n in zip(row, names) if v != 0.0]
-    return " ".join(terms) if terms else "0 " + names[0]
+        rows.update(A_ub=model.a_ub, b_ub=model.b_ub)
+    res = linprog(model.objective, bounds=np.column_stack([model.lo, model.hi]), method="highs", **rows)
+    if res.status != 0:
+        raise RuntimeError(f"LP not solved: {res.message}")
+    return float(res.fun), res.x, res.eqlin.marginals
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +430,14 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
 
     nv = n * D
     names = [f"alpha_{i}_{d}" for i in range(n) for d in range(D)]
-    a_ub, b_ub, ub_names = [], [], []
+    a_ub, b_ub = [], []
     for i in range(n):
         row = np.zeros(nv)
         row[i * D:(i + 1) * D] = 1.0
         a_ub.append(row)
         b_ub.append(float(q))
-        ub_names.append(f"row_{i}")
     a_ub.append(np.ones(nv))
     b_ub.append(float(Q))
-    ub_names.append("total")
     model = LpModel(
         var_names=names,
         objective=-delta.ravel(),
@@ -639,7 +447,6 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
         b_ub=np.array(b_ub),
         lo=np.zeros(nv),
         hi=np.ones(nv),
-        ub_names=ub_names,
     )
     neg_opt, _ = solve_lp(model)
     lp_opt = -neg_opt

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcn_cert
 from gcn_cert import cli, gcn
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
 
@@ -299,6 +303,7 @@ def test_cmd_grad_check_passes(capsys):
     out = capsys.readouterr().out
     for mode in ("CE", "RCE", "RH", "RH_U"):
         assert f"{mode}: max relative error" in out
+    assert "np.float64" not in out
 
 
 @pytest.mark.parametrize(
@@ -307,7 +312,18 @@ def test_cmd_grad_check_passes(capsys):
         (["oracle-verify", "--instances", "-1"], "--instances"),
         (["oracle-verify", "--instances", "1", "--pga-steps", "-5"], "--pga-steps"),
         (["grad-check", "--draws", "-2"], "--draws"),
+        (["oracle-verify", "--instances", "1", "--tol", "nan"], "--tol"),
+        (["oracle-verify", "--instances", "1", "--tol=-1"], "--tol"),
+        (["grad-check", "--draws", "1", "--tol", "nan"], "--tol"),
+        (["grad-check", "--draws", "1", "--tol=-1"], "--tol"),
     ],
 )
 def test_verification_commands_reject_negative_counts(argv, flag, capsys):
     assert f"{flag} must be >= 0" in _assert_one_line_error(main(argv), capsys)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(gcn_cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gcn_cert, gcn_cert.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

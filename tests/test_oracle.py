@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcn_cert import gcn, oracle
+from gcn_cert import gcn
 from gcn_cert.bounds import Budget, compute_bounds
 from gcn_cert.dual_cert import class_vector, dual_state
 from gcn_cert.gcn import GcnParams
@@ -20,7 +19,6 @@ from gcn_cert.oracle import (
     iter_admissible,
     solve_lp,
     solve_lp_multipliers,
-    write_lp_text,
 )
 
 from conftest import random_tiny_instance
@@ -93,7 +91,7 @@ def test_enumeration_monotone_in_budget(rng):
         prev = res.exact_min_margin
 
 
-# -- simplex ---------------------------------------------------------------
+# -- LP solve --------------------------------------------------------------
 
 
 def _empty_rows(nv):
@@ -140,7 +138,7 @@ def test_solve_lp_infeasible_and_unbounded():
         hi=np.array([np.inf]),
         **_empty_rows(1),
     )
-    with pytest.raises(oracle.SimplexError, match="infeasible"):
+    with pytest.raises(RuntimeError, match="infeasible"):
         solve_lp(infeasible)
     unbounded = LpModel(
         var_names=["x"],
@@ -151,36 +149,8 @@ def test_solve_lp_infeasible_and_unbounded():
         hi=np.array([np.inf]),
         **_empty_rows(1),
     )
-    with pytest.raises(oracle.SimplexError, match="unbounded"):
+    with pytest.raises(RuntimeError, match="unbounded"):
         solve_lp(unbounded)
-
-
-def test_solve_lp_matches_scipy_on_random_models(rng):
-    for _ in range(30):
-        nv = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 5))
-        model = LpModel(
-            var_names=[f"x{i}" for i in range(nv)],
-            objective=rng.normal(size=nv),
-            a_ub=rng.normal(size=(m, nv)),
-            b_ub=rng.normal(size=m) + 1.0,
-            lo=np.zeros(nv),
-            hi=np.ones(nv),
-            **_empty_rows(nv),
-        )
-        ref = scipy.optimize.linprog(
-            model.objective,
-            A_ub=model.a_ub,
-            b_ub=model.b_ub,
-            bounds=[(0.0, 1.0)] * nv,
-            method="highs",
-        )
-        if not ref.success:
-            with pytest.raises(oracle.SimplexError):
-                solve_lp(model)
-            continue
-        value, _ = solve_lp(model)
-        assert value == pytest.approx(ref.fun, abs=1e-8)
 
 
 def _lagrangian_value(model, y):
@@ -200,8 +170,8 @@ def _lagrangian_value(model, y):
 
 
 def test_simplex_multipliers_with_redundant_and_negated_rows():
-    # u + v = -1 appears twice and is negated inside the solver; the copy
-    # is dropped as redundant and gets multiplier 0
+    # u + v = -1 appears twice, with a negative right-hand side and a free
+    # u; the redundant copy gets multiplier 0
     model = LpModel(
         var_names=["u", "v"],
         objective=np.array([1.0, 2.0]),
@@ -273,19 +243,6 @@ def test_lp_size_guard():
     bnds = compute_bounds(sp, params, budget)
     with pytest.raises(ValueError, match="too large"):
         build_primal_lp(sp, params, bnds, budget, np.array([1.0, -1.0]))
-
-
-def test_write_lp_text_smoke(tmp_path, rng):
-    sp, params, budget = random_tiny_instance(rng)
-    bnds = compute_bounds(sp, params, budget)
-    model = build_primal_lp(sp, params, bnds, budget, class_vector(0, 1, params.dims[-1]))
-    path = tmp_path / "model.lp"
-    write_lp_text(model, path)
-    text = path.read_text()
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    assert "phi2_0_0:" in text
-    assert "rho:" in text
 
 
 # -- structural checks -----------------------------------------------------
