@@ -8,6 +8,7 @@ from .dual_cert import (
     DualState,
     MarginVector,
     certify,
+    certify_sweep,
     dual_state,
     dual_states,
     margin_vector,
@@ -34,6 +35,7 @@ __all__ = [
     "Trainer",
     "build_message_passing",
     "certify",
+    "certify_sweep",
     "compute_bounds",
     "construct",
     "construct_and_evaluate",

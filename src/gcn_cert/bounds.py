@@ -20,6 +20,7 @@ __all__ = [
     "deeper_layer_bounds",
     "classify_partition",
     "compute_bounds",
+    "compute_bounds_sweep",
 ]
 
 CROSSING = 0
@@ -84,19 +85,31 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     direction the bound moves.  Ties in a row's top q go to the ascending
     feature id; ties in the top Q across rows go to the ascending
     (node, feature) id n*D + d.  Both rules fix which entries the
-    gradient flows through.
+    gradient flows through.  This is the one-budget case of
+    `_first_layer_sweep`.
     """
+    return _first_layer_sweep(sp, params, [budget])[0]
+
+
+def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
+    """`first_layer_bounds` for each of `budgets`, which share q, from one selection.
+
+    The top-Q picks of every budget are a prefix of one total order, so the
+    selection runs once, at the largest Q, and each budget sums its prefix.
+    """
+    if len({b.local_q for b in budgets}) != 1:
+        raise ValueError("a sweep takes one or more budgets that share one local budget q")
     X = sp.sliced_attrs
     A1 = sp.sliced_mp[0]
     W, b = params.weights[0], params.biases[0]
     n_outer, D = X.shape
 
-    q = budget.effective_q(D)
-    Q = budget.effective_Q(n_outer, D)
+    q = budgets[0].effective_q(D)
+    Qs = [bud.effective_Q(n_outer, D) for bud in budgets]
 
     H_dot = grad.matmul(grad.matmul(A1, X), W) + b
-    if q == 0 or Q == 0:
-        return H_dot, H_dot
+    if q == 0 or max(Qs) == 0:
+        return [(H_dot, H_dot)] * len(budgets)
 
     # active features of each row, ascending, padded with the id D
     nnz = np.count_nonzero(X, axis=1)
@@ -107,9 +120,9 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     # W-[d, j]; toggling an active one does the reverse
     Wp, Wm = grad.pos(W), grad.negpart(W)
     A1 = grad.val(A1)
-    upper = _budgeted_increase(A1, X, active, Wp, Wm, q, Q)
-    lower = _budgeted_increase(A1, X, active, Wm, Wp, q, Q)
-    return H_dot - lower, H_dot + upper
+    upper = _budgeted_increase(A1, X, active, Wp, Wm, q, Qs)
+    lower = _budgeted_increase(A1, X, active, Wm, Wp, q, Qs)
+    return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
 
 
 def _key(values, ids):
@@ -126,8 +139,8 @@ def _top(values, ids, k):
     return np.argpartition(_key(values, ids), k - 1, axis=-1)[..., :k]
 
 
-def _budgeted_increase(A1, X, active, W_off, W_on, q, Q):
-    """Sum of the top-Q of {A1[m,n] * (q-largest effects of row n)} per (m,j).
+def _budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
+    """{Q: sum of the top-Q of {A1[m,n] * (q-largest effects of row n)} per (m,j)} for each Q > 0 in Qs.
 
     The effect of toggling X[n, d] on unit j is W_off[d, j] when the
     feature is off and W_on[d, j] when it is active; both are >= 0.
@@ -156,18 +169,24 @@ def _budgeted_increase(A1, X, active, W_off, W_on, q, Q):
     # the picks of unit j as one row over (n, k): (h2, n*q)
     feat = np.take_along_axis(feat, pick, axis=2).reshape(h2, n_outer * q)
     eff = np.take_along_axis(eff, pick, axis=2).reshape(h2, n_outer * q)
-    is_on = (pick >= K).reshape(h2, n_outer * q)
 
-    # top Q of the candidates A1[m, n] * eff per (m, j), ties to the
-    # smaller (node, feature) id n*D + d; A1 >= 0 keeps each row's top q
+    # the candidates A1[m, n] * eff per (m, j) in descending order, ties to
+    # the smaller (node, feature) id n*D + d, down to the largest Q: each
+    # budget's top Q is a prefix of it.  A1 >= 0 keeps each row's top q.
     node = np.repeat(np.arange(n_outer), q)
-    top = _top(A1[:, None, node] * eff, node * D + feat, Q)  # (M, h2, Q)
+    Q_max = max(Qs)
+    key = _key(A1[:, None, node] * eff, node * D + feat)
+    top = np.sort(np.partition(key, Q_max - 1, axis=-1)[..., :Q_max], axis=-1)
+    n_top, d_top = np.divmod(top.imag.astype(np.intp), D)  # (M, h2, Q_max)
 
-    coef = A1[np.arange(A1.shape[0])[:, None, None], node[top]]
-    at = feat[units, top] * h2 + units  # flat index of (d, j) in W
-    on_pick = is_on[units, top]
-    picked = grad.gather(W_off, at) * (coef * ~on_pick) + grad.gather(W_on, at) * (coef * on_pick)
-    return grad.asum(picked, axis=2)
+    coef = A1[np.arange(A1.shape[0])[:, None, None], n_top]
+    at = d_top * h2 + units  # flat index of (d, j) in W
+    on_pick = X[n_top, d_top] != 0
+    out = {}
+    for Q in sorted(set(Qs) - {0}):
+        c, a, o = coef[..., :Q], at[..., :Q], on_pick[..., :Q]
+        out[Q] = grad.asum(grad.gather(W_off, a) * (c * ~o) + grad.gather(W_on, a) * (c * o), axis=2)
+    return out
 
 
 def deeper_layer_bounds(lower_prev, upper_prev, A_dot, W, b):
@@ -198,9 +217,18 @@ def classify_partition(lower, upper) -> np.ndarray:
 
 def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget) -> ActivationBounds:
     """Bounds and partition for every hidden layer l = 2..L-1."""
+    return _layer_bounds(sp, params, *first_layer_bounds(sp, params, budget))
+
+
+def compute_bounds_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
+    """`compute_bounds` for each of `budgets`, which share q; the first-layer selection runs once."""
+    return [_layer_bounds(sp, params, R, S) for R, S in _first_layer_sweep(sp, params, budgets)]
+
+
+def _layer_bounds(sp, params, R, S) -> ActivationBounds:
+    """ActivationBounds from the first-layer bounds (R, S), propagated through the deeper layers."""
     L = sp.layer_count
     lower, upper, partition = {}, {}, {}
-    R, S = first_layer_bounds(sp, params, budget)
     lower[2], upper[2] = R, S
     partition[2] = classify_partition(R, S)
     for l in range(3, L):

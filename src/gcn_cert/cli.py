@@ -308,6 +308,12 @@ def _check_count(value, flag) -> int:
     return value
 
 
+def _check_workers(value) -> int:
+    if value < 1:
+        raise CliError(f"--workers must be >= 1, got {value}")
+    return value
+
+
 def _check_tol(value) -> float:
     if not (np.isfinite(value) and value >= 0):
         raise CliError(f"--tol must be >= 0 and finite, got {value}")
@@ -354,7 +360,8 @@ def _select_nodes(spec_text, graph) -> list:
     return nodes
 
 
-def _certify_nodes(graph, params, budget, nodes, mode, use_labels, workers):
+def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
+    """One list of Certificates per node, one per budget: each node is sliced and predicted once."""
     mp = build_message_passing(graph)
     L = params.layer_count
     labels = np.asarray(graph.labels) if graph.labels is not None else None
@@ -365,7 +372,7 @@ def _certify_nodes(graph, params, budget, nodes, mode, use_labels, workers):
             y_star = int(labels[t])
         else:
             y_star = gcn.predict(gcn.forward_sliced(spr, params))
-        return dual_cert.certify(spr, params, budget, y_star, mode=mode)
+        return dual_cert.certify_sweep(spr, params, budgets, y_star, mode=mode)
 
     if workers <= 1 or len(nodes) <= 1:
         return [one(t) for t in nodes]
@@ -447,12 +454,14 @@ def cmd_train(args):
 
 
 def cmd_certify(args):
-    params, graph = _load_for_model(args)
     budget = _budget(args.q, args.Q)
+    workers = _check_workers(args.workers)
+    params, graph = _load_for_model(args)
     nodes = _select_nodes(args.nodes, graph)
-    certs = _certify_nodes(
-        graph, params, budget, nodes, args.mode, args.use_labels, args.workers
-    )
+    certs = [
+        sweep[0]
+        for sweep in _certify_nodes(graph, params, [budget], nodes, args.mode, args.use_labels, workers)
+    ]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             for cert in certs:
@@ -469,25 +478,19 @@ def cmd_certify(args):
 
 
 def cmd_curve(args):
+    budgets = [_budget(args.q, Q) for Q in range(_check_count(args.Q_max, "--Q-max") + 1)]
+    workers = _check_workers(args.workers)
     params, graph = _load_for_model(args)
     node_sets = {
         "all": list(range(graph.num_nodes)),
         "labeled": [int(t) for t in graph.labeled_nodes()],
         "unlabeled": [int(t) for t in graph.unlabeled_nodes()],
     }
+    # sweeps[i][Q] is the certificate of node i at global budget Q
+    sweeps = _certify_nodes(graph, params, budgets, node_sets["all"], args.mode, args.use_labels, workers)
     rows = []
     for Q in range(args.Q_max + 1):
-        budget = _budget(args.q, Q)
-        certs = _certify_nodes(
-            graph,
-            params,
-            budget,
-            node_sets["all"],
-            args.mode,
-            args.use_labels,
-            args.workers,
-        )
-        status = {cert.node: cert.status for cert in certs}
+        status = [sweep[Q].status for sweep in sweeps]
         for tag, nodes in node_sets.items():
             if not nodes:
                 continue

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grad
-from .bounds import ActivationBounds, Budget, _key, compute_bounds
+from .bounds import ActivationBounds, Budget, _key, compute_bounds, compute_bounds_sweep
 from .gcn import GcnParams
 from .graph_core import SlicedProblem
 
@@ -32,6 +32,7 @@ __all__ = [
     "optimize_omega",
     "margin_vector",
     "certify",
+    "certify_sweep",
     "class_vector",
     "competing_classes",
 ]
@@ -424,10 +425,28 @@ def certify(sp, params, budget, y_star, mode="default") -> Certificate:
     worst-case margin, and a tolerance would certify nodes whose bound is
     <= 0.  Otherwise each class's dual solution yields a flip set; the node
     is non-robust if one of them flips the exact network, else undecided.
+    This is `certify_sweep` for one budget, through `compute_bounds` (the
+    entry point `bench/tracer.py` times) in place of `compute_bounds_sweep`.
     """
+    return _certificate(sp, params, compute_bounds(sp, params, budget), budget, y_star, mode)
+
+
+def certify_sweep(sp, params, budgets, y_star, mode="default") -> list:
+    """One `certify` Certificate per budget, for budgets that share q.
+
+    The first-layer selection runs once for all of them (`compute_bounds_sweep`);
+    the deeper-layer bounds and the dual run once per budget.
+    """
+    return [
+        _certificate(sp, params, bnds, budget, y_star, mode)
+        for budget, bnds in zip(budgets, compute_bounds_sweep(sp, params, budgets))
+    ]
+
+
+def _certificate(sp, params, bnds, budget, y_star, mode) -> Certificate:
+    """The Certificate of `certify` from the bounds bnds for budget."""
     from . import primal_attack
 
-    bnds = compute_bounds(sp, params, budget)
     others, states = _competing_states(sp, params, bnds, budget, y_star, mode)
     dual_lower = np.zeros(len(others) + 1)
     dual_lower[others] = [st.value for st in states]

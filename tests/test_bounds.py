@@ -9,6 +9,7 @@ from gcn_cert.bounds import (
     Budget,
     classify_partition,
     compute_bounds,
+    compute_bounds_sweep,
     deeper_layer_bounds,
     first_layer_bounds,
 )
@@ -144,6 +145,39 @@ def test_first_layer_bounds_match_dense_reference(rng):
             _, ref = grad.gradient(lambda p: loss(p, _reference_first_layer_bounds), params)
             np.testing.assert_allclose(got.weights[0], ref.weights[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.biases[0], ref.biases[0], rtol=0, atol=1e-12)
+
+
+def _assert_sweep_matches_each_budget(sp, params, q, Q_max, rng):
+    """compute_bounds_sweep over Q = 0..Q_max, in shuffled order, against compute_bounds per Q."""
+    budgets = [Budget(q, int(Q)) for Q in rng.permutation(Q_max + 1)]
+    swept = compute_bounds_sweep(sp, params, budgets)
+    assert len(swept) == len(budgets)
+    for budget, got in zip(budgets, swept):
+        ref = compute_bounds(sp, params, budget)
+        assert got.layers() == ref.layers()
+        for l in ref.layers():
+            np.testing.assert_allclose(got.lower[l], ref.lower[l], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.upper[l], ref.upper[l], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.partition[l], ref.partition[l])
+
+
+def test_compute_bounds_sweep_matches_each_budget_alone(rng):
+    """One first-layer selection for every Q gives each Q the bounds it gets alone.
+
+    Forced-tie first-layer instances with q = 0, q >= D and random q, and
+    tiny two- and three-layer GCNs; Q runs from 0 past n*q.
+    """
+    for trial in range(90):
+        sp, params, budget = _random_first_layer_instance(rng, ties=trial % 3 != 2)
+        n, D = sp.sliced_attrs.shape
+        q = [0, D, D + 1, budget.local_q][trial % 4]
+        _assert_sweep_matches_each_budget(sp, params, q, n * min(q, D) + 2, rng)
+    for trial in range(20):
+        sp, params, budget = random_tiny_instance(rng, hidden_layers=1 + trial % 2)
+        n, D = sp.sliced_attrs.shape
+        _assert_sweep_matches_each_budget(sp, params, budget.local_q, n * min(budget.local_q, D) + 1, rng)
+    with pytest.raises(ValueError, match="share one local budget"):
+        compute_bounds_sweep(sp, params, [Budget(1, 2), Budget(2, 2)])
 
 
 def test_budget_validation_and_clamping():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import gcn_cert
-from gcn_cert import cli, gcn
+from gcn_cert import cli, dual_cert, gcn
+from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
+from gcn_cert.graph_core import build_message_passing, slice_problem
 
 
 def _write(path, text):
@@ -265,6 +267,93 @@ def test_cmd_curve_zero_budget(tmp_path, dataset, checkpoint):
         assert r[0] == "0"
         assert float(r[2]) == 1.0  # empty budget: everything certified robust
         assert float(r[2]) + float(r[3]) + float(r[4]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("budget_args", [["--q", "1", "--Q-max", "-1"], ["--q", "-1", "--Q-max", "-1"]])
+def test_cmd_curve_rejects_negative_budgets(tmp_path, dataset, checkpoint, capsys, budget_args):
+    out = tmp_path / "curve.csv"
+    rc = main(["curve", "--checkpoint", checkpoint, *_dataset_args(dataset), *budget_args, "--output", str(out)])
+    _assert_one_line_error(rc, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "curve"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_certification_commands_reject_workers_below_one(tmp_path, dataset, checkpoint, capsys, command, workers):
+    budget_args = ["--Q", "1"] if command == "certify" else ["--Q-max", "1", "--output", str(tmp_path / "c.csv")]
+    argv = [command, "--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1", *budget_args]
+    err = _assert_one_line_error(main([*argv, "--workers", workers]), capsys)
+    assert f"--workers must be >= 1, got {workers}" in err
+
+
+def _planted_dataset(tmp_path, n=12, D=10, seed=1):
+    """Two planted communities (even and odd ids) with class-correlated attributes, plus a model."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 2
+    A = np.triu(rng.random((n, n)) < np.where(y[:, None] == y, 0.25, 0.03), 1)
+    X = rng.random((n, D)) < np.where((np.arange(D) < D // 2) == (y[:, None] == 0), 0.3, 0.05)
+    paths = {
+        "edges": _write(tmp_path / "pp_edges.tsv", "".join(f"{u}\t{v}\n" for u, v in zip(*np.nonzero(A)))),
+        "attributes": _write(tmp_path / "pp_attrs.tsv", "".join(f"{u}\t{d}\n" for u, d in zip(*np.nonzero(X)))),
+        "labels": _write(tmp_path / "pp_labels.tsv", "".join(f"{t}\t{y[t]}\n" for t in range(0, n, 3))),
+        "split": _write(
+            tmp_path / "pp_split.tsv",
+            "".join(f"{t}\t{'labeled' if t % 3 == 0 else 'unlabeled'}\n" for t in range(n)),
+        ),
+    }
+    ckpt = tmp_path / "pp_model.json"
+    gcn.save_checkpoint(gcn.glorot_params([D, 6, 2], seed=seed), ckpt)
+    return paths, str(ckpt)
+
+
+def _reference_curve(argv):
+    """The curve command as a loop over Q: every node sliced, predicted and certified again per Q."""
+    args = cli.build_parser().parse_args(argv)
+    params, graph = cli._load_for_model(args)
+    mp = build_message_passing(graph)
+    node_sets = {
+        "all": list(range(graph.num_nodes)),
+        "labeled": [int(t) for t in graph.labeled_nodes()],
+        "unlabeled": [int(t) for t in graph.unlabeled_nodes()],
+    }
+    rows = []
+    for Q in range(args.Q_max + 1):
+        status = {}
+        for t in node_sets["all"]:
+            spr = slice_problem(graph, mp, t, params.layer_count)
+            y_star = gcn.predict(gcn.forward_sliced(spr, params))
+            status[t] = dual_cert.certify(spr, params, Budget(args.q, Q), y_star, mode=args.mode).status
+        for tag, nodes in node_sets.items():
+            if not nodes:
+                continue
+            n = len(nodes)
+            rob = sum(status[t] == dual_cert.ROBUST for t in nodes)
+            non = sum(status[t] == dual_cert.NON_ROBUST for t in nodes)
+            rows.append(
+                {
+                    "Q": Q,
+                    "split": tag,
+                    "fraction_certified_robust": rob / n,
+                    "fraction_certified_nonrobust": non / n,
+                    "fraction_undecided": (n - rob - non) / n,
+                }
+            )
+    cli.CurveReport(rows).validate().write_csv(args.output)
+    return status
+
+
+@pytest.mark.parametrize("mode, Q_max", [("default", 4), ("optimized", 2)])
+def test_cmd_curve_matches_per_q_loop(tmp_path, mode, Q_max):
+    """One certification per node for all Q writes the CSV of certifying again for every Q."""
+    paths, ckpt = _planted_dataset(tmp_path)
+    argv = ["curve", "--checkpoint", ckpt, *_dataset_args(paths), "--q", "1", "--Q-max", str(Q_max), "--mode", mode]
+    ref = tmp_path / "ref.csv"
+    last = _reference_curve([*argv, "--output", str(ref)])
+    assert len(set(last.values())) == 3  # robust, non-robust and undecided nodes at Q_max
+    for workers in ("1", "2"):
+        out = tmp_path / f"curve_{workers}.csv"
+        assert main([*argv, "--workers", workers, "--output", str(out)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
 
 
 def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):

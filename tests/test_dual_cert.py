@@ -13,6 +13,7 @@ from gcn_cert.dual_cert import (
     UNDECIDED,
     backward_phi,
     certify,
+    certify_sweep,
     class_vector,
     closed_form_eta_rho,
     competing_classes,
@@ -277,6 +278,23 @@ def test_certify_zero_dual_bound_is_not_robust(rng):
     cert = certify(sp, params, Budget(1, 2), 0)
     assert cert.dual_lower[1] == 0.0
     assert cert.status != ROBUST
+
+
+def test_certify_sweep_equals_certify_per_budget(rng):
+    """certify_sweep gives every budget the certificate certify gives it alone (the CLI curve test covers
+    the optimized mode)."""
+    seen = set()
+    for trial in range(20):
+        sp, params, budget = random_tiny_instance(rng, hidden_layers=1 + trial % 2)
+        y_star = gcn.predict(gcn.forward_sliced(sp, params))
+        budgets = [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
+        for b, got in zip(budgets, certify_sweep(sp, params, budgets, y_star)):
+            ref = certify(sp, params, b, y_star)
+            assert got.budget == b and got.status == ref.status
+            np.testing.assert_array_equal(got.dual_lower, ref.dual_lower)
+            np.testing.assert_array_equal(got.primal_margins, ref.primal_margins)
+            seen.add(got.status)
+    assert len(seen) >= 2
 
 
 # -- the per-class dual pass as it was before class batching: the reference
