@@ -6,7 +6,6 @@ from .bounds import ActivationBounds, Budget, compute_bounds
 from .dual_cert import (
     Certificate,
     DualState,
-    MarginVector,
     certify,
     certify_sweep,
     dual_state,
@@ -28,7 +27,6 @@ __all__ = [
     "DualState",
     "GcnParams",
     "Graph",
-    "MarginVector",
     "Perturbation",
     "SlicedProblem",
     "TrainConfig",

@@ -414,23 +414,26 @@ def cmd_train(args):
     graph = bundle.graph
     q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
     budget = _budget(q, cfg.get("Q", 12))
-    hidden = tuple(
-        int(tok) for tok in cfg.get("hidden_dims", "32").split(",") if tok.strip()
-    )
-    tc = robust_train.TrainConfig(
-        mode=cfg.get("mode", "CE"),
-        budget=budget,
-        learning_rate=cfg.get("learning_rate", 0.001),
-        l2_strength=cfg.get("l2_strength", 1e-5),
-        batch_size=cfg.get("batch_size", 20),
-        use_dropout=cfg.get("use_dropout", False),
-        dropout_rate=cfg.get("dropout_rate", 0.5),
-        max_epochs=cfg.get("max_epochs", 200),
-        phase2_epochs=cfg.get("phase2_epochs"),
-        patience=cfg.get("patience", 20),
-        seed=cfg.get("seed", 0),
-        hidden_dims=hidden,
-    )
+    try:
+        hidden = tuple(
+            int(tok) for tok in cfg.get("hidden_dims", "32").split(",") if tok.strip()
+        )
+        tc = robust_train.TrainConfig(
+            mode=cfg.get("mode", "CE"),
+            budget=budget,
+            learning_rate=cfg.get("learning_rate", 0.001),
+            l2_strength=cfg.get("l2_strength", 1e-5),
+            batch_size=cfg.get("batch_size", 20),
+            use_dropout=cfg.get("use_dropout", False),
+            dropout_rate=cfg.get("dropout_rate", 0.5),
+            max_epochs=cfg.get("max_epochs", 200),
+            phase2_epochs=cfg.get("phase2_epochs"),
+            patience=cfg.get("patience", 20),
+            seed=cfg.get("seed", 0),
+            hidden_dims=hidden,
+        )
+    except ValueError as exc:
+        raise CliError(f"{args.config}: bad training config: {exc}") from None
     params, log = robust_train.train(graph, tc)
     gcn.save_checkpoint(params, cfg["checkpoint_out"])
     log_out = cfg.get("log_out")
@@ -522,9 +525,11 @@ def cmd_attack(args):
     if budget.effective_Q(n, D) == 0:
         print("no admissible perturbation (empty budget)")
         return 0
-    K = params.dims[-1]
+    others, C = dual_cert.competing_classes(y_star, params.dims[-1])
+    if others.size == 0:
+        print(f"node={args.node} y_star={y_star}: no competing class (one-class model)")
+        return 0
     bnds = compute_bounds(spr, params, budget)
-    others, C = dual_cert.competing_classes(y_star, K)
     best = None
     for k, st in zip(others, dual_cert.dual_states(spr, params, bnds, budget, C)):
         pert = primal_attack.construct(st, budget, spr.sliced_attrs)
@@ -591,12 +596,12 @@ def cmd_grad_check(args):
             graph, params, budget = oracle.random_tiny_graph(rng)
             tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]))
             trainer = robust_train.Trainer(graph, tc)
-            trainer._labeled_set = set(int(t) for t in trainer.labeled)
-            batch = sorted(trainer._labeled_set)
+            batch = [int(t) for t in trainer.labeled]
             if mode == "RH_U" and len(trainer.unlabeled):
                 batch.append(int(trainer.unlabeled[0]))
-            closure = trainer._batch_loss_closure(2 if mode == "RH_U" else 1, batch)
-            errs.append(grad.finite_difference_check(closure, params, rng=rng, num_coords=4))
+            errs.append(
+                grad.finite_difference_check(lambda p: trainer.batch_loss(batch, p), params, rng=rng, num_coords=4)
+            )
         worst[mode] = float(max(errs, default=0.0))
         print(f"{mode}: max relative error {worst[mode]!r} over {draws} draws")
     return 0 if max(worst.values()) <= tol else 1

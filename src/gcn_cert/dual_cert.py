@@ -21,7 +21,6 @@ from .graph_core import SlicedProblem
 
 __all__ = [
     "DualState",
-    "MarginVector",
     "Certificate",
     "default_omega",
     "backward_phi",
@@ -62,14 +61,6 @@ class DualState:
     value: float
     s_q: list
     c: np.ndarray
-
-
-@dataclass
-class MarginVector:
-    """Negated dual bounds per class; entry y is exactly zero."""
-
-    entries: np.ndarray
-    y: int
 
 
 @dataclass
@@ -409,12 +400,16 @@ def _competing_states(sp, params, bounds, budget, y, mode):
     return others, dual_states(sp, params, bounds, budget, C)
 
 
-def margin_vector(sp, params, bounds, budget, y, mode="default") -> MarginVector:
-    """p_k = -g(c^k) with c^k = e_y - e_k; p_y = 0 exactly."""
+def margin_vector(sp, params, bounds, budget, y, mode="default") -> list:
+    """p_k = -g(c^k) with c^k = e_y - e_k, one entry per class; p_y = 0 exactly.
+
+    Grad-aware: on the tape each p_k with k != y is a 0-d grad.Var.
+    """
     others, states = _competing_states(sp, params, bounds, budget, y, mode)
-    entries = np.zeros(len(others) + 1)
-    entries[others] = [-st.value for st in states]
-    return MarginVector(entries=entries, y=y)
+    p = [np.float64(0.0)] * (len(others) + 1)
+    for k, st in zip(others, states):
+        p[k] = -st.value
+    return p
 
 
 def certify(sp, params, budget, y_star, mode="default") -> Certificate:

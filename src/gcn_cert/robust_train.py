@@ -63,6 +63,19 @@ class TrainConfig:
             raise ValueError("need margin_labeled >= margin_unlabeled >= 0")
         if self.phase2_epochs is not None and self.phase2_epochs < 1:
             raise ValueError("phase2_epochs must be >= 1 when set")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (0 <= self.dropout_rate < 1):
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not math.isfinite(self.l2_strength) or self.l2_strength < 0:
+            raise ValueError(f"l2_strength must be finite and >= 0, got {self.l2_strength}")
+        # the dual bound needs at least one hidden layer
+        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"need at least one hidden layer and hidden widths >= 1, got {self.hidden_dims}")
 
 
 def robust_cross_entropy_loss(p, y_star: int):
@@ -104,7 +117,7 @@ class _Adam:
 
 
 class Trainer:
-    """Owns the graph, per-node slices, and the loss closures."""
+    """Owns the graph, per-node slices, and the training loss."""
 
     def __init__(self, graph: Graph, config: TrainConfig):
         self.graph = graph
@@ -123,65 +136,44 @@ class Trainer:
         self.labels = np.asarray(graph.labels) if graph.labels is not None else None
         self.labeled = graph.labeled_nodes()
         self.unlabeled = graph.unlabeled_nodes()
+        self._labeled_set = set(int(t) for t in self.labeled)
         self.rng = np.random.default_rng(config.seed)
 
-    # -- grad-aware loss pieces -------------------------------------------
+    # -- the training loss -------------------------------------------------
 
-    def _p_vector(self, sp, params, y):
-        """p_k = -g(e_y - e_k) from one batched dual pass, p_y = 0; grad-aware."""
-        bnds = compute_bounds(sp, params, self.budget)
-        others, C = dual_cert.competing_classes(y, self.graph.num_classes)
-        p = [np.float64(0.0)] * self.graph.num_classes
-        for k, st in zip(others, dual_cert.dual_states(sp, params, bnds, self.budget, C)):
-            p[k] = -st.value
-        return p
+    def _margins(self, sp, params, y):
+        """`dual_cert.margin_vector` under the training budget; grad-aware."""
+        return dual_cert.margin_vector(sp, params, compute_bounds(sp, params, self.budget), self.budget, y)
 
-    def _exact_ce(self, sp, params, y, dropout_rng=None):
-        rate = self.config.dropout_rate if (self.config.use_dropout and dropout_rng is not None) else 0.0
-        trace = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng)
-        return gcn.cross_entropy(trace.logits, y)
+    def batch_loss(self, batch, params, dropout_rng=None):
+        """L2 on the weights plus one term per node of `batch`; grad-aware.
 
-    def _l2_penalty(self, params):
+        A labeled node adds exact CE (mode CE), robust CE (RCE), or the robust
+        hinge at `margin_labeled` plus exact CE (RH, RH_U).  An unlabeled node
+        adds the robust hinge at `margin_unlabeled` w.r.t. its current
+        prediction, held constant.  Labeled nodes are summed first, then
+        unlabeled ones, each in batch order.  `dropout_rng` drives dropout in
+        the exact CE terms when `use_dropout` is set.
+        """
+        cfg = self.config
         pen = 0.0
         for w in params.weights:  # weights only, biases excluded
             pen = pen + grad.total(w * w)
-        return self.config.l2_strength * pen
-
-    def combined_loss(self, batch, params, dropout_rng=None):
-        """Robust hinge (margin M1) plus exact CE over labeled nodes, + L2."""
-        loss = self._l2_penalty(params)
-        for t in batch:
-            y = int(self.labels[t])
+        loss = cfg.l2_strength * pen
+        rate = cfg.dropout_rate if (cfg.use_dropout and dropout_rng is not None) else 0.0
+        for t in [t for t in batch if t in self._labeled_set]:
+            sp, y = self.slices[t], int(self.labels[t])
+            if cfg.mode == "RCE":
+                loss = loss + robust_cross_entropy_loss(self._margins(sp, params, y), y)
+                continue
+            if cfg.mode != "CE":
+                loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_labeled)
+            logits = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng).logits
+            loss = loss + gcn.cross_entropy(logits, y)
+        for t in [t for t in batch if t not in self._labeled_set]:
             sp = self.slices[t]
-            entries = self._p_vector(sp, params, y)
-            loss = loss + robust_hinge_loss(entries, y, self.config.margin_labeled)
-            loss = loss + self._exact_ce(sp, params, y, dropout_rng)
-        return loss
-
-    def semi_supervised_loss(self, labeled_batch, unlabeled_batch, params, dropout_rng=None):
-        """Labeled terms as in combined_loss, plus hinge at margin M2 on the
-        unlabeled nodes w.r.t. their current predicted class."""
-        loss = self.combined_loss(labeled_batch, params, dropout_rng)
-        for t in unlabeled_batch:
-            sp = self.slices[t]
-            trace = gcn.forward_sliced(sp, params.copy())  # prediction is a constant
-            y_pred = gcn.predict(trace)
-            entries = self._p_vector(sp, params, y_pred)
-            loss = loss + robust_hinge_loss(entries, y_pred, self.config.margin_unlabeled)
-        return loss
-
-    def rce_loss(self, batch, params):
-        loss = self._l2_penalty(params)
-        for t in batch:
-            y = int(self.labels[t])
-            entries = self._p_vector(self.slices[t], params, y)
-            loss = loss + robust_cross_entropy_loss(entries, y)
-        return loss
-
-    def ce_loss(self, batch, params, dropout_rng=None):
-        loss = self._l2_penalty(params)
-        for t in batch:
-            loss = loss + self._exact_ce(self.slices[t], params, int(self.labels[t]), dropout_rng)
+            y = gcn.predict(gcn.forward_sliced(sp, params.copy()))
+            loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_unlabeled)
         return loss
 
     # -- metrics -----------------------------------------------------------
@@ -194,48 +186,28 @@ class Trainer:
                 y = int(self.labels[t])
             else:
                 y = gcn.predict(gcn.forward_sliced(sp, params))
-            bnds = compute_bounds(sp, params, self.budget)
-            mv = dual_cert.margin_vector(sp, params, bnds, self.budget, y)
-            others = np.delete(mv.entries, y)
+            others = np.delete(self._margins(sp, params, y), y)
             vals.append(float(-np.max(others)) if others.size else 0.0)
         return float(np.mean(vals)) if vals else 0.0
 
-    def _accuracy(self, params, nodes):
+    def _accuracy(self, pred, nodes):
         if self.labels is None or len(nodes) == 0:
             return 0.0
-        logits = gcn.forward_full(self.graph, self.mp, params)
-        pred = np.argmax(logits, axis=1)
         return float(np.mean(pred[nodes] == self.labels[nodes]))
 
     def metrics_row(self, params, epoch, phase, loss):
+        pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)
         return {
             "epoch": epoch,
             "phase": phase,
             "loss": loss,
             "mean_worst_case_margin_labeled": self._worst_case_margins(params, self.labeled, True),
             "mean_worst_case_margin_unlabeled": self._worst_case_margins(params, self.unlabeled, False),
-            "train_acc": self._accuracy(params, self.labeled),
-            "test_acc": self._accuracy(params, self.unlabeled),
+            "train_acc": self._accuracy(pred, self.labeled),
+            "test_acc": self._accuracy(pred, self.unlabeled),
         }
 
     # -- optimization ------------------------------------------------------
-
-    def _batch_loss_closure(self, phase, batch):
-        cfg = self.config
-        dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.use_dropout else None
-
-        def closure(shadow):
-            if cfg.mode == "CE":
-                return self.ce_loss(batch, shadow, dropout_rng)
-            if cfg.mode == "RCE":
-                return self.rce_loss(batch, shadow)
-            if cfg.mode == "RH" or phase == 1:
-                return self.combined_loss(batch, shadow, dropout_rng)
-            lab = [t for t in batch if t in self._labeled_set]
-            unlab = [t for t in batch if t not in self._labeled_set]
-            return self.semi_supervised_loss(lab, unlab, shadow, dropout_rng)
-
-        return closure
 
     def _run_phase(self, params, phase, pool, log, epoch_offset, max_epochs=None):
         cfg = self.config
@@ -253,9 +225,9 @@ class Trainer:
             epoch_loss, nbatches = 0.0, 0
             for start in range(0, len(order), cfg.batch_size):
                 batch = list(order[start:start + cfg.batch_size])
-                closure = self._batch_loss_closure(phase, batch)
+                dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.use_dropout else None
                 try:
-                    value, grads = grad.gradient(closure, params)
+                    value, grads = grad.gradient(lambda p: self.batch_loss(batch, p, dropout_rng), params)
                 except FloatingPointError:
                     return last_finite, epoch, True
                 adam.step(params, grads)
@@ -282,7 +254,6 @@ class Trainer:
             raise ValueError("labeled set is empty")
         if params is None:
             params = gcn.glorot_params(self.dims, seed=cfg.seed)
-        self._labeled_set = set(int(t) for t in self.labeled)
         log = []
         pool1 = list(int(t) for t in self.labeled)
         params, epoch, aborted = self._run_phase(params, 1, pool1, log, 0)

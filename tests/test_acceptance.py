@@ -131,11 +131,10 @@ def test_acceptance_5_loss_gradients_match_finite_differences(mode):
         graph, params, budget = random_tiny_graph(rng)
         tc = TrainConfig(mode=mode, budget=budget, hidden_dims=(3,))
         trainer = Trainer(graph, tc)
-        trainer._labeled_set = set(int(t) for t in trainer.labeled)
         batch = sorted(trainer._labeled_set)
         if mode == "RH_U" and len(trainer.unlabeled):
             batch.append(int(trainer.unlabeled[0]))
-        closure = trainer._batch_loss_closure(2 if mode == "RH_U" else 1, batch)
+        closure = lambda p: trainer.batch_loss(batch, p)
         err = grad.finite_difference_check(closure, params, rng=rng, num_coords=2)
         if err > 1e-4:
             # non-kink draws only: an isolated mismatch means the stencil

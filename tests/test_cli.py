@@ -164,6 +164,29 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
     assert ckpt.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("mode = SGD\n", "mode"),
+        ("batch_size = 0\n", "batch_size"),
+        ("hidden_dims = a\n", "'a'"),
+        ("learning_rate = nan\n", "learning_rate"),
+        ("use_dropout = true\ndropout_rate = 1.0\n", "dropout_rate"),
+        ("max_epochs = -1\n", "max_epochs"),
+        ("hidden_dims = 0\n", "hidden widths"),
+        ("hidden_dims = ,\n", "hidden layer"),
+        ("l2_strength = nan\n", "l2_strength"),
+    ],
+    ids=["mode", "batch_size", "hidden_dims_text", "learning_rate_nan", "dropout_rate_one", "max_epochs_negative",
+         "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan"],
+)
+def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, key):
+    cfg, ckpt = _train_cfg(tmp_path, dataset, extra=extra)
+    err = _assert_one_line_error(main(["train", cfg]), capsys)
+    assert key in err
+    assert not ckpt.exists()
+
+
 # -- certify / curve / attack ----------------------------------------------
 
 
@@ -363,6 +386,18 @@ def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):
     )
     assert rc == 0
     assert "no admissible perturbation" in capsys.readouterr().out
+
+
+def test_cmd_attack_one_class_model_has_no_competing_class(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "one_class.json"
+    gcn.save_checkpoint(gcn.glorot_params([2, 3, 1], seed=0), ckpt)
+    argv = ["--checkpoint", str(ckpt), "--edges", dataset["edges"], "--attributes", dataset["attributes"]]
+    assert main(["attack", *argv, "--node", "1", "--q", "1", "--Q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and "no competing class" in out
+    # certify reports the same node as robust: no class can overtake y*
+    assert main(["certify", *argv, "--nodes", "1", "--q", "1", "--Q", "2", "--workers", "1"]) == 0
+    assert "robust=1" in capsys.readouterr().out
 
 
 def test_cmd_attack_reports_flips(dataset, checkpoint, capsys):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gcn_cert import dual_cert, gcn, robust_train
+from gcn_cert import dual_cert, gcn, grad, robust_train
 from gcn_cert.bounds import Budget, compute_bounds
 from gcn_cert.graph_core import Graph
 from gcn_cert.robust_train import (
@@ -43,6 +44,21 @@ def test_config_validation():
         TrainConfig(mode="SGD")
     with pytest.raises(ValueError, match="margin"):
         TrainConfig(margin_labeled=0.1, margin_unlabeled=0.5)
+    for bad, match in [
+        (dict(batch_size=0), "batch_size"),
+        (dict(max_epochs=-1), "max_epochs"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(learning_rate=0.0), "learning_rate"),
+        (dict(dropout_rate=1.0), "dropout_rate"),
+        (dict(dropout_rate=-0.1), "dropout_rate"),
+        (dict(hidden_dims=(4, 0)), "hidden widths"),
+        (dict(hidden_dims=()), "hidden layer"),
+        (dict(l2_strength=float("nan")), "l2_strength"),
+        (dict(l2_strength=-1e-5), "l2_strength"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**bad)
+    TrainConfig(max_epochs=0, dropout_rate=0.0)
     cfg = TrainConfig(mode="RH_U")
     assert cfg.margin_labeled == MARGIN_LABELED
     assert cfg.margin_unlabeled == MARGIN_UNLABELED
@@ -64,39 +80,43 @@ def _trainer(rng, mode="RH", **cfg_kw):
     graph, params, budget = random_tiny_graph(rng)
     cfg = TrainConfig(mode=mode, budget=budget, hidden_dims=(3,), **cfg_kw)
     tr = Trainer(graph, cfg)
-    tr._labeled_set = set(int(t) for t in tr.labeled)
     params = gcn.glorot_params(tr.dims, seed=1)
     for b in params.biases:
         b += rng.normal(scale=0.1, size=b.shape)
     return tr, params
 
 
+def _with_mode(tr, mode):
+    """The same trainer (graph, slices, rng) under another training mode."""
+    tr.config = replace(tr.config, mode=mode)
+    return tr
+
+
 def test_empty_batch_is_l2_only(rng):
     tr, params = _trainer(rng)
     expected = tr.config.l2_strength * sum(float((w * w).sum()) for w in params.weights)
-    assert float(tr.combined_loss([], params)) == pytest.approx(expected, abs=1e-12)
-    assert float(tr.ce_loss([], params)) == pytest.approx(expected, abs=1e-12)
-    assert float(tr.rce_loss([], params)) == pytest.approx(expected, abs=1e-12)
+    for mode in ("RH", "CE", "RCE", "RH_U"):
+        assert float(_with_mode(tr, mode).batch_loss([], params)) == pytest.approx(expected, abs=1e-12)
 
 
-def test_combined_loss_decomposition(rng):
+def test_rh_loss_decomposition(rng):
     tr, params = _trainer(rng)
     batch = sorted(tr._labeled_set)
-    got = float(tr.combined_loss(batch, params))
+    got = float(tr.batch_loss(batch, params))
     expected = tr.config.l2_strength * sum(float((w * w).sum()) for w in params.weights)
     for t in batch:
         sp = tr.slices[t]
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_hinge_loss(mv.entries, y, tr.config.margin_labeled)
+        expected += robust_hinge_loss(mv, y, tr.config.margin_labeled)
         expected += float(gcn.cross_entropy(gcn.forward_sliced(sp, params).logits, y))
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_combined_loss_reduces_to_ce_when_certified_past_margin():
+def test_rh_loss_reduces_to_ce_when_certified_past_margin():
     # two-class single node with a huge clean margin and an empty budget:
-    # every hinge term is zero, so the combined loss is exactly CE + L2
+    # every hinge term is zero, so the RH loss is exactly CE + L2
     graph = Graph(
         num_nodes=1,
         num_features=1,
@@ -111,41 +131,61 @@ def test_combined_loss_reduces_to_ce_when_certified_past_margin():
         [np.array([[1.0]]), np.array([[10.0, -10.0]])],
         [np.zeros(1), np.zeros(2)],
     )
-    got = float(tr.combined_loss([0], params))
-    expected = float(tr.ce_loss([0], params))
+    got = float(tr.batch_loss([0], params))
+    expected = float(_with_mode(tr, "CE").batch_loss([0], params))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_semi_supervised_loss_decomposition(rng):
+def test_rh_u_loss_decomposition(rng):
     tr, params = _trainer(rng, mode="RH_U")
     lab = sorted(tr._labeled_set)
     unlab = [int(t) for t in tr.unlabeled][:2]
-    got = float(tr.semi_supervised_loss(lab, unlab, params))
-    expected = float(tr.combined_loss(lab, params))
+    got = float(tr.batch_loss(lab + unlab, params))
+    expected = float(tr.batch_loss(lab, params))
     for t in unlab:
         sp = tr.slices[t]
         y_pred = gcn.predict(gcn.forward_sliced(sp, params))
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y_pred)
-        expected += robust_hinge_loss(mv.entries, y_pred, tr.config.margin_unlabeled)
+        expected += robust_hinge_loss(mv, y_pred, tr.config.margin_unlabeled)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
-    assert float(tr.semi_supervised_loss(lab, [], params)) == pytest.approx(
-        float(tr.combined_loss(lab, params)), abs=1e-12
+    assert float(tr.batch_loss(lab, params)) == pytest.approx(
+        float(_with_mode(tr, "RH").batch_loss(lab, params)), abs=1e-12
     )
 
 
 def test_rce_loss_decomposition(rng):
     tr, params = _trainer(rng, mode="RCE")
     batch = sorted(tr._labeled_set)
-    got = float(tr.rce_loss(batch, params))
+    got = float(tr.batch_loss(batch, params))
     expected = tr.config.l2_strength * sum(float((w * w).sum()) for w in params.weights)
     for t in batch:
         sp = tr.slices[t]
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_cross_entropy_loss(mv.entries, y)
+        expected += robust_cross_entropy_loss(mv, y)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def test_margin_vector_on_the_tape_is_a_list_of_scalar_vars(rng):
+    tr, params = _trainer(rng)
+    t = int(tr.labeled[0])
+    y = int(tr.labels[t])
+    seen = []
+
+    def loss(shadow):
+        p = dual_cert.margin_vector(tr.slices[t], shadow, compute_bounds(tr.slices[t], shadow, tr.budget), tr.budget, y)
+        seen.append(p)
+        return robust_hinge_loss(p, y, tr.config.margin_labeled) + grad.total(shadow.weights[0])
+
+    grad.gradient(loss, params)
+    (p,) = seen
+    assert isinstance(p, list) and len(p) == tr.graph.num_classes
+    assert type(p[y]) is np.float64 and p[y] == 0.0
+    for k, p_k in enumerate(p):
+        if k != y:
+            assert grad.is_var(p_k) and np.shape(p_k.value) == ()
 
 
 def test_train_requires_labeled_nodes():
@@ -213,3 +253,211 @@ def test_training_is_deterministic(rng):
     assert log1 == log2
     for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
         assert np.array_equal(a, b)
+
+
+# -- differential check against the per-mode loss methods ------------------
+# The loss before `Trainer.batch_loss`: one method per mode, a closure that
+# dispatched on the phase, and a second p-vector next to `margin_vector`.
+
+
+def _reference_p_vector(self, sp, params, y):
+    bnds = compute_bounds(sp, params, self.budget)
+    others, C = dual_cert.competing_classes(y, self.graph.num_classes)
+    p = [np.float64(0.0)] * self.graph.num_classes
+    for k, st in zip(others, dual_cert.dual_states(sp, params, bnds, self.budget, C)):
+        p[k] = -st.value
+    return p
+
+
+def _reference_exact_ce(self, sp, params, y, dropout_rng=None):
+    rate = self.config.dropout_rate if (self.config.use_dropout and dropout_rng is not None) else 0.0
+    trace = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng)
+    return gcn.cross_entropy(trace.logits, y)
+
+
+def _reference_l2_penalty(self, params):
+    pen = 0.0
+    for w in params.weights:
+        pen = pen + grad.total(w * w)
+    return self.config.l2_strength * pen
+
+
+def _reference_combined_loss(self, batch, params, dropout_rng=None):
+    loss = _reference_l2_penalty(self, params)
+    for t in batch:
+        y = int(self.labels[t])
+        sp = self.slices[t]
+        entries = _reference_p_vector(self, sp, params, y)
+        loss = loss + robust_hinge_loss(entries, y, self.config.margin_labeled)
+        loss = loss + _reference_exact_ce(self, sp, params, y, dropout_rng)
+    return loss
+
+
+def _reference_semi_supervised_loss(self, labeled_batch, unlabeled_batch, params, dropout_rng=None):
+    loss = _reference_combined_loss(self, labeled_batch, params, dropout_rng)
+    for t in unlabeled_batch:
+        sp = self.slices[t]
+        trace = gcn.forward_sliced(sp, params.copy())
+        y_pred = gcn.predict(trace)
+        entries = _reference_p_vector(self, sp, params, y_pred)
+        loss = loss + robust_hinge_loss(entries, y_pred, self.config.margin_unlabeled)
+    return loss
+
+
+def _reference_rce_loss(self, batch, params):
+    loss = _reference_l2_penalty(self, params)
+    for t in batch:
+        y = int(self.labels[t])
+        entries = _reference_p_vector(self, self.slices[t], params, y)
+        loss = loss + robust_cross_entropy_loss(entries, y)
+    return loss
+
+
+def _reference_ce_loss(self, batch, params, dropout_rng=None):
+    loss = _reference_l2_penalty(self, params)
+    for t in batch:
+        loss = loss + _reference_exact_ce(self, self.slices[t], params, int(self.labels[t]), dropout_rng)
+    return loss
+
+
+def _reference_batch_loss_closure(self, phase, batch):
+    cfg = self.config
+    dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.use_dropout else None
+
+    def closure(shadow):
+        if cfg.mode == "CE":
+            return _reference_ce_loss(self, batch, shadow, dropout_rng)
+        if cfg.mode == "RCE":
+            return _reference_rce_loss(self, batch, shadow)
+        if cfg.mode == "RH" or phase == 1:
+            return _reference_combined_loss(self, batch, shadow, dropout_rng)
+        lab = [t for t in batch if t in self._labeled_set]
+        unlab = [t for t in batch if t not in self._labeled_set]
+        return _reference_semi_supervised_loss(self, lab, unlab, shadow, dropout_rng)
+
+    return closure
+
+
+def _reference_run_phase(self, params, phase, pool, log, epoch_offset, max_epochs=None):
+    cfg = self.config
+    if max_epochs is None:
+        max_epochs = cfg.max_epochs
+    adam = robust_train._Adam(params, cfg.learning_rate)
+    best_loss = np.inf
+    stall = 0
+    last_finite = params.copy()
+    epoch = epoch_offset
+    for _ in range(max_epochs):
+        epoch += 1
+        order = pool.copy()
+        self.rng.shuffle(order)
+        epoch_loss, nbatches = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = list(order[start:start + cfg.batch_size])
+            closure = _reference_batch_loss_closure(self, phase, batch)
+            try:
+                value, grads = grad.gradient(closure, params)
+            except FloatingPointError:
+                return last_finite, epoch, True
+            adam.step(params, grads)
+            epoch_loss += value
+            nbatches += 1
+        epoch_loss /= max(nbatches, 1)
+        if not np.isfinite(epoch_loss):
+            return last_finite, epoch, True
+        last_finite = params.copy()
+        if cfg.eval_every and (epoch % cfg.eval_every == 0):
+            log.append(_reference_metrics_row(self, params, epoch, phase, epoch_loss))
+        if epoch_loss < best_loss - 1e-9:
+            best_loss = epoch_loss
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    return params, epoch, False
+
+
+def _reference_worst_case_margins(self, params, nodes, use_labels):
+    vals = []
+    for t in nodes:
+        sp = self.slices[t]
+        y = int(self.labels[t]) if use_labels else gcn.predict(gcn.forward_sliced(sp, params))
+        others = np.delete(np.asarray(_reference_p_vector(self, sp, params, y), dtype=float), y)
+        vals.append(float(-np.max(others)) if others.size else 0.0)
+    return float(np.mean(vals)) if vals else 0.0
+
+
+def _reference_accuracy(self, params, nodes):
+    if self.labels is None or len(nodes) == 0:
+        return 0.0
+    pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)
+    return float(np.mean(pred[nodes] == self.labels[nodes]))
+
+
+def _reference_metrics_row(self, params, epoch, phase, loss):
+    return {
+        "epoch": epoch,
+        "phase": phase,
+        "loss": loss,
+        "mean_worst_case_margin_labeled": _reference_worst_case_margins(self, params, self.labeled, True),
+        "mean_worst_case_margin_unlabeled": _reference_worst_case_margins(self, params, self.unlabeled, False),
+        "train_acc": _reference_accuracy(self, params, self.labeled),
+        "test_acc": _reference_accuracy(self, params, self.unlabeled),
+    }
+
+
+class _ReferenceTrainer(Trainer):
+    _run_phase = _reference_run_phase
+
+
+def _assert_same_gradient(a, b):
+    (va, ga), (vb, gb) = a, b
+    assert va == vb
+    for x, y in zip(ga.weights + ga.biases, gb.weights + gb.biases, strict=True):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("use_dropout", [False, True])
+def test_batch_loss_matches_reference_bitwise(use_dropout):
+    rng = np.random.default_rng(10)
+    mixed = 0
+    for _ in range(30):
+        graph, params, budget = random_tiny_graph(rng, hidden_layers=int(rng.integers(1, 3)))
+        for mode, phase in [("CE", 1), ("RCE", 1), ("RH", 1), ("RH_U", 1), ("RH_U", 2)]:
+            cfg = TrainConfig(
+                mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]),
+                use_dropout=use_dropout, seed=int(rng.integers(2**31)),
+            )
+            tr = Trainer(graph, cfg)
+            pool = list(range(graph.num_nodes)) if phase == 2 else [int(t) for t in tr.labeled]
+            order = [pool[i] for i in rng.permutation(len(pool))]
+            batch = order[: int(rng.integers(min(2, len(order)), len(order) + 1))]
+            mixed += any(t in tr._labeled_set for t in batch) and not all(t in tr._labeled_set for t in batch)
+            # both draw the batch's dropout generator from the trainer's rng, as training does
+            state = tr.rng.bit_generator.state
+            ref = grad.gradient(_reference_batch_loss_closure(tr, phase, batch), params)
+            tr.rng.bit_generator.state = state
+            dropout_rng = np.random.default_rng(tr.rng.integers(2**32)) if use_dropout else None
+            _assert_same_gradient(grad.gradient(lambda p: tr.batch_loss(batch, p, dropout_rng), params), ref)
+    assert mixed >= 10
+
+
+@pytest.mark.parametrize("use_dropout", [False, True])
+def test_rh_u_training_matches_reference_bitwise(use_dropout, monkeypatch):
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        graph, _, budget = random_tiny_graph(rng)
+        cfg = TrainConfig(
+            mode="RH_U", budget=budget, hidden_dims=(3,), learning_rate=0.05, batch_size=3,
+            use_dropout=use_dropout, max_epochs=3, phase2_epochs=2, patience=5, seed=seed,
+        )
+        p_ref, log_ref = _ReferenceTrainer(graph, cfg).train()
+        with monkeypatch.context() as m:
+            forwards = []
+            m.setattr(gcn, "forward_full", lambda *a, _f=gcn.forward_full: forwards.append(1) or _f(*a))
+            p_new, log_new = Trainer(graph, cfg).train()
+        assert len(forwards) == len(log_new) == 5  # one full-graph forward per metrics row
+        assert log_new == log_ref
+        for a, b in zip(p_new.weights + p_new.biases, p_ref.weights + p_ref.biases, strict=True):
+            assert np.array_equal(a, b)
