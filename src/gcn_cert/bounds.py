@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "classify_partition",
     "compute_bounds",
     "compute_bounds_sweep",
+    "top_k",
 ]
 
 CROSSING = 0
@@ -49,22 +50,35 @@ class Budget:
 
 @dataclass
 class ActivationBounds:
-    """Lower/upper pre-activation bounds per layer l = 2..L-1.
+    """Lower/upper pre-activation bounds per layer l = 2..L-1, and their ReLU relaxation.
 
     lower[l] / upper[l] / partition[l] are indexed by layer number.
     Bound matrices may be grad.Var during training; partitions are plain
-    int arrays computed from the forward values.
+    int arrays computed from the forward values.  The relaxation is
+    derived once per layer: 0/1 masks `cross` and `nonneg` of the
+    crossing and nonnegative entries, and on crossing entries the upper
+    envelope's slope S/(S-R) (also the default Omega) and offset
+    S*R/(S-R); both are 0 elsewhere and follow R and S on the tape.
     """
 
     lower: dict
     upper: dict
     partition: dict
+    cross: dict = field(init=False, repr=False)
+    nonneg: dict = field(init=False, repr=False)
+    slope: dict = field(init=False, repr=False)
+    offset: dict = field(init=False, repr=False)
 
-    def crossing_mask(self, layer: int) -> np.ndarray:
-        return (self.partition[layer] == CROSSING).astype(np.float64)
-
-    def nonneg_mask(self, layer: int) -> np.ndarray:
-        return (self.partition[layer] == NONNEG).astype(np.float64)
+    def __post_init__(self):
+        self.cross, self.nonneg, self.slope, self.offset = {}, {}, {}, {}
+        for l in self.layers():
+            R, S = self.lower[l], self.upper[l]
+            cross = (self.partition[l] == CROSSING).astype(np.float64)
+            denom = (S - R) * cross + (1.0 - cross)  # 1 off the crossing entries
+            self.cross[l] = cross
+            self.nonneg[l] = (self.partition[l] == NONNEG).astype(np.float64)
+            self.slope[l] = (S * cross) / denom
+            self.offset[l] = (S * R * cross) / denom
 
     def layers(self):
         return sorted(self.lower.keys())
@@ -125,18 +139,20 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
     return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
 
 
-def _key(values, ids):
-    """Complex keys -value + i*id: complex numbers order by real, then imaginary part
-    (sort, partition and max alike), so ascending keys are descending values, ties to the smaller id."""
-    key = np.empty(np.shape(values), dtype=np.complex128)
+def top_k(values, ids, k):
+    """Each row's k largest values and their ids, in descending order; ties go to the smaller id.
+
+    Rows run along the last axis; `values` and the integer `ids` broadcast
+    together.  The selection is one partition on complex keys -value + i*id:
+    complex numbers order by real, then imaginary part, so ascending keys
+    are descending values with ties to the smaller id.  Only the k picks are
+    sorted.
+    """
+    key = np.empty(np.broadcast_shapes(np.shape(values), np.shape(ids)), dtype=np.complex128)
     key.real = -values
     key.imag = ids
-    return key
-
-
-def _top(values, ids, k):
-    """Indices of the k largest values along the last axis, ties to the smaller id, in no particular order."""
-    return np.argpartition(_key(values, ids), k - 1, axis=-1)[..., :k]
+    top = np.sort(np.partition(key, k - 1, axis=-1)[..., :k], axis=-1)
+    return -top.real, top.imag.astype(np.intp)
 
 
 def _budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
@@ -155,29 +171,26 @@ def _budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
     # ties to the smaller d); at most nnz(n) active features come before
     # those, so the top q + nnz_max features of that order hold them.
     K = min(D, q + active.shape[1])
-    head = _top(off.T, np.arange(D), K)  # (h2, K)
+    off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
     # candidates per (j, n): the head features that are off in row n, then
     # the row's active features; an entry of -inf is never picked
-    off_eff = np.where(X[:, head] == 0, np.take_along_axis(off.T, head, axis=1), -np.inf)
-    off_eff = off_eff.transpose(1, 0, 2)
+    off_eff = np.where(X[:, head] == 0, off_head, -np.inf).transpose(1, 0, 2)
     on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(2, 0, 1)
     feat = np.concatenate(
         [np.broadcast_to(head[:, None, :], off_eff.shape), np.broadcast_to(active, on_eff.shape)], axis=2
     )  # (h2, n, K + nnz_max)
     eff = np.concatenate([off_eff, on_eff], axis=2)
-    pick = _top(eff, feat, q)  # (h2, n, q)
+    eff, feat = top_k(eff, feat, q)  # (h2, n, q)
     # the picks of unit j as one row over (n, k): (h2, n*q)
-    feat = np.take_along_axis(feat, pick, axis=2).reshape(h2, n_outer * q)
-    eff = np.take_along_axis(eff, pick, axis=2).reshape(h2, n_outer * q)
+    eff, feat = eff.reshape(h2, n_outer * q), feat.reshape(h2, n_outer * q)
 
     # the candidates A1[m, n] * eff per (m, j) in descending order, ties to
     # the smaller (node, feature) id n*D + d, down to the largest Q: each
     # budget's top Q is a prefix of it.  A1 >= 0 keeps each row's top q.
     node = np.repeat(np.arange(n_outer), q)
     Q_max = max(Qs)
-    key = _key(A1[:, None, node] * eff, node * D + feat)
-    top = np.sort(np.partition(key, Q_max - 1, axis=-1)[..., :Q_max], axis=-1)
-    n_top, d_top = np.divmod(top.imag.astype(np.intp), D)  # (M, h2, Q_max)
+    _, ids = top_k(A1[:, None, node] * eff, node * D + feat, Q_max)
+    n_top, d_top = np.divmod(ids, D)  # (M, h2, Q_max)
 
     coef = A1[np.arange(A1.shape[0])[:, None, None], n_top]
     at = d_top * h2 + units  # flat index of (d, j) in W

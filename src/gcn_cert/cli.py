@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -331,6 +332,8 @@ def _load_for_model(args) -> tuple:
         params = gcn.load_checkpoint(args.checkpoint)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{args.checkpoint}: not a valid checkpoint ({type(exc).__name__}: {exc})")
+    if params.layer_count < 3:
+        raise CliError(f"{args.checkpoint}: dims {params.dims} have no hidden layer; the dual bound needs one")
     bundle = load_dataset(
         args.edges,
         args.attributes,
@@ -412,26 +415,16 @@ def cmd_train(args):
         num_classes=cfg.get("num_classes"),
     )
     graph = bundle.graph
-    q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
-    budget = _budget(q, cfg.get("Q", 12))
+    # TrainConfig gets only what the file sets, so its defaults stand for the rest
+    names = {f.name for f in dataclasses.fields(robust_train.TrainConfig)}
+    kwargs = {k: v for k, v in cfg.items() if k in names}
+    if "q" in cfg or "Q" in cfg:
+        q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
+        kwargs["budget"] = _budget(q, cfg.get("Q", robust_train.DEFAULT_GLOBAL_Q))
     try:
-        hidden = tuple(
-            int(tok) for tok in cfg.get("hidden_dims", "32").split(",") if tok.strip()
-        )
-        tc = robust_train.TrainConfig(
-            mode=cfg.get("mode", "CE"),
-            budget=budget,
-            learning_rate=cfg.get("learning_rate", 0.001),
-            l2_strength=cfg.get("l2_strength", 1e-5),
-            batch_size=cfg.get("batch_size", 20),
-            use_dropout=cfg.get("use_dropout", False),
-            dropout_rate=cfg.get("dropout_rate", 0.5),
-            max_epochs=cfg.get("max_epochs", 200),
-            phase2_epochs=cfg.get("phase2_epochs"),
-            patience=cfg.get("patience", 20),
-            seed=cfg.get("seed", 0),
-            hidden_dims=hidden,
-        )
+        if "hidden_dims" in kwargs:
+            kwargs["hidden_dims"] = tuple(int(tok) for tok in kwargs["hidden_dims"].split(",") if tok.strip())
+        tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
         raise CliError(f"{args.config}: bad training config: {exc}") from None
     params, log = robust_train.train(graph, tc)
@@ -533,9 +526,7 @@ def cmd_attack(args):
     best = None
     for k, st in zip(others, dual_cert.dual_states(spr, params, bnds, budget, C)):
         pert = primal_attack.construct(st, budget, spr.sliced_attrs)
-        trace = gcn.forward_sliced(spr, params, attrs_override=pert.perturbed_attrs)
-        logits = grad.val(trace.logits)
-        margin = float(logits[y_star] - logits[k])
+        margin = primal_attack.exact_margin(spr, params, pert, y_star, k)
         if best is None or margin < best[0]:
             best = (margin, k, pert)
     margin, k, pert = best

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grad
-from .bounds import ActivationBounds, Budget, _key, compute_bounds, compute_bounds_sweep
+from .bounds import ActivationBounds, Budget, compute_bounds, compute_bounds_sweep, top_k
 from .gcn import GcnParams
 from .graph_core import SlicedProblem
 
@@ -81,21 +81,13 @@ def class_vector(y_star: int, y: int, num_classes: int) -> np.ndarray:
 
 
 def default_omega(bounds: ActivationBounds) -> dict:
-    """Omega = S / (S - R) on crossing entries, zero elsewhere.
+    """Omega = S / (S - R) on crossing entries, zero elsewhere: the bounds' envelope slope.
 
     Grad-aware: when the bounds carry Vars (robust training), the default
     Omega is itself a function of the parameters and gradients flow
     through it.
     """
-    return {l: _envelope_slope(bounds, l)[0] for l in bounds.layers()}
-
-
-def _envelope_slope(bounds: ActivationBounds, layer: int):
-    """S/(S-R) on crossing entries (safe elsewhere), as a grad-aware pair."""
-    R, S = bounds.lower[layer], bounds.upper[layer]
-    cross = bounds.crossing_mask(layer)
-    denom = (S - R) * cross + (1.0 - cross)
-    return (S * cross) / denom, denom, cross
+    return dict(bounds.slope)
 
 
 def backward_phi(sp: SlicedProblem, params: GcnParams, bounds: ActivationBounds, omega: dict, c):
@@ -112,10 +104,9 @@ def backward_phi(sp: SlicedProblem, params: GcnParams, bounds: ActivationBounds,
         W = params.weights[l - 1]
         phi_hat[l] = grad.matmul(grad.matmul(A_dot.T, phi[l + 1]), grad.transpose(W))
         if l >= 2:
-            slope, _, cross = _envelope_slope(bounds, l)
-            nonneg = bounds.nonneg_mask(l)
-            crossing_part = slope * grad.pos(phi_hat[l]) - omega[l] * cross * grad.negpart(phi_hat[l])
-            phi[l] = nonneg * phi_hat[l] + cross * crossing_part
+            cross = bounds.cross[l]
+            crossing_part = bounds.slope[l] * grad.pos(phi_hat[l]) - omega[l] * cross * grad.negpart(phi_hat[l])
+            phi[l] = bounds.nonneg[l] * phi_hat[l] + cross * crossing_part
     # flipping X[n, d] gains [phi_hat]_+ where X = 0 and [phi_hat]_- where X = 1
     delta = grad.relu(phi_hat[1] * (1.0 - 2.0 * sp.sliced_attrs))
     return phi, phi_hat, delta
@@ -129,8 +120,8 @@ def closed_form_eta_rho(delta, budget: Budget):
     the (node, feature) pairs of the Q largest budget-feasible delta entries,
     in descending order; info holds the flat indices into delta that rebuild
     eta/rho differentiably.  Ties go to the smaller feature within a row, then
-    to the smaller id n*D + d.  Partitions on complex keys pick each row's top
-    q, then the top Q of those; only the Q picks are sorted.
+    to the smaller id n*D + d: `bounds.top_k` picks each row's top q, then the
+    top Q of those.
     """
     delta_v = grad.val(delta)
     n, D = delta_v.shape[-2:]
@@ -141,18 +132,16 @@ def closed_form_eta_rho(delta, budget: Budget):
     if q == 0 or Q == 0:
         eta, rho, s_q, o_idx, rho_idx = np.zeros((B, n)), np.zeros(B), [[] for _ in range(B)], None, None
     else:
-        # keys of each row's top q, unordered; the largest is the q-th pick o
-        top_q = np.partition(_key(d3, np.arange(D)), q - 1, axis=2)[..., :q]
-        o = top_q.max(axis=2)
-        # the top Q of the n*q candidates, in order, with ids n*D + d across rows
-        cand = (top_q + 1j * D * np.arange(n)[:, None]).reshape(B, n * q)
-        top = np.sort(np.partition(cand, Q - 1, axis=1)[:, :Q], axis=1)
-        ids = top.imag.astype(np.intp)
+        # each row's top q; the last is the q-th pick o
+        top_q, feat = top_k(d3, np.arange(D), q)
+        # the top Q of the n*q candidates, with ids n*D + d across rows
+        flat = feat + np.arange(0, n * D, D)[:, None]
+        top, ids = top_k(top_q.reshape(B, n * q), flat.reshape(B, n * q), Q)
         base = np.arange(B) * (n * D)
-        o_idx = base[:, None] + np.arange(0, n * D, D) + o.imag.astype(np.intp)
+        o_idx = base[:, None] + flat[..., -1]
         rho_idx = base + ids[:, -1]
-        rho = d3.ravel()[rho_idx]
-        eta = np.maximum(0.0, -o.real - rho[:, None])
+        rho = top[:, -1]
+        eta = np.maximum(0.0, top_q[..., -1] - rho[:, None])
         s_q = [[divmod(i, D) for i in row] for row in ids.tolist()]
     info = {"o_idx": o_idx, "rho_idx": rho_idx, "q": q, "Q": Q}
     if delta_v.ndim == 2:
@@ -175,10 +164,7 @@ def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
 
     g = 0.0
     for l in bounds.layers():
-        R, S = bounds.lower[l], bounds.upper[l]
-        _, denom, cross = _envelope_slope(bounds, l)
-        coef = (S * R * cross) / denom
-        g = g + grad.asum(coef * grad.pos(phi_hat[l]), axis=(-2, -1))
+        g = g + grad.asum(bounds.offset[l] * grad.pos(phi_hat[l]), axis=(-2, -1))
     for l in range(1, L):
         g = g - grad.asum(phi[l + 1] * params.biases[l - 1], axis=(-2, -1))
     g = g - grad.asum(X * phi_hat[1], axis=(-2, -1))
@@ -310,16 +296,15 @@ def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
         A, W, b = sp.sliced_mp[l - 2], grad.val(params.weights[l - 2]), grad.val(params.biases[l - 2])
         g_phi = A @ (g_hat @ W) - b
         ph = p.phi_hat[l][rows]
-        slope, denom, cross = _envelope_slope(bounds, l)
+        cross = bounds.cross[l]
         out[l] = -(g_phi * np.maximum(-ph, 0.0)) * cross
         if l < L - 1:
-            R, S = bounds.lower[l], bounds.upper[l]
             g_cross = g_phi * cross
             g_hat = (
-                g_phi * bounds.nonneg_mask(l)
-                + g_cross * slope * (ph > 0)
+                g_phi * bounds.nonneg[l]
+                + g_cross * bounds.slope[l] * (ph > 0)
                 + g_cross * (omega[l] * cross) * (ph < 0)
-                + (S * R * cross) / denom * (ph > 0)
+                + bounds.offset[l] * (ph > 0)
             )
     return out
 
@@ -347,12 +332,11 @@ def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA
     dg = _omega_gradient(sp, params, bounds, p, rows, best_om)
     # each row's best value, and the pass and row of it that hold the best iterate
     best_g, at = p.g.copy(), [(p, b) for b in rows]
-    cross = {l: bounds.crossing_mask(l) for l in best_om}
     lr = np.full(len(C), float(step_size))
     active = rows
     for _ in range(steps):
         cand_om = {
-            l: np.clip(om[active] + lr[active, None, None] * dg[l][active] * cross[l], 0.0, 1.0)
+            l: np.clip(om[active] + lr[active, None, None] * dg[l][active] * bounds.cross[l], 0.0, 1.0)
             for l, om in best_om.items()
         }
         moved = np.zeros(active.size, dtype=bool)

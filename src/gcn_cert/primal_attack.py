@@ -11,7 +11,7 @@ from .bounds import Budget
 from .dual_cert import DualState
 from .graph_core import SlicedProblem
 
-__all__ = ["Perturbation", "construct", "construct_and_evaluate"]
+__all__ = ["Perturbation", "construct", "exact_margin", "construct_and_evaluate"]
 
 
 @dataclass
@@ -44,11 +44,14 @@ def construct(dual: DualState, budget: Budget, attrs: np.ndarray) -> Perturbatio
     return Perturbation(flips=flips, perturbed_attrs=perturbed).validate(budget, attrs)
 
 
+def exact_margin(sp: SlicedProblem, params, pert: Perturbation, y_star: int, y: int) -> float:
+    """Exact margin logit[y*] - logit[y] of the network on the perturbed attributes."""
+    logits = grad.val(gcn.forward_sliced(sp, params, attrs_override=pert.perturbed_attrs).logits)
+    return float(logits[y_star] - logits[y])
+
+
 def construct_and_evaluate(
     sp: SlicedProblem, params, dual: DualState, budget: Budget, y_star: int, y: int
 ) -> float:
     """Exact margin logit[y*] - logit[y] of the constructed perturbation."""
-    pert = construct(dual, budget, sp.sliced_attrs)
-    trace = gcn.forward_sliced(sp, params, attrs_override=pert.perturbed_attrs)
-    logits = grad.val(trace.logits)
-    return float(logits[y_star] - logits[y])
+    return exact_margin(sp, params, construct(dual, budget, sp.sliced_attrs), y_star, y)

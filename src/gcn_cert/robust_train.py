@@ -18,6 +18,7 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "default_local_budget",
+    "DEFAULT_GLOBAL_Q",
     "robust_cross_entropy_loss",
     "robust_hinge_loss",
     "train",
@@ -32,6 +33,9 @@ MARGIN_UNLABELED = math.log(0.6 / 0.4)
 
 MODES = ("CE", "RCE", "RH", "RH_U")
 
+# global flip budget Q when the config sets none
+DEFAULT_GLOBAL_Q = 12
+
 
 def default_local_budget(num_features: int) -> int:
     """Per-node budget q = ceil(0.01 * D)."""
@@ -41,7 +45,7 @@ def default_local_budget(num_features: int) -> int:
 @dataclass
 class TrainConfig:
     mode: str = "CE"
-    budget: Budget | None = None  # filled from the dataset if omitted
+    budget: Budget | None = None  # omitted: (default_local_budget(D), DEFAULT_GLOBAL_Q)
     margin_labeled: float = MARGIN_LABELED
     margin_unlabeled: float = MARGIN_UNLABELED
     learning_rate: float = 0.001
@@ -123,7 +127,7 @@ class Trainer:
         self.graph = graph
         self.config = config
         if config.budget is None:
-            self.budget = Budget(default_local_budget(graph.num_features), 12)
+            self.budget = Budget(default_local_budget(graph.num_features), DEFAULT_GLOBAL_Q)
         else:
             self.budget = config.budget
         self.dims = [graph.num_features, *config.hidden_dims, graph.num_classes]

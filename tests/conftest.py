@@ -1,9 +1,10 @@
-"""Shared fixtures: tiny random instances and small hand-built graphs."""
+"""Shared fixtures: tiny random instances, small hand-built graphs and forced-tie slices."""
 
 import numpy as np
 import pytest
 
-from gcn_cert.graph_core import Graph
+from gcn_cert.gcn import GcnParams
+from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 from gcn_cert.oracle import random_tiny_graph, random_tiny_instance  # noqa: F401  (re-exported)
 
 
@@ -19,6 +20,46 @@ def path_graph():
         attributes=X,
         labels=np.array([0, 1, -1]),
     )
+
+
+def single_node_problem(X_row):
+    """The L = 3 slice of a one-node graph whose attribute row is X_row."""
+    X = np.asarray([X_row], dtype=float)
+    g = Graph(
+        num_nodes=1,
+        num_features=X.shape[1],
+        num_classes=2,
+        adjacency=np.zeros((1, 1)),
+        attributes=X,
+    )
+    return slice_problem(g, build_message_passing(g), 0, 3)
+
+
+def forced_tie_slice(rng, n, M, D, h, K):
+    """A Cora-ML-shape slice (L = 3) built to put many delta entries in exact ties.
+
+    Dyadic message-passing weights and integer W keep the arithmetic exact;
+    duplicated feature columns (with equal W rows) and all-zero attribute
+    rows repeat whole delta columns and rows.
+    """
+    A1 = rng.choice([0.0, 0.25, 0.5], size=(M, n), p=[0.6, 0.2, 0.2])
+    A1[np.arange(M), np.arange(M)] = 0.5
+    A2 = np.full((1, M), 0.25)
+    X = (rng.random((n, D)) < 0.02).astype(float)
+    src = rng.integers(D, size=D // 4)
+    dst = rng.integers(D, size=D // 4)
+    X[:, dst] = X[:, src]
+    X[rng.random(n) < 0.2] = 0.0
+    W1 = rng.integers(-2, 3, size=(D, h)).astype(float)
+    W1[dst] = W1[src]
+    W2 = rng.integers(-2, 3, size=(h, K)).astype(float)
+    b1 = rng.integers(-3, 4, size=h).astype(float)
+    b2 = rng.integers(-1, 2, size=K).astype(float)
+    sp = SlicedProblem(
+        target=0, layer_count=3, sliced_mp=[A1, A2], sliced_attrs=X,
+        hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
+    )
+    return sp, GcnParams([W1, W2], [b1, b2])
 
 
 @pytest.fixture

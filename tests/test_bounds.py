@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcn_cert import gcn, grad, oracle
+from gcn_cert import bounds, gcn, grad, oracle
 from gcn_cert.bounds import (
     CROSSING,
     NONNEG,
@@ -12,23 +12,12 @@ from gcn_cert.bounds import (
     compute_bounds_sweep,
     deeper_layer_bounds,
     first_layer_bounds,
+    top_k,
 )
 from gcn_cert.gcn import GcnParams
-from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
+from gcn_cert.graph_core import SlicedProblem
 
-from conftest import random_tiny_instance
-
-
-def _single_node_problem(X_row):
-    X = np.asarray([X_row], dtype=float)
-    g = Graph(
-        num_nodes=1,
-        num_features=X.shape[1],
-        num_classes=2,
-        adjacency=np.zeros((1, 1)),
-        attributes=X,
-    )
-    return slice_problem(g, build_message_passing(g), 0, 3)
+from conftest import forced_tie_slice, random_tiny_instance, single_node_problem
 
 
 def _enumerated_range(sp, params, budget):
@@ -147,6 +136,136 @@ def test_first_layer_bounds_match_dense_reference(rng):
             np.testing.assert_allclose(got.biases[0], ref.biases[0], rtol=0, atol=1e-12)
 
 
+# -- the selection as it was before `top_k`: complex keys built at each call
+# site, `_reference_top_positions` (unordered) and a sort of the picks
+
+
+def _reference_key(values, ids):
+    """Complex keys -value + i*id: ascending keys are descending values, ties to the smaller id."""
+    key = np.empty(np.shape(values), dtype=np.complex128)
+    key.real = -values
+    key.imag = ids
+    return key
+
+
+def _reference_top_positions(values, ids, k):
+    """Positions of the k largest values along the last axis, ties to the smaller id, in no particular order."""
+    return np.argpartition(_reference_key(values, ids), k - 1, axis=-1)[..., :k]
+
+
+def _reference_top(values, ids, k):
+    """(values, ids) of the `_reference_top_positions` picks, sorted by key."""
+    values, ids = np.broadcast_arrays(values, ids)
+    pos = _reference_top_positions(values, ids, k)
+    pos = np.take_along_axis(pos, np.argsort(np.take_along_axis(_reference_key(values, ids), pos, -1), axis=-1), -1)
+    return np.take_along_axis(values, pos, -1), np.take_along_axis(ids, pos, -1)
+
+
+def _top_k_cases(rng):
+    """(values, ids, k): forced ties, shuffled ids, -inf entries, k = 1 and k = the row length, broadcast ids."""
+    for trial in range(200):
+        B, n, D = (int(v) for v in rng.integers(1, [4, 5, 12]))
+        values = rng.integers(0, 3, size=(B, n, D)).astype(float)  # mostly ties
+        if trial % 2:
+            values += rng.normal(size=values.shape) * (rng.random(values.shape) < 0.5)
+        if trial % 3 == 0:
+            values[rng.random(values.shape) < 0.3] = -np.inf
+        k = [1, D, int(rng.integers(1, D + 1))][trial % 3]
+        ids = np.arange(D)  # broadcast against every row
+        if trial % 4 == 1:
+            ids = np.argsort(rng.random((B, n, D)), axis=-1)  # a permutation per row, not position order
+        elif trial % 4 == 2:
+            ids = np.arange(D) + D * np.arange(n)[:, None]  # ids n*D + d, broadcast over B
+        elif trial % 4 == 3:
+            ids = rng.permutation(D)[::-1] * 7  # one shuffled order for every row
+        yield values, ids, k
+
+
+def test_top_k_matches_complex_key_reference(rng):
+    """top_k returns the values and ids of the old selection, identical, and in key order."""
+    for values, ids, k in _top_k_cases(rng):
+        got_v, got_i = top_k(values, ids, k)
+        ref_v, ref_i = _reference_top(values, ids, k)
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_i.dtype == np.intp and got_v.shape == values.shape[:-1] + (k,)
+        # the order is descending value, ties to the smaller id
+        v, i = np.broadcast_arrays(values, ids)
+        for row_v, row_i, top_v, top_i in zip(v.reshape(-1, v.shape[-1]), i.reshape(-1, v.shape[-1]),
+                                              got_v.reshape(-1, k), got_i.reshape(-1, k)):
+            order = np.lexsort((row_i, -row_v))[:k]
+            np.testing.assert_array_equal(top_v, row_v[order])
+            np.testing.assert_array_equal(top_i, row_i[order])
+
+
+def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
+    """`bounds._budgeted_increase` as it was before `top_k`, selecting on its own complex keys."""
+    n_outer, D = X.shape
+    off, on = grad.val(W_off), grad.val(W_on)
+    h2 = off.shape[1]
+    units = np.arange(h2)[:, None]
+    K = min(D, q + active.shape[1])
+    head = _reference_top_positions(off.T, np.arange(D), K)  # (h2, K)
+    off_eff = np.where(X[:, head] == 0, np.take_along_axis(off.T, head, axis=1), -np.inf)
+    off_eff = off_eff.transpose(1, 0, 2)
+    on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(2, 0, 1)
+    feat = np.concatenate(
+        [np.broadcast_to(head[:, None, :], off_eff.shape), np.broadcast_to(active, on_eff.shape)], axis=2
+    )
+    eff = np.concatenate([off_eff, on_eff], axis=2)
+    pick = _reference_top_positions(eff, feat, q)  # (h2, n, q)
+    feat = np.take_along_axis(feat, pick, axis=2).reshape(h2, n_outer * q)
+    eff = np.take_along_axis(eff, pick, axis=2).reshape(h2, n_outer * q)
+    node = np.repeat(np.arange(n_outer), q)
+    Q_max = max(Qs)
+    key = _reference_key(A1[:, None, node] * eff, node * D + feat)
+    top = np.sort(np.partition(key, Q_max - 1, axis=-1)[..., :Q_max], axis=-1)
+    n_top, d_top = np.divmod(top.imag.astype(np.intp), D)
+    coef = A1[np.arange(A1.shape[0])[:, None, None], n_top]
+    at = d_top * h2 + units
+    on_pick = X[n_top, d_top] != 0
+    out = {}
+    for Q in sorted(set(Qs) - {0}):
+        c, a, o = coef[..., :Q], at[..., :Q], on_pick[..., :Q]
+        out[Q] = grad.asum(grad.gather(W_off, a) * (c * ~o) + grad.gather(W_on, a) * (c * o), axis=2)
+    return out
+
+
+@pytest.mark.parametrize(
+    "D, h, q, Qs",
+    [(2879, 16, 29, [0, 1, 12, 29 * 30]), (2879, 16, 3000, [40, 2879]), (300, 32, 3, [1, 12, 90]), (300, 32, 1, [5])],
+)
+def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatch, D, h, q, Qs):
+    """Cora-ML- and certify-pga-shape slices with forced ties: the same picks as the old selection.
+
+    The picks decide which W entries each bound's gradient reaches, so
+    bitwise-equal bounds and W/b gradients on the tape mean equal picks.
+    """
+    rng = np.random.default_rng(D + q)
+    sp, params = forced_tie_slice(rng, n=30, M=9, D=D, h=h, K=7)
+    budgets = [Budget(q, Q) for Q in Qs]
+    G = rng.normal(size=(len(Qs), 2, 9, h))
+
+    def run():
+        def loss(p):
+            sweep = bounds._first_layer_sweep(sp, p, budgets)
+            out.append([(grad.val(R), grad.val(S)) for R, S in sweep])
+            return sum(grad.total(R * g[0]) + grad.total(S * g[1]) for (R, S), g in zip(sweep, G))
+
+        out = []
+        _, grads = grad.gradient(loss, params)
+        return out[0], grads
+
+    got, got_grads = run()
+    monkeypatch.setattr(bounds, "_budgeted_increase", _reference_budgeted_increase)
+    ref, ref_grads = run()
+    for (R, S), (R_ref, S_ref) in zip(got, ref):
+        np.testing.assert_array_equal(R, R_ref)
+        np.testing.assert_array_equal(S, S_ref)
+    for a, b in zip(got_grads.weights + got_grads.biases, ref_grads.weights + ref_grads.biases):
+        np.testing.assert_array_equal(a, b)
+
+
 def _assert_sweep_matches_each_budget(sp, params, q, Q_max, rng):
     """compute_bounds_sweep over Q = 0..Q_max, in shuffled order, against compute_bounds per Q."""
     budgets = [Budget(q, int(Q)) for Q in rng.permutation(Q_max + 1)]
@@ -198,7 +317,7 @@ def test_zero_budget_bounds_collapse(rng):
 
 
 def test_first_layer_hand_example():
-    sp = _single_node_problem([0, 0])
+    sp = single_node_problem([0, 0])
     params = GcnParams(
         [np.array([[2.0], [-1.0]]), np.array([[1.0, 0.0]])],
         [np.zeros(1), np.zeros(2)],
@@ -209,7 +328,7 @@ def test_first_layer_hand_example():
 
 
 def test_all_ones_attrs_nonnegative_weights_cannot_increase():
-    sp = _single_node_problem([1, 1])
+    sp = single_node_problem([1, 1])
     params = GcnParams(
         [np.array([[0.5], [2.0]]), np.array([[1.0, 0.0]])],
         [np.array([0.3]), np.zeros(2)],
@@ -302,5 +421,5 @@ def test_compute_bounds_contains_exact_hidden_range(rng):
             H = sp.sliced_mp[0] @ Xt @ params.weights[0] + params.biases[0]
             assert np.all(H >= bnds.lower[2] - 1e-9)
             assert np.all(H <= bnds.upper[2] + 1e-9)
-        assert (bnds.partition[2] == CROSSING).sum() == bnds.crossing_mask(2).sum()
+        assert (bnds.partition[2] == CROSSING).sum() == bnds.cross[2].sum()
         assert bnds.layers() == [2]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gcn_cert
-from gcn_cert import cli, dual_cert, gcn
+from gcn_cert import cli, dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
 from gcn_cert.graph_core import build_message_passing, slice_problem
@@ -187,6 +187,29 @@ def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, k
     assert not ckpt.exists()
 
 
+def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monkeypatch):
+    """A config with only the required keys reaches `train` with TrainConfig's own defaults."""
+    seen = []
+
+    def train(graph, config):
+        seen.append(config)
+        return gcn.glorot_params([2, 32, 2]), []
+
+    monkeypatch.setattr(robust_train, "train", train)
+    ckpt = tmp_path / "out.json"
+    cfg = _write(
+        tmp_path / "minimal.cfg",
+        "".join(f"{k} = {dataset[k]}\n" for k in ("edges", "attributes", "labels")) + f"checkpoint_out = {ckpt}\n",
+    )
+    assert main(["train", cfg]) == 0
+    assert seen == [robust_train.TrainConfig()]
+    # a file that sets only Q gets the default q
+    _write(tmp_path / "minimal.cfg", (tmp_path / "minimal.cfg").read_text() + "Q = 3\nhidden_dims = 4,5\n")
+    assert main(["train", cfg]) == 0
+    want = robust_train.TrainConfig(budget=Budget(robust_train.default_local_budget(2), 3), hidden_dims=(4, 5))
+    assert seen[-1] == want
+
+
 # -- certify / curve / attack ----------------------------------------------
 
 
@@ -271,6 +294,16 @@ def test_cmd_certify_dimension_mismatch(tmp_path, dataset, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "D=5" in err and "D=2" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "curve", "attack"])
+def test_certification_commands_reject_a_model_without_hidden_layer(tmp_path, dataset, capsys, command):
+    ckpt = tmp_path / "linear.json"
+    gcn.save_checkpoint(gcn.glorot_params([2, 2], seed=0), ckpt)
+    extra = {"certify": ["--Q", "2"], "curve": ["--Q-max", "2", "--output", str(tmp_path / "c.csv")],
+             "attack": ["--Q", "2", "--node", "1"]}[command]
+    rc = main([command, "--checkpoint", str(ckpt), *_dataset_args(dataset), "--q", "1", *extra])
+    assert "no hidden layer" in _assert_one_line_error(rc, capsys)
 
 
 def test_cmd_curve_zero_budget(tmp_path, dataset, checkpoint):
@@ -409,6 +442,26 @@ def test_cmd_attack_reports_flips(dataset, checkpoint, capsys):
     out = capsys.readouterr().out
     assert "y_star=" in out and "flips=" in out
     assert ("prediction flipped" in out) or ("prediction unchanged" in out)
+
+
+def test_cmd_attack_output_is_unchanged(tmp_path, capsys):
+    """Byte for byte the output the attack command printed when it computed the margin inline."""
+    paths, ckpt = _planted_dataset(tmp_path)
+    for node, Q in [(0, 3), (1, 3), (4, 1), (7, 6), (10, 2)]:
+        argv = ["attack", "--checkpoint", ckpt, *_dataset_args(paths), "--node", str(node), "--q", "1", "--Q", str(Q)]
+        assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "node=0 y_star=1 strongest_class=0 margin=0.23632959116963692\n"
+        "flips=[(0, 1), (9, 5), (2, 1)]\nprediction unchanged\n"
+        "node=1 y_star=0 strongest_class=1 margin=-0.4678392102784287\n"
+        "flips=[(1, 0)]\nprediction flipped\n"
+        "node=4 y_star=1 strongest_class=0 margin=0.11786044099870717\n"
+        "flips=[(4, 0)]\nprediction unchanged\n"
+        "node=7 y_star=1 strongest_class=0 margin=0.26980733663517326\n"
+        "flips=[(7, 8), (9, 5), (0, 1)]\nprediction unchanged\n"
+        "node=10 y_star=1 strongest_class=0 margin=-0.0454122490223646\n"
+        "flips=[(10, 0)]\nprediction flipped\n"
+    )
 
 
 # -- verification commands -------------------------------------------------

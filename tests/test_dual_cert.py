@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcn_cert import dual_cert, gcn, grad, oracle, primal_attack
-from gcn_cert.bounds import ActivationBounds, Budget, classify_partition, compute_bounds
+from gcn_cert.bounds import CROSSING, NONNEG, ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
     DualState,
     NON_ROBUST,
@@ -26,10 +26,7 @@ from gcn_cert.dual_cert import (
     optimize_omega,
 )
 
-from gcn_cert.gcn import GcnParams
-from gcn_cert.graph_core import SlicedProblem
-
-from conftest import random_tiny_instance
+from conftest import forced_tie_slice, random_tiny_instance
 
 
 def _bounds_from(R, S):
@@ -299,7 +296,21 @@ def test_certify_sweep_equals_certify_per_budget(rng):
 
 
 # -- the per-class dual pass as it was before class batching: the reference
-# the batched dual_states is compared against
+# the batched dual_states is compared against.  It derives the ReLU
+# relaxation from the partition itself, as the dual did before
+# ActivationBounds held it.
+
+
+def _reference_envelope_slope(bounds, layer):
+    """(S/(S-R) on crossing entries and 0 elsewhere, the denominator (1 off crossing entries), the crossing mask)."""
+    R, S = bounds.lower[layer], bounds.upper[layer]
+    cross = (bounds.partition[layer] == CROSSING).astype(np.float64)
+    denom = (S - R) * cross + (1.0 - cross)
+    return (S * cross) / denom, denom, cross
+
+
+def _reference_default_omega(bounds):
+    return {l: _reference_envelope_slope(bounds, l)[0] for l in bounds.layers()}
 
 
 def _reference_backward_phi(sp, params, bounds, omega, c):
@@ -312,8 +323,8 @@ def _reference_backward_phi(sp, params, bounds, omega, c):
         W = params.weights[l - 1]
         phi_hat[l] = grad.matmul(grad.matmul(A_dot.T, phi[l + 1]), grad.transpose(W))
         if l >= 2:
-            slope, _, cross = dual_cert._envelope_slope(bounds, l)
-            nonneg = bounds.nonneg_mask(l)
+            slope, _, cross = _reference_envelope_slope(bounds, l)
+            nonneg = (bounds.partition[l] == NONNEG).astype(np.float64)
             crossing_part = slope * grad.pos(phi_hat[l]) - omega[l] * cross * grad.negpart(phi_hat[l])
             phi[l] = nonneg * phi_hat[l] + cross * crossing_part
     X = sp.sliced_attrs
@@ -353,7 +364,7 @@ def _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, 
     g = 0.0
     for l in bounds.layers():
         R, S = bounds.lower[l], bounds.upper[l]
-        _, denom, cross = dual_cert._envelope_slope(bounds, l)
+        _, denom, cross = _reference_envelope_slope(bounds, l)
         g = g + grad.total((S * R * cross) / denom * grad.pos(phi_hat[l]))
     for l in range(1, L):
         g = g - grad.total(phi[l + 1] * params.biases[l - 1])
@@ -370,7 +381,7 @@ def _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, 
 
 def _reference_dual_state(sp, params, bounds, budget, c, omega=None):
     if omega is None:
-        omega = default_omega(bounds)
+        omega = _reference_default_omega(bounds)
     phi, phi_hat, delta = _reference_backward_phi(sp, params, bounds, omega, c)
     eta, rho, s_q, _ = _reference_closed_form_eta_rho(delta, budget)
     g, psi = _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
@@ -446,7 +457,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
 
     def per_class(shadow):
         bb = compute_bounds(sp, shadow, budget)
-        om = default_omega(bb)
+        om = _reference_default_omega(bb)
         terms = (w * _reference_dual_value_differentiable(sp, shadow, bb, budget, c, om) for w, c in zip(r, C))
         return sum(terms, 0.0)
 
@@ -460,7 +471,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
     if bnds.layers():
         c = C[-1]
         om_new = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
-        om_ref = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+        om_ref = {l: grad.Var(om) for l, om in _reference_default_omega(bnds).items()}
         g1 = dual_value_differentiable(sp, params, bnds, budget, c, om_new)
         g2 = _reference_dual_value_differentiable(sp, params, bnds, budget, c, om_ref)
         _close(grad.val(g1), grad.val(g2))
@@ -480,37 +491,45 @@ def test_dual_states_match_per_class_reference_on_tiny_instances(budget):
         _assert_dual_states_match_reference(sp, params, budget or own, y)
 
 
-def _forced_tie_slice(rng, n, M, D, h, K):
-    """A Cora-ML-shape slice (L = 3) built to put many delta entries in exact ties.
+def test_relaxation_and_single_class_pass_equal_reference_bitwise():
+    """ActivationBounds' relaxation and the one-class dual pass equal the references bit for bit.
 
-    Dyadic message-passing weights and integer W keep the arithmetic exact;
-    duplicated feature columns (with equal W rows) and all-zero attribute
-    rows repeat whole delta columns and rows.
+    One class runs the dual pass unbatched, with the reference's arithmetic
+    in the reference's order, so every value is bitwise equal; the batched
+    pass is held to 1e-12 by the tests above.  Tiny instances at L = 3 and 4,
+    their all-nonnegative variants, and Cora-ML-shape forced-tie slices.
     """
-    A1 = rng.choice([0.0, 0.25, 0.5], size=(M, n), p=[0.6, 0.2, 0.2])
-    A1[np.arange(M), np.arange(M)] = 0.5
-    A2 = np.full((1, M), 0.25)
-    X = (rng.random((n, D)) < 0.02).astype(float)
-    src = rng.integers(D, size=D // 4)
-    dst = rng.integers(D, size=D // 4)
-    X[:, dst] = X[:, src]
-    X[rng.random(n) < 0.2] = 0.0
-    W1 = rng.integers(-2, 3, size=(D, h)).astype(float)
-    W1[dst] = W1[src]
-    W2 = rng.integers(-2, 3, size=(h, K)).astype(float)
-    b1 = rng.integers(-3, 4, size=h).astype(float)
-    b2 = rng.integers(-1, 2, size=K).astype(float)
-    sp = SlicedProblem(
-        target=0, layer_count=3, sliced_mp=[A1, A2], sliced_attrs=X,
-        hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
-    )
-    return sp, GcnParams([W1, W2], [b1, b2])
+    rng = np.random.default_rng(31)
+    cases = [random_tiny_instance(rng, hidden_layers=1 + i % 2) for i in range(40)]
+    for q, Q in [(29, 12), (29, 29 * 30), (3000, 40)]:
+        cases.append((*forced_tie_slice(np.random.default_rng(q + Q), n=30, M=9, D=2879, h=16, K=7), Budget(q, Q)))
+    for i, (sp, params, budget) in enumerate(cases):
+        bnds = compute_bounds(sp, params, budget)
+        if i % 5 == 4 and i < 40:
+            bnds = _nonneg_bounds_like(bnds)
+        for l in bnds.layers():
+            slope, denom, cross = _reference_envelope_slope(bnds, l)
+            np.testing.assert_array_equal(bnds.slope[l], slope)
+            np.testing.assert_array_equal(bnds.cross[l], cross)
+            np.testing.assert_array_equal(bnds.nonneg[l], (bnds.partition[l] == NONNEG).astype(np.float64))
+            np.testing.assert_array_equal(bnds.offset[l], (bnds.upper[l] * bnds.lower[l] * cross) / denom)
+            np.testing.assert_array_equal(default_omega(bnds)[l], slope)
+        K = params.dims[-1]
+        for k in range(1, K):
+            c = class_vector(0, k, K)
+            st_, ref = dual_state(sp, params, bnds, budget, c), _reference_dual_state(sp, params, bnds, budget, c)
+            assert st_.value == ref.value and st_.s_q == ref.s_q
+            for got, want in [(st_.phi, ref.phi), (st_.phi_hat, ref.phi_hat)]:
+                for l in want:
+                    np.testing.assert_array_equal(got[l], want[l])
+            for got, want in [(st_.delta, ref.delta), (st_.eta, ref.eta), (st_.rho, ref.rho), (st_.psi, ref.psi)]:
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("q, Q", [(29, 12), (29, 29 * 30), (0, 12), (29, 0), (3000, 40)])
 def test_dual_states_match_per_class_reference_on_forced_ties(q, Q):
     rng = np.random.default_rng(q + Q)
-    sp, params = _forced_tie_slice(rng, n=30, M=9, D=2879, h=16, K=7)
+    sp, params = forced_tie_slice(rng, n=30, M=9, D=2879, h=16, K=7)
     _assert_dual_states_match_reference(sp, params, Budget(q, Q), 2)
 
 
@@ -536,12 +555,12 @@ def test_closed_form_eta_rho_batched_matches_reference_on_ties():
 
 
 def _reference_optimize_omega(sp, params, bounds, budget, c, steps=dual_cert.PGA_STEPS, step_size=dual_cert.PGA_STEP_SIZE):
-    best_om = {l: grad.val(om).copy() for l, om in default_omega(bounds).items()}
-    best = dual_state(sp, params, bounds, budget, c, omega=best_om)
+    best_om = {l: grad.val(om).copy() for l, om in _reference_default_omega(bounds).items()}
+    best = _reference_dual_state(sp, params, bounds, budget, c, omega=best_om)
     lr = step_size
     for _ in range(steps):
         om_vars = {l: grad.Var(best_om[l]) for l in best_om}
-        g = dual_value_differentiable(sp, params, bounds, budget, c, om_vars)
+        g = _reference_dual_value_differentiable(sp, params, bounds, budget, c, om_vars)
         if not grad.is_var(g):
             break
         grad.backward(g)
@@ -552,12 +571,12 @@ def _reference_optimize_omega(sp, params, bounds, budget, c, steps=dual_cert.PGA
             if dg is None:
                 cand_om[l] = best_om[l]
                 continue
-            cross = bounds.crossing_mask(l)
+            cross = _reference_envelope_slope(bounds, l)[2]
             cand_om[l] = np.clip(best_om[l] + lr * dg * cross, 0.0, 1.0)
             moved = True
         if not moved:
             break
-        cand = dual_state(sp, params, bounds, budget, c, omega=cand_om)
+        cand = _reference_dual_state(sp, params, bounds, budget, c, omega=cand_om)
         if cand.value > best.value + 1e-15:
             best, best_om = cand, cand_om
         else:
@@ -609,7 +628,7 @@ def test_optimize_omega_matches_taped_reference_on_tiny_instances(hidden_layers)
         bnds = compute_bounds(sp, params, budget)
         if i % 5 == 4:
             bnds = _nonneg_bounds_like(bnds)
-        seen_crossing += any(bnds.crossing_mask(l).any() for l in bnds.layers())
+        seen_crossing += any(bnds.cross[l].any() for l in bnds.layers())
         _, C = competing_classes(int(rng.integers(params.dims[-1])), params.dims[-1])
         _assert_pga_matches_reference(sp, params, bnds, budget, C, steps=[0, 1, 50, 200][i % 4])
     assert seen_crossing >= 30
@@ -619,10 +638,10 @@ def test_optimize_omega_matches_taped_reference_on_tiny_instances(hidden_layers)
 def test_optimize_omega_matches_taped_reference_on_forced_ties(steps):
     """certify-pga shape (D = 300, h = 32, K = 7, q = 3, Q = 12) with forced delta and phi_hat ties."""
     rng = np.random.default_rng(40 + steps)
-    sp, params = _forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
+    sp, params = forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
     budget = Budget(3, 12)
     bnds = compute_bounds(sp, params, budget)
-    assert bnds.crossing_mask(2).any()
+    assert bnds.cross[2].any()
     _, C = competing_classes(2, 7)
     _assert_pga_matches_reference(sp, params, bnds, budget, C, steps)
 
@@ -654,7 +673,7 @@ def test_omega_gradient_matches_tape_on_tiny_instances(hidden_layers):
         _, C = competing_classes(int(rng.integers(params.dims[-1])), params.dims[-1])
         for fill in (None, 0.0, 1.0):
             omega = {
-                l: (rng.random(np.shape(o)) if fill is None else np.full(np.shape(o), fill)) * bnds.crossing_mask(l)
+                l: (rng.random(np.shape(o)) if fill is None else np.full(np.shape(o), fill)) * bnds.cross[l]
                 for l, o in default_omega(bnds).items()
             }
             _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
@@ -667,14 +686,14 @@ def test_omega_gradient_matches_tape_at_relu_ties(q, Q):
     Zero rows of W1 make whole columns of phi_hat[1], and so of delta, exactly 0.
     """
     rng = np.random.default_rng(q + Q)
-    sp, params = _forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
+    sp, params = forced_tie_slice(rng, n=30, M=9, D=300, h=32, K=7)
     params.weights[0][:10] = 0.0
     budget = Budget(q, Q)
     bnds = compute_bounds(sp, params, budget)
     _, C = competing_classes(2, 7)
     omega = default_omega(bnds)
     p = dual_cert._dual_pass(sp, params, bnds, budget, C, omega)
-    cross = bnds.crossing_mask(2).astype(bool)
+    cross = bnds.cross[2].astype(bool)
     assert (p.phi_hat[2][:, cross] == 0).any() and (p.phi_hat[1] == 0).any()
     _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
 

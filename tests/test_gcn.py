@@ -5,37 +5,26 @@ import pytest
 
 from gcn_cert import gcn
 from gcn_cert.gcn import GcnParams, cross_entropy, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
-from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
+from gcn_cert.graph_core import build_message_passing, slice_problem
 
-from conftest import random_tiny_graph
-
-
-def _single_node_problem(D=1):
-    g = Graph(
-        num_nodes=1,
-        num_features=D,
-        num_classes=2,
-        adjacency=np.zeros((1, 1)),
-        attributes=np.ones((1, D)),
-    )
-    return slice_problem(g, build_message_passing(g), 0, 3)
+from conftest import random_tiny_graph, single_node_problem
 
 
 def test_forward_zero_params_gives_zero_logits():
-    sp = _single_node_problem()
+    sp = single_node_problem([1])
     params = GcnParams([np.zeros((1, 2)), np.zeros((2, 2))], [np.zeros(2), np.zeros(2)])
     assert np.array_equal(forward_sliced(sp, params).logits, [0.0, 0.0])
 
 
 def test_forward_bias_only_net():
-    sp = _single_node_problem()
+    sp = single_node_problem([1])
     b2 = np.array([0.3, -0.7])
     params = GcnParams([np.zeros((1, 2)), np.zeros((2, 2))], [np.array([1.0, -1.0]), b2])
     np.testing.assert_allclose(forward_sliced(sp, params).logits, b2)
 
 
 def test_forward_hand_example():
-    sp = _single_node_problem()
+    sp = single_node_problem([1])
     params = GcnParams(
         [np.array([[2.0]]), np.array([[1.0, -1.0]])],
         [np.array([-1.0]), np.zeros(2)],
@@ -55,7 +44,7 @@ def test_forward_is_pure(rng):
 
 
 def test_forward_rejects_bad_override_shape():
-    sp = _single_node_problem(D=2)
+    sp = single_node_problem([1, 1])
     params = glorot_params([2, 2, 2])
     with pytest.raises(ValueError, match="attrs_override"):
         forward_sliced(sp, params, attrs_override=np.zeros((2, 2)))
@@ -109,7 +98,7 @@ def test_params_validation():
 
 
 def test_dropout_zeroes_activations():
-    sp = _single_node_problem()
+    sp = single_node_problem([1])
     params = GcnParams(
         [np.array([[2.0]]), np.array([[1.0, -1.0]])],
         [np.array([1.0]), np.zeros(2)],

@@ -21,19 +21,7 @@ from gcn_cert.oracle import (
     solve_lp_multipliers,
 )
 
-from conftest import random_tiny_instance
-
-
-def _single_node_problem(X_row):
-    X = np.asarray([X_row], dtype=float)
-    g = Graph(
-        num_nodes=1,
-        num_features=X.shape[1],
-        num_classes=2,
-        adjacency=np.zeros((1, 1)),
-        attributes=X,
-    )
-    return slice_problem(g, build_message_passing(g), 0, 3)
+from conftest import random_tiny_instance, single_node_problem
 
 
 # -- enumeration -----------------------------------------------------------
@@ -72,7 +60,7 @@ def test_enumeration_zero_budget_is_clean_margin(rng):
 
 
 def test_enumeration_hand_example():
-    sp = _single_node_problem([0, 0])
+    sp = single_node_problem([0, 0])
     params = GcnParams(
         [np.array([[2.0], [-1.0]]), np.array([[1.0, -1.0]])],
         [np.zeros(1), np.zeros(2)],
@@ -265,7 +253,7 @@ def test_relaxation_gap_counterexample():
     objective 0, while every admissible binary point pays at least 1.  The
     relaxed flip set itself stays integral: check_integrality holds.
     """
-    sp = _single_node_problem([0, 0])
+    sp = single_node_problem([0, 0])
     params = GcnParams(
         [np.array([[-2.0, 0.0], [0.0, -2.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])],
         [np.array([1.0, 1.0]), np.zeros(2)],
