@@ -544,7 +544,7 @@ def cmd_oracle_verify(args):
     instances = _check_count(args.instances, "--instances")
     steps = _check_count(args.pga_steps, "--pga-steps")
     tol = _check_tol(args.tol)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, "--seed"))
     worst = 0.0
     failures = 0
     for i in range(instances):
@@ -579,7 +579,7 @@ def cmd_oracle_verify(args):
 def cmd_grad_check(args):
     draws = _check_count(args.draws, "--draws")
     tol = _check_tol(args.tol)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, "--seed"))
     worst = {}
     for mode in ("CE", "RCE", "RH", "RH_U"):
         errs = []

@@ -71,6 +71,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 <= self.dropout_rate < 1):
@@ -121,7 +125,7 @@ class _Adam:
 
 
 class Trainer:
-    """Owns the graph, per-node slices, and the training loss."""
+    """Owns the graph, its propagation matrix and the training loss; slices nodes on demand."""
 
     def __init__(self, graph: Graph, config: TrainConfig):
         self.graph = graph
@@ -133,10 +137,6 @@ class Trainer:
         self.dims = [graph.num_features, *config.hidden_dims, graph.num_classes]
         self.layer_count = len(self.dims)
         self.mp = build_message_passing(graph)
-        self.slices = {
-            t: slice_problem(graph, self.mp, t, self.layer_count)
-            for t in range(graph.num_nodes)
-        }
         self.labels = np.asarray(graph.labels) if graph.labels is not None else None
         self.labeled = graph.labeled_nodes()
         self.unlabeled = graph.unlabeled_nodes()
@@ -166,7 +166,7 @@ class Trainer:
         loss = cfg.l2_strength * pen
         rate = cfg.dropout_rate if (cfg.use_dropout and dropout_rng is not None) else 0.0
         for t in [t for t in batch if t in self._labeled_set]:
-            sp, y = self.slices[t], int(self.labels[t])
+            sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
                 loss = loss + robust_cross_entropy_loss(self._margins(sp, params, y), y)
                 continue
@@ -174,9 +174,11 @@ class Trainer:
                 loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_labeled)
             logits = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng).logits
             loss = loss + gcn.cross_entropy(logits, y)
-        for t in [t for t in batch if t not in self._labeled_set]:
-            sp = self.slices[t]
-            y = gcn.predict(gcn.forward_sliced(sp, params.copy()))
+        unlabeled = [t for t in batch if t not in self._labeled_set]
+        held = params.copy() if unlabeled else None  # predictions see the values, not the tape
+        for t in unlabeled:
+            sp = slice_problem(self.graph, self.mp, t, self.layer_count)
+            y = gcn.predict(gcn.forward_sliced(sp, held))
             loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_unlabeled)
         return loss
 
@@ -185,7 +187,7 @@ class Trainer:
     def _worst_case_margins(self, params, nodes, use_labels):
         vals = []
         for t in nodes:
-            sp = self.slices[t]
+            sp = slice_problem(self.graph, self.mp, t, self.layer_count)
             if use_labels:
                 y = int(self.labels[t])
             else:

@@ -176,9 +176,11 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
         ("hidden_dims = 0\n", "hidden widths"),
         ("hidden_dims = ,\n", "hidden layer"),
         ("l2_strength = nan\n", "l2_strength"),
+        ("seed = -1\n", "seed"),
+        ("patience = -1\n", "patience"),
     ],
     ids=["mode", "batch_size", "hidden_dims_text", "learning_rate_nan", "dropout_rate_one", "max_epochs_negative",
-         "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan"],
+         "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan", "seed_negative", "patience_negative"],
 )
 def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, key):
     cfg, ckpt = _train_cfg(tmp_path, dataset, extra=extra)
@@ -493,6 +495,8 @@ def test_cmd_grad_check_passes(capsys):
         (["oracle-verify", "--instances", "1", "--tol=-1"], "--tol"),
         (["grad-check", "--draws", "1", "--tol", "nan"], "--tol"),
         (["grad-check", "--draws", "1", "--tol=-1"], "--tol"),
+        (["oracle-verify", "--instances", "1", "--seed", "-1"], "--seed"),
+        (["grad-check", "--draws", "1", "--seed", "-1"], "--seed"),
     ],
 )
 def test_verification_commands_reject_negative_counts(argv, flag, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from gcn_cert import dual_cert, gcn, grad, robust_train
 from gcn_cert.bounds import Budget, compute_bounds
-from gcn_cert.graph_core import Graph
+from gcn_cert.graph_core import Graph, slice_problem
 from gcn_cert.robust_train import (
     MARGIN_LABELED,
     MARGIN_UNLABELED,
@@ -55,6 +55,8 @@ def test_config_validation():
         (dict(hidden_dims=()), "hidden layer"),
         (dict(l2_strength=float("nan")), "l2_strength"),
         (dict(l2_strength=-1e-5), "l2_strength"),
+        (dict(seed=-1), "seed"),
+        (dict(patience=-1), "patience"),
     ]:
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
@@ -86,10 +88,24 @@ def _trainer(rng, mode="RH", **cfg_kw):
     return tr, params
 
 
+def _slice(tr, t):
+    """Node t's slice, as the trainer cuts it."""
+    return slice_problem(tr.graph, tr.mp, t, tr.layer_count)
+
+
 def _with_mode(tr, mode):
-    """The same trainer (graph, slices, rng) under another training mode."""
+    """The same trainer (graph, propagation matrix, rng) under another training mode."""
     tr.config = replace(tr.config, mode=mode)
     return tr
+
+
+def test_trainer_setup_slices_no_node(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(robust_train, "slice_problem", lambda *a, _f=slice_problem: calls.append(a[2]) or _f(*a))
+    tr, params = _trainer(rng)
+    assert calls == [] and not hasattr(tr, "slices")
+    tr.batch_loss([int(tr.labeled[0])], params)
+    assert calls == [int(tr.labeled[0])]
 
 
 def test_empty_batch_is_l2_only(rng):
@@ -105,7 +121,7 @@ def test_rh_loss_decomposition(rng):
     got = float(tr.batch_loss(batch, params))
     expected = tr.config.l2_strength * sum(float((w * w).sum()) for w in params.weights)
     for t in batch:
-        sp = tr.slices[t]
+        sp = _slice(tr, t)
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
@@ -143,7 +159,7 @@ def test_rh_u_loss_decomposition(rng):
     got = float(tr.batch_loss(lab + unlab, params))
     expected = float(tr.batch_loss(lab, params))
     for t in unlab:
-        sp = tr.slices[t]
+        sp = _slice(tr, t)
         y_pred = gcn.predict(gcn.forward_sliced(sp, params))
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y_pred)
@@ -160,7 +176,7 @@ def test_rce_loss_decomposition(rng):
     got = float(tr.batch_loss(batch, params))
     expected = tr.config.l2_strength * sum(float((w * w).sum()) for w in params.weights)
     for t in batch:
-        sp = tr.slices[t]
+        sp = _slice(tr, t)
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
@@ -172,10 +188,11 @@ def test_margin_vector_on_the_tape_is_a_list_of_scalar_vars(rng):
     tr, params = _trainer(rng)
     t = int(tr.labeled[0])
     y = int(tr.labels[t])
+    sp = _slice(tr, t)
     seen = []
 
     def loss(shadow):
-        p = dual_cert.margin_vector(tr.slices[t], shadow, compute_bounds(tr.slices[t], shadow, tr.budget), tr.budget, y)
+        p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, tr.budget), tr.budget, y)
         seen.append(p)
         return robust_hinge_loss(p, y, tr.config.margin_labeled) + grad.total(shadow.weights[0])
 
@@ -286,7 +303,7 @@ def _reference_combined_loss(self, batch, params, dropout_rng=None):
     loss = _reference_l2_penalty(self, params)
     for t in batch:
         y = int(self.labels[t])
-        sp = self.slices[t]
+        sp = _slice(self, t)
         entries = _reference_p_vector(self, sp, params, y)
         loss = loss + robust_hinge_loss(entries, y, self.config.margin_labeled)
         loss = loss + _reference_exact_ce(self, sp, params, y, dropout_rng)
@@ -296,7 +313,7 @@ def _reference_combined_loss(self, batch, params, dropout_rng=None):
 def _reference_semi_supervised_loss(self, labeled_batch, unlabeled_batch, params, dropout_rng=None):
     loss = _reference_combined_loss(self, labeled_batch, params, dropout_rng)
     for t in unlabeled_batch:
-        sp = self.slices[t]
+        sp = _slice(self, t)
         trace = gcn.forward_sliced(sp, params.copy())
         y_pred = gcn.predict(trace)
         entries = _reference_p_vector(self, sp, params, y_pred)
@@ -308,7 +325,7 @@ def _reference_rce_loss(self, batch, params):
     loss = _reference_l2_penalty(self, params)
     for t in batch:
         y = int(self.labels[t])
-        entries = _reference_p_vector(self, self.slices[t], params, y)
+        entries = _reference_p_vector(self, _slice(self, t), params, y)
         loss = loss + robust_cross_entropy_loss(entries, y)
     return loss
 
@@ -316,7 +333,7 @@ def _reference_rce_loss(self, batch, params):
 def _reference_ce_loss(self, batch, params, dropout_rng=None):
     loss = _reference_l2_penalty(self, params)
     for t in batch:
-        loss = loss + _reference_exact_ce(self, self.slices[t], params, int(self.labels[t]), dropout_rng)
+        loss = loss + _reference_exact_ce(self, _slice(self, t), params, int(self.labels[t]), dropout_rng)
     return loss
 
 
@@ -381,7 +398,7 @@ def _reference_run_phase(self, params, phase, pool, log, epoch_offset, max_epoch
 def _reference_worst_case_margins(self, params, nodes, use_labels):
     vals = []
     for t in nodes:
-        sp = self.slices[t]
+        sp = _slice(self, t)
         y = int(self.labels[t]) if use_labels else gcn.predict(gcn.forward_sliced(sp, params))
         others = np.delete(np.asarray(_reference_p_vector(self, sp, params, y), dtype=float), y)
         vals.append(float(-np.max(others)) if others.size else 0.0)
