@@ -49,7 +49,7 @@ PGA_MIN_STEP = 1e-12
 
 @dataclass
 class DualState:
-    """One dual evaluation for a (target node, class pair); value may be a 0-d grad.Var."""
+    """One numeric dual evaluation for a (target node, class pair)."""
 
     omega: dict
     eta: np.ndarray
@@ -209,8 +209,8 @@ def _dual_pass(sp, params, bounds, budget, c, omega) -> _Pass:
     return _Pass(phi, phi_hat, delta, eta, rho, psi, g, s_q, info)
 
 
-def _state(p: _Pass, b, c, omega, value, s_q) -> DualState:
-    """The DualState of row b of the numeric pass p; b = () takes an unbatched pass whole."""
+def _state(p: _Pass, b, c, omega) -> DualState:
+    """The DualState of row b of the numeric batched pass p."""
     return DualState(
         omega=omega,
         eta=p.eta[b],
@@ -219,40 +219,27 @@ def _state(p: _Pass, b, c, omega, value, s_q) -> DualState:
         phi_hat={l: x[b] for l, x in p.phi_hat.items()},
         delta=p.delta[b],
         psi=p.psi[b],
-        value=value,
-        s_q=s_q,
+        value=float(p.g[b]),
+        s_q=p.s_q[b],
         c=c,
     )
 
 
 def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
-    """One DualState per row of the class matrix C (B, K), from one batched pass.
+    """One numeric DualState per row of the class matrix C (B, K), from one batched pass.
 
-    Closed-form (eta, rho).  When params, bounds or omega carry grad.Vars, eta and rho
-    are gathered from delta at the frozen selection and each value is a 0-d grad.Var.
+    Closed-form (eta, rho).  Raises TypeError when params, bounds or omega carry
+    grad.Vars: the states hold values and would drop the tape.  On the tape, use
+    `margin_vector` or `dual_value_differentiable`.
     """
     if omega is None:
         omega = default_omega(bounds)
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    # one class runs unbatched: 2-D arithmetic is cheaper on small slices
-    one = len(C) == 1
-    p = _dual_pass(sp, params, bounds, budget, C[0] if one else C, omega)
-    # the states hold values; g stays a grad.Var on the tape
-    p = p._replace(
-        phi={l: grad.val(x) for l, x in p.phi.items()},
-        phi_hat={l: grad.val(x) for l, x in p.phi_hat.items()},
-        delta=grad.val(p.delta),
-        eta=grad.val(p.eta),
-        rho=grad.val(p.rho),
-        psi=grad.val(p.psi),
-    )
-    om = {l: grad.val(w).copy() for l, w in omega.items()}
-    if one:
-        rows, s_q, values = [()], [p.s_q], [p.g if grad.is_var(p.g) else float(grad.val(p.g))]
-    else:
-        rows, s_q = range(len(C)), p.s_q
-        values = [grad.gather(p.g, b) for b in rows] if grad.is_var(p.g) else grad.val(p.g).tolist()
-    return [_state(p, b, c, om, value, s_q_b) for b, c, value, s_q_b in zip(rows, C, values, s_q)]
+    p = _dual_pass(sp, params, bounds, budget, C, omega)
+    if grad.is_var(p.g):
+        raise TypeError("dual_states takes numeric params, bounds and omega, not grad.Vars")
+    om = {l: np.array(w) for l, w in omega.items()}
+    return [_state(p, b, c, om) for b, c in enumerate(C)]
 
 
 def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
@@ -262,7 +249,7 @@ def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
 
 def dual_value_differentiable(sp, params, bounds, budget, c, omega):
     """g for one class vector c, as a grad.Var when params, bounds or omega carry Vars."""
-    return dual_states(sp, params, bounds, budget, c, omega)[0].value
+    return _dual_pass(sp, params, bounds, budget, c, omega).g
 
 
 def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
@@ -309,7 +296,7 @@ def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
     return out
 
 
-def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA_STEP_SIZE):
+def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS):
     """Monotone projected gradient ascent on Omega, for c (K,) or every row of a stack C (B, K).
 
     Returns a DualState for c, or one per row of C.  Each row starts at the
@@ -332,7 +319,7 @@ def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA
     dg = _omega_gradient(sp, params, bounds, p, rows, best_om)
     # each row's best value, and the pass and row of it that hold the best iterate
     best_g, at = p.g.copy(), [(p, b) for b in rows]
-    lr = np.full(len(C), float(step_size))
+    lr = np.full(len(C), PGA_STEP_SIZE)
     active = rows
     for _ in range(steps):
         cand_om = {
@@ -358,42 +345,29 @@ def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS, step_size=PGA
             dg[l][won] = g_l
         lr[active[~improved]] *= PGA_STEP_SHRINK
         active = active[lr[active] >= PGA_MIN_STEP]
-    best = [
-        _state(q, i, C[b], {l: om[b] for l, om in best_om.items()}, float(q.g[i]), q.s_q[i])
-        for b, (q, i) in enumerate(at)
-    ]
+    best = [_state(q, i, C[b], {l: om[b] for l, om in best_om.items()}) for b, (q, i) in enumerate(at)]
     return best if np.ndim(c) == 2 else best[0]
 
 
 def competing_classes(y: int, num_classes: int):
     """(others, C): the classes k != y, ascending, and the rows e_y - e_k."""
+    if not (0 <= y < num_classes):
+        raise ValueError(f"class {y} out of range [0, {num_classes})")
     others = np.array([k for k in range(num_classes) if k != y], dtype=np.intp)
     C = np.zeros((others.size, num_classes))
     C[:, y], C[np.arange(others.size), others] = 1.0, -1.0
     return others, C
 
 
-def _competing_states(sp, params, bounds, budget, y, mode):
-    """(others, one DualState per competing class k, for c = e_y - e_k)."""
-    K = grad.val(params.weights[-1]).shape[1]
-    if not (0 <= y < K):
-        raise ValueError(f"class {y} out of range [0, {K})")
-    others, C = competing_classes(y, K)
-    if mode == "optimized":
-        return others, optimize_omega(sp, params, bounds, budget, C)
-    return others, dual_states(sp, params, bounds, budget, C)
+def margin_vector(sp, params, bounds, budget, y):
+    """p_k = -g(e_y - e_k) for every class k, as one (K,) array; p_y = 0.
 
-
-def margin_vector(sp, params, bounds, budget, y, mode="default") -> list:
-    """p_k = -g(c^k) with c^k = e_y - e_k, one entry per class; p_y = 0 exactly.
-
-    Grad-aware: on the tape each p_k with k != y is a 0-d grad.Var.
+    Grad-aware: on the tape, p is a (K,) grad.Var.
     """
-    others, states = _competing_states(sp, params, bounds, budget, y, mode)
-    p = [np.float64(0.0)] * (len(others) + 1)
-    for k, st in zip(others, states):
-        p[k] = -st.value
-    return p
+    _, C = competing_classes(y, params.dims[-1])
+    g = _dual_pass(sp, params, bounds, budget, C, default_omega(bounds)).g
+    # row b of C is e_y - e_k, so its negative part puts -g_b at k and nothing at y
+    return grad.matmul(g, np.minimum(C, 0.0))
 
 
 def certify(sp, params, budget, y_star, mode="default") -> Certificate:
@@ -426,7 +400,8 @@ def _certificate(sp, params, bnds, budget, y_star, mode) -> Certificate:
     """The Certificate of `certify` from the bounds bnds for budget."""
     from . import primal_attack
 
-    others, states = _competing_states(sp, params, bnds, budget, y_star, mode)
+    others, C = competing_classes(y_star, params.dims[-1])
+    states = (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)
     dual_lower = np.zeros(len(others) + 1)
     dual_lower[others] = [st.value for st in states]
     if others.size == 0 or dual_lower[others].min() > 0:

@@ -19,7 +19,6 @@ __all__ = [
     "Trainer",
     "default_local_budget",
     "DEFAULT_GLOBAL_Q",
-    "robust_cross_entropy_loss",
     "robust_hinge_loss",
     "train",
     "MARGIN_LABELED",
@@ -46,8 +45,6 @@ def default_local_budget(num_features: int) -> int:
 class TrainConfig:
     mode: str = "CE"
     budget: Budget | None = None  # omitted: (default_local_budget(D), DEFAULT_GLOBAL_Q)
-    margin_labeled: float = MARGIN_LABELED
-    margin_unlabeled: float = MARGIN_UNLABELED
     learning_rate: float = 0.001
     l2_strength: float = 1e-5
     batch_size: int = 20
@@ -63,8 +60,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not in {MODES}")
-        if not (self.margin_labeled >= self.margin_unlabeled >= 0):
-            raise ValueError("need margin_labeled >= margin_unlabeled >= 0")
         if self.phase2_epochs is not None and self.phase2_epochs < 1:
             raise ValueError("phase2_epochs must be >= 1 when set")
         if self.batch_size < 1:
@@ -86,23 +81,11 @@ class TrainConfig:
             raise ValueError(f"need at least one hidden layer and hidden widths >= 1, got {self.hidden_dims}")
 
 
-def robust_cross_entropy_loss(p, y_star: int):
-    """-log softmax(p)[y*], max-shifted; grad-aware.  p holds one entry per class (numbers
-    or scalar grad.Vars), p[y*] = 0: the negated dual margins act as logits."""
-    shift = max(float(grad.val(p_k)) for p_k in p)
-    s = 0.0
-    for p_k in p:
-        s = s + grad.exp(p_k - shift)
-    return grad.log(s) + shift - p[y_star]
-
-
 def robust_hinge_loss(p, y_star: int, margin: float):
-    """Sum over competing classes of max(0, p_k + M); grad-aware."""
-    loss = 0.0
-    for k, p_k in enumerate(p):
-        if k != y_star:
-            loss = loss + grad.relu(p_k + margin)
-    return loss
+    """Sum over competing classes k != y* of max(0, p_k + M), for the (K,) margin vector p; grad-aware."""
+    competing = np.ones(grad.val(p).shape)
+    competing[y_star] = 0.0
+    return grad.asum(grad.relu(p + margin) * competing)
 
 
 class _Adam:
@@ -152,11 +135,11 @@ class Trainer:
     def batch_loss(self, batch, params, dropout_rng=None):
         """L2 on the weights plus one term per node of `batch`; grad-aware.
 
-        A labeled node adds exact CE (mode CE), robust CE (RCE), or the robust
-        hinge at `margin_labeled` plus exact CE (RH, RH_U).  An unlabeled node
-        adds the robust hinge at `margin_unlabeled` w.r.t. its current
-        prediction, held constant.  Labeled nodes are summed first, then
-        unlabeled ones, each in batch order.  `dropout_rng` drives dropout in
+        A labeled node adds exact CE (mode CE), robust CE (RCE: CE on the margin
+        vector p as logits), or the robust hinge at MARGIN_LABELED plus exact CE
+        (RH, RH_U).  An unlabeled node adds the robust hinge at MARGIN_UNLABELED
+        w.r.t. its current prediction, held constant.  Labeled nodes are summed
+        first, then unlabeled ones, each in batch order.  `dropout_rng` drives dropout in
         the exact CE terms when `use_dropout` is set.
         """
         cfg = self.config
@@ -168,10 +151,10 @@ class Trainer:
         for t in [t for t in batch if t in self._labeled_set]:
             sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
-                loss = loss + robust_cross_entropy_loss(self._margins(sp, params, y), y)
+                loss = loss + gcn.cross_entropy(self._margins(sp, params, y), y)
                 continue
             if cfg.mode != "CE":
-                loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_labeled)
+                loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, MARGIN_LABELED)
             logits = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng).logits
             loss = loss + gcn.cross_entropy(logits, y)
         unlabeled = [t for t in batch if t not in self._labeled_set]
@@ -179,7 +162,7 @@ class Trainer:
         for t in unlabeled:
             sp = slice_problem(self.graph, self.mp, t, self.layer_count)
             y = gcn.predict(gcn.forward_sliced(sp, held))
-            loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, cfg.margin_unlabeled)
+            loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, MARGIN_UNLABELED)
         return loss
 
     # -- metrics -----------------------------------------------------------
@@ -197,9 +180,12 @@ class Trainer:
         return float(np.mean(vals)) if vals else 0.0
 
     def _accuracy(self, pred, nodes):
-        if self.labels is None or len(nodes) == 0:
-            return 0.0
-        return float(np.mean(pred[nodes] == self.labels[nodes]))
+        """Share of the `nodes` with a label (>= 0) that `pred` gets right; nan when none has one."""
+        if self.labels is None:
+            return math.nan
+        nodes = np.asarray(nodes, dtype=np.intp)
+        nodes = nodes[self.labels[nodes] >= 0]
+        return float(np.mean(pred[nodes] == self.labels[nodes])) if nodes.size else math.nan
 
     def metrics_row(self, params, epoch, phase, loss):
         pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)

@@ -151,9 +151,6 @@ def test_acceptance_6_training_constants():
     assert robust_train.MARGIN_LABELED == pytest.approx(2.197225, abs=1e-6)
     assert robust_train.MARGIN_UNLABELED == pytest.approx(math.log(0.6 / 0.4))
     assert robust_train.MARGIN_UNLABELED == pytest.approx(0.405465, abs=1e-6)
-    cfg = TrainConfig()
-    assert cfg.margin_labeled == robust_train.MARGIN_LABELED
-    assert cfg.margin_unlabeled == robust_train.MARGIN_UNLABELED
     for D, q in [(20, 1), (100, 1), (101, 2), (1433, 15)]:
         assert robust_train.default_local_budget(D) == q
 

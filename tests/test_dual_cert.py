@@ -211,16 +211,42 @@ def test_optimize_omega_never_degrades(rng):
 
 
 def test_margin_vector_definition(rng):
-    sp, params, budget = random_tiny_instance(rng)
-    bnds = compute_bounds(sp, params, budget)
-    K = params.dims[-1]
-    mv = margin_vector(sp, params, bnds, budget, 0)
-    assert isinstance(mv, list) and len(mv) == K
-    assert mv[0] == 0.0
-    g = dual_state(sp, params, bnds, budget, class_vector(0, 1, K)).value
-    assert mv[1] == pytest.approx(-g, abs=1e-12)
+    for _ in range(10):
+        sp, params, budget = random_tiny_instance(rng)
+        bnds = compute_bounds(sp, params, budget)
+        K = params.dims[-1]
+        y = int(rng.integers(K))
+        mv = margin_vector(sp, params, bnds, budget, y)
+        assert isinstance(mv, np.ndarray) and mv.shape == (K,)
+        assert mv[y] == 0.0
+        for k in range(K):
+            if k != y:
+                assert mv[k] == -dual_state(sp, params, bnds, budget, class_vector(y, k, K)).value
     with pytest.raises(ValueError, match="out of range"):
         margin_vector(sp, params, bnds, budget, K + 3)
+
+
+def test_competing_classes_rejects_a_class_out_of_range():
+    others, C = competing_classes(1, 3)
+    np.testing.assert_array_equal(others, [0, 2])
+    np.testing.assert_array_equal(C, [[-1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+    for y in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            competing_classes(y, 3)
+
+
+def test_dual_states_rejects_the_tape(rng):
+    """dual_states holds values; Var params or Omega raise rather than drop the tape."""
+    sp, params, budget = random_tiny_instance(rng)
+    _, C = competing_classes(0, params.dims[-1])
+    shadow = params.replace(weights=[grad.Var(w) for w in params.weights])
+    with pytest.raises(TypeError, match="numeric"):
+        dual_states(sp, shadow, compute_bounds(sp, shadow, budget), budget, C)
+    bnds = compute_bounds(sp, params, budget)
+    omega = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+    if omega:
+        with pytest.raises(TypeError, match="numeric"):
+            dual_states(sp, params, bnds, budget, C, omega)
 
 
 def test_margin_vector_zero_budget_is_clean_margin(rng):
@@ -447,13 +473,15 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
         np.testing.assert_array_equal(st_.c, ref.c)
         assert dual_state(sp, params, bnds, budget, c).s_q == ref.s_q
 
-    # tape gradients in the parameters (training) of a random mix of classes
+    # tape gradients in the parameters (training) of a random mix of classes,
+    # through the margin vector p = -g(e_y - e_k)
     r = np.random.default_rng(len(C)).normal(size=len(C))
+    mix = np.zeros(K)
+    mix[others] = -r
 
     def batched(shadow):
         bb = compute_bounds(sp, shadow, budget)
-        sts = dual_states(sp, shadow, bb, budget, C)
-        return sum((w * st_.value for w, st_ in zip(r, sts)), 0.0)
+        return grad.total(margin_vector(sp, shadow, bb, budget, y) * mix)
 
     def per_class(shadow):
         bb = compute_bounds(sp, shadow, budget)
@@ -494,9 +522,9 @@ def test_dual_states_match_per_class_reference_on_tiny_instances(budget):
 def test_relaxation_and_single_class_pass_equal_reference_bitwise():
     """ActivationBounds' relaxation and the one-class dual pass equal the references bit for bit.
 
-    One class runs the dual pass unbatched, with the reference's arithmetic
-    in the reference's order, so every value is bitwise equal; the batched
-    pass is held to 1e-12 by the tests above.  Tiny instances at L = 3 and 4,
+    One class runs as a one-row batch, with the reference's arithmetic in the
+    reference's order, so every value is bitwise equal; wider batches are
+    held to 1e-12 by the tests above.  Tiny instances at L = 3 and 4,
     their all-nonnegative variants, and Cora-ML-shape forced-tie slices.
     """
     rng = np.random.default_rng(31)

@@ -94,13 +94,13 @@ def test_broadcasting_gradients(rng):
 def test_loss_and_gradient_are_bit_identical_on_rerun(rng):
     """One robust loss through bounds and the class-batched dual, and its gradient, computed twice."""
     sp, params, budget = random_tiny_instance(rng)
-    _, C = dual_cert.competing_classes(0, params.dims[-1])
+
+    def ce(shadow):
+        return -grad.log_softmax_entry(gcn.forward_sliced(sp, shadow).logits, 0)
 
     def loss(shadow):
-        bnds = compute_bounds(sp, shadow, budget)
-        states = dual_cert.dual_states(sp, shadow, bnds, budget, C)
-        logits = gcn.forward_sliced(sp, shadow).logits
-        return sum((st.value * st.value for st in states), -grad.log_softmax_entry(logits, 0))
+        p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, budget), budget, 0)
+        return grad.total(p * p) + ce(shadow)
 
     first_value, first = gradient(loss, params)
     second_value, second = gradient(loss, params)
@@ -108,6 +108,9 @@ def test_loss_and_gradient_are_bit_identical_on_rerun(rng):
     for a, b in zip(first.weights + first.biases, second.weights + second.biases):
         np.testing.assert_array_equal(a, b)
     assert any(np.any(a != 0) for a in first.weights)
+    # the dual carries gradient: the loss is not CE alone
+    _, ce_only = gradient(ce, params)
+    assert any(np.any(a != b) for a, b in zip(first.weights, ce_only.weights))
 
 
 def test_backward_errors():

@@ -13,12 +13,11 @@ from gcn_cert.robust_train import (
     TrainConfig,
     Trainer,
     default_local_budget,
-    robust_cross_entropy_loss,
     robust_hinge_loss,
     train,
 )
 
-from conftest import random_tiny_graph
+from conftest import path_graph, random_tiny_graph
 
 
 def _mv(entries):
@@ -42,8 +41,6 @@ def test_default_local_budget():
 def test_config_validation():
     with pytest.raises(ValueError, match="mode"):
         TrainConfig(mode="SGD")
-    with pytest.raises(ValueError, match="margin"):
-        TrainConfig(margin_labeled=0.1, margin_unlabeled=0.5)
     for bad, match in [
         (dict(batch_size=0), "batch_size"),
         (dict(max_epochs=-1), "max_epochs"),
@@ -61,15 +58,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
     TrainConfig(max_epochs=0, dropout_rate=0.0)
-    cfg = TrainConfig(mode="RH_U")
-    assert cfg.margin_labeled == MARGIN_LABELED
-    assert cfg.margin_unlabeled == MARGIN_UNLABELED
 
 
 def test_robust_cross_entropy_values():
-    assert robust_cross_entropy_loss(_mv([0.0, -50.0]), 0) == pytest.approx(0.0, abs=1e-9)
-    assert robust_cross_entropy_loss(_mv([0.0, 0.0]), 0) == pytest.approx(math.log(2.0))
-    assert robust_cross_entropy_loss(_mv([0.0, 2.0]), 0) == pytest.approx(2.126928, abs=1e-6)
+    """RCE is exact CE with the margin vector p as logits."""
+    assert gcn.cross_entropy(_mv([0.0, -50.0]), 0) == pytest.approx(0.0, abs=1e-9)
+    assert gcn.cross_entropy(_mv([0.0, 0.0]), 0) == pytest.approx(math.log(2.0))
+    assert gcn.cross_entropy(_mv([0.0, 2.0]), 0) == pytest.approx(2.126928, abs=1e-6)
 
 
 def test_robust_hinge_values():
@@ -125,7 +120,7 @@ def test_rh_loss_decomposition(rng):
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_hinge_loss(mv, y, tr.config.margin_labeled)
+        expected += robust_hinge_loss(mv, y, MARGIN_LABELED)
         expected += float(gcn.cross_entropy(gcn.forward_sliced(sp, params).logits, y))
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -163,7 +158,7 @@ def test_rh_u_loss_decomposition(rng):
         y_pred = gcn.predict(gcn.forward_sliced(sp, params))
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y_pred)
-        expected += robust_hinge_loss(mv, y_pred, tr.config.margin_unlabeled)
+        expected += robust_hinge_loss(mv, y_pred, MARGIN_UNLABELED)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
     assert float(tr.batch_loss(lab, params)) == pytest.approx(
         float(_with_mode(tr, "RH").batch_loss(lab, params)), abs=1e-12
@@ -180,11 +175,11 @@ def test_rce_loss_decomposition(rng):
         y = int(tr.labels[t])
         bnds = compute_bounds(sp, params, tr.budget)
         mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
-        expected += robust_cross_entropy_loss(mv, y)
+        expected += gcn.cross_entropy(mv, y)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_margin_vector_on_the_tape_is_a_list_of_scalar_vars(rng):
+def test_margin_vector_on_the_tape_is_one_var(rng):
     tr, params = _trainer(rng)
     t = int(tr.labeled[0])
     y = int(tr.labels[t])
@@ -194,15 +189,14 @@ def test_margin_vector_on_the_tape_is_a_list_of_scalar_vars(rng):
     def loss(shadow):
         p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, tr.budget), tr.budget, y)
         seen.append(p)
-        return robust_hinge_loss(p, y, tr.config.margin_labeled) + grad.total(shadow.weights[0])
+        return robust_hinge_loss(p, y, MARGIN_LABELED) + grad.total(shadow.weights[0])
 
     grad.gradient(loss, params)
     (p,) = seen
-    assert isinstance(p, list) and len(p) == tr.graph.num_classes
-    assert type(p[y]) is np.float64 and p[y] == 0.0
-    for k, p_k in enumerate(p):
-        if k != y:
-            assert grad.is_var(p_k) and np.shape(p_k.value) == ()
+    assert grad.is_var(p) and p.shape == (tr.graph.num_classes,)
+    assert p.value[y] == 0.0
+    numeric = dual_cert.margin_vector(sp, params, compute_bounds(sp, params, tr.budget), tr.budget, y)
+    np.testing.assert_array_equal(p.value, numeric)
 
 
 def test_train_requires_labeled_nodes():
@@ -226,6 +220,27 @@ def test_ce_training_reduces_loss(rng):
     assert len(log) > 1
     assert log[-1]["loss"] < log[0]["loss"]
     assert all(row["phase"] == 1 for row in log)
+
+
+def test_accuracy_scores_only_nodes_with_a_label():
+    """Nodes without a label (-1) are not scored; with none left, accuracy is nan."""
+    tr = Trainer(path_graph(), TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))
+    params = gcn.glorot_params(tr.dims, seed=0)
+    row = tr.metrics_row(params, 1, 1, 0.0)
+    assert list(tr.unlabeled) == [2] and math.isnan(row["test_acc"])
+    assert row["train_acc"] in (0.0, 0.5, 1.0)
+    pred = np.zeros(3, dtype=int)  # labels are [0, 1, -1]
+    assert tr._accuracy(pred, [0, 1, 2]) == 0.5
+    assert math.isnan(tr._accuracy(pred, [2])) and math.isnan(tr._accuracy(pred, []))
+
+
+def _assert_same_log(a, b):
+    """Log rows equal entry by entry; two nan entries count as equal."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.keys() == rb.keys()
+        for k in ra:
+            assert ra[k] == rb[k] or (math.isnan(ra[k]) and math.isnan(rb[k])), (k, ra, rb)
 
 
 def test_rh_u_training_two_phase_log(rng):
@@ -267,7 +282,7 @@ def test_training_is_deterministic(rng):
     cfg = dict(mode="RH", budget=budget, hidden_dims=(2,), max_epochs=3, patience=3, seed=11)
     p1, log1 = train(graph, TrainConfig(**cfg))
     p2, log2 = train(graph, TrainConfig(**cfg))
-    assert log1 == log2
+    _assert_same_log(log1, log2)
     for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
         assert np.array_equal(a, b)
 
@@ -275,15 +290,34 @@ def test_training_is_deterministic(rng):
 # -- differential check against the per-mode loss methods ------------------
 # The loss before `Trainer.batch_loss`: one method per mode, a closure that
 # dispatched on the phase, and a second p-vector next to `margin_vector`.
+# The p-vector is a list of one entry per class, each a 0-d Var gathered from
+# the batched dual's g on the tape, and the robust losses loop over it.
 
 
 def _reference_p_vector(self, sp, params, y):
     bnds = compute_bounds(sp, params, self.budget)
     others, C = dual_cert.competing_classes(y, self.graph.num_classes)
+    g = dual_cert._dual_pass(sp, params, bnds, self.budget, C, dual_cert.default_omega(bnds)).g
     p = [np.float64(0.0)] * self.graph.num_classes
-    for k, st in zip(others, dual_cert.dual_states(sp, params, bnds, self.budget, C)):
-        p[k] = -st.value
+    for b, k in enumerate(others):
+        p[k] = -(grad.gather(g, b) if grad.is_var(g) else float(g[b]))
     return p
+
+
+def _reference_robust_cross_entropy_loss(p, y_star):
+    shift = max(float(grad.val(p_k)) for p_k in p)
+    s = 0.0
+    for p_k in p:
+        s = s + grad.exp(p_k - shift)
+    return grad.log(s) + shift - p[y_star]
+
+
+def _reference_robust_hinge_loss(p, y_star, margin):
+    loss = 0.0
+    for k, p_k in enumerate(p):
+        if k != y_star:
+            loss = loss + grad.relu(p_k + margin)
+    return loss
 
 
 def _reference_exact_ce(self, sp, params, y, dropout_rng=None):
@@ -305,7 +339,7 @@ def _reference_combined_loss(self, batch, params, dropout_rng=None):
         y = int(self.labels[t])
         sp = _slice(self, t)
         entries = _reference_p_vector(self, sp, params, y)
-        loss = loss + robust_hinge_loss(entries, y, self.config.margin_labeled)
+        loss = loss + _reference_robust_hinge_loss(entries, y, MARGIN_LABELED)
         loss = loss + _reference_exact_ce(self, sp, params, y, dropout_rng)
     return loss
 
@@ -317,7 +351,7 @@ def _reference_semi_supervised_loss(self, labeled_batch, unlabeled_batch, params
         trace = gcn.forward_sliced(sp, params.copy())
         y_pred = gcn.predict(trace)
         entries = _reference_p_vector(self, sp, params, y_pred)
-        loss = loss + robust_hinge_loss(entries, y_pred, self.config.margin_unlabeled)
+        loss = loss + _reference_robust_hinge_loss(entries, y_pred, MARGIN_UNLABELED)
     return loss
 
 
@@ -326,7 +360,7 @@ def _reference_rce_loss(self, batch, params):
     for t in batch:
         y = int(self.labels[t])
         entries = _reference_p_vector(self, _slice(self, t), params, y)
-        loss = loss + robust_cross_entropy_loss(entries, y)
+        loss = loss + _reference_robust_cross_entropy_loss(entries, y)
     return loss
 
 
@@ -406,8 +440,9 @@ def _reference_worst_case_margins(self, params, nodes, use_labels):
 
 
 def _reference_accuracy(self, params, nodes):
-    if self.labels is None or len(nodes) == 0:
-        return 0.0
+    nodes = [t for t in nodes if self.labels is not None and self.labels[t] >= 0]
+    if not nodes:
+        return math.nan
     pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)
     return float(np.mean(pred[nodes] == self.labels[nodes]))
 
@@ -475,6 +510,6 @@ def test_rh_u_training_matches_reference_bitwise(use_dropout, monkeypatch):
             m.setattr(gcn, "forward_full", lambda *a, _f=gcn.forward_full: forwards.append(1) or _f(*a))
             p_new, log_new = Trainer(graph, cfg).train()
         assert len(forwards) == len(log_new) == 5  # one full-graph forward per metrics row
-        assert log_new == log_ref
+        _assert_same_log(log_new, log_ref)
         for a, b in zip(p_new.weights + p_new.biases, p_ref.weights + p_ref.biases, strict=True):
             assert np.array_equal(a, b)
