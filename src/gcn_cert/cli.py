@@ -415,6 +415,12 @@ def cmd_train(args):
         num_classes=cfg.get("num_classes"),
     )
     graph = bundle.graph
+    labeled = graph.labeled_nodes()
+    if labeled.size == 0:
+        raise CliError("no node is labeled; training needs at least one labeled node")
+    no_label = labeled[graph.labels[labeled] < 0]
+    if no_label.size:
+        raise CliError(f"{cfg['split']}: node {no_label[0]} is marked labeled but has no label in {cfg['labels']}")
     # TrainConfig gets only what the file sets, so its defaults stand for the rest
     names = {f.name for f in dataclasses.fields(robust_train.TrainConfig)}
     kwargs = {k: v for k, v in cfg.items() if k in names}

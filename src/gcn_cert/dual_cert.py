@@ -22,7 +22,6 @@ from .graph_core import SlicedProblem
 __all__ = [
     "DualState",
     "Certificate",
-    "default_omega",
     "backward_phi",
     "closed_form_eta_rho",
     "evaluate_dual",
@@ -49,18 +48,12 @@ PGA_MIN_STEP = 1e-12
 
 @dataclass
 class DualState:
-    """One numeric dual evaluation for a (target node, class pair)."""
+    """One numeric dual evaluation for a (target node, class pair): Omega, delta, g and the flip selection."""
 
     omega: dict
-    eta: np.ndarray
-    rho: float
-    phi: dict
-    phi_hat: dict
     delta: np.ndarray
-    psi: np.ndarray
     value: float
     s_q: list
-    c: np.ndarray
 
 
 @dataclass
@@ -78,16 +71,6 @@ def class_vector(y_star: int, y: int, num_classes: int) -> np.ndarray:
     c[y_star] += 1.0
     c[y] -= 1.0
     return c
-
-
-def default_omega(bounds: ActivationBounds) -> dict:
-    """Omega = S / (S - R) on crossing entries, zero elsewhere: the bounds' envelope slope.
-
-    Grad-aware: when the bounds carry Vars (robust training), the default
-    Omega is itself a function of the parameters and gradients flow
-    through it.
-    """
-    return dict(bounds.slope)
 
 
 def backward_phi(sp: SlicedProblem, params: GcnParams, bounds: ActivationBounds, omega: dict, c):
@@ -113,48 +96,41 @@ def backward_phi(sp: SlicedProblem, params: GcnParams, bounds: ActivationBounds,
 
 
 def closed_form_eta_rho(delta, budget: Budget):
-    """Optimal (eta, rho) for fixed Omega, plus the selected index sets.
+    """Optimal (eta, rho) for fixed Omega, plus the selected index sets; grad-aware.
 
-    delta is (n, D) or a stack (B, n, D), which gives eta and rho a batch
-    axis and s_q one list per row.  Returns (eta, rho, s_q, info): s_q lists
-    the (node, feature) pairs of the Q largest budget-feasible delta entries,
-    in descending order; info holds the flat indices into delta that rebuild
-    eta/rho differentiably.  Ties go to the smaller feature within a row, then
-    to the smaller id n*D + d: `bounds.top_k` picks each row's top q, then the
-    top Q of those.
+    delta is a stack (B, n, D); eta is (B, n), rho (B,) and s_q one list per
+    row.  Returns (eta, rho, s_q, info): s_q lists the (node, feature) pairs
+    of the Q largest budget-feasible delta entries, in descending order; info
+    holds the flat indices into delta of each row's q-th pick o and of rho.
+    eta and rho are gathered from delta at those frozen indices, so they
+    carry the tape when delta does.  Ties go to the smaller feature within a
+    row, then to the smaller id n*D + d: `bounds.top_k` picks each row's top
+    q, then the top Q of those.
     """
-    delta_v = grad.val(delta)
-    n, D = delta_v.shape[-2:]
-    d3 = delta_v.reshape(-1, n, D)
-    B = d3.shape[0]
+    B, n, D = grad.val(delta).shape
     q = budget.effective_q(D)
     Q = budget.effective_Q(n, D)
     if q == 0 or Q == 0:
-        eta, rho, s_q, o_idx, rho_idx = np.zeros((B, n)), np.zeros(B), [[] for _ in range(B)], None, None
-    else:
-        # each row's top q; the last is the q-th pick o
-        top_q, feat = top_k(d3, np.arange(D), q)
-        # the top Q of the n*q candidates, with ids n*D + d across rows
-        flat = feat + np.arange(0, n * D, D)[:, None]
-        top, ids = top_k(top_q.reshape(B, n * q), flat.reshape(B, n * q), Q)
-        base = np.arange(B) * (n * D)
-        o_idx = base[:, None] + flat[..., -1]
-        rho_idx = base + ids[:, -1]
-        rho = top[:, -1]
-        eta = np.maximum(0.0, top_q[..., -1] - rho[:, None])
-        s_q = [[divmod(i, D) for i in row] for row in ids.tolist()]
-    info = {"o_idx": o_idx, "rho_idx": rho_idx, "q": q, "Q": Q}
-    if delta_v.ndim == 2:
-        eta, rho, s_q = eta[0], float(rho[0]), s_q[0]
-        if o_idx is not None:
-            info.update(o_idx=o_idx[0], rho_idx=int(rho_idx[0]))
-    return eta, rho, s_q, info
+        return np.zeros((B, n)), np.zeros(B), [[] for _ in range(B)], {"o_idx": None, "rho_idx": None}
+    # each row's top q; the last is the q-th pick o
+    top_q, feat = top_k(grad.val(delta), np.arange(D), q)
+    # the top Q of the n*q candidates, with ids n*D + d across rows
+    flat = feat + np.arange(0, n * D, D)[:, None]
+    _, ids = top_k(top_q.reshape(B, n * q), flat.reshape(B, n * q), Q)
+    base = np.arange(B) * (n * D)
+    o_idx = base[:, None] + flat[..., -1]
+    rho_idx = base + ids[:, -1]
+    rho = grad.gather(delta, rho_idx)
+    o = grad.gather(delta, o_idx)
+    eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[:, None])
+    s_q = [[divmod(i, D) for i in row] for row in ids.tolist()]
+    return eta, rho, s_q, {"o_idx": o_idx, "rho_idx": rho_idx}
 
 
 def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
     """Dual objective g for (eta, rho) and the tensors of `backward_phi`; grad-aware.
 
-    A stack C (B, K) gives g a leading batch axis, as it gives eta and rho.
+    g has the leading batch axis of the stack C (B, K), as eta and rho do.
     `budget` weighs the penalty terms; they vanish with an empty budget.
     """
     L = sp.layer_count
@@ -193,36 +169,17 @@ class _Pass(NamedTuple):
     info: dict
 
 
-def _dual_pass(sp, params, bounds, budget, c, omega) -> _Pass:
-    """`backward_phi`, closed-form (eta, rho) and `evaluate_dual` for c (K,) or a stack C (B, K).
-
-    When params, bounds or omega carry grad.Vars, eta and rho are gathered from delta
-    at the frozen selection, so the pass is differentiable.
-    """
-    phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, c)
+def _dual_pass(sp, params, bounds, budget, C, omega) -> _Pass:
+    """`backward_phi`, closed-form (eta, rho) and `evaluate_dual` for a stack C (B, K); grad-aware."""
+    phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, C)
     eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
-    if grad.is_var(delta) and info["o_idx"] is not None:
-        rho = grad.gather(delta, info["rho_idx"])
-        o = grad.gather(delta, info["o_idx"])
-        eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[..., None])
     g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
     return _Pass(phi, phi_hat, delta, eta, rho, psi, g, s_q, info)
 
 
-def _state(p: _Pass, b, c, omega) -> DualState:
+def _state(p: _Pass, b, omega) -> DualState:
     """The DualState of row b of the numeric batched pass p."""
-    return DualState(
-        omega=omega,
-        eta=p.eta[b],
-        rho=float(p.rho[b]),
-        phi={l: x[b] for l, x in p.phi.items()},
-        phi_hat={l: x[b] for l, x in p.phi_hat.items()},
-        delta=p.delta[b],
-        psi=p.psi[b],
-        value=float(p.g[b]),
-        s_q=p.s_q[b],
-        c=c,
-    )
+    return DualState(omega, p.delta[b], float(p.g[b]), p.s_q[b])
 
 
 def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
@@ -233,13 +190,13 @@ def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
     `margin_vector` or `dual_value_differentiable`.
     """
     if omega is None:
-        omega = default_omega(bounds)
+        omega = bounds.slope
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
     p = _dual_pass(sp, params, bounds, budget, C, omega)
     if grad.is_var(p.g):
         raise TypeError("dual_states takes numeric params, bounds and omega, not grad.Vars")
     om = {l: np.array(w) for l, w in omega.items()}
-    return [_state(p, b, c, om) for b, c in enumerate(C)]
+    return [_state(p, b, om) for b in range(len(C))]
 
 
 def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
@@ -249,10 +206,10 @@ def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
 
 def dual_value_differentiable(sp, params, bounds, budget, c, omega):
     """g for one class vector c, as a grad.Var when params, bounds or omega carry Vars."""
-    return _dual_pass(sp, params, bounds, budget, c, omega).g
+    return grad.asum(_dual_pass(sp, params, bounds, budget, np.atleast_2d(c), omega).g)
 
 
-def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
+def _omega_gradient(sp, params, bounds, budget, p: _Pass, rows, omega) -> dict:
     """dg/dOmega[l] for `rows` of a numeric batched pass p; `omega` is those rows' Omega.
 
     Omega enters g only through phi[l] at crossing entries, as -Omega * [phi_hat[l]]_-,
@@ -263,6 +220,7 @@ def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
     L = sp.layer_count
     X = sp.sliced_attrs
     n, D = X.shape
+    q, Q = budget.effective_q(D), budget.effective_Q(n, D)
     info = p.info
     psi_pos = p.psi[rows] > 0
     # dg/d delta: -1 where psi > 0, plus the eta/rho terms at the selected entries
@@ -271,8 +229,8 @@ def _omega_gradient(sp, params, bounds, p: _Pass, rows, omega) -> dict:
         B = len(g_delta)
         count = psi_pos.sum(axis=2)
         # eta_n = [o_n - rho]_+ at the frozen selection; g holds -q sum(eta) - Q rho
-        g_o = (count - info["q"]) * (p.eta[rows] > 0)
-        g_rho = count.sum(axis=1) - info["Q"] - g_o.sum(axis=1)
+        g_o = (count - q) * (p.eta[rows] > 0)
+        g_rho = count.sum(axis=1) - Q - g_o.sum(axis=1)
         flat = g_delta.reshape(B, n * D)
         flat[np.arange(B)[:, None], info["o_idx"][rows] % (n * D)] += g_o
         flat[np.arange(B), info["rho_idx"][rows] % (n * D)] += g_rho
@@ -314,9 +272,9 @@ def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS):
     """
     C = np.atleast_2d(np.asarray(c, dtype=np.float64))
     rows = np.arange(len(C))
-    best_om = {l: np.repeat(grad.val(om)[None], len(C), axis=0) for l, om in default_omega(bounds).items()}
+    best_om = {l: np.repeat(grad.val(om)[None], len(C), axis=0) for l, om in bounds.slope.items()}
     p = _dual_pass(sp, params, bounds, budget, C, best_om)
-    dg = _omega_gradient(sp, params, bounds, p, rows, best_om)
+    dg = _omega_gradient(sp, params, bounds, budget, p, rows, best_om)
     # each row's best value, and the pass and row of it that hold the best iterate
     best_g, at = p.g.copy(), [(p, b) for b in rows]
     lr = np.full(len(C), PGA_STEP_SIZE)
@@ -341,11 +299,11 @@ def optimize_omega(sp, params, bounds, budget, c, steps=PGA_STEPS):
             best_om[l][won] = om
         for b, i in zip(won, up):
             at[b] = (p, i)
-        for l, g_l in _omega_gradient(sp, params, bounds, p, up, up_om).items():
+        for l, g_l in _omega_gradient(sp, params, bounds, budget, p, up, up_om).items():
             dg[l][won] = g_l
         lr[active[~improved]] *= PGA_STEP_SHRINK
         active = active[lr[active] >= PGA_MIN_STEP]
-    best = [_state(q, i, C[b], {l: om[b] for l, om in best_om.items()}) for b, (q, i) in enumerate(at)]
+    best = [_state(q, i, {l: om[b] for l, om in best_om.items()}) for b, (q, i) in enumerate(at)]
     return best if np.ndim(c) == 2 else best[0]
 
 
@@ -365,7 +323,7 @@ def margin_vector(sp, params, bounds, budget, y):
     Grad-aware: on the tape, p is a (K,) grad.Var.
     """
     _, C = competing_classes(y, params.dims[-1])
-    g = _dual_pass(sp, params, bounds, budget, C, default_omega(bounds)).g
+    g = _dual_pass(sp, params, bounds, budget, C, bounds.slope).g
     # row b of C is e_y - e_k, so its negative part puts -g_b at k and nothing at y
     return grad.matmul(g, np.minimum(C, 0.0))
 

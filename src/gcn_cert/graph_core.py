@@ -54,7 +54,7 @@ class Graph:
             lab = np.asarray(self.labels)
             known = lab[lab >= 0]
             if known.size and (known.max() >= self.num_classes):
-                raise ValueError("label out of range")
+                raise ValueError(f"label {known.max()} out of range [0, {self.num_classes})")
         object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "attributes", X_bool)
 

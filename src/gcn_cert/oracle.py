@@ -451,7 +451,8 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
     neg_opt, _ = solve_lp(model)
     lp_opt = -neg_opt
 
-    eta, rho, s_q, _ = closed_form_eta_rho(delta, budget)
+    eta, rho, s_q, _ = closed_form_eta_rho(delta[None], budget)
+    eta, rho, s_q = eta[0], rho[0], s_q[0]
     greedy = float(sum(delta[i, d] for i, d in s_q))
     if q == 0 or Q == 0:
         # empty budget: the box-penalty term vanishes (rho -> inf limit)

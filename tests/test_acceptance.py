@@ -104,7 +104,8 @@ def test_acceptance_4_closed_form_budget_duals():
         budget = Budget(int(rng.integers(0, 3)), int(rng.integers(0, 6)))
         qe, Qe = budget.effective_q(D), budget.effective_Q(n, D)
 
-        eta, rho, _, _ = closed_form_eta_rho(delta, budget)
+        eta, rho, _, _ = closed_form_eta_rho(delta[None], budget)
+        eta, rho = eta[0], rho[0]
 
         def reduced(eta_c, rho_c):
             psi = np.maximum(delta - eta_c[:, None] - rho_c, 0.0)

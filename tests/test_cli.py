@@ -189,6 +189,44 @@ def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, k
     assert not ckpt.exists()
 
 
+def test_cmd_train_rejects_a_labeled_node_without_a_label(tmp_path, dataset, capsys):
+    split = _write(tmp_path / "all.tsv", "0\tlabeled\n1\tlabeled\n2\tlabeled\n")
+    cfg, ckpt = _train_cfg(tmp_path, {**dataset, "split": split})
+    err = _assert_one_line_error(main(["train", cfg]), capsys)
+    assert "node 2" in err and "all.tsv" in err
+    assert not ckpt.exists()
+
+
+def test_cmd_train_rejects_a_split_without_labeled_nodes(tmp_path, dataset, capsys):
+    split = _write(tmp_path / "none.tsv", "0\tunlabeled\n1\tunlabeled\n2\tunlabeled\n")
+    cfg, ckpt = _train_cfg(tmp_path, {**dataset, "split": split})
+    assert "no node is labeled" in _assert_one_line_error(main(["train", cfg]), capsys)
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "files, extra, message",
+    [
+        ({"attributes": ("a.csv", "1,0\n0\n1,1\n")}, "", "ragged or empty CSV"),
+        ({"attributes": ("a.csv", "1,0\n0,1\n1,1\n")}, "num_nodes = 4\n", "3 rows but num_nodes=4"),
+        ({"edges": ("e.tsv", ""), "attributes": ("a.tsv", "")}, "", "cannot infer node count"),
+        ({"attributes": ("a.tsv", "")}, "", "cannot infer feature count"),
+        ({}, "num_features = 1\n", "attrs.tsv:2: feature id >= D=1"),
+        ({"labels": ("l.tsv", "0\t0\n9\t1\n")}, "", "l.tsv:2: node id >= N=3"),
+        ({"labels": ("l.tsv", "")}, "", "cannot infer class count"),
+        ({"split": ("s.tsv", "0\tlabeled\n1\ttrain\n")}, "", "s.tsv:2: split tag 'train'"),
+        ({"labels": ("l.tsv", "0\t0\n1\t5\n")}, "num_classes = 2\n", "label 5 out of range [0, 2)"),
+    ],
+    ids=["ragged_csv", "csv_rows", "empty_files", "no_features", "feature_id", "label_node_id", "no_classes",
+         "split_tag", "label_range"],
+)
+def test_cmd_train_reports_each_dataset_error_in_one_line(tmp_path, dataset, capsys, files, extra, message):
+    paths = {key: _write(tmp_path / name, text) for key, (name, text) in files.items()}
+    cfg, ckpt = _train_cfg(tmp_path, {**dataset, **paths}, extra=extra)
+    assert message in _assert_one_line_error(main(["train", cfg]), capsys)
+    assert not ckpt.exists()
+
+
 def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monkeypatch):
     """A config with only the required keys reaches `train` with TrainConfig's own defaults."""
     seen = []

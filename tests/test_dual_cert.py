@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from gcn_cert.dual_cert import (
     class_vector,
     closed_form_eta_rho,
     competing_classes,
-    default_omega,
     dual_state,
     dual_states,
     dual_value_differentiable,
@@ -35,20 +36,21 @@ def _bounds_from(R, S):
 
 
 def test_default_omega_values():
+    """The default Omega is the bounds' envelope slope S / (S - R)."""
     bnds = _bounds_from([[-2.0, -1.0, -3.0]], [[2.0, 3.0, 1.0]])
-    np.testing.assert_allclose(default_omega(bnds)[2], [[0.5, 0.75, 0.25]])
+    np.testing.assert_allclose(bnds.slope[2], [[0.5, 0.75, 0.25]])
 
 
 def test_default_omega_zero_outside_crossing():
     bnds = _bounds_from([[1.0, -2.0]], [[3.0, -1.0]])
-    om = default_omega(bnds)[2]
+    om = bnds.slope[2]
     assert om[0, 0] == 0.0 and om[0, 1] == 0.0
 
 
 def test_backward_phi_zero_c(rng):
     sp, params, budget = random_tiny_instance(rng)
     bnds = compute_bounds(sp, params, budget)
-    phi, phi_hat, delta = backward_phi(sp, params, bnds, default_omega(bnds), np.zeros(params.dims[-1]))
+    phi, phi_hat, delta = backward_phi(sp, params, bnds, bnds.slope, np.zeros(params.dims[-1]))
     assert all(np.all(p == 0) for p in phi.values())
     assert all(np.all(p == 0) for p in phi_hat.values())
     assert np.all(delta == 0)
@@ -58,7 +60,7 @@ def test_backward_phi_last_layer_is_minus_c(rng):
     sp, params, budget = random_tiny_instance(rng)
     bnds = compute_bounds(sp, params, budget)
     c = class_vector(0, 1, params.dims[-1])
-    phi, _, _ = backward_phi(sp, params, bnds, default_omega(bnds), c)
+    phi, _, _ = backward_phi(sp, params, bnds, bnds.slope, c)
     np.testing.assert_array_equal(phi[sp.layer_count], -c.reshape(1, -1))
 
 
@@ -69,7 +71,7 @@ def test_backward_phi_exact_on_nonnegative_partition(rng):
     shape = np.asarray(bnds.lower[2]).shape
     bnds = _bounds_from(np.full(shape, 0.5), np.full(shape, 2.0))
     c = class_vector(0, 1, params.dims[-1])
-    phi, phi_hat, _ = backward_phi(sp, params, bnds, default_omega(bnds), c)
+    phi, phi_hat, _ = backward_phi(sp, params, bnds, bnds.slope, c)
     np.testing.assert_allclose(phi[2], phi_hat[2])
 
 
@@ -78,18 +80,24 @@ def test_delta_nonnegative_always(rng):
         sp, params, budget = random_tiny_instance(rng)
         bnds = compute_bounds(sp, params, budget)
         c = class_vector(0, params.dims[-1] - 1, params.dims[-1])
-        _, _, delta = backward_phi(sp, params, bnds, default_omega(bnds), c)
+        _, _, delta = backward_phi(sp, params, bnds, bnds.slope, c)
         assert np.all(delta >= 0.0)
+
+
+def _closed_form_row(delta, budget):
+    """(eta, rho, s_q) of closed_form_eta_rho on the one-row stack delta[None]."""
+    eta, rho, s_q, _ = closed_form_eta_rho(delta[None], budget)
+    return eta[0], rho[0], s_q[0]
 
 
 def test_closed_form_eta_rho_examples():
     delta = np.array([[3.0, 1.0], [2.0, 0.0]])
-    eta, rho, s_q, _ = closed_form_eta_rho(delta, Budget(1, 1))
+    eta, rho, s_q = _closed_form_row(delta, Budget(1, 1))
     assert rho == 3.0
     np.testing.assert_array_equal(eta, [0.0, 0.0])
     assert s_q == [(0, 0)]
 
-    eta, rho, s_q, _ = closed_form_eta_rho(delta, Budget(1, 2))
+    eta, rho, s_q = _closed_form_row(delta, Budget(1, 2))
     assert rho == 2.0
     np.testing.assert_array_equal(eta, [1.0, 0.0])
     assert sorted(s_q) == [(0, 0), (1, 0)]
@@ -97,12 +105,12 @@ def test_closed_form_eta_rho_examples():
 
 def test_closed_form_eta_rho_degenerate():
     delta = np.zeros((2, 3))
-    eta, rho, s_q, _ = closed_form_eta_rho(delta, Budget(2, 2))
+    eta, rho, s_q = _closed_form_row(delta, Budget(2, 2))
     assert rho == 0.0 and np.all(eta == 0.0) and len(s_q) == 2
 
-    eta, rho, s_q, _ = closed_form_eta_rho(np.ones((2, 3)), Budget(0, 2))
+    eta, rho, s_q = _closed_form_row(np.ones((2, 3)), Budget(0, 2))
     assert rho == 0.0 and np.all(eta == 0.0) and s_q == []
-    eta, rho, s_q, _ = closed_form_eta_rho(np.ones((2, 3)), Budget(2, 0))
+    eta, rho, s_q = _closed_form_row(np.ones((2, 3)), Budget(2, 0))
     assert rho == 0.0 and np.all(eta == 0.0) and s_q == []
 
 
@@ -124,7 +132,7 @@ def _reduced_dual(delta, eta, rho, q, Q):
 def test_closed_form_eta_rho_beats_breakpoint_grid(delta, q, Q):
     budget = Budget(q, Q)
     n, D = delta.shape
-    eta, rho, _, _ = closed_form_eta_rho(delta, budget)
+    eta, rho, _ = _closed_form_row(delta, budget)
     qe, Qe = budget.effective_q(D), budget.effective_Q(n, D)
     best = _reduced_dual(delta, eta, rho, qe, Qe)
     for rho_c in np.concatenate([[0.0], delta.ravel()]):
@@ -150,7 +158,7 @@ def test_zero_budget_dual_equals_clean_margin(rng):
         c = class_vector(0, K - 1, K)
         st_ = dual_state(sp, params, bnds, budget, c)
         assert st_.value == pytest.approx(float(logits[0] - logits[K - 1]), abs=1e-9)
-        assert np.all(st_.psi == 0.0)
+        assert np.all(dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope).psi == 0.0)
 
 
 def test_weak_duality_against_enumeration(rng):
@@ -172,7 +180,7 @@ def test_dual_scaling_in_c_with_fixed_omega(rng):
     bnds = compute_bounds(sp, params, budget)
     K = params.dims[-1]
     c = class_vector(0, K - 1, K)
-    om = default_omega(bnds)
+    om = bnds.slope
     a = dual_state(sp, params, bnds, budget, c, omega=om)
     b = dual_state(sp, params, bnds, budget, 2.0 * c, omega=om)
     assert b.value == pytest.approx(2.0 * a.value, rel=1e-9, abs=1e-9)
@@ -182,11 +190,14 @@ def test_dual_state_invariants(rng):
     sp, params, budget = random_tiny_instance(rng)
     bnds = compute_bounds(sp, params, budget)
     K = params.dims[-1]
-    st_ = dual_state(sp, params, bnds, budget, class_vector(0, 1, K))
-    assert np.all(st_.eta >= 0.0) and st_.rho >= 0.0
+    c = class_vector(0, 1, K)
+    st_ = dual_state(sp, params, bnds, budget, c)
+    p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope)
+    eta, rho, psi = p.eta[0], p.rho[0], p.psi[0]
+    assert np.all(eta >= 0.0) and rho >= 0.0
     assert np.all(st_.delta >= 0.0)
-    eta_col = st_.eta[:, None]
-    np.testing.assert_allclose(st_.psi, np.maximum(st_.delta - eta_col - st_.rho, 0.0), atol=1e-12)
+    np.testing.assert_array_equal(p.delta[0], st_.delta)
+    np.testing.assert_allclose(psi, np.maximum(st_.delta - eta[:, None] - rho, 0.0), atol=1e-12)
     for l, om in st_.omega.items():
         assert np.all((om >= 0.0) & (om <= 1.0))
 
@@ -243,7 +254,7 @@ def test_dual_states_rejects_the_tape(rng):
     with pytest.raises(TypeError, match="numeric"):
         dual_states(sp, shadow, compute_bounds(sp, shadow, budget), budget, C)
     bnds = compute_bounds(sp, params, budget)
-    omega = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+    omega = {l: grad.Var(om) for l, om in bnds.slope.items()}
     if omega:
         with pytest.raises(TypeError, match="numeric"):
             dual_states(sp, params, bnds, budget, C, omega)
@@ -405,13 +416,28 @@ def _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, 
     return g, psi
 
 
+class _ReferenceState(NamedTuple):
+    """Every tensor of one per-class reference dual evaluation."""
+
+    omega: dict
+    eta: np.ndarray
+    rho: float
+    phi: dict
+    phi_hat: dict
+    delta: np.ndarray
+    psi: np.ndarray
+    value: float
+    s_q: list
+    c: np.ndarray
+
+
 def _reference_dual_state(sp, params, bounds, budget, c, omega=None):
     if omega is None:
         omega = _reference_default_omega(bounds)
     phi, phi_hat, delta = _reference_backward_phi(sp, params, bounds, omega, c)
     eta, rho, s_q, _ = _reference_closed_form_eta_rho(delta, budget)
     g, psi = _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
-    return DualState(
+    return _ReferenceState(
         omega={l: grad.val(om).copy() for l, om in omega.items()},
         eta=np.asarray(eta, dtype=np.float64),
         rho=float(rho),
@@ -452,6 +478,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
     others, C = competing_classes(y, K)
     np.testing.assert_array_equal(C, [class_vector(y, k, K) for k in others])
     states = dual_states(sp, params, bnds, budget, C)
+    p = dual_cert._dual_pass(sp, params, bnds, budget, C, bnds.slope)
     _, _, _, info = closed_form_eta_rho(np.stack([st_.delta for st_ in states]), budget)
     for b, (c, st_) in enumerate(zip(C, states)):
         ref = _reference_dual_state(sp, params, bnds, budget, c)
@@ -464,13 +491,13 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
         else:
             np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
             assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
-        for got, want in [(st_.eta, ref.eta), (st_.rho, ref.rho), (st_.delta, ref.delta), (st_.psi, ref.psi)]:
+        for got, want in [(p.eta[b], ref.eta), (p.rho[b], ref.rho), (st_.delta, ref.delta), (p.psi[b], ref.psi)]:
             _close(got, want)
         for l in ref.phi:
-            _close(st_.phi[l], ref.phi[l])
+            _close(p.phi[l][b], ref.phi[l])
         for l in ref.phi_hat:
-            _close(st_.phi_hat[l], ref.phi_hat[l])
-        np.testing.assert_array_equal(st_.c, ref.c)
+            _close(p.phi_hat[l][b], ref.phi_hat[l])
+        np.testing.assert_array_equal(-p.phi[sp.layer_count][b], ref.c[None])
         assert dual_state(sp, params, bnds, budget, c).s_q == ref.s_q
 
     # tape gradients in the parameters (training) of a random mix of classes,
@@ -498,7 +525,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
     # tape gradients in Omega (Omega-PGA) for one class
     if bnds.layers():
         c = C[-1]
-        om_new = {l: grad.Var(om) for l, om in default_omega(bnds).items()}
+        om_new = {l: grad.Var(om) for l, om in bnds.slope.items()}
         om_ref = {l: grad.Var(om) for l, om in _reference_default_omega(bnds).items()}
         g1 = dual_value_differentiable(sp, params, bnds, budget, c, om_new)
         g2 = _reference_dual_value_differentiable(sp, params, bnds, budget, c, om_ref)
@@ -541,16 +568,16 @@ def test_relaxation_and_single_class_pass_equal_reference_bitwise():
             np.testing.assert_array_equal(bnds.cross[l], cross)
             np.testing.assert_array_equal(bnds.nonneg[l], (bnds.partition[l] == NONNEG).astype(np.float64))
             np.testing.assert_array_equal(bnds.offset[l], (bnds.upper[l] * bnds.lower[l] * cross) / denom)
-            np.testing.assert_array_equal(default_omega(bnds)[l], slope)
         K = params.dims[-1]
         for k in range(1, K):
             c = class_vector(0, k, K)
             st_, ref = dual_state(sp, params, bnds, budget, c), _reference_dual_state(sp, params, bnds, budget, c)
             assert st_.value == ref.value and st_.s_q == ref.s_q
-            for got, want in [(st_.phi, ref.phi), (st_.phi_hat, ref.phi_hat)]:
+            p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope)
+            for got, want in [(p.phi, ref.phi), (p.phi_hat, ref.phi_hat)]:
                 for l in want:
-                    np.testing.assert_array_equal(got[l], want[l])
-            for got, want in [(st_.delta, ref.delta), (st_.eta, ref.eta), (st_.rho, ref.rho), (st_.psi, ref.psi)]:
+                    np.testing.assert_array_equal(got[l][0], want[l])
+            for got, want in [(st_.delta, ref.delta), (p.eta[0], ref.eta), (p.rho[0], ref.rho), (p.psi[0], ref.psi)]:
                 np.testing.assert_array_equal(got, want)
 
 
@@ -625,9 +652,12 @@ def _assert_pga_matches_reference(sp, params, bnds, budget, C, steps):
         assert st_.omega.keys() == ref.omega.keys()
         for l in ref.omega:
             _close(st_.omega[l], ref.omega[l])
-        for got, want in [(st_.eta, ref.eta), (st_.rho, ref.rho), (st_.delta, ref.delta), (st_.psi, ref.psi)]:
+        # the pass at the state's Omega: row 0 holds its eta, rho and psi
+        p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], st_.omega)
+        _close(p.g[0], st_.value)
+        for got, want in [(p.eta[0], ref.eta), (p.rho[0], ref.rho), (st_.delta, ref.delta), (p.psi[0], ref.psi)]:
             _close(got, want)
-        np.testing.assert_array_equal(st_.c, ref.c)
+        np.testing.assert_array_equal(-p.phi[sp.layer_count][0], ref.c[None])
     # the one-class form runs the same ascent
     one = optimize_omega(sp, params, bnds, budget, C[-1], steps=steps)
     assert isinstance(one, DualState) and one.value == states[-1].value
@@ -678,7 +708,7 @@ def _written_out_gradient(sp, params, bnds, budget, C, omega):
     """dg/dOmega for every row of C at one Omega, from one batched pass."""
     om = {l: np.repeat(o[None], len(C), axis=0) for l, o in omega.items()}
     p = dual_cert._dual_pass(sp, params, bnds, budget, C, om)
-    return dual_cert._omega_gradient(sp, params, bnds, p, np.arange(len(C)), om)
+    return dual_cert._omega_gradient(sp, params, bnds, budget, p, np.arange(len(C)), om)
 
 
 def _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega):
@@ -702,7 +732,7 @@ def test_omega_gradient_matches_tape_on_tiny_instances(hidden_layers):
         for fill in (None, 0.0, 1.0):
             omega = {
                 l: (rng.random(np.shape(o)) if fill is None else np.full(np.shape(o), fill)) * bnds.cross[l]
-                for l, o in default_omega(bnds).items()
+                for l, o in bnds.slope.items()
             }
             _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
 
@@ -719,7 +749,7 @@ def test_omega_gradient_matches_tape_at_relu_ties(q, Q):
     budget = Budget(q, Q)
     bnds = compute_bounds(sp, params, budget)
     _, C = competing_classes(2, 7)
-    omega = default_omega(bnds)
+    omega = bnds.slope
     p = dual_cert._dual_pass(sp, params, bnds, budget, C, omega)
     cross = bnds.cross[2].astype(bool)
     assert (p.phi_hat[2][:, cross] == 0).any() and (p.phi_hat[1] == 0).any()

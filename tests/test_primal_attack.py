@@ -10,18 +10,7 @@ from conftest import random_tiny_instance
 
 
 def _dual_with(delta, s_q, attrs):
-    return DualState(
-        omega={},
-        eta=np.zeros(delta.shape[0]),
-        rho=0.0,
-        phi={},
-        phi_hat={},
-        delta=delta,
-        psi=np.zeros_like(delta),
-        value=0.0,
-        s_q=s_q,
-        c=np.zeros(2),
-    )
+    return DualState(omega={}, delta=delta, value=0.0, s_q=s_q)
 
 
 def test_construct_zero_delta_is_identity():

@@ -297,7 +297,7 @@ def test_training_is_deterministic(rng):
 def _reference_p_vector(self, sp, params, y):
     bnds = compute_bounds(sp, params, self.budget)
     others, C = dual_cert.competing_classes(y, self.graph.num_classes)
-    g = dual_cert._dual_pass(sp, params, bnds, self.budget, C, dual_cert.default_omega(bnds)).g
+    g = dual_cert._dual_pass(sp, params, bnds, self.budget, C, bnds.slope).g
     p = [np.float64(0.0)] * self.graph.num_classes
     for b, k in enumerate(others):
         p[k] = -(grad.gather(g, b) if grad.is_var(g) else float(g[b]))
