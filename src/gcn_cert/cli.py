@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,19 @@ def _parse_int(text, path, lineno, what):
     return v
 
 
+@contextmanager
+def _open_text(path):
+    """A UTF-8 text file opened for reading; a decode error while it is read is a CliError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_pairs(path, what_a, what_b):
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -121,12 +132,12 @@ def load_dataset(
 
     dense_attrs = None
     attr_pairs = []
-    with open(attributes_path, "r", encoding="utf-8") as fh:
+    with _open_text(attributes_path) as fh:
         first = fh.readline()
     if "," in first:
         # dense CSV matrix of 0/1 values
         dense_attrs = []
-        with open(attributes_path, "r", encoding="utf-8") as fh:
+        with _open_text(attributes_path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -264,7 +275,7 @@ TRAIN_CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Flat ``key = value`` config; unknown keys are hard errors."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -562,8 +573,7 @@ def cmd_oracle_verify(args):
         states = dual_cert.dual_states(spr, params, bnds, budget, C)
         opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=steps)
         for k, c, st, opt in zip(others, C, states, opts):
-            model = oracle.build_primal_lp(spr, params, bnds, budget, c)
-            lp_val, _ = oracle.solve_lp(model)
+            lp_val = oracle.solve_lp(oracle.build_primal_lp(spr, params, bnds, budget, c))[0]
             exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k).exact_min_margin
             primal = primal_attack.construct_and_evaluate(spr, params, st, budget, y_star, k)
             chain = [st.value, opt.value, lp_val, exact, primal]
@@ -679,10 +689,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,6 +179,11 @@ def load_checkpoint(path) -> GcnParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     dims = doc["dims"]
+    if not doc["L"] == len(dims) == len(doc["weights"]) + 1 == len(doc["biases"]) + 1:
+        raise ValueError(
+            f"L={doc['L']}, {len(dims)} dims, {len(doc['weights'])} weight and "
+            f"{len(doc['biases'])} bias lists do not agree"
+        )
     weights, biases = [], []
     for l in range(doc["L"] - 1):
         w = np.array([float.fromhex(s) for s in doc["weights"][l]])

@@ -326,8 +326,6 @@ def gradient(loss_closure, params):
         zero_w = [np.zeros_like(w) for w in params.weights]
         zero_b = [np.zeros_like(b) for b in params.biases]
         return float(np.asarray(loss)), params.replace(weights=zero_w, biases=zero_b)
-    if not np.all(np.isfinite(loss.value)):
-        raise FloatingPointError("non-finite loss before backward")
     backward(loss)
     gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in w_vars]
     gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in b_vars]

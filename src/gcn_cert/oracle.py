@@ -27,7 +27,6 @@ __all__ = [
     "iter_admissible",
     "build_primal_lp",
     "solve_lp",
-    "solve_lp_multipliers",
     "binary_inner_lp_minimum",
     "check_integrality",
     "check_eta_rho_optimality",
@@ -42,7 +41,6 @@ MAX_LP_VARIABLES = 300
 class LpModel:
     """min c^T x subject to A_eq x = b_eq, A_ub x <= b_ub, lo <= x <= hi."""
 
-    var_names: list
     objective: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -51,20 +49,10 @@ class LpModel:
     lo: np.ndarray
     hi: np.ndarray
 
-    @property
-    def num_vars(self):
-        return len(self.var_names)
-
-    def index(self, name):
-        if not hasattr(self, "_index"):
-            self._index = {n: i for i, n in enumerate(self.var_names)}
-        return self._index[name]
-
 
 @dataclass
 class EnumerationResult:
     exact_min_margin: float
-    argmin_perturbation: np.ndarray
     count_enumerated: int
 
 
@@ -173,7 +161,6 @@ def enumerate_exact_margin(
             f"{n} nodes x {D} features exceeds the guard of {guard}"
         )
     best = np.inf
-    best_x = X.copy()
     seen = 0
     for flips in iter_admissible(n, D, budget):
         seen += 1
@@ -181,145 +168,105 @@ def enumerate_exact_margin(
         for r, d in flips:
             Xt[r, d] = 1.0 - Xt[r, d]
         logits = grad.val(gcn.forward_sliced(sp, params, attrs_override=Xt).logits)
-        margin = float(logits[y_star] - logits[y])
-        if margin < best:
-            best, best_x = margin, Xt
-    return EnumerationResult(exact_min_margin=best, argmin_perturbation=best_x, count_enumerated=seen)
+        best = min(best, float(logits[y_star] - logits[y]))
+    return EnumerationResult(exact_min_margin=best, count_enumerated=seen)
 
 
 # ---------------------------------------------------------------------------
 # explicit primal LP
 
 
+def _budget_rows(n, D):
+    """Row sums of an n x D block, one row per node, then the total: the q and Q rows."""
+    return np.vstack([np.kron(np.eye(n), np.ones(D)), np.ones(n * D)])
+
+
 def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget, c) -> LpModel:
     """The relaxed certification problem as an explicit dense LP.
 
-    Variables: the attribute block (= H^(1)), slack magnitudes eps, every
-    pre-activation Hhat^(l), and post-activations H^(l) for crossing
-    neurons only (the exactly-linear cases are substituted away).
+    The variables come in blocks, each row-major: the attribute block X
+    (= H^(1)) in columns 0..n*D-1, the slack magnitudes eps, every
+    pre-activation Hhat^(l) for l = 2..L, and the post-activations H^(l)
+    of the crossing neurons of l = 2..L-1 (the exactly-linear cases are
+    substituted away).
     """
     L = sp.layer_count
     X = sp.sliced_attrs
     n_outer, D = X.shape
-    K = grad.val(params.weights[-1]).shape[1]
-    c = np.asarray(c, dtype=np.float64)
+    nd = n_outer * D
+    weights = [grad.val(w) for w in params.weights]
+    crossing = {l: bounds.partition[l].ravel() == CROSSING for l in range(2, L)}
 
-    names, lo, hi = [], [], []
-
-    def add_var(name, low, high):
-        names.append(name)
-        lo.append(low)
-        hi.append(high)
-        return len(names) - 1
-
-    x_idx = {(n, d): add_var(f"X_{n}_{d}", 0.0, 1.0) for n in range(n_outer) for d in range(D)}
-    e_idx = {(n, d): add_var(f"eps_{n}_{d}", 0.0, np.inf) for n in range(n_outer) for d in range(D)}
-    hhat_idx = {}
+    # columns of every Hhat^(l) block, then of every H^(l) block
+    nv = 2 * nd
+    hhat, h = {}, {}
     for l in range(2, L + 1):
-        rows = sp.sliced_mp[l - 2].shape[0]
-        width = grad.val(params.weights[l - 2]).shape[1]
-        for m in range(rows):
-            for j in range(width):
-                hhat_idx[(l, m, j)] = add_var(f"Hhat{l}_{m}_{j}", -np.inf, np.inf)
-    h_idx = {}
+        hhat[l] = nv + np.arange(sp.sliced_mp[l - 2].shape[0] * weights[l - 2].shape[1])
+        nv += hhat[l].size
+    first_h = nv
     for l in range(2, L):
-        part = bounds.partition[l]
-        for m in range(part.shape[0]):
-            for j in range(part.shape[1]):
-                if part[m, j] == CROSSING:
-                    h_idx[(l, m, j)] = add_var(f"H{l}_{m}_{j}", 0.0, np.inf)
-
-    nv = len(names)
+        h[l] = nv + np.arange(np.count_nonzero(crossing[l]))
+        nv += h[l].size
     if nv > MAX_LP_VARIABLES:
         raise ValueError(f"LP too large for the LP oracle: {nv} > {MAX_LP_VARIABLES} variables")
 
+    # layer equalities (dual variables Phi): Hhat^(l) - kron(A_dot, W^T) input = b
     a_eq, b_eq = [], []
-    a_ub, b_ub = [], []
-
-    # layer equalities (dual variables Phi)
     for l in range(2, L + 1):
-        A_dot = sp.sliced_mp[l - 2]
-        W = grad.val(params.weights[l - 2])
-        b = grad.val(params.biases[l - 2])
-        rows, width = A_dot.shape[0], W.shape[1]
-        for m in range(rows):
-            for j in range(width):
-                row = np.zeros(nv)
-                row[hhat_idx[(l, m, j)]] = 1.0
-                for n in range(A_dot.shape[1]):
-                    if A_dot[m, n] == 0.0:
-                        continue
-                    for k in range(W.shape[0]):
-                        coef = A_dot[m, n] * W[k, j]
-                        if coef == 0.0:
-                            continue
-                        if l == 2:
-                            row[x_idx[(n, k)]] -= coef
-                        else:
-                            tag = bounds.partition[l - 1][n, k]
-                            if tag == CROSSING:
-                                row[h_idx[(l - 1, n, k)]] -= coef
-                            elif tag == NONNEG:
-                                row[hhat_idx[(l - 1, n, k)]] -= coef
-                a_eq.append(row)
-                b_eq.append(b[j])
+        if l == 2:
+            inputs = np.arange(nd)
+        else:  # H^(l-1) on crossing inputs, Hhat^(l-1) on nonnegative ones, nothing on nonpositive ones
+            inputs = np.where(bounds.partition[l - 1].ravel() == NONNEG, hhat[l - 1], -1)
+            inputs[crossing[l - 1]] = h[l - 1]
+        used = inputs >= 0
+        block = np.zeros((hhat[l].size, nv))
+        block[:, hhat[l]] = np.eye(hhat[l].size)
+        block[:, inputs[used]] = -np.kron(sp.sliced_mp[l - 2], weights[l - 2].T)[:, used]
+        a_eq.append(block)
+        b_eq.append(np.tile(grad.val(params.biases[l - 2]), sp.sliced_mp[l - 2].shape[0]))
 
-    # |X - Xdot| <= eps (dual gamma+/-)
-    for n in range(n_outer):
-        for d in range(D):
-            row = np.zeros(nv)
-            row[x_idx[(n, d)]] = 1.0
-            row[e_idx[(n, d)]] = -1.0
-            a_ub.append(row)
-            b_ub.append(X[n, d])
-            row = np.zeros(nv)
-            row[x_idx[(n, d)]] = -1.0
-            row[e_idx[(n, d)]] = -1.0
-            a_ub.append(row)
-            b_ub.append(-X[n, d])
-
+    # |X - Xdot| <= eps as two rows per entry (dual gamma+/-), then the
     # budget rows (dual eta, rho)
-    for n in range(n_outer):
-        row = np.zeros(nv)
-        for d in range(D):
-            row[e_idx[(n, d)]] = 1.0
-        a_ub.append(row)
-        b_ub.append(float(budget.local_q))
-    row = np.zeros(nv)
-    for key, i in e_idx.items():
-        row[i] = 1.0
-    a_ub.append(row)
-    b_ub.append(float(budget.global_Q))
+    box = np.zeros((2 * nd, nv))
+    box[:, :nd] = np.kron(np.eye(nd), [[1.0], [-1.0]])
+    box[:, nd:2 * nd] = np.kron(np.eye(nd), [[-1.0], [-1.0]])
+    sums = np.zeros((n_outer + 1, nv))
+    sums[:, nd:2 * nd] = _budget_rows(n_outer, D)
+    a_ub = [box, sums]
+    b_ub = [
+        np.column_stack([X.ravel(), -X.ravel()]).ravel(),
+        np.append(np.full(n_outer, float(budget.local_q)), float(budget.global_Q)),
+    ]
 
     # convex envelope on crossing neurons (dual mu, lambda; tau is the
-    # H >= 0 variable bound)
-    for (l, m, j), hi_var in h_idx.items():
-        R = grad.val(bounds.lower[l])[m, j]
-        S = grad.val(bounds.upper[l])[m, j]
-        row = np.zeros(nv)
-        row[hhat_idx[(l, m, j)]] = 1.0
-        row[hi_var] = -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row = np.zeros(nv)
-        row[hi_var] = S - R
-        row[hhat_idx[(l, m, j)]] = -S
-        a_ub.append(row)
-        b_ub.append(-S * R)
+    # H >= 0 variable bound), two rows per neuron
+    for l in range(2, L):
+        pre, post = hhat[l][crossing[l]], h[l]
+        R = grad.val(bounds.lower[l]).ravel()[crossing[l]]
+        S = grad.val(bounds.upper[l]).ravel()[crossing[l]]
+        rows = 2 * np.arange(post.size)
+        block = np.zeros((2 * post.size, nv))
+        block[rows, pre] = 1.0
+        block[rows, post] = -1.0
+        block[rows + 1, post] = S - R
+        block[rows + 1, pre] = -S
+        a_ub.append(block)
+        b_ub.append(np.column_stack([np.zeros(post.size), -S * R]).ravel())
 
     objective = np.zeros(nv)
-    for k in range(K):
-        objective[hhat_idx[(L, 0, k)]] = c[k]
-
+    objective[hhat[L][: weights[-1].shape[1]]] = np.asarray(c, dtype=np.float64)
+    lo = np.zeros(nv)
+    lo[2 * nd:first_h] = -np.inf
+    hi = np.full(nv, np.inf)
+    hi[:nd] = 1.0
     return LpModel(
-        var_names=names,
         objective=objective,
-        a_eq=np.array(a_eq).reshape(-1, nv),
-        b_eq=np.array(b_eq, dtype=np.float64),
-        a_ub=np.array(a_ub).reshape(-1, nv),
-        b_ub=np.array(b_ub, dtype=np.float64),
-        lo=np.array(lo, dtype=np.float64),
-        hi=np.array(hi, dtype=np.float64),
+        a_eq=np.vstack(a_eq),
+        b_eq=np.concatenate(b_eq),
+        a_ub=np.vstack(a_ub),
+        b_ub=np.concatenate(b_ub),
+        lo=lo,
+        hi=hi,
     )
 
 
@@ -328,13 +275,7 @@ def build_primal_lp(sp: SlicedProblem, params: GcnParams, bounds, budget: Budget
 
 
 def solve_lp(model: LpModel):
-    """Optimal value and primal point of an LpModel."""
-    value, x, _ = solve_lp_multipliers(model)
-    return value, x
-
-
-def solve_lp_multipliers(model: LpModel):
-    """Like solve_lp, plus optimal multipliers y of the equality rows.
+    """Optimal value, primal point x and multipliers y of the equality rows.
 
     y is HiGHS's dual of the equality rows, so the Lagrangian
     c.x - y.(A_eq x - b_eq) minimised over the remaining constraints
@@ -369,16 +310,14 @@ def binary_inner_lp_minimum(sp, params, bounds, budget, c):
     model = build_primal_lp(sp, params, bounds, budget, c)
     X = sp.sliced_attrs
     n, D = X.shape
-    x_cols = [model.index(f"X_{r}_{d}") for r in range(n) for d in range(D)]
     best = np.inf
     for flips in iter_admissible(n, D, budget):
         Xt = X.copy()
         for r, d in flips:
             Xt[r, d] = 1.0 - Xt[r, d]
         lo, hi = model.lo.copy(), model.hi.copy()
-        lo[x_cols] = hi[x_cols] = Xt.ravel()
-        value, _ = solve_lp(replace(model, lo=lo, hi=hi))
-        best = min(best, value)
+        lo[: n * D] = hi[: n * D] = Xt.ravel()
+        best = min(best, solve_lp(replace(model, lo=lo, hi=hi))[0])
     return best
 
 
@@ -402,12 +341,11 @@ def check_integrality(sp, params, bounds, budget, c, tol=1e-6):
     Returns (ok, relaxed_optimum, binary_minimum).
     """
     model = build_primal_lp(sp, params, bounds, budget, c)
-    relaxed, x, y = solve_lp_multipliers(model)
+    relaxed, x, y = solve_lp(model)
     X = sp.sliced_attrs
     n, D = X.shape
-    x_cols = [model.index(f"X_{r}_{d}") for r in range(n) for d in range(D)]
-    g = -(model.a_eq[:, x_cols].T @ y).reshape(n, D)
-    to_clean = float(np.sum(g * (X - x[x_cols].reshape(n, D))))
+    g = -(model.a_eq[:, : n * D].T @ y).reshape(n, D)
+    to_clean = float(np.sum(g * (X - x[: n * D].reshape(n, D))))
     flip_gain = g * (1.0 - 2.0 * X)  # change of g.X when one bit flips
     best = min(sum(flip_gain[r, d] for r, d in flips) for flips in iter_admissible(n, D, budget))
     binary = relaxed + to_clean + best
@@ -428,28 +366,16 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
     q = budget.effective_q(D)
     Q = budget.effective_Q(n, D)
 
-    nv = n * D
-    names = [f"alpha_{i}_{d}" for i in range(n) for d in range(D)]
-    a_ub, b_ub = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * D:(i + 1) * D] = 1.0
-        a_ub.append(row)
-        b_ub.append(float(q))
-    a_ub.append(np.ones(nv))
-    b_ub.append(float(Q))
     model = LpModel(
-        var_names=names,
         objective=-delta.ravel(),
-        a_eq=np.zeros((0, nv)),
+        a_eq=np.zeros((0, n * D)),
         b_eq=np.zeros(0),
-        a_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
-        lo=np.zeros(nv),
-        hi=np.ones(nv),
+        a_ub=_budget_rows(n, D),
+        b_ub=np.append(np.full(n, float(q)), float(Q)),
+        lo=np.zeros(n * D),
+        hi=np.ones(n * D),
     )
-    neg_opt, _ = solve_lp(model)
-    lp_opt = -neg_opt
+    lp_opt = -solve_lp(model)[0]
 
     eta, rho, s_q, _ = closed_form_eta_rho(delta[None], budget)
     eta, rho, s_q = eta[0], rho[0], s_q[0]

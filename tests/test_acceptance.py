@@ -40,7 +40,7 @@ def test_acceptance_1_sandwich_chain_on_100_instances():
         bnds = compute_bounds(sp, params, budget)
         base = dual_state(sp, params, bnds, budget, c)
         opt = optimize_omega(sp, params, bnds, budget, c, steps=200)
-        lp_val, _ = oracle.solve_lp(oracle.build_primal_lp(sp, params, bnds, budget, c))
+        lp_val = oracle.solve_lp(oracle.build_primal_lp(sp, params, bnds, budget, c))[0]
         exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
         primal = primal_attack.construct_and_evaluate(sp, params, base, budget, y_star, k)
         chain = [base.value, opt.value, lp_val, exact, primal]
@@ -273,7 +273,7 @@ def test_acceptance_8_omega_optimization_gap_study():
         bnds = compute_bounds(sp, params, budget)
         base = dual_state(sp, params, bnds, budget, c)
         opt = optimize_omega(sp, params, bnds, budget, c, steps=400)
-        lp_val, _ = oracle.solve_lp(oracle.build_primal_lp(sp, params, bnds, budget, c))
+        lp_val = oracle.solve_lp(oracle.build_primal_lp(sp, params, bnds, budget, c))[0]
         default_gaps.append(lp_val - base.value)
         optimized_gaps.append(lp_val - opt.value)
     assert np.median(optimized_gaps) <= np.median(default_gaps) + 1e-12

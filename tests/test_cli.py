@@ -299,6 +299,46 @@ def test_cmd_certify_malformed_checkpoint(tmp_path, dataset, capsys):
     assert "broken.json" in _assert_one_line_error(rc, capsys)
 
 
+@pytest.mark.parametrize("change", [{"L": 4}, {"L": 1}, {"dims": [2, 3]}], ids=["L_4", "L_1", "two_dims"])
+def test_cmd_certify_rejects_a_checkpoint_whose_sizes_disagree(tmp_path, dataset, checkpoint, capsys, change):
+    """The weights of dims [2, 3, 2] under another L or dims list."""
+    with open(checkpoint, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    ckpt = _write(tmp_path / "sizes.json", json.dumps({**doc, **change}))
+    with pytest.raises(ValueError, match="do not agree"):
+        gcn.load_checkpoint(ckpt)
+    rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
+    assert "sizes.json: not a valid checkpoint" in _assert_one_line_error(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "checkpoint_is_a_folder",
+        "certify_output_is_a_folder",
+        "curve_output_is_a_folder",
+        "train_config_is_a_folder",
+        "log_out_is_a_folder",
+        "attributes_not_utf8",
+    ],
+)
+def test_file_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, case):
+    folder = str(tmp_path)
+    (tmp_path / "bad.tsv").write_bytes(b"0\t0\n\xff\xfe\t1\n")
+    certify = ["certify", *_dataset_args(dataset), "--q", "1", "--Q", "1", "--workers", "1"]
+    curve = ["curve", "--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1", "--Q-max", "1", "--workers", "1"]
+    argv = {
+        "checkpoint_is_a_folder": [*certify, "--checkpoint", folder],
+        "certify_output_is_a_folder": [*certify, "--checkpoint", checkpoint, "--output", folder],
+        "curve_output_is_a_folder": [*curve, "--output", folder],
+        "train_config_is_a_folder": ["train", folder],
+        "log_out_is_a_folder": ["train", _train_cfg(tmp_path, dataset, extra=f"log_out = {folder}\n")[0]],
+        "attributes_not_utf8": [*certify, "--checkpoint", checkpoint, "--attributes", str(tmp_path / "bad.tsv")],
+    }[case]
+    message = "bad.tsv: not UTF-8 text" if case == "attributes_not_utf8" else "Is a directory"
+    assert message in _assert_one_line_error(main(argv), capsys)
+
+
 def test_cmd_certify_bad_node_id(dataset, checkpoint, capsys):
     rc = main(
         ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),

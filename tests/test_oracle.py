@@ -1,14 +1,17 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcn_cert import gcn
-from gcn_cert.bounds import Budget, compute_bounds
+from gcn_cert import gcn, grad
+from gcn_cert.bounds import CROSSING, NONNEG, Budget, compute_bounds
 from gcn_cert.dual_cert import class_vector, dual_state
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
 from gcn_cert.oracle import (
+    MAX_LP_VARIABLES,
     LpModel,
     admissible_flip_count,
     binary_inner_lp_minimum,
@@ -18,7 +21,6 @@ from gcn_cert.oracle import (
     enumerate_exact_margin,
     iter_admissible,
     solve_lp,
-    solve_lp_multipliers,
 )
 
 from conftest import random_tiny_instance, single_node_problem
@@ -88,7 +90,6 @@ def _empty_rows(nv):
 
 def test_solve_lp_box_minimum():
     model = LpModel(
-        var_names=["x"],
         objective=np.array([-1.0]),
         a_ub=np.zeros((0, 1)),
         b_ub=np.zeros(0),
@@ -96,14 +97,13 @@ def test_solve_lp_box_minimum():
         hi=np.ones(1),
         **_empty_rows(1),
     )
-    value, x = solve_lp(model)
+    value, x, _ = solve_lp(model)
     assert value == pytest.approx(-1.0, abs=1e-9)
     assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_lp_simplex_facet():
     model = LpModel(
-        var_names=["x", "y"],
         objective=np.array([1.0, 1.0]),
         a_ub=np.array([[-1.0, -1.0]]),
         b_ub=np.array([-1.0]),
@@ -111,14 +111,13 @@ def test_solve_lp_simplex_facet():
         hi=np.full(2, np.inf),
         **_empty_rows(2),
     )
-    value, x = solve_lp(model)
+    value, x, _ = solve_lp(model)
     assert value == pytest.approx(1.0, abs=1e-9)
     assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_lp_infeasible_and_unbounded():
     infeasible = LpModel(
-        var_names=["x"],
         objective=np.array([1.0]),
         a_ub=np.array([[1.0], [-1.0]]),
         b_ub=np.array([-2.0, -3.0]),  # x <= -2 and x >= 3
@@ -129,7 +128,6 @@ def test_solve_lp_infeasible_and_unbounded():
     with pytest.raises(RuntimeError, match="infeasible"):
         solve_lp(infeasible)
     unbounded = LpModel(
-        var_names=["x"],
         objective=np.array([-1.0]),
         a_ub=np.zeros((0, 1)),
         b_ub=np.zeros(0),
@@ -143,9 +141,8 @@ def test_solve_lp_infeasible_and_unbounded():
 
 def _lagrangian_value(model, y):
     """min over the inequality rows and bounds of c.x - y.(A_eq x - b_eq)."""
-    nv = model.num_vars
+    nv = model.objective.size
     relaxed = LpModel(
-        var_names=model.var_names,
         objective=model.objective - model.a_eq.T @ y,
         a_ub=model.a_ub,
         b_ub=model.b_ub,
@@ -153,15 +150,13 @@ def _lagrangian_value(model, y):
         hi=model.hi,
         **_empty_rows(nv),
     )
-    value, _ = solve_lp(relaxed)
-    return value + float(y @ model.b_eq)
+    return solve_lp(relaxed)[0] + float(y @ model.b_eq)
 
 
 def test_simplex_multipliers_with_redundant_and_negated_rows():
     # u + v = -1 appears twice, with a negative right-hand side and a free
     # u; the redundant copy gets multiplier 0
     model = LpModel(
-        var_names=["u", "v"],
         objective=np.array([1.0, 2.0]),
         a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
         b_eq=np.array([-1.0, -1.0]),
@@ -170,7 +165,7 @@ def test_simplex_multipliers_with_redundant_and_negated_rows():
         lo=np.array([-np.inf, 0.0]),
         hi=np.array([np.inf, np.inf]),
     )
-    value, _, y = solve_lp_multipliers(model)
+    value, _, y = solve_lp(model)
     assert value == pytest.approx(-1.0, abs=1e-9)
     assert y.sum() == pytest.approx(1.0, abs=1e-9)
     assert (np.abs(y) <= 1e-12).sum() == 1
@@ -184,7 +179,7 @@ def test_simplex_multipliers_are_an_optimal_dual_of_the_certification_lp(rng):
         y_star = gcn.predict(gcn.forward_sliced(sp, params))
         c = class_vector(y_star, (y_star + 1) % params.dims[-1], params.dims[-1])
         model = build_primal_lp(sp, params, bnds, budget, c)
-        value, _, y = solve_lp_multipliers(model)
+        value, _, y = solve_lp(model)
         assert len(y) == len(model.b_eq)
         assert _lagrangian_value(model, y) == pytest.approx(value, abs=1e-8)
 
@@ -198,11 +193,11 @@ def test_lp_zero_budget_equals_clean_margin(rng):
     bnds = compute_bounds(sp, params, budget)
     c = class_vector(0, 1, params.dims[-1])
     model = build_primal_lp(sp, params, bnds, budget, c)
-    value, x = solve_lp(model)
+    value, x, _ = solve_lp(model)
     logits = gcn.forward_sliced(sp, params).logits
     assert value == pytest.approx(float(logits[0] - logits[1]), abs=1e-8)
     # the zero eps budget pins the attribute block to the clean values
-    assert x[model.index("X_0_0")] == pytest.approx(sp.sliced_attrs[0, 0], abs=1e-8)
+    assert x[0] == pytest.approx(sp.sliced_attrs[0, 0], abs=1e-8)
 
 
 def test_lp_is_a_relaxation_of_enumeration(rng):
@@ -215,11 +210,175 @@ def test_lp_is_a_relaxation_of_enumeration(rng):
             if k == y_star:
                 continue
             c = class_vector(y_star, k, K)
-            value, _ = solve_lp(build_primal_lp(sp, params, bnds, budget, c))
+            value = solve_lp(build_primal_lp(sp, params, bnds, budget, c))[0]
             exact = enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
             assert value <= exact + 1e-6
             st = dual_state(sp, params, bnds, budget, c)
             assert st.value <= value + 1e-6  # weak duality against the LP
+
+
+def _reference_build_primal_lp(sp, params, bounds, budget, c):
+    """The named-variable LP builder that build_primal_lp replaced, kept verbatim
+    but for its return value: the seven LpModel arrays, in field order.
+
+    The relaxed certification problem as an explicit dense LP.
+
+    Variables: the attribute block (= H^(1)), slack magnitudes eps, every
+    pre-activation Hhat^(l), and post-activations H^(l) for crossing
+    neurons only (the exactly-linear cases are substituted away).
+    """
+    L = sp.layer_count
+    X = sp.sliced_attrs
+    n_outer, D = X.shape
+    K = grad.val(params.weights[-1]).shape[1]
+    c = np.asarray(c, dtype=np.float64)
+
+    names, lo, hi = [], [], []
+
+    def add_var(name, low, high):
+        names.append(name)
+        lo.append(low)
+        hi.append(high)
+        return len(names) - 1
+
+    x_idx = {(n, d): add_var(f"X_{n}_{d}", 0.0, 1.0) for n in range(n_outer) for d in range(D)}
+    e_idx = {(n, d): add_var(f"eps_{n}_{d}", 0.0, np.inf) for n in range(n_outer) for d in range(D)}
+    hhat_idx = {}
+    for l in range(2, L + 1):
+        rows = sp.sliced_mp[l - 2].shape[0]
+        width = grad.val(params.weights[l - 2]).shape[1]
+        for m in range(rows):
+            for j in range(width):
+                hhat_idx[(l, m, j)] = add_var(f"Hhat{l}_{m}_{j}", -np.inf, np.inf)
+    h_idx = {}
+    for l in range(2, L):
+        part = bounds.partition[l]
+        for m in range(part.shape[0]):
+            for j in range(part.shape[1]):
+                if part[m, j] == CROSSING:
+                    h_idx[(l, m, j)] = add_var(f"H{l}_{m}_{j}", 0.0, np.inf)
+
+    nv = len(names)
+    if nv > MAX_LP_VARIABLES:
+        raise ValueError(f"LP too large for the LP oracle: {nv} > {MAX_LP_VARIABLES} variables")
+
+    a_eq, b_eq = [], []
+    a_ub, b_ub = [], []
+
+    # layer equalities (dual variables Phi)
+    for l in range(2, L + 1):
+        A_dot = sp.sliced_mp[l - 2]
+        W = grad.val(params.weights[l - 2])
+        b = grad.val(params.biases[l - 2])
+        rows, width = A_dot.shape[0], W.shape[1]
+        for m in range(rows):
+            for j in range(width):
+                row = np.zeros(nv)
+                row[hhat_idx[(l, m, j)]] = 1.0
+                for n in range(A_dot.shape[1]):
+                    if A_dot[m, n] == 0.0:
+                        continue
+                    for k in range(W.shape[0]):
+                        coef = A_dot[m, n] * W[k, j]
+                        if coef == 0.0:
+                            continue
+                        if l == 2:
+                            row[x_idx[(n, k)]] -= coef
+                        else:
+                            tag = bounds.partition[l - 1][n, k]
+                            if tag == CROSSING:
+                                row[h_idx[(l - 1, n, k)]] -= coef
+                            elif tag == NONNEG:
+                                row[hhat_idx[(l - 1, n, k)]] -= coef
+                a_eq.append(row)
+                b_eq.append(b[j])
+
+    # |X - Xdot| <= eps (dual gamma+/-)
+    for n in range(n_outer):
+        for d in range(D):
+            row = np.zeros(nv)
+            row[x_idx[(n, d)]] = 1.0
+            row[e_idx[(n, d)]] = -1.0
+            a_ub.append(row)
+            b_ub.append(X[n, d])
+            row = np.zeros(nv)
+            row[x_idx[(n, d)]] = -1.0
+            row[e_idx[(n, d)]] = -1.0
+            a_ub.append(row)
+            b_ub.append(-X[n, d])
+
+    # budget rows (dual eta, rho)
+    for n in range(n_outer):
+        row = np.zeros(nv)
+        for d in range(D):
+            row[e_idx[(n, d)]] = 1.0
+        a_ub.append(row)
+        b_ub.append(float(budget.local_q))
+    row = np.zeros(nv)
+    for key, i in e_idx.items():
+        row[i] = 1.0
+    a_ub.append(row)
+    b_ub.append(float(budget.global_Q))
+
+    # convex envelope on crossing neurons (dual mu, lambda; tau is the
+    # H >= 0 variable bound)
+    for (l, m, j), hi_var in h_idx.items():
+        R = grad.val(bounds.lower[l])[m, j]
+        S = grad.val(bounds.upper[l])[m, j]
+        row = np.zeros(nv)
+        row[hhat_idx[(l, m, j)]] = 1.0
+        row[hi_var] = -1.0
+        a_ub.append(row)
+        b_ub.append(0.0)
+        row = np.zeros(nv)
+        row[hi_var] = S - R
+        row[hhat_idx[(l, m, j)]] = -S
+        a_ub.append(row)
+        b_ub.append(-S * R)
+
+    objective = np.zeros(nv)
+    for k in range(K):
+        objective[hhat_idx[(L, 0, k)]] = c[k]
+
+    return (
+        objective,
+        np.array(a_eq).reshape(-1, nv),
+        np.array(b_eq, dtype=np.float64),
+        np.array(a_ub).reshape(-1, nv),
+        np.array(b_ub, dtype=np.float64),
+        np.array(lo, dtype=np.float64),
+        np.array(hi, dtype=np.float64),
+    )
+
+
+def test_block_builder_matches_the_reference_builder():
+    """build_primal_lp gives the reference builder's seven arrays exactly, on
+    one- and two-hidden-layer instances, for every competing class, also at
+    Q = 0 (no crossing neuron) and q = 0."""
+    rng = np.random.default_rng(15)
+    no_crossing = deep_crossing = 0
+    for hidden_layers in (1, 2):
+        for i in range(240):
+            sp, params, budget = random_tiny_instance(rng, hidden_layers=hidden_layers)
+            if i % 6 == 4:
+                budget = Budget(budget.local_q, 0)
+            elif i % 6 == 5:
+                budget = Budget(0, budget.global_Q)
+            bnds = compute_bounds(sp, params, budget)
+            crossing = [np.count_nonzero(bnds.partition[l] == CROSSING) for l in range(2, sp.layer_count)]
+            no_crossing += sum(crossing) == 0
+            deep_crossing += sum(crossing[1:]) > 0
+            K = params.dims[-1]
+            y_star = gcn.predict(gcn.forward_sliced(sp, params))
+            for k in range(K):
+                if k == y_star:
+                    continue
+                c = class_vector(y_star, k, K)
+                model = build_primal_lp(sp, params, bnds, budget, c)
+                reference = _reference_build_primal_lp(sp, params, bnds, budget, c)
+                for a, b in zip(astuple(model), reference, strict=True):
+                    assert np.array_equal(a, b)
+    assert no_crossing > 0 and deep_crossing > 0
 
 
 def test_lp_size_guard():
@@ -263,7 +422,7 @@ def test_relaxation_gap_counterexample():
     np.testing.assert_allclose(bnds.lower[2], [[-1.0, -1.0]])
     np.testing.assert_allclose(bnds.upper[2], [[1.0, 1.0]])
     c = np.array([1.0, 0.0])  # objective = H_1 + H_2 after the output layer
-    relaxed, _ = solve_lp(build_primal_lp(sp, params, bnds, budget, c))
+    relaxed = solve_lp(build_primal_lp(sp, params, bnds, budget, c))[0]
     best = binary_inner_lp_minimum(sp, params, bnds, budget, c)
     assert relaxed == pytest.approx(0.0, abs=1e-8)
     assert best == pytest.approx(1.0, abs=1e-8)
