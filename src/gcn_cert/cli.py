@@ -1,13 +1,17 @@
 """Command-line interface: datasets on disk, training, certification.
 
-File formats (UTF-8, LF, 0-indexed ids):
+File formats (UTF-8, 0-indexed ids):
   edges       TSV  ``u<TAB>v``          undirected, mirrored, deduplicated
   attributes  TSV  ``node<TAB>dim``     implicit value 1 (sparse), or a
-                                        dense CSV matrix of 0/1 values
+                                        dense CSV matrix of 0/1 values when
+                                        the first content line has a comma
   labels      TSV  ``node<TAB>class``
   split       TSV  ``node<TAB>labeled`` or ``node<TAB>unlabeled``
-Checkpoints are JSON (exact hex floats), certificates JSON-lines, curves
-and training logs CSV.
+Blank and ``#`` lines are skipped in every dataset file and in the train
+config. A node listed twice in labels or split with different values, a
+negative or out-of-range id and an id past int64 are errors that name
+``path:line`` (exit 2). Checkpoints are JSON (exact hex floats),
+certificates JSON-lines, curves and training logs CSV.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,40 +83,60 @@ class CurveReport:
 # -- parsing ---------------------------------------------------------------
 
 
-def _parse_int(text, path, lineno, what):
-    try:
-        v = int(text)
-    except ValueError:
-        raise CliError(f"{path}:{lineno}: bad {what} {text!r}")
-    if v < 0:
-        raise CliError(f"{path}:{lineno}: negative {what} {v}")
-    return v
+def _content_lines(path):
+    """Line numbers and stripped text of the lines of `path` that are neither blank nor `#` comments.
 
-
-@contextmanager
-def _open_text(path):
-    """A UTF-8 text file opened for reading; a decode error while it is read is a CliError."""
+    The numbers count every line, as iterating over the file does (universal newlines).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+            lines = [line.strip() for line in fh.read().split("\n")]
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    keep = [i for i, line in enumerate(lines) if line and line[0] != "#"]
+    return np.array(keep, dtype=np.int64) + 1, [lines[i] for i in keep]
 
 
-def _read_pairs(path, what_a, what_b):
-    pairs = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CliError(f"{path}:{lineno}: expected two tab-separated fields")
-            pairs.append(
-                (lineno, _parse_int(parts[0], path, lineno, what_a), parts[1])
-            )
-    return pairs
+def _reject(path, lines, mask, message, values=None):
+    """A CliError at the first line where `mask` holds; `{}` in `message` becomes that entry of `values`."""
+    if mask.any():
+        i = int(mask.argmax())
+        raise CliError(f"{path}:{lines[i]}: " + (message if values is None else message.format(values[i])))
+
+
+def _column(path, lines, texts, dtype, what):
+    """`texts` as one `dtype` array; an entry the conversion rejects is a CliError naming its line."""
+    try:
+        return np.array(texts, dtype=dtype)
+    except (ValueError, OverflowError):
+        # error path only: the same conversion entry by entry, to name the first one it rejects
+        for line, text in zip(lines, texts):
+            try:
+                np.array(text, dtype=dtype)
+            except ValueError:
+                raise CliError(f"{path}:{line}: bad {what} {text!r}") from None
+            except OverflowError:
+                raise CliError(f"{path}:{line}: {what} {text.strip()} is out of the int64 range") from None
+        raise
+
+
+def _read_pairs(path, what_a, what_b=None):
+    """Line numbers and the two tab-separated fields of each content line; a named field is a column of ids >= 0."""
+    lines, texts = _content_lines(path)
+    _reject(path, lines, np.array([t.count("\t") != 1 for t in texts], dtype=bool), "expected two tab-separated fields")
+    fields = "\t".join(texts).split("\t") if texts else []
+    cols = [fields[0::2], fields[1::2]]
+    for j, what in ((0, what_a), (1, what_b)):
+        if what is not None:
+            cols[j] = _column(path, lines, cols[j], np.int64, what)
+            _reject(path, lines, cols[j] < 0, f"negative {what} {{}}", cols[j])
+    return lines, cols[0], cols[1]
+
+
+def _reject_conflicts(path, lines, nodes, values, what):
+    """A node listed again must repeat its first value; the first line that does not is a CliError."""
+    _, first, where = np.unique(nodes, return_index=True, return_inverse=True)
+    _reject(path, lines, values != values[first[where]], f"node {{}} listed again with another {what}", nodes)
 
 
 def load_dataset(
@@ -125,109 +148,81 @@ def load_dataset(
     num_features=None,
     num_classes=None,
 ) -> DatasetBundle:
-    edge_pairs = [
-        (ln, u, _parse_int(v, edges_path, ln, "node id"))
-        for ln, u, v in _read_pairs(edges_path, "node id", "node id")
-    ]
+    for key, value in (("num_nodes", num_nodes), ("num_features", num_features), ("num_classes", num_classes)):
+        if value is not None and value < 1:
+            raise CliError(f"{key} must be >= 1, got {value}")
+    e_lines, eu, ev = _read_pairs(edges_path, "node id", "node id")
 
-    dense_attrs = None
-    attr_pairs = []
-    with _open_text(attributes_path) as fh:
-        first = fh.readline()
-    if "," in first:
+    lines, texts = _content_lines(attributes_path)
+    dense = bool(texts) and "," in texts[0]
+    if dense:
         # dense CSV matrix of 0/1 values
-        dense_attrs = []
-        with _open_text(attributes_path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = []
-                for cell in line.split(","):
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise CliError(f"{attributes_path}:{lineno}: bad value {cell!r}")
-                    if v not in (0.0, 1.0):
-                        raise CliError(
-                            f"{attributes_path}:{lineno}: attribute value {cell!r} is not 0/1"
-                        )
-                    row.append(v)
-                dense_attrs.append(row)
-        if not dense_attrs or len({len(r) for r in dense_attrs}) != 1:
+        cells = [text.split(",") for text in texts]
+        widths = [len(row) for row in cells]
+        flat = [cell for row in cells for cell in row]
+        cell_lines = np.repeat(lines, widths)
+        values = _column(attributes_path, cell_lines, flat, np.float64, "value")
+        _reject(attributes_path, cell_lines, (values != 0) & (values != 1), "attribute value {!r} is not 0/1", flat)
+        if len(set(widths)) != 1:
             raise CliError(f"{attributes_path}: ragged or empty CSV matrix")
+        X = values.reshape(len(texts), widths[0])
+        num_nodes = len(texts) if num_nodes is None else num_nodes
+        num_features = widths[0] if num_features is None else num_features
+        if len(texts) != num_nodes:
+            raise CliError(f"{attributes_path}: {len(texts)} rows but num_nodes={num_nodes}")
     else:
-        attr_pairs = [
-            (ln, n, _parse_int(d, attributes_path, ln, "feature id"))
-            for ln, n, d in _read_pairs(attributes_path, "node id", "feature id")
-        ]
-
-    if num_nodes is None:
-        seen = [u for _, u, v in edge_pairs] + [v for _, u, v in edge_pairs]
-        seen += [n for _, n, _ in attr_pairs]
-        if dense_attrs is not None:
-            num_nodes = len(dense_attrs)
-        elif seen:
-            num_nodes = max(seen) + 1
-        else:
-            raise CliError("cannot infer node count from empty files; pass num_nodes")
-    if dense_attrs is not None:
+        a_lines, an, ad = _read_pairs(attributes_path, "node id", "feature id")
+        if num_nodes is None:
+            ids = np.concatenate([eu, ev, an])
+            if not ids.size:
+                raise CliError("cannot infer node count from empty files; pass num_nodes")
+            num_nodes = int(ids.max()) + 1
         if num_features is None:
-            num_features = len(dense_attrs[0])
-        if len(dense_attrs) != num_nodes:
-            raise CliError(
-                f"{attributes_path}: {len(dense_attrs)} rows but num_nodes={num_nodes}"
-            )
-    elif num_features is None:
-        num_features = max((d for _, _, d in attr_pairs), default=-1) + 1
-        if num_features == 0:
-            raise CliError("cannot infer feature count; pass num_features")
+            if not ad.size:
+                raise CliError("cannot infer feature count; pass num_features")
+            num_features = int(ad.max()) + 1
 
-    for lineno, u, v in edge_pairs:
-        if u >= num_nodes or v >= num_nodes:
-            raise CliError(f"{edges_path}:{lineno}: node id >= N={num_nodes}")
-    u, v = np.array([(u, v) for _, u, v in edge_pairs if u != v], dtype=np.int64).reshape(-1, 2).T
+    _reject(edges_path, e_lines, (eu >= num_nodes) | (ev >= num_nodes), f"node id >= N={num_nodes}")
+    if not dense:
+        _reject(attributes_path, a_lines, an >= num_nodes, f"node id >= N={num_nodes}")
+        _reject(attributes_path, a_lines, ad >= num_features, f"feature id >= D={num_features}")
+        try:
+            X = np.zeros((num_nodes, num_features), dtype=bool)
+        except (ValueError, MemoryError) as exc:
+            raise CliError(f"no room for an N={num_nodes} x D={num_features} attribute matrix ({exc})")
+        X[an, ad] = True
+
+    keep = eu != ev
+    u, v = eu[keep], ev[keep]
     A = sp.csr_array(
         (np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
         shape=(num_nodes, num_nodes),
     )
     A.data[:] = 1.0  # duplicate edges were summed
 
-    if dense_attrs is not None:
-        X = np.asarray(dense_attrs)
-    else:
-        X = np.zeros((num_nodes, num_features), dtype=bool)
-        for lineno, n, d in attr_pairs:
-            if n >= num_nodes:
-                raise CliError(f"{attributes_path}:{lineno}: node id >= N={num_nodes}")
-            if d >= num_features:
-                raise CliError(f"{attributes_path}:{lineno}: feature id >= D={num_features}")
-            X[n, d] = True
-
     labels = None
     if labels_path is not None:
+        l_lines, ln, ly = _read_pairs(labels_path, "node id", "class")
+        _reject(labels_path, l_lines, ln >= num_nodes, f"node id >= N={num_nodes}")
+        _reject_conflicts(labels_path, l_lines, ln, ly, "class")
         labels = np.full(num_nodes, -1, dtype=int)
-        for lineno, n, y in _read_pairs(labels_path, "node id", "class"):
-            y = _parse_int(y, labels_path, lineno, "class")
-            if n >= num_nodes:
-                raise CliError(f"{labels_path}:{lineno}: node id >= N={num_nodes}")
-            labels[n] = y
+        labels[ln] = ly
         if num_classes is None:
-            num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
-        if num_classes <= 0:
-            raise CliError("cannot infer class count; pass num_classes")
+            if not ly.size:
+                raise CliError("cannot infer class count; pass num_classes")
+            num_classes = int(ly.max()) + 1
     elif num_classes is None:
         raise CliError("num_classes required when no labels file is given")
 
     split = None
     if split_path is not None:
-        split = np.array(["unlabeled"] * num_nodes, dtype=object)
-        for lineno, n, tag in _read_pairs(split_path, "node id", "split tag"):
-            if tag not in ("labeled", "unlabeled"):
-                raise CliError(f"{split_path}:{lineno}: split tag {tag!r}")
-            if n >= num_nodes:
-                raise CliError(f"{split_path}:{lineno}: node id >= N={num_nodes}")
-            split[n] = tag
+        s_lines, sn, tags = _read_pairs(split_path, "node id")
+        tags = np.array(tags, dtype=object)
+        _reject(split_path, s_lines, (tags != "labeled") & (tags != "unlabeled"), "split tag {!r}", tags)
+        _reject(split_path, s_lines, sn >= num_nodes, f"node id >= N={num_nodes}")
+        _reject_conflicts(split_path, s_lines, sn, tags, "split tag")
+        split = np.full(num_nodes, "unlabeled", dtype=object)
+        split[sn] = tags
 
     try:
         graph = Graph(
@@ -275,28 +270,24 @@ TRAIN_CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Flat ``key = value`` config; unknown keys are hard errors."""
     out = {}
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in TRAIN_CONFIG_KEYS:
-                valid = ", ".join(sorted(TRAIN_CONFIG_KEYS))
-                raise CliError(f"{path}:{lineno}: unknown key {key!r}; valid keys: {valid}")
-            typ = TRAIN_CONFIG_KEYS[key]
-            try:
-                if typ is bool:
-                    if raw.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError(raw)
-                    out[key] = raw.lower() in ("true", "1")
-                else:
-                    out[key] = typ(raw)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key}")
+    for lineno, line in zip(*_content_lines(path)):
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in TRAIN_CONFIG_KEYS:
+            valid = ", ".join(sorted(TRAIN_CONFIG_KEYS))
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}; valid keys: {valid}")
+        typ = TRAIN_CONFIG_KEYS[key]
+        try:
+            if typ is bool:
+                if raw.lower() not in ("true", "false", "0", "1"):
+                    raise ValueError(raw)
+                out[key] = raw.lower() in ("true", "1")
+            else:
+                out[key] = typ(raw)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key}")
     return out
 
 

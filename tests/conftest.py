@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny random instances, small hand-built graphs and forced-tie slices."""
+"""Shared fixtures: tiny random instances, small hand-built graphs, forced-tie slices and a Graph comparison."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,16 @@ def path_graph():
         attributes=X,
         labels=np.array([0, 1, -1]),
     )
+
+
+def assert_graphs_equal(a, b):
+    """Equal sizes, adjacency, attributes, labels and split, dtypes included."""
+    assert (a.num_nodes, a.num_features, a.num_classes) == (b.num_nodes, b.num_features, b.num_classes)
+    assert a.adjacency.dtype == b.adjacency.dtype and (a.adjacency != b.adjacency).nnz == 0
+    for x, y in ((a.attributes, b.attributes), (a.labels, b.labels), (a.split, b.split)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def single_node_problem(X_row):

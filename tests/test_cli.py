@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gcn_cert
+from conftest import assert_graphs_equal
 from gcn_cert import cli, dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
-from gcn_cert.graph_core import build_message_passing, slice_problem
+from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
 
 
 def _write(path, text):
@@ -88,6 +91,312 @@ def test_load_dataset_errors(tmp_path, dataset):
     oob = _write(tmp_path / "oob.tsv", "0\t9\n")
     with pytest.raises(CliError, match="node id >= N"):
         load_dataset(oob, dataset["attributes"], num_nodes=3, num_classes=2)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("a.tsv", "# node, feature\n0\t0\n1\t1\n"),
+        ("a.csv", "\n1,0\n0,1\n"),
+        ("a.csv", "# a 0/1 matrix, one row a node\n1,0\n\n# node 1\n0,1\n"),
+    ],
+    ids=["tsv_after_a_comment_with_a_comma", "csv_after_a_blank_line", "csv_with_comment_lines"],
+)
+def test_load_dataset_reads_the_format_from_the_first_content_line(tmp_path, name, text):
+    edges = _write(tmp_path / "e.tsv", "0\t1\n")
+    g = load_dataset(edges, _write(tmp_path / name, text), num_classes=2).graph
+    np.testing.assert_array_equal(g.attributes, np.eye(2))
+
+
+# -- load_dataset against the line-by-line reader it replaced ---------------
+#
+# The loader as it was before the array reader, verbatim but renamed. The
+# differential test below runs it and `load_dataset` on generated files.
+
+
+@contextmanager
+def _reference_open_text(path):
+    """A UTF-8 text file opened for reading; a decode error while it is read is a CliError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _reference_parse_int(text, path, lineno, what):
+    try:
+        v = int(text)
+    except ValueError:
+        raise CliError(f"{path}:{lineno}: bad {what} {text!r}")
+    if v < 0:
+        raise CliError(f"{path}:{lineno}: negative {what} {v}")
+    return v
+
+
+def _reference_read_pairs(path, what_a, what_b):
+    pairs = []
+    with _reference_open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise CliError(f"{path}:{lineno}: expected two tab-separated fields")
+            pairs.append(
+                (lineno, _reference_parse_int(parts[0], path, lineno, what_a), parts[1])
+            )
+    return pairs
+
+
+def _reference_load_dataset(
+    edges_path,
+    attributes_path,
+    labels_path=None,
+    split_path=None,
+    num_nodes=None,
+    num_features=None,
+    num_classes=None,
+):
+    edge_pairs = [
+        (ln, u, _reference_parse_int(v, edges_path, ln, "node id"))
+        for ln, u, v in _reference_read_pairs(edges_path, "node id", "node id")
+    ]
+
+    dense_attrs = None
+    attr_pairs = []
+    with _reference_open_text(attributes_path) as fh:
+        first = fh.readline()
+    if "," in first:
+        # dense CSV matrix of 0/1 values
+        dense_attrs = []
+        with _reference_open_text(attributes_path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = []
+                for cell in line.split(","):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise CliError(f"{attributes_path}:{lineno}: bad value {cell!r}")
+                    if v not in (0.0, 1.0):
+                        raise CliError(
+                            f"{attributes_path}:{lineno}: attribute value {cell!r} is not 0/1"
+                        )
+                    row.append(v)
+                dense_attrs.append(row)
+        if not dense_attrs or len({len(r) for r in dense_attrs}) != 1:
+            raise CliError(f"{attributes_path}: ragged or empty CSV matrix")
+    else:
+        attr_pairs = [
+            (ln, n, _reference_parse_int(d, attributes_path, ln, "feature id"))
+            for ln, n, d in _reference_read_pairs(attributes_path, "node id", "feature id")
+        ]
+
+    if num_nodes is None:
+        seen = [u for _, u, v in edge_pairs] + [v for _, u, v in edge_pairs]
+        seen += [n for _, n, _ in attr_pairs]
+        if dense_attrs is not None:
+            num_nodes = len(dense_attrs)
+        elif seen:
+            num_nodes = max(seen) + 1
+        else:
+            raise CliError("cannot infer node count from empty files; pass num_nodes")
+    if dense_attrs is not None:
+        if num_features is None:
+            num_features = len(dense_attrs[0])
+        if len(dense_attrs) != num_nodes:
+            raise CliError(
+                f"{attributes_path}: {len(dense_attrs)} rows but num_nodes={num_nodes}"
+            )
+    elif num_features is None:
+        num_features = max((d for _, _, d in attr_pairs), default=-1) + 1
+        if num_features == 0:
+            raise CliError("cannot infer feature count; pass num_features")
+
+    for lineno, u, v in edge_pairs:
+        if u >= num_nodes or v >= num_nodes:
+            raise CliError(f"{edges_path}:{lineno}: node id >= N={num_nodes}")
+    u, v = np.array([(u, v) for _, u, v in edge_pairs if u != v], dtype=np.int64).reshape(-1, 2).T
+    A = sp.csr_array(
+        (np.ones(2 * u.size), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(num_nodes, num_nodes),
+    )
+    A.data[:] = 1.0  # duplicate edges were summed
+
+    if dense_attrs is not None:
+        X = np.asarray(dense_attrs)
+    else:
+        X = np.zeros((num_nodes, num_features), dtype=bool)
+        for lineno, n, d in attr_pairs:
+            if n >= num_nodes:
+                raise CliError(f"{attributes_path}:{lineno}: node id >= N={num_nodes}")
+            if d >= num_features:
+                raise CliError(f"{attributes_path}:{lineno}: feature id >= D={num_features}")
+            X[n, d] = True
+
+    labels = None
+    if labels_path is not None:
+        labels = np.full(num_nodes, -1, dtype=int)
+        for lineno, n, y in _reference_read_pairs(labels_path, "node id", "class"):
+            y = _reference_parse_int(y, labels_path, lineno, "class")
+            if n >= num_nodes:
+                raise CliError(f"{labels_path}:{lineno}: node id >= N={num_nodes}")
+            labels[n] = y
+        if num_classes is None:
+            num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
+        if num_classes <= 0:
+            raise CliError("cannot infer class count; pass num_classes")
+    elif num_classes is None:
+        raise CliError("num_classes required when no labels file is given")
+
+    split = None
+    if split_path is not None:
+        split = np.array(["unlabeled"] * num_nodes, dtype=object)
+        for lineno, n, tag in _reference_read_pairs(split_path, "node id", "split tag"):
+            if tag not in ("labeled", "unlabeled"):
+                raise CliError(f"{split_path}:{lineno}: split tag {tag!r}")
+            if n >= num_nodes:
+                raise CliError(f"{split_path}:{lineno}: node id >= N={num_nodes}")
+            split[n] = tag
+
+    try:
+        graph = Graph(
+            num_nodes=num_nodes,
+            num_features=num_features,
+            num_classes=num_classes,
+            adjacency=A,
+            attributes=X,
+            labels=labels,
+            split=split,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
+    return cli.DatasetBundle(edges_path, attributes_path, labels_path, split_path, graph)
+
+
+_BAD_INTS = ["x", "2.0", "1e3", "0x1", "--1", "1 2"]
+MUTATIONS = ["fields", "bad_int", "negative", "node_oob", "feature_oob", "split_tag", "csv_cell", "csv_value", "ragged"]
+
+
+def _file_text(rng, rows, sep):
+    """`rows` of field texts as one file: blank and `#` lines, spaces around fields, LF or CRLF.
+
+    A CSV file gets neither `#` lines nor a blank first line (the reference
+    read both as content), and no comment holds a comma. Split tags are
+    compared as written, so words get no spaces.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        if sep == "\t" or i:
+            if rng.random() < 0.2:
+                out.append(str(rng.choice(["", "   ", "\t", "\x0c", "  "])))
+            if sep == "\t" and rng.random() < 0.2:
+                out.append(f"# note {i}")
+        cells = [f" {f} " if rng.random() < 0.2 and not f.isalpha() else f for f in row]
+        out.append(str(rng.choice(["", " ", "\t"])) + sep.join(cells) + str(rng.choice(["", " "])))
+    end = str(rng.choice(["\n", "\r\n"]))
+    return end.join(out) + (end if out and rng.random() < 0.8 else "")
+
+
+def _generated_case(rng, mutation):
+    """Rows of the four files, their formats, the sizes to pass, and `mutation` applied to one entry."""
+    dense = rng.random() < 0.3 or mutation in ("csv_cell", "csv_value", "ragged")
+    # a CSV row needs two cells to hold a comma
+    N, D, K = (int(v) for v in rng.integers([1, 1 + dense, 1], [7, 6, 4], endpoint=True))
+    X = rng.random((N, D)) < 0.4
+    # self-loops, both orders and repeats
+    edges = [[str(u), str(v)] for u, v in rng.integers(N, size=(int(rng.integers(0, 10)), 2))]
+    if dense:
+        attrs = [[str(rng.choice(["1", "1.0", "1e0"]) if x else rng.choice(["0", "0.0", "-0"])) for x in row] for row in X]
+    else:
+        attrs = [[str(n), str(d)] for n, d in zip(*np.nonzero(X))]
+        attrs += [row for row in attrs if rng.random() < 0.1]
+    y = rng.integers(K, size=N)
+    labels = [[str(n), str(y[n])] for n in rng.permutation(N)[: int(rng.integers(0, N + 1))]]
+    tags = rng.choice(["labeled", "unlabeled"], size=N)
+    split = [[str(n), str(tags[n])] for n in rng.permutation(N)[: int(rng.integers(0, N + 1))]]
+    # identical repeats are allowed
+    labels += [row for row in labels if rng.random() < 0.2]
+    split += [row for row in split if rng.random() < 0.2]
+    files = {"edges": edges, "attributes": attrs, "labels": labels, "split": split}
+
+    tsv = [k for k in files if files[k] and not (k == "attributes" and dense)]
+    where = {
+        "fields": [(k, None) for k in tsv],
+        "bad_int": [(k, j) for k in tsv for j in (0, 1) if k != "split" or j == 0],
+        "node_oob": [(k, 0) for k in tsv] + ([("edges", 1)] if edges else []),
+        "feature_oob": [("attributes", 1)] if "attributes" in tsv else [],
+        "split_tag": [("split", 1)] if split else [],
+        "csv_cell": [("attributes", None)] if dense else [],
+    }
+    where["negative"] = where["bad_int"]
+    where["csv_value"] = where["ragged"] = where["csv_cell"]
+    if mutation is not None and where[mutation]:
+        key, j = where[mutation][int(rng.integers(len(where[mutation])))]
+        row = files[key][int(rng.integers(len(files[key])))]
+        col = int(rng.integers(len(row))) if j is None else j
+        if mutation == "fields":
+            row.append("7") if rng.random() < 0.5 else row.pop()
+        elif mutation == "ragged":
+            row.append("0") if rng.random() < 0.5 or len(row) == 1 else row.pop()
+        else:
+            row[col] = str(rng.choice({
+                "bad_int": _BAD_INTS,
+                "negative": ["-1", "-7"],
+                "node_oob": [str(N), str(N + 3)],
+                "feature_oob": [str(D), str(D + 2)],
+                "split_tag": ["train", "Labeled"],
+                "csv_cell": ["x", "", "1;0"],
+                "csv_value": ["0.5", "2", "-1", "nan"],
+            }[mutation]))
+
+    sizes = {
+        "num_nodes": None if rng.random() < 0.5 else N + int(rng.integers(0, 2)),
+        "num_features": None if rng.random() < 0.5 else D + int(rng.integers(0, 2)),
+        "num_classes": None if rng.random() < 0.5 else K + int(rng.integers(0, 2)),
+    }
+    return files, dense, sizes
+
+
+def _outcome(load, paths, sizes):
+    try:
+        return load(*paths, **sizes).graph
+    except CliError as exc:
+        return str(exc)
+
+
+def test_load_dataset_matches_the_line_by_line_reference(tmp_path):
+    """Generated files, clean or with one defect: an equal Graph or the same message as the reference."""
+    rng = np.random.default_rng(16)
+    failed = set()
+    graphs = 0
+    for case in range(600):
+        mutation = MUTATIONS[case % 12] if case % 12 < len(MUTATIONS) else None
+        files, dense, sizes = _generated_case(rng, mutation)
+        paths = []
+        for key, rows in files.items():
+            sep = "," if key == "attributes" and dense else "\t"
+            path = tmp_path / f"{key}.{'csv' if sep == ',' else 'tsv'}"
+            path.write_bytes(_file_text(rng, rows, sep).encode("utf-8"))
+            paths.append(str(path))
+        if rng.random() < 0.2:
+            paths[3] = None
+        if rng.random() < 0.1:
+            paths[2] = None
+        want = _outcome(_reference_load_dataset, paths, sizes)
+        got = _outcome(load_dataset, paths, sizes)
+        if isinstance(want, str):
+            assert got == want, f"case {case}"
+            failed.add(mutation)
+        else:
+            assert not isinstance(got, str), f"case {case}: {got}"
+            assert_graphs_equal(got, want)
+            graphs += 1
+    assert failed == set(MUTATIONS) | {None} and graphs > 100
 
 
 # -- parse_config ----------------------------------------------------------
@@ -204,6 +513,9 @@ def test_cmd_train_rejects_a_split_without_labeled_nodes(tmp_path, dataset, caps
     assert not ckpt.exists()
 
 
+BIG = "99999999999999999999999"  # past int64
+
+
 @pytest.mark.parametrize(
     "files, extra, message",
     [
@@ -216,9 +528,26 @@ def test_cmd_train_rejects_a_split_without_labeled_nodes(tmp_path, dataset, caps
         ({"labels": ("l.tsv", "")}, "", "cannot infer class count"),
         ({"split": ("s.tsv", "0\tlabeled\n1\ttrain\n")}, "", "s.tsv:2: split tag 'train'"),
         ({"labels": ("l.tsv", "0\t0\n1\t5\n")}, "num_classes = 2\n", "label 5 out of range [0, 2)"),
+        ({}, "num_nodes = 0\n", "num_nodes must be >= 1, got 0"),
+        ({}, "num_features = -1\n", "num_features must be >= 1, got -1"),
+        ({}, "num_classes = 0\n", "num_classes must be >= 1, got 0"),
+        ({"labels": ("l.tsv", "0\t0\n1\t1\n0\t1\n")}, "", "l.tsv:3: node 0 listed again with another class"),
+        ({"split": ("s.tsv", "0\tlabeled\n1\tlabeled\n1\tunlabeled\n")}, "",
+         "s.tsv:3: node 1 listed again with another split tag"),
+        ({"edges": ("e.tsv", f"0\t1\n1\t{BIG}\n")}, "", f"e.tsv:2: node id {BIG} is out of the int64 range"),
+        ({"attributes": ("a.tsv", f"0\t0\n{BIG}\t1\n")}, "", f"a.tsv:2: node id {BIG} is out of the int64 range"),
+        ({"attributes": ("a.tsv", f"0\t0\n1\t{BIG}\n")}, "", f"a.tsv:2: feature id {BIG} is out of the int64 range"),
+        ({"labels": ("l.tsv", f"0\t0\n1\t{BIG}\n")}, "", f"l.tsv:2: class {BIG} is out of the int64 range"),
+        ({"labels": ("l.tsv", f"0\t0\n-{BIG}\t1\n")}, "", f"l.tsv:2: node id -{BIG} is out of the int64 range"),
+        ({"split": ("s.tsv", f"0\tlabeled\n{BIG}\tlabeled\n")}, "", f"s.tsv:2: node id {BIG} is out of the int64 range"),
+        ({"attributes": ("a.tsv", f"0\t0\n1\t{2**63 - 1}\n")}, "", f"no room for an N=3 x D={2**63} attribute matrix"),
+        ({"edges": ("e.tsv", f"0\t{2**63 - 1}\n")}, "", f"no room for an N={2**63} x D=2 attribute matrix"),
     ],
     ids=["ragged_csv", "csv_rows", "empty_files", "no_features", "feature_id", "label_node_id", "no_classes",
-         "split_tag", "label_range"],
+         "split_tag", "label_range", "num_nodes_zero", "num_features_negative", "num_classes_zero",
+         "label_conflict", "split_conflict", "edge_past_int64", "attribute_node_past_int64",
+         "feature_past_int64", "class_past_int64", "label_node_below_int64", "split_node_past_int64",
+         "feature_int64_max", "edge_int64_max"],
 )
 def test_cmd_train_reports_each_dataset_error_in_one_line(tmp_path, dataset, capsys, files, extra, message):
     paths = {key: _write(tmp_path / name, text) for key, (name, text) in files.items()}
