@@ -139,19 +139,47 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
     return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
 
 
+# rows at least this long are picked by a float partition in `top_k`; the
+# complex-key partition is faster below it (timings in CHANGES.md)
+_FLOAT_ROW_MIN = 512
+
+
+def _key_picks(values, ids, k):
+    """Each row's k smallest complex keys -value + i*id, in no particular order."""
+    key = np.empty(np.broadcast_shapes(np.shape(values), np.shape(ids)), dtype=np.complex128)
+    key.real = -values
+    key.imag = ids
+    return np.partition(key, k - 1, axis=-1)[..., :k]
+
+
 def top_k(values, ids, k):
     """Each row's k largest values and their ids, in descending order; ties go to the smaller id.
 
     Rows run along the last axis; `values` and the integer `ids` broadcast
-    together.  The selection is one partition on complex keys -value + i*id:
-    complex numbers order by real, then imaginary part, so ascending keys
-    are descending values with ties to the smaller id.  Only the k picks are
-    sorted.
+    together, and 1 <= k <= the row length.  The order is that of complex
+    keys -value + i*id: complex numbers order by real, then imaginary part,
+    so ascending keys are descending values with ties to the smaller id.
+    Rows shorter than `_FLOAT_ROW_MIN` are one partition on those keys.
+    Longer rows take k positions from one float partition of the values; a
+    row that has more than k entries >= its k-th value left out a tie at
+    that value, and only those rows are picked again on the keys.  Only the
+    k picks are sorted, on their keys.
     """
-    key = np.empty(np.broadcast_shapes(np.shape(values), np.shape(ids)), dtype=np.complex128)
-    key.real = -values
-    key.imag = ids
-    top = np.sort(np.partition(key, k - 1, axis=-1)[..., :k], axis=-1)
+    shape = np.broadcast_shapes(np.shape(values), np.shape(ids))
+    m = shape[-1]
+    if m < _FLOAT_ROW_MIN:
+        top = _key_picks(values, ids, k)
+    else:
+        neg, ids = np.broadcast_to(np.negative(values), shape), np.broadcast_to(ids, shape)
+        pos = np.argpartition(neg, k - 1, axis=-1)[..., :k]
+        top = np.empty(pos.shape, dtype=np.complex128)
+        top.real = np.take_along_axis(neg, pos, axis=-1)
+        top.imag = np.take_along_axis(ids, pos, axis=-1)
+        # argpartition puts the k-th value at position k - 1
+        tied = np.count_nonzero(neg <= top.real[..., k - 1 : k], axis=-1) > k
+        if tied.any():
+            top[tied] = _key_picks(-neg[tied], ids[tied], k)
+    top = np.sort(top, axis=-1)
     return -top.real, top.imag.astype(np.intp)
 
 

@@ -120,9 +120,12 @@ def _column(path, lines, texts, dtype, what):
         raise
 
 
-def _read_pairs(path, what_a, what_b=None):
-    """Line numbers and the two tab-separated fields of each content line; a named field is a column of ids >= 0."""
-    lines, texts = _content_lines(path)
+def _read_pairs(path, content, what_a, what_b=None):
+    """Line numbers and the two tab-separated fields of each line of `content`, which is `_content_lines(path)`.
+
+    A named field is a column of ids >= 0.
+    """
+    lines, texts = content
     _reject(path, lines, np.array([t.count("\t") != 1 for t in texts], dtype=bool), "expected two tab-separated fields")
     fields = "\t".join(texts).split("\t") if texts else []
     cols = [fields[0::2], fields[1::2]]
@@ -151,9 +154,10 @@ def load_dataset(
     for key, value in (("num_nodes", num_nodes), ("num_features", num_features), ("num_classes", num_classes)):
         if value is not None and value < 1:
             raise CliError(f"{key} must be >= 1, got {value}")
-    e_lines, eu, ev = _read_pairs(edges_path, "node id", "node id")
+    e_lines, eu, ev = _read_pairs(edges_path, _content_lines(edges_path), "node id", "node id")
 
-    lines, texts = _content_lines(attributes_path)
+    content = _content_lines(attributes_path)
+    lines, texts = content
     dense = bool(texts) and "," in texts[0]
     if dense:
         # dense CSV matrix of 0/1 values
@@ -171,7 +175,7 @@ def load_dataset(
         if len(texts) != num_nodes:
             raise CliError(f"{attributes_path}: {len(texts)} rows but num_nodes={num_nodes}")
     else:
-        a_lines, an, ad = _read_pairs(attributes_path, "node id", "feature id")
+        a_lines, an, ad = _read_pairs(attributes_path, content, "node id", "feature id")
         if num_nodes is None:
             ids = np.concatenate([eu, ev, an])
             if not ids.size:
@@ -202,7 +206,7 @@ def load_dataset(
 
     labels = None
     if labels_path is not None:
-        l_lines, ln, ly = _read_pairs(labels_path, "node id", "class")
+        l_lines, ln, ly = _read_pairs(labels_path, _content_lines(labels_path), "node id", "class")
         _reject(labels_path, l_lines, ln >= num_nodes, f"node id >= N={num_nodes}")
         _reject_conflicts(labels_path, l_lines, ln, ly, "class")
         labels = np.full(num_nodes, -1, dtype=int)
@@ -216,7 +220,7 @@ def load_dataset(
 
     split = None
     if split_path is not None:
-        s_lines, sn, tags = _read_pairs(split_path, "node id")
+        s_lines, sn, tags = _read_pairs(split_path, _content_lines(split_path), "node id")
         tags = np.array(tags, dtype=object)
         _reject(split_path, s_lines, (tags != "labeled") & (tags != "unlabeled"), "split tag {!r}", tags)
         _reject(split_path, s_lines, sn >= num_nodes, f"node id >= N={num_nodes}")
@@ -435,7 +439,12 @@ def cmd_train(args):
         tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
         raise CliError(f"{args.config}: bad training config: {exc}") from None
-    params, log = robust_train.train(graph, tc)
+    dims = [graph.num_features, *tc.hidden_dims, graph.num_classes]
+    try:
+        params = gcn.glorot_params(dims, seed=tc.seed)
+    except (ValueError, MemoryError) as exc:
+        raise CliError(f"no room for a model of dims {dims}, K={graph.num_classes} classes ({exc})") from None
+    params, log = robust_train.train(graph, tc, params)
     gcn.save_checkpoint(params, cfg["checkpoint_out"])
     log_out = cfg.get("log_out")
     if log_out:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,57 @@ def test_top_k_matches_complex_key_reference(rng):
             np.testing.assert_array_equal(top_i, row_i[order])
 
 
+def _long_top_k_cases(rng):
+    """(values, ids, k) on rows just below and at `top_k`'s float-partition length, and of length 2 879.
+
+    Every row length, kind of values, kind of ids and k in {1, m - 1, m,
+    random} meet, on (B, n) = (1, 1), (1, 3) or (3, 2) rows in turn.  Rows
+    of a few values tie at the k-th value, so the float partition leaves out
+    tied entries with smaller ids; the other kinds have fewer than k finite
+    entries, one value, mostly zeros, or no ties.
+    """
+    cut = bounds._FLOAT_ROW_MIN
+    combos = itertools.product([cut - 1, cut, 2879], range(5), range(3), range(4))
+    for i, (D, kind, id_kind, k_kind) in enumerate(combos):
+        B, n = [(1, 1), (1, 3), (3, 2)][i % 3]
+        k = [1, D - 1, D, int(rng.integers(2, D - 1))][k_kind]
+        if kind == 0:  # a few values
+            values = rng.integers(0, 4, size=(B, n, D)).astype(float)
+        elif kind == 1:  # fewer than k finite entries
+            values = np.full((B, n, D), -np.inf)
+            for row in values.reshape(-1, D):
+                finite = rng.choice(D, size=int(rng.integers(0, k)), replace=False)
+                row[finite] = rng.normal(size=finite.size)
+        elif kind == 2:  # every entry equal
+            values = np.full((B, n, D), rng.normal())
+        elif kind == 3:  # wide ties at 0
+            values = rng.normal(size=(B, n, D)) * (rng.random((B, n, D)) < 0.05)
+        else:
+            values = rng.normal(size=(B, n, D))
+        ids = [
+            np.arange(D),  # broadcast against every row
+            np.argsort(rng.random((B, n, D)), axis=-1),  # a permutation per row
+            np.arange(D) + D * np.arange(n)[:, None],  # ids n*D + d, broadcast over B
+        ][id_kind]
+        yield values, ids, k
+
+
+def test_top_k_float_rows_match_complex_key_reference(rng):
+    """Rows long enough for the float partition give the old selection's values and ids, identical."""
+    repaired = 0
+    for values, ids, k in _long_top_k_cases(rng):
+        got_v, got_i = top_k(values, ids, k)
+        ref_v, ref_i = _reference_top(values, ids, k)
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_i.dtype == np.intp and got_v.shape == values.shape[:-1] + (k,)
+        # rows whose float picks alone miss a tied entry with a smaller id
+        ids = np.broadcast_to(ids, values.shape)
+        pos = np.argpartition(-values, k - 1, axis=-1)[..., :k]
+        repaired += np.count_nonzero(np.sort(np.take_along_axis(ids, pos, -1), -1) != np.sort(ref_i, -1))
+    assert repaired > 0
+
+
 def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
     """`bounds._budgeted_increase` as it was before `top_k`, selecting on its own complex keys."""
     n_outer, D = X.shape
@@ -233,7 +286,15 @@ def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
 
 @pytest.mark.parametrize(
     "D, h, q, Qs",
-    [(2879, 16, 29, [0, 1, 12, 29 * 30]), (2879, 16, 3000, [40, 2879]), (300, 32, 3, [1, 12, 90]), (300, 32, 1, [5])],
+    [
+        (2879, 16, 29, [0, 1, 12, 29 * 30]),
+        (2879, 16, 3000, [40, 2879]),
+        (300, 32, 3, [1, 12, 90]),
+        (300, 32, 1, [5]),
+        # the W-column head just below and at top_k's float-partition length
+        (bounds._FLOAT_ROW_MIN - 1, 16, 29, [0, 12, 29 * 30]),
+        (bounds._FLOAT_ROW_MIN, 32, 3, [1, 12, 90]),
+    ],
 )
 def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatch, D, h, q, Qs):
     """Cora-ML- and certify-pga-shape slices with forced ties: the same picks as the old selection.

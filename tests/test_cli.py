@@ -542,12 +542,13 @@ BIG = "99999999999999999999999"  # past int64
         ({"split": ("s.tsv", f"0\tlabeled\n{BIG}\tlabeled\n")}, "", f"s.tsv:2: node id {BIG} is out of the int64 range"),
         ({"attributes": ("a.tsv", f"0\t0\n1\t{2**63 - 1}\n")}, "", f"no room for an N=3 x D={2**63} attribute matrix"),
         ({"edges": ("e.tsv", f"0\t{2**63 - 1}\n")}, "", f"no room for an N={2**63} x D=2 attribute matrix"),
+        ({"labels": ("l.tsv", f"0\t0\n1\t{10**12}\n")}, "", f"no room for a model of dims [2, 2, {10**12 + 1}]"),
     ],
     ids=["ragged_csv", "csv_rows", "empty_files", "no_features", "feature_id", "label_node_id", "no_classes",
          "split_tag", "label_range", "num_nodes_zero", "num_features_negative", "num_classes_zero",
          "label_conflict", "split_conflict", "edge_past_int64", "attribute_node_past_int64",
          "feature_past_int64", "class_past_int64", "label_node_below_int64", "split_node_past_int64",
-         "feature_int64_max", "edge_int64_max"],
+         "feature_int64_max", "edge_int64_max", "class_too_many"],
 )
 def test_cmd_train_reports_each_dataset_error_in_one_line(tmp_path, dataset, capsys, files, extra, message):
     paths = {key: _write(tmp_path / name, text) for key, (name, text) in files.items()}
@@ -560,9 +561,9 @@ def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monke
     """A config with only the required keys reaches `train` with TrainConfig's own defaults."""
     seen = []
 
-    def train(graph, config):
+    def train(graph, config, params):
         seen.append(config)
-        return gcn.glorot_params([2, 32, 2]), []
+        return params, []
 
     monkeypatch.setattr(robust_train, "train", train)
     ckpt = tmp_path / "out.json"
