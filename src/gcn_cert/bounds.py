@@ -142,6 +142,10 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
 # rows at least this long are picked by a float partition in `top_k`; the
 # complex-key partition is faster below it (timings in CHANGES.md)
 _FLOAT_ROW_MIN = 512
+# rows at least this long, with one ascending id row, are picked by k
+# passes of argmax when k <= _PEEL_K_MAX (timings in CHANGES.md)
+_PEEL_ROW_MIN = 256
+_PEEL_K_MAX = 3
 
 
 def _key_picks(values, ids, k):
@@ -152,6 +156,36 @@ def _key_picks(values, ids, k):
     return np.partition(key, k - 1, axis=-1)[..., :k]
 
 
+def _peel_top(values, ids, k, shape):
+    """`top_k` by k passes of argmax, for one strictly ascending id row.
+
+    argmax returns the first position of a row's maximum, and positions
+    ascend with ids, so the picks come in key order.  Each pass writes -inf
+    at its pick in a copy of the rows; a row whose picks are not all > -inf
+    reached an entry that is -inf (perhaps a written one) or NaN, and is
+    picked again by `_key_picks`.
+    """
+    m = shape[-1]
+    rows = np.empty(shape)
+    rows[...] = values
+    rows = rows.reshape(-1, m)
+    flat, starts = rows.reshape(-1), np.arange(0, rows.size, m)
+    top_v = np.empty((k, len(rows)))
+    at = np.empty((k, len(rows)), dtype=np.intp)
+    for j in range(k):
+        at[j] = rows.argmax(axis=1)
+        at[j] += starts
+        top_v[j] = flat[at[j]]
+        flat[at[j]] = -np.inf
+    top_i = ids[at - starts]
+    bad = ~(top_v > -np.inf).all(axis=0)
+    top_v, top_i = top_v.T, top_i.T
+    if bad.any():
+        top = np.sort(_key_picks(np.broadcast_to(values, shape).reshape(-1, m)[bad], ids, k), axis=-1)
+        top_v[bad], top_i[bad] = -top.real, top.imag
+    return top_v.reshape(shape[:-1] + (k,)), top_i.reshape(shape[:-1] + (k,))
+
+
 def top_k(values, ids, k):
     """Each row's k largest values and their ids, in descending order; ties go to the smaller id.
 
@@ -159,16 +193,27 @@ def top_k(values, ids, k):
     together, and 1 <= k <= the row length.  The order is that of complex
     keys -value + i*id: complex numbers order by real, then imaginary part,
     so ascending keys are descending values with ties to the smaller id.
-    Rows shorter than `_FLOAT_ROW_MIN` are one partition on those keys.
-    Longer rows take k positions from one float partition of the values; a
-    row that has more than k entries >= its k-th value left out a tie at
-    that value, and only those rows are picked again on the keys.  Only the
-    k picks are sorted, on their keys.
+    There are three paths to that order:
+
+    - rows of at least `_PEEL_ROW_MIN` entries, with k <= `_PEEL_K_MAX` and
+      `ids` one strictly ascending 1-D array, take k passes of argmax
+      (`_peel_top`).  argmax breaks ties to the smaller position, which is
+      the smaller id only because the ids ascend along the row.  Each pass
+      writes -inf at its pick, so a row whose picks are not all > -inf (it
+      reached a -inf or NaN entry) is picked again on the keys;
+    - other rows shorter than `_FLOAT_ROW_MIN` are one partition on the keys;
+    - longer rows take k positions from one float partition of the values;
+      a row that has more than k entries >= its k-th value left out a tie
+      at that value, and only those rows are picked again on the keys.
+
+    The partition paths then sort only the k picks, on their keys.
     """
     shape = np.broadcast_shapes(np.shape(values), np.shape(ids))
     m = shape[-1]
+    if m >= _PEEL_ROW_MIN and k <= _PEEL_K_MAX and np.ndim(ids) == 1 and (np.diff(ids) > 0).all():
+        return _peel_top(values, np.asarray(ids, dtype=np.intp), k, shape)
     if m < _FLOAT_ROW_MIN:
-        top = _key_picks(values, ids, k)
+        top = np.sort(_key_picks(values, ids, k), axis=-1)
     else:
         neg, ids = np.broadcast_to(np.negative(values), shape), np.broadcast_to(ids, shape)
         pos = np.argpartition(neg, k - 1, axis=-1)[..., :k]
@@ -179,7 +224,7 @@ def top_k(values, ids, k):
         tied = np.count_nonzero(neg <= top.real[..., k - 1 : k], axis=-1) > k
         if tied.any():
             top[tied] = _key_picks(-neg[tied], ids[tied], k)
-    top = np.sort(top, axis=-1)
+        top = np.sort(top, axis=-1)
     return -top.real, top.imag.astype(np.intp)
 
 

@@ -359,12 +359,15 @@ def _load_for_model(args) -> tuple:
 def _select_nodes(spec_text, graph) -> list:
     if spec_text in (None, "all"):
         return list(range(graph.num_nodes))
-    nodes = []
+    nodes, seen = [], set()
     for tok in spec_text.split(","):
         try:
             n = int(tok)
         except ValueError:
             raise CliError(f"bad node id {tok!r} in --nodes")
+        if n in seen:
+            raise CliError(f"node id {n} listed twice in --nodes")
+        seen.add(n)
         nodes.append(_check_node(n, graph))
     return nodes
 

@@ -98,10 +98,11 @@ def backward_phi(sp: SlicedProblem, params: GcnParams, bounds: ActivationBounds,
 def closed_form_eta_rho(delta, budget: Budget):
     """Optimal (eta, rho) for fixed Omega, plus the selected index sets; grad-aware.
 
-    delta is a stack (B, n, D); eta is (B, n), rho (B,) and s_q one list per
-    row.  Returns (eta, rho, s_q, info): s_q lists the (node, feature) pairs
-    of the Q largest budget-feasible delta entries, in descending order; info
-    holds the flat indices into delta of each row's q-th pick o and of rho.
+    delta is a stack (B, n, D); eta is (B, n) and rho (B,).  Returns (eta,
+    rho, picks, info): picks (B, Q) holds the ids n*D + d of the Q largest
+    budget-feasible delta entries of each row, in descending order (s_q is
+    their (node, feature) pairs, `_flip_pairs`); info holds the flat indices
+    into delta of each row's q-th pick o and of rho.
     eta and rho are gathered from delta at those frozen indices, so they
     carry the tape when delta does.  Ties go to the smaller feature within a
     row, then to the smaller id n*D + d: `bounds.top_k` picks each row's top
@@ -111,7 +112,7 @@ def closed_form_eta_rho(delta, budget: Budget):
     q = budget.effective_q(D)
     Q = budget.effective_Q(n, D)
     if q == 0 or Q == 0:
-        return np.zeros((B, n)), np.zeros(B), [[] for _ in range(B)], {"o_idx": None, "rho_idx": None}
+        return np.zeros((B, n)), np.zeros(B), np.zeros((B, 0), dtype=np.intp), {"o_idx": None, "rho_idx": None}
     # each row's top q; the last is the q-th pick o
     top_q, feat = top_k(grad.val(delta), np.arange(D), q)
     # the top Q of the n*q candidates, with ids n*D + d across rows
@@ -123,8 +124,12 @@ def closed_form_eta_rho(delta, budget: Budget):
     rho = grad.gather(delta, rho_idx)
     o = grad.gather(delta, o_idx)
     eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[:, None])
-    s_q = [[divmod(i, D) for i in row] for row in ids.tolist()]
-    return eta, rho, s_q, {"o_idx": o_idx, "rho_idx": rho_idx}
+    return eta, rho, ids, {"o_idx": o_idx, "rho_idx": rho_idx}
+
+
+def _flip_pairs(picks, D) -> list:
+    """s_q: the (node, feature) pairs of one row of `closed_form_eta_rho`'s picks, in order."""
+    return [divmod(i, D) for i in picks.tolist()]
 
 
 def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
@@ -165,21 +170,21 @@ class _Pass(NamedTuple):
     rho: object
     psi: object
     g: object
-    s_q: list
+    picks: np.ndarray
     info: dict
 
 
 def _dual_pass(sp, params, bounds, budget, C, omega) -> _Pass:
     """`backward_phi`, closed-form (eta, rho) and `evaluate_dual` for a stack C (B, K); grad-aware."""
     phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, C)
-    eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
+    eta, rho, picks, info = closed_form_eta_rho(delta, budget)
     g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
-    return _Pass(phi, phi_hat, delta, eta, rho, psi, g, s_q, info)
+    return _Pass(phi, phi_hat, delta, eta, rho, psi, g, picks, info)
 
 
 def _state(p: _Pass, b, omega) -> DualState:
     """The DualState of row b of the numeric batched pass p."""
-    return DualState(omega, p.delta[b], float(p.g[b]), p.s_q[b])
+    return DualState(omega, p.delta[b], float(p.g[b]), _flip_pairs(p.picks[b], p.delta.shape[-1]))
 
 
 def dual_states(sp, params, bounds, budget, C, omega=None) -> list:

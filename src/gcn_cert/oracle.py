@@ -377,9 +377,9 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
     )
     lp_opt = -solve_lp(model)[0]
 
-    eta, rho, s_q, _ = closed_form_eta_rho(delta[None], budget)
-    eta, rho, s_q = eta[0], rho[0], s_q[0]
-    greedy = float(sum(delta[i, d] for i, d in s_q))
+    eta, rho, picks, _ = closed_form_eta_rho(delta[None], budget)
+    eta, rho = eta[0], rho[0]
+    greedy = float(sum(delta.ravel()[picks[0]]))
     if q == 0 or Q == 0:
         # empty budget: the box-penalty term vanishes (rho -> inf limit)
         h = 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcn_cert import bounds
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 from gcn_cert.oracle import random_tiny_graph, random_tiny_instance  # noqa: F401  (re-exported)
@@ -80,3 +81,12 @@ def path():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def peel_calls(monkeypatch):
+    """The argument tuples of every call `bounds.top_k` makes to its argmax-peeling path."""
+    calls = []
+    peel = bounds._peel_top
+    monkeypatch.setattr(bounds, "_peel_top", lambda *a: calls.append(a) or peel(*a))
+    return calls

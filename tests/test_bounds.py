@@ -251,6 +251,81 @@ def test_top_k_float_rows_match_complex_key_reference(rng):
     assert repaired > 0
 
 
+def _peel_cases(rng):
+    """(values, ids, k) on rows just below and at `top_k`'s argmax-peeling length, and of length 300 and 2 879.
+
+    Every row length, k in 1..`_PEEL_K_MAX` and kind of values meet, on
+    (B, n) = (1, 1), (1, 3) or (3, 2) rows in turn.  The kinds are ties at
+    the first, the k-th and the (k+1)-th value (a tie at the k-th value
+    straddles the k picks), wide ties at 0, rows of one value, rows holding
+    -inf, and rows with fewer than k finite entries.  The ids ascend, as
+    positions or with gaps.
+    """
+    cut = bounds._PEEL_ROW_MIN
+    combos = itertools.product([cut - 1, cut, 300, 2879], range(1, bounds._PEEL_K_MAX + 1), range(7))
+    for i, (D, k, kind) in enumerate(combos):
+        B, n = [(1, 1), (1, 3), (3, 2)][i % 3]
+        values = rng.normal(size=(B, n, D))
+        if kind < 3:  # a tie at the first, k-th or (k+1)-th value, reached from a larger position too
+            rank = [0, k - 1, k][kind]
+            for row in values.reshape(-1, D):
+                order = np.argsort(-row)
+                tied = np.append(order[rank : rank + 2], rng.integers(D))
+                row[tied] = row[order[rank]]
+        elif kind == 3:  # wide ties at 0
+            values = np.maximum(values, 0.0) * (rng.random((B, n, D)) < 0.01)
+        elif kind == 4:  # every entry equal
+            values[:] = rng.normal()
+        elif kind == 5:  # -inf entries, some among the top k
+            values[rng.random((B, n, D)) < 0.3] = -np.inf
+            values[..., :k] = -np.inf
+        else:  # fewer than k finite entries
+            values = np.full((B, n, D), -np.inf)
+            for row in values.reshape(-1, D):
+                finite = rng.choice(D, size=int(rng.integers(0, k)), replace=False)
+                row[finite] = rng.normal(size=finite.size)
+        ids = np.arange(D) if i % 2 else np.cumsum(rng.integers(1, 4, size=D))
+        yield values, ids, k
+
+
+def test_top_k_argmax_peeling_matches_complex_key_reference(rng, peel_calls):
+    """Rows long enough for argmax peeling give the old selection's values and ids, identical."""
+    reached_inf = 0
+    for values, ids, k in _peel_cases(rng):
+        before = len(peel_calls)
+        got_v, got_i = top_k(values, ids, k)
+        ref_v, ref_i = _reference_top(values, ids, k)
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_i.dtype == np.intp and got_v.shape == values.shape[:-1] + (k,)
+        assert (len(peel_calls) > before) == (values.shape[-1] >= bounds._PEEL_ROW_MIN)
+        # rows whose k picks reach a -inf entry, which peeling alone would pick twice
+        reached_inf += np.count_nonzero(ref_v[..., -1] == -np.inf)
+    assert reached_inf > 0
+
+
+def test_top_k_argmax_peeling_only_for_one_ascending_id_row(rng, peel_calls):
+    """2-D ids, 1-D ids that do not strictly ascend, and k > `_PEEL_K_MAX` keep the partition paths."""
+    D = 300
+    values = rng.integers(0, 3, size=(2, 3, D)).astype(float)
+    swapped = np.arange(D)
+    swapped[[5, 9]] = swapped[[9, 5]]
+    cases = [
+        (np.arange(D)[::-1], 3),  # descending
+        (swapped, 2),  # ascending but for one swap
+        (np.repeat(np.arange(D // 2), 2), 1),  # ascending, not strictly
+        (np.broadcast_to(np.arange(D), (3, D)), 3),  # ascending, but 2-D
+        (np.arange(D) + D * np.arange(3)[:, None], 3),  # ids n*D + d
+        (np.arange(D), bounds._PEEL_K_MAX + 1),
+    ]
+    for ids, k in cases:
+        got_v, got_i = top_k(values, ids, k)
+        ref_v, ref_i = _reference_top(values, ids, k)
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_i, ref_i)
+    assert not peel_calls
+
+
 def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
     """`bounds._budgeted_increase` as it was before `top_k`, selecting on its own complex keys."""
     n_outer, D = X.shape

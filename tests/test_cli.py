@@ -677,6 +677,15 @@ def test_cmd_certify_bad_node_id(dataset, checkpoint, capsys):
     assert "'x'" in _assert_one_line_error(rc, capsys)
 
 
+def test_cmd_certify_repeated_node_id(dataset, checkpoint, capsys):
+    rc = main(
+        ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),
+         "--q", "1", "--Q", "1", "--nodes", "1,0,01"]
+    )
+    assert _assert_one_line_error(rc, capsys) == "error: node id 1 listed twice in --nodes\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_cmd_certify_negative_budget(dataset, checkpoint, capsys):
     rc = main(
         ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcn_cert import dual_cert, gcn, grad, oracle, primal_attack
+from gcn_cert import bounds, dual_cert, gcn, grad, oracle, primal_attack
 from gcn_cert.bounds import CROSSING, NONNEG, ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
     DualState,
@@ -86,8 +86,8 @@ def test_delta_nonnegative_always(rng):
 
 def _closed_form_row(delta, budget):
     """(eta, rho, s_q) of closed_form_eta_rho on the one-row stack delta[None]."""
-    eta, rho, s_q, _ = closed_form_eta_rho(delta[None], budget)
-    return eta[0], rho[0], s_q[0]
+    eta, rho, picks, _ = closed_form_eta_rho(delta[None], budget)
+    return eta[0], rho[0], dual_cert._flip_pairs(picks[0], delta.shape[1])
 
 
 def test_closed_form_eta_rho_examples():
@@ -595,11 +595,11 @@ def test_closed_form_eta_rho_batched_matches_reference_on_ties():
         B, n, D = (int(v) for v in rng.integers(1, 6, size=3))
         delta = rng.integers(0, 3, size=(B, n, D)).astype(float)
         budget = Budget(int(rng.integers(0, D + 2)), int(rng.integers(0, n * D + 2)))
-        eta, rho, s_q, info = closed_form_eta_rho(delta, budget)
+        eta, rho, picks, info = closed_form_eta_rho(delta, budget)
         for b in range(B):
             e, r, s, ref_info = _reference_closed_form_eta_rho(delta[b], budget)
             np.testing.assert_array_equal(eta[b], e)
-            assert rho[b] == r and s_q[b] == s
+            assert rho[b] == r and dual_cert._flip_pairs(picks[b], D) == s
             if ref_info["o_idx"] is not None:
                 np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
                 assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
@@ -702,6 +702,35 @@ def test_optimize_omega_matches_taped_reference_on_forced_ties(steps):
     assert bnds.cross[2].any()
     _, C = competing_classes(2, 7)
     _assert_pga_matches_reference(sp, params, bnds, budget, C, steps)
+
+
+def test_dual_states_and_pga_are_bitwise_equal_with_and_without_argmax_peeling(monkeypatch, peel_calls):
+    """certify-pga shape (n = 6, D = 300, q = 3): `top_k`'s argmax peeling changes no value, Omega, delta or s_q."""
+    rng = np.random.default_rng(18)
+    sp, params = forced_tie_slice(rng, n=6, M=4, D=300, h=32, K=7)
+    budget = Budget(3, 12)
+    bnds = compute_bounds(sp, params, budget)
+    assert bnds.cross[2].any()
+    _, C = competing_classes(2, 7)
+
+    def run():
+        return dual_states(sp, params, bnds, budget, C) + optimize_omega(sp, params, bnds, budget, C)
+
+    on = run()
+    n_peeled = len(peel_calls)
+    monkeypatch.setattr(bounds, "_PEEL_ROW_MIN", 10**9)
+    off = run()
+    assert n_peeled > 0 and len(peel_calls) == n_peeled
+
+    def bits(a):
+        a = np.asarray(a)
+        return a.dtype, a.shape, a.tobytes()
+
+    for got, want in zip(on, off, strict=True):
+        assert bits(got.value) == bits(want.value) and bits(got.delta) == bits(want.delta)
+        assert got.s_q == want.s_q and got.omega.keys() == want.omega.keys()
+        for l in want.omega:
+            assert bits(got.omega[l]) == bits(want.omega[l])
 
 
 def _written_out_gradient(sp, params, bnds, budget, C, omega):
