@@ -179,7 +179,7 @@ def _peel_top(values, ids, k, shape):
         flat[at[j]] = -np.inf
     top_i = ids[at - starts]
     bad = ~(top_v > -np.inf).all(axis=0)
-    top_v, top_i = top_v.T, top_i.T
+    top_v, top_i = np.ascontiguousarray(top_v.T), np.ascontiguousarray(top_i.T)
     if bad.any():
         top = np.sort(_key_picks(np.broadcast_to(values, shape).reshape(-1, m)[bad], ids, k), axis=-1)
         top_v[bad], top_i[bad] = -top.real, top.imag

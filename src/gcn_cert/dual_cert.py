@@ -102,7 +102,8 @@ def closed_form_eta_rho(delta, budget: Budget):
     rho, picks, info): picks (B, Q) holds the ids n*D + d of the Q largest
     budget-feasible delta entries of each row, in descending order (s_q is
     their (node, feature) pairs, `_flip_pairs`); info holds the flat indices
-    into delta of each row's q-th pick o and of rho.
+    into delta of each node row's top q picks (B, n, q) in descending order,
+    of its q-th pick o (the last of them) and of rho.
     eta and rho are gathered from delta at those frozen indices, so they
     carry the tape when delta does.  Ties go to the smaller feature within a
     row, then to the smaller id n*D + d: `bounds.top_k` picks each row's top
@@ -112,19 +113,21 @@ def closed_form_eta_rho(delta, budget: Budget):
     q = budget.effective_q(D)
     Q = budget.effective_Q(n, D)
     if q == 0 or Q == 0:
-        return np.zeros((B, n)), np.zeros(B), np.zeros((B, 0), dtype=np.intp), {"o_idx": None, "rho_idx": None}
+        info = {"top_q_idx": None, "o_idx": None, "rho_idx": None}
+        return np.zeros((B, n)), np.zeros(B), np.zeros((B, 0), dtype=np.intp), info
     # each row's top q; the last is the q-th pick o
     top_q, feat = top_k(grad.val(delta), np.arange(D), q)
     # the top Q of the n*q candidates, with ids n*D + d across rows
     flat = feat + np.arange(0, n * D, D)[:, None]
     _, ids = top_k(top_q.reshape(B, n * q), flat.reshape(B, n * q), Q)
     base = np.arange(B) * (n * D)
-    o_idx = base[:, None] + flat[..., -1]
+    top_q_idx = base[:, None, None] + flat
+    o_idx = top_q_idx[..., -1]
     rho_idx = base + ids[:, -1]
     rho = grad.gather(delta, rho_idx)
     o = grad.gather(delta, o_idx)
     eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[:, None])
-    return eta, rho, ids, {"o_idx": o_idx, "rho_idx": rho_idx}
+    return eta, rho, ids, {"top_q_idx": top_q_idx, "o_idx": o_idx, "rho_idx": rho_idx}
 
 
 def _flip_pairs(picks, D) -> list:
@@ -132,11 +135,15 @@ def _flip_pairs(picks, D) -> list:
     return [divmod(i, D) for i in picks.tolist()]
 
 
-def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
+def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget, top_q_idx=None):
     """Dual objective g for (eta, rho) and the tensors of `backward_phi`; grad-aware.
 
     g has the leading batch axis of the stack C (B, K), as eta and rho do.
     `budget` weighs the penalty terms; they vanish with an empty budget.
+    With the top-q pick indices of `closed_form_eta_rho` and a numeric
+    delta, psi = [delta - eta - rho]_+ is computed at the picks only
+    (`_psi_at_picks`), bitwise equal to the dense formula that the tape
+    keeps.
     """
     L = sp.layer_count
     X = sp.sliced_attrs
@@ -151,13 +158,34 @@ def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget):
     g = g - grad.asum(X * phi_hat[1], axis=(-2, -1))
 
     if q > 0 and Q > 0:
-        rho_col = grad.expand_dims(grad.expand_dims(rho, -1), -1)
-        psi = grad.relu(delta - grad.expand_dims(eta, -1) - rho_col)
+        if top_q_idx is None or grad.is_var(delta):
+            rho_col = grad.expand_dims(grad.expand_dims(rho, -1), -1)
+            psi = grad.relu(delta - grad.expand_dims(eta, -1) - rho_col)
+        else:
+            psi = _psi_at_picks(delta, eta, rho, top_q_idx)
         g = g - grad.asum(psi, axis=(-2, -1))
         g = g - q * grad.asum(eta, axis=-1) - Q * rho
     else:
         psi = np.zeros_like(grad.val(delta))
     return g, psi
+
+
+def _psi_at_picks(delta, eta, rho, top_q_idx):
+    """psi = [(delta - eta) - rho]_+ for a numeric stack delta (B, n, D), from each node row's top q picks.
+
+    Rounding is monotone and every other entry of a row is <= its q-th pick
+    o, so its psi is <= psi at o.  With o > rho, eta = o - rho rounded, and
+    psi at o is 0 unless eta + rho rounded below o; only such round-off
+    rows are computed over all D entries.  Every entry gets the arithmetic
+    of the dense formula, so psi is bitwise equal to it.
+    """
+    psi = np.zeros(delta.shape)
+    at = np.maximum((delta.reshape(-1)[top_q_idx] - eta[..., None]) - rho[:, None, None], 0.0)
+    psi.reshape(-1)[top_q_idx] = at
+    whole = at[..., -1] > 0
+    if whole.any():
+        psi[whole] = np.maximum((delta[whole] - eta[whole][:, None]) - rho[np.nonzero(whole)[0], None], 0.0)
+    return psi
 
 
 class _Pass(NamedTuple):
@@ -178,7 +206,7 @@ def _dual_pass(sp, params, bounds, budget, C, omega) -> _Pass:
     """`backward_phi`, closed-form (eta, rho) and `evaluate_dual` for a stack C (B, K); grad-aware."""
     phi, phi_hat, delta = backward_phi(sp, params, bounds, omega, C)
     eta, rho, picks, info = closed_form_eta_rho(delta, budget)
-    g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget)
+    g, psi = evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget, info["top_q_idx"])
     return _Pass(phi, phi_hat, delta, eta, rho, psi, g, picks, info)
 
 
@@ -221,26 +249,46 @@ def _omega_gradient(sp, params, bounds, budget, p: _Pass, rows, omega) -> dict:
     so this is one reverse sweep of the backward pass: from dg/d delta, through A_dot
     and W, up the layers.  It is the tape's subgradient of `dual_value_differentiable`:
     every case-split mask and the eta/rho selection of p stay frozen, and relu'(0) = 0.
+
+    dg/d delta is -1 where psi > 0, plus the eta/rho terms at the o and rho picks,
+    and psi > 0 only at each node row's top q picks, except in the round-off rows
+    of `_psi_at_picks`.  So dg/d phi_hat[1] = dg/d delta * (1 - 2X) * [delta > 0] - X
+    is -X but at the picks and in the round-off rows, and only those entries are
+    computed.  They are small integers, exact in any order, so the one matmul by W1
+    sums the same array as a dense sweep would, and g's gradient is bitwise its.
     """
     L = sp.layer_count
     X = sp.sliced_attrs
     n, D = X.shape
     q, Q = budget.effective_q(D), budget.effective_Q(n, D)
-    info = p.info
-    psi_pos = p.psi[rows] > 0
-    # dg/d delta: -1 where psi > 0, plus the eta/rho terms at the selected entries
-    g_delta = -psi_pos.astype(np.float64)
-    if info["o_idx"] is not None:
-        B = len(g_delta)
-        count = psi_pos.sum(axis=2)
-        # eta_n = [o_n - rho]_+ at the frozen selection; g holds -q sum(eta) - Q rho
+    R = len(rows)
+    # delta = [phi_hat[1] (1 - 2X)]_+, and g holds -<X, phi_hat[1]>
+    g_hat = np.empty((R, n, D))
+    g_hat[...] = -X
+    if p.info["top_q_idx"] is not None:
+        idx = p.info["top_q_idx"][rows]
+        at = idx % (n * D)
+        node, feat = np.divmod(at, D)
+        pos = p.psi.reshape(-1)[idx] > 0
+        count = pos.sum(axis=2)
+        # a round-off row may hold psi > 0 off its picks: its whole row is computed
+        rb, rn = np.nonzero(pos[..., -1])
+        if rb.size:
+            whole = p.psi[rows[rb], rn] > 0
+            count[rb, rn] = whole.sum(axis=1)
+            g_hat[rb, rn] = -(whole * (1.0 - 2.0 * X[rn]) * (p.delta[rows[rb], rn] > 0)) - X[rn]
+        # dg/d delta at the picks: -1 where psi > 0, plus the eta/rho terms.  eta_n = [o_n - rho]_+
+        # at the frozen selection, g holds -q sum(eta) - Q rho, and rho is one of node rho_n's picks
         g_o = (count - q) * (p.eta[rows] > 0)
         g_rho = count.sum(axis=1) - Q - g_o.sum(axis=1)
-        flat = g_delta.reshape(B, n * D)
-        flat[np.arange(B)[:, None], info["o_idx"][rows] % (n * D)] += g_o
-        flat[np.arange(B), info["rho_idx"][rows] % (n * D)] += g_rho
-    # delta = [phi_hat[1] (1 - 2X)]_+, and g holds -<X, phi_hat[1]>
-    g_hat = g_delta * (p.delta[rows] > 0) * (1.0 - 2.0 * X) - X
+        g_pick = -pos.astype(np.float64)
+        g_pick[..., -1] += g_o
+        rho_idx, r = p.info["rho_idx"][rows], np.arange(R)
+        rho_n = rho_idx % (n * D) // D
+        g_pick[r, rho_n] += g_rho[:, None] * (idx[r, rho_n] == rho_idx[:, None])
+        x = X[node, feat]
+        g_pick = g_pick * (1.0 - 2.0 * x) * (p.delta.reshape(-1)[idx] > 0) - x
+        g_hat.reshape(-1)[at + (r * (n * D))[:, None, None]] = g_pick
     out = {}
     for l in range(2, L):
         A, W, b = sp.sliced_mp[l - 2], grad.val(params.weights[l - 2]), grad.val(params.biases[l - 2])

@@ -326,6 +326,24 @@ def test_top_k_argmax_peeling_only_for_one_ascending_id_row(rng, peel_calls):
     assert not peel_calls
 
 
+def test_top_k_returns_c_contiguous_arrays_on_every_path(rng, peel_calls):
+    """Argmax peeling, the key partition and the float partition each return C-contiguous values and ids.
+
+    Small-integer values tie often, so the float path's tie repair runs; a
+    row of -inf entries sends the peeling path to its key repair.
+    """
+    for m, k, peeled in [(300, 3, True), (100, 3, False), (2 * bounds._FLOAT_ROW_MIN, 5, False)]:
+        values = rng.integers(0, 3, size=(6, 24, m)).astype(float)
+        values[0, 0] = -np.inf
+        before = len(peel_calls)
+        got_v, got_i = top_k(values, np.arange(m), k)
+        assert (len(peel_calls) > before) == peeled
+        ref_v, ref_i = _reference_top(values, np.arange(m), k)
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_i, ref_i)
+        assert got_v.flags.c_contiguous and got_i.flags.c_contiguous, (m, k, got_v.strides, got_i.strides)
+
+
 def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
     """`bounds._budgeted_increase` as it was before `top_k`, selecting on its own complex keys."""
     n_outer, D = X.shape

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -783,6 +785,163 @@ def test_omega_gradient_matches_tape_at_relu_ties(q, Q):
     cross = bnds.cross[2].astype(bool)
     assert (p.phi_hat[2][:, cross] == 0).any() and (p.phi_hat[1] == 0).any()
     _assert_gradient_matches_tape(sp, params, bnds, budget, C, omega)
+
+
+# -- psi and dg/dOmega from each node row's top q picks, against the dense
+# formula and the dense reverse sweep they replaced
+
+
+def _reference_omega_gradient(sp, params, bounds, budget, p, rows, omega):
+    """`dual_cert._omega_gradient` as a dense sweep: dg/d delta over (B, n, D), then one matmul by W."""
+    L = sp.layer_count
+    X = sp.sliced_attrs
+    n, D = X.shape
+    q, Q = budget.effective_q(D), budget.effective_Q(n, D)
+    info = p.info
+    psi_pos = p.psi[rows] > 0
+    # dg/d delta: -1 where psi > 0, plus the eta/rho terms at the selected entries
+    g_delta = -psi_pos.astype(np.float64)
+    if info["o_idx"] is not None:
+        B = len(g_delta)
+        count = psi_pos.sum(axis=2)
+        # eta_n = [o_n - rho]_+ at the frozen selection; g holds -q sum(eta) - Q rho
+        g_o = (count - q) * (p.eta[rows] > 0)
+        g_rho = count.sum(axis=1) - Q - g_o.sum(axis=1)
+        flat = g_delta.reshape(B, n * D)
+        flat[np.arange(B)[:, None], info["o_idx"][rows] % (n * D)] += g_o
+        flat[np.arange(B), info["rho_idx"][rows] % (n * D)] += g_rho
+    # delta = [phi_hat[1] (1 - 2X)]_+, and g holds -<X, phi_hat[1]>
+    g_hat = g_delta * (p.delta[rows] > 0) * (1.0 - 2.0 * X) - X
+    out = {}
+    for l in range(2, L):
+        A, W, b = sp.sliced_mp[l - 2], grad.val(params.weights[l - 2]), grad.val(params.biases[l - 2])
+        g_phi = A @ (g_hat @ W) - b
+        ph = p.phi_hat[l][rows]
+        cross = bounds.cross[l]
+        out[l] = -(g_phi * np.maximum(-ph, 0.0)) * cross
+        if l < L - 1:
+            g_cross = g_phi * cross
+            g_hat = (
+                g_phi * bounds.nonneg[l]
+                + g_cross * bounds.slope[l] * (ph > 0)
+                + g_cross * (omega[l] * cross) * (ph < 0)
+                + bounds.offset[l] * (ph > 0)
+            )
+    return out
+
+
+def _round_off_instance():
+    """A tiny instance (L = 3) whose node 0 has a non-pick delta entry tied with its q-th pick o.
+
+    Features 0 and 1 have equal W1 rows and share node 0's X value, so
+    delta[:, 0, 0] == delta[:, 0, 1] for every class vector; at q = 1 feature
+    1 is never picked while feature 0 is.  64 random class vectors give rows
+    where psi at o is > 0 by round-off.
+    """
+    rng = np.random.default_rng(0)
+    sp, params, _ = random_tiny_instance(rng)
+    X = sp.sliced_attrs.copy()
+    X[0, 1] = X[0, 0]
+    params.weights[0][1] = params.weights[0][0] = 3.0 * params.weights[0][0]
+    sp = dataclasses.replace(sp, sliced_attrs=X)
+    budget = Budget(1, X.shape[0])
+    return sp, params, budget, rng.normal(size=(64, params.dims[-1]))
+
+
+@functools.cache
+def _pick_cases():
+    """(name, sp, params, budget, bounds, C, Omega): the cases of the pick-based psi and dg/dOmega tests.
+
+    Tiny instances at L = 3 and 4 (own budget, q = 0, Q = 0), forced-tie
+    slices at the Cora-ML and certify-pga shapes with random Omega per row,
+    and the round-off instance.  Built once: the tests only read them.
+    """
+    rng = np.random.default_rng(19)
+
+    def case(name, sp, params, budget, C):
+        bnds = compute_bounds(sp, params, budget)
+        omega = {l: rng.random((len(C),) + np.shape(o)) * bnds.cross[l] for l, o in bnds.slope.items()}
+        return name, sp, params, budget, bnds, C, omega
+
+    cases = []
+    for i in range(24):
+        sp, params, own = random_tiny_instance(rng, hidden_layers=1 + i % 2)
+        budget = [own, Budget(0, 3), Budget(2, 0)][i % 3]
+        _, C = competing_classes(int(rng.integers(params.dims[-1])), params.dims[-1])
+        cases.append(case(f"tiny-{i}", sp, params, budget, C))
+    n = 30
+    for D, h in [(2879, 16), (300, 32)]:
+        for q, Q in [(3, 12), (29, 12), (29, n * 29), (3000, 40)]:
+            sp, params = forced_tie_slice(np.random.default_rng(D + q + Q), n=n, M=9, D=D, h=h, K=7)
+            cases.append(case(f"ties-{D}-{q}-{Q}", sp, params, Budget(q, Q), competing_classes(2, 7)[1]))
+    cases.append(case("round-off", *_round_off_instance()))
+    return cases
+
+
+def test_psi_and_g_from_picks_equal_dense_formula_bitwise():
+    """The numeric pass's psi equals [(delta - eta) - rho]_+ and its g equals the dense `evaluate_dual` bytes."""
+    for name, sp, params, budget, bnds, C, omega in _pick_cases():
+        p = dual_cert._dual_pass(sp, params, bnds, budget, C, omega)
+        g, psi = evaluate_dual(sp, params, bnds, p.eta, p.rho, p.phi, p.phi_hat, p.delta, budget)
+        assert p.g.dtype == g.dtype and p.g.tobytes() == g.tobytes(), name
+        assert np.array_equal(p.psi, psi), name
+        if p.info["top_q_idx"] is not None:
+            assert np.array_equal(psi, np.maximum((p.delta - p.eta[..., None]) - p.rho[:, None, None], 0.0)), name
+        if name == "round-off":
+            # psi > 0 at the tied non-pick entry comes only from the whole-row branch
+            assert (psi[:, 0, 1] > 0).any() and (psi[:, 0, 0] > 0).any()
+
+
+def _with_round_off(p):
+    """p with psi set to 1e-17 at the q-th pick o of every node row and at that row's largest other delta entry (q < D).
+
+    Both sweeps read psi from the pass, so this puts a round-off row, whose
+    other entry need not share its W1 row with o, in every node row.
+    """
+    others = p.delta.copy()
+    others.reshape(-1)[p.info["top_q_idx"]] = -np.inf
+    psi = p.psi.copy()
+    psi.reshape(-1)[p.info["o_idx"]] = 1e-17
+    np.put_along_axis(psi, others.argmax(axis=2)[..., None], 1e-17, axis=2)
+    return p._replace(psi=psi)
+
+
+def test_omega_gradient_from_picks_equals_dense_sweep():
+    """`_omega_gradient` equals the dense reverse sweep, on all rows and on strict row subsets.
+
+    Each pass with picks runs a second time with round-off put into its psi
+    in every node row (`_with_round_off`).
+    """
+    for name, sp, params, budget, bnds, C, omega in _pick_cases():
+        p = dual_cert._dual_pass(sp, params, bnds, budget, C, omega)
+        passes = [p]
+        if p.info["top_q_idx"] is not None and p.info["top_q_idx"].shape[-1] < p.delta.shape[-1]:
+            passes.append(_with_round_off(p))
+        B = len(C)
+        for p in passes:
+            for rows in [np.arange(B), np.arange(B)[::2], np.array([B - 1]), np.array([B - 1, 0])]:
+                om = {l: o[rows] for l, o in omega.items()}
+                got = dual_cert._omega_gradient(sp, params, bnds, budget, p, rows, om)
+                want = _reference_omega_gradient(sp, params, bnds, budget, p, rows, om)
+                assert got.keys() == want.keys(), name
+                for l in want:
+                    np.testing.assert_array_equal(got[l], want[l], err_msg=name)
+
+
+def test_optimize_omega_same_with_dense_gradient_sweep(monkeypatch):
+    """certify-pga shape forced ties: Omega-PGA reaches the same values, Omega and s_q with the dense sweep."""
+    sp, params = forced_tie_slice(np.random.default_rng(43), n=30, M=9, D=300, h=32, K=7)
+    budget = Budget(3, 12)
+    bnds = compute_bounds(sp, params, budget)
+    assert bnds.cross[2].any()
+    _, C = competing_classes(2, 7)
+    picks = optimize_omega(sp, params, bnds, budget, C)
+    monkeypatch.setattr(dual_cert, "_omega_gradient", _reference_omega_gradient)
+    dense = optimize_omega(sp, params, bnds, budget, C)
+    for got, want in zip(picks, dense, strict=True):
+        assert got.value == want.value and got.s_q == want.s_q
+        for l in want.omega:
+            np.testing.assert_array_equal(got.omega[l], want.omega[l])
 
 
 def test_deeper_gcn_sandwich_chain():
