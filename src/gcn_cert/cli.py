@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from . import dual_cert, gcn, grad, oracle, primal_attack, robust_train
 from .bounds import Budget, compute_bounds
 from .graph_core import Graph, build_message_passing, slice_problem
 
-__all__ = ["main", "load_dataset", "parse_config", "CurveReport", "DatasetBundle"]
+__all__ = ["main", "load_dataset", "parse_config", "DatasetBundle"]
 
 
 class CliError(Exception):
@@ -46,38 +45,6 @@ class DatasetBundle:
     labels_path: str | None
     split_path: str | None
     graph: Graph
-
-
-@dataclass
-class CurveReport:
-    """Per-(Q, split) certificate fractions; the three fractions sum to 1."""
-
-    rows: list  # dicts: Q, split, fraction_* keys
-
-    def validate(self):
-        for row in self.rows:
-            total = (
-                row["fraction_certified_robust"]
-                + row["fraction_certified_nonrobust"]
-                + row["fraction_undecided"]
-            )
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"fractions sum to {total} at Q={row['Q']}")
-        return self
-
-    def write_csv(self, path):
-        fields = [
-            "Q",
-            "split",
-            "fraction_certified_robust",
-            "fraction_certified_nonrobust",
-            "fraction_undecided",
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row[k] for k in fields})
 
 
 # -- parsing ---------------------------------------------------------------
@@ -295,10 +262,6 @@ def parse_config(path) -> dict:
     return out
 
 
-def _default_workers():
-    return max(1, os.cpu_count() or 1)
-
-
 # -- shared command helpers ------------------------------------------------
 
 
@@ -392,6 +355,14 @@ def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
         return list(pool.map(one, nodes))
 
 
+def _write_csv(path, fields, rows):
+    """A header of `fields`, then one line per dict in `rows`; numbers written with `str`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _certificate_doc(cert) -> dict:
     return {
         "node": int(cert.node),
@@ -449,22 +420,8 @@ def cmd_train(args):
         raise CliError(f"no room for a model of dims {dims}, K={graph.num_classes} classes ({exc})") from None
     params, log = robust_train.train(graph, tc, params)
     gcn.save_checkpoint(params, cfg["checkpoint_out"])
-    log_out = cfg.get("log_out")
-    if log_out:
-        fields = [
-            "epoch",
-            "phase",
-            "loss",
-            "mean_worst_case_margin_labeled",
-            "mean_worst_case_margin_unlabeled",
-            "train_acc",
-            "test_acc",
-        ]
-        with open(log_out, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            for row in log:
-                writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in fields})
+    if cfg.get("log_out"):
+        _write_csv(cfg["log_out"], robust_train.LOG_FIELDS, log)
     print(f"trained mode={tc.mode} epochs={log[-1]['epoch'] if log else 0} checkpoint={cfg['checkpoint_out']}")
     return 0
 
@@ -493,6 +450,9 @@ def cmd_certify(args):
     return 0
 
 
+CURVE_FIELDS = ("Q", "split", "fraction_certified_robust", "fraction_certified_nonrobust", "fraction_undecided")
+
+
 def cmd_curve(args):
     budgets = [_budget(args.q, Q) for Q in range(_check_count(args.Q_max, "--Q-max") + 1)]
     workers = _check_workers(args.workers)
@@ -513,17 +473,8 @@ def cmd_curve(args):
             n = len(nodes)
             rob = sum(status[t] == dual_cert.ROBUST for t in nodes)
             non = sum(status[t] == dual_cert.NON_ROBUST for t in nodes)
-            rows.append(
-                {
-                    "Q": Q,
-                    "split": tag,
-                    "fraction_certified_robust": rob / n,
-                    "fraction_certified_nonrobust": non / n,
-                    "fraction_undecided": (n - rob - non) / n,
-                }
-            )
-    report = CurveReport(rows).validate()
-    report.write_csv(args.output)
+            rows.append(dict(zip(CURVE_FIELDS, (Q, tag, rob / n, non / n, (n - rob - non) / n), strict=True)))
+    _write_csv(args.output, CURVE_FIELDS, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -646,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("default", "optimized"), default="default")
     p.add_argument("--nodes", default="all", help="'all' or comma-separated ids")
     p.add_argument("--use-labels", action="store_true", help="certify w.r.t. ground-truth labels where available")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None, help="certificates JSON-lines path")
     p.set_defaults(func=cmd_certify)
 
@@ -657,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q-max", dest="Q_max", type=int, required=True)
     p.add_argument("--mode", choices=("default", "optimized"), default="default")
     p.add_argument("--use-labels", action="store_true")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_curve)
 

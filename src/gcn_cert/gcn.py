@@ -99,8 +99,11 @@ def forward_sliced(
     """Evaluate the sliced GNN; logits come without the final softmax.
 
     Works on plain arrays and on grad.Var parameters.  Dropout (training
-    only) is applied to post-ReLU activations with inverted scaling.
+    only) is applied to post-ReLU activations with inverted scaling; a
+    `dropout_rate` > 0 needs a `dropout_rng`.
     """
+    if dropout_rate > 0.0 and dropout_rng is None:
+        raise ValueError(f"dropout_rate={dropout_rate} needs a dropout_rng")
     L = sp.layer_count
     H = sp.sliced_attrs if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
     if grad.val(H).shape != sp.sliced_attrs.shape:
@@ -121,8 +124,7 @@ def forward_sliced(
         if l < L - 1:
             H = grad.relu(H_hat)
             if dropout_rate > 0.0:
-                rng = dropout_rng if dropout_rng is not None else np.random.default_rng()
-                keep = (rng.random(grad.val(H).shape) >= dropout_rate).astype(np.float64)
+                keep = (dropout_rng.random(grad.val(H).shape) >= dropout_rate).astype(np.float64)
                 H = H * (keep / (1.0 - dropout_rate))
             post.append(H)
     logits = pre[-1]

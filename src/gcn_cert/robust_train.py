@@ -23,6 +23,7 @@ __all__ = [
     "train",
     "MARGIN_LABELED",
     "MARGIN_UNLABELED",
+    "LOG_FIELDS",
 ]
 
 # log-odds margins from the experimental setup: 90% worst-case confidence
@@ -31,6 +32,12 @@ MARGIN_LABELED = math.log(0.9 / 0.1)
 MARGIN_UNLABELED = math.log(0.6 / 0.4)
 
 MODES = ("CE", "RCE", "RH", "RH_U")
+
+# the columns of a training-log row, in the order `gcn-cert train` writes them
+LOG_FIELDS = (
+    "epoch", "phase", "loss", "mean_worst_case_margin_labeled", "mean_worst_case_margin_unlabeled",
+    "train_acc", "test_acc",
+)
 
 # global flip budget Q when the config sets none
 DEFAULT_GLOBAL_Q = 12
@@ -167,14 +174,11 @@ class Trainer:
 
     # -- metrics -----------------------------------------------------------
 
-    def _worst_case_margins(self, params, nodes, use_labels):
+    def _worst_case_margins(self, params, nodes, classes):
+        """Mean over `nodes` of min_{k != y} -p_k, with y = classes[t] for node t; 0.0 for no nodes."""
         vals = []
         for t in nodes:
-            sp = slice_problem(self.graph, self.mp, t, self.layer_count)
-            if use_labels:
-                y = int(self.labels[t])
-            else:
-                y = gcn.predict(gcn.forward_sliced(sp, params))
+            sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(classes[t])
             others = np.delete(self._margins(sp, params, y), y)
             vals.append(float(-np.max(others)) if others.size else 0.0)
         return float(np.mean(vals)) if vals else 0.0
@@ -188,16 +192,16 @@ class Trainer:
         return float(np.mean(pred[nodes] == self.labels[nodes])) if nodes.size else math.nan
 
     def metrics_row(self, params, epoch, phase, loss):
+        """One log row keyed by LOG_FIELDS: unlabeled margins and both accuracies read one prediction."""
         pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)
-        return {
-            "epoch": epoch,
-            "phase": phase,
-            "loss": loss,
-            "mean_worst_case_margin_labeled": self._worst_case_margins(params, self.labeled, True),
-            "mean_worst_case_margin_unlabeled": self._worst_case_margins(params, self.unlabeled, False),
-            "train_acc": self._accuracy(pred, self.labeled),
-            "test_acc": self._accuracy(pred, self.unlabeled),
-        }
+        values = (
+            epoch, phase, loss,
+            self._worst_case_margins(params, self.labeled, self.labels),
+            self._worst_case_margins(params, self.unlabeled, pred),
+            self._accuracy(pred, self.labeled),
+            self._accuracy(pred, self.unlabeled),
+        )
+        return dict(zip(LOG_FIELDS, values, strict=True))
 
     # -- optimization ------------------------------------------------------
 

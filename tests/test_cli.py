@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -456,6 +458,39 @@ def test_cmd_train_writes_loadable_checkpoint(tmp_path, dataset, capsys):
     assert "trained mode=CE" in capsys.readouterr().out
 
 
+def test_cmd_train_log_csv_holds_every_logged_value(tmp_path, dataset, monkeypatch):
+    """The log's header is LOG_FIELDS, one line per log row, and every cell reads back as the logged value."""
+    logs = []
+
+    def train(graph, config, params, _train=robust_train.train):
+        params, log = _train(graph, config, params)
+        logs.append(log)
+        return params, log
+
+    monkeypatch.setattr(robust_train, "train", train)
+    log_out = tmp_path / "log.csv"
+    cfg = _write(
+        tmp_path / "rhu.cfg",
+        "".join(f"{k} = {dataset[k]}\n" for k in ("edges", "attributes", "labels", "split"))
+        + "mode = RH_U\nQ = 1\nmax_epochs = 2\nphase2_epochs = 2\npatience = 2\nhidden_dims = 2\n"
+        + f"checkpoint_out = {tmp_path / 'out.json'}\nlog_out = {log_out}\n",
+    )
+    assert main(["train", cfg]) == 0
+    (log,) = logs
+    with open(log_out, encoding="utf-8", newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    assert tuple(header) == robust_train.LOG_FIELDS
+    assert len(lines) == len(log) == 4 and [row["phase"] for row in log] == [1, 1, 2, 2]
+    assert all(math.isnan(row["test_acc"]) for row in log)  # the unlabeled node has no label
+    for line, row in zip(lines, log):
+        for cell, key in zip(line, header, strict=True):
+            value = row[key]
+            if isinstance(value, int):
+                assert int(cell) == value, (key, cell)
+            else:
+                assert float(cell) == value or (math.isnan(float(cell)) and math.isnan(value)), (key, cell)
+
+
 def test_cmd_train_missing_labels_no_partial_checkpoint(tmp_path, dataset, capsys):
     cfg, ckpt = _train_cfg(tmp_path, dataset)
     missing = {**dataset, "labels": str(tmp_path / "absent.tsv")}
@@ -813,7 +848,10 @@ def _reference_curve(argv):
                     "fraction_undecided": (n - rob - non) / n,
                 }
             )
-    cli.CurveReport(rows).validate().write_csv(args.output)
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return status
 
 

@@ -107,3 +107,11 @@ def test_dropout_zeroes_activations():
     dropped = forward_sliced(sp, params, dropout_rate=0.9999, dropout_rng=np.random.default_rng(0)).logits
     assert not np.allclose(clean, dropped)
     assert np.allclose(dropped, 0.0)
+
+
+def test_dropout_needs_a_generator():
+    sp = single_node_problem([1])
+    params = glorot_params([1, 2, 2], seed=0)
+    with pytest.raises(ValueError, match="dropout_rng"):
+        forward_sliced(sp, params, dropout_rate=0.5)
+    assert np.array_equal(forward_sliced(sp, params, dropout_rate=0.0).logits, forward_sliced(sp, params).logits)

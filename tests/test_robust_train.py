@@ -234,6 +234,19 @@ def test_accuracy_scores_only_nodes_with_a_label():
     assert math.isnan(tr._accuracy(pred, [2])) and math.isnan(tr._accuracy(pred, []))
 
 
+def test_metrics_row_runs_one_full_forward_and_no_sliced_one(rng, monkeypatch):
+    """A row's margins and accuracies read one full-graph prediction; no node is predicted again from its slice."""
+    graph, params, budget = random_tiny_graph(rng)
+    tr = Trainer(graph, TrainConfig(mode="RH_U", budget=budget, hidden_dims=tuple(params.dims[1:-1])))
+    assert len(tr.labeled) and len(tr.unlabeled)
+    calls = []
+    monkeypatch.setattr(gcn, "forward_full", lambda *a, _f=gcn.forward_full: calls.append("full") or _f(*a))
+    monkeypatch.setattr(gcn, "forward_sliced", lambda *a, **k: calls.append("sliced"))
+    row = tr.metrics_row(params, 1, 1, 0.0)
+    assert calls == ["full"]
+    assert tuple(row) == robust_train.LOG_FIELDS
+
+
 def _assert_same_log(a, b):
     """Log rows equal entry by entry; two nan entries count as equal."""
     assert len(a) == len(b)
