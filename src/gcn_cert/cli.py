@@ -9,9 +9,14 @@ File formats (UTF-8, 0-indexed ids):
   split       TSV  ``node<TAB>labeled`` or ``node<TAB>unlabeled``
 Blank and ``#`` lines are skipped in every dataset file and in the train
 config. A node listed twice in labels or split with different values, a
-negative or out-of-range id and an id past int64 are errors that name
-``path:line`` (exit 2). Checkpoints are JSON (exact hex floats),
-certificates JSON-lines, curves and training logs CSV.
+negative or out-of-range id, an id past int64 and a config key given twice
+are errors that name ``path:line``. Checkpoints are JSON (exact hex
+floats), certificates JSON-lines, curves and training logs CSV.
+
+Every bad input, a usage error included, exits 2 with one ``error:`` line on
+stderr. A flag is read and range-checked by its ``type=``; a config key is
+read by its parser in ``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``
+or ``load_dataset``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,10 +46,6 @@ class CliError(Exception):
 
 @dataclass
 class DatasetBundle:
-    edges_path: str
-    attributes_path: str
-    labels_path: str | None
-    split_path: str | None
     graph: Graph
 
 
@@ -207,11 +209,16 @@ def load_dataset(
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    return DatasetBundle(edges_path, attributes_path, labels_path, split_path, graph)
+    return DatasetBundle(graph)
 
 
 # -- config ----------------------------------------------------------------
 
+def _int_list(raw) -> tuple:
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+
+
+# each key's parser; a ValueError from it is a bad value
 TRAIN_CONFIG_KEYS = {
     "edges": str,
     "attributes": str,
@@ -223,11 +230,10 @@ TRAIN_CONFIG_KEYS = {
     "mode": str,
     "q": int,
     "Q": int,
-    "hidden_dims": str,  # comma-separated ints
+    "hidden_dims": _int_list,  # comma-separated ints
     "learning_rate": float,
     "l2_strength": float,
     "batch_size": int,
-    "use_dropout": bool,
     "dropout_rate": float,
     "max_epochs": int,
     "phase2_epochs": int,
@@ -239,8 +245,8 @@ TRAIN_CONFIG_KEYS = {
 
 
 def parse_config(path) -> dict:
-    """Flat ``key = value`` config; unknown keys are hard errors."""
-    out = {}
+    """Flat ``key = value`` config; an unknown key and a key given twice are hard errors."""
+    out, first = {}, {}
     for lineno, line in zip(*_content_lines(path)):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
@@ -249,16 +255,13 @@ def parse_config(path) -> dict:
         if key not in TRAIN_CONFIG_KEYS:
             valid = ", ".join(sorted(TRAIN_CONFIG_KEYS))
             raise CliError(f"{path}:{lineno}: unknown key {key!r}; valid keys: {valid}")
-        typ = TRAIN_CONFIG_KEYS[key]
+        if key in first:
+            raise CliError(f"{path}:{lineno}: key {key!r} given again (first on line {first[key]})")
+        first[key] = lineno
         try:
-            if typ is bool:
-                if raw.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(raw)
-                out[key] = raw.lower() in ("true", "1")
-            else:
-                out[key] = typ(raw)
+            out[key] = TRAIN_CONFIG_KEYS[key](raw)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key}")
+            raise CliError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
     return out
 
 
@@ -270,24 +273,6 @@ def _budget(q, Q) -> Budget:
         return Budget(q, Q)
     except ValueError as exc:
         raise CliError(f"{exc} (q={q}, Q={Q})")
-
-
-def _check_count(value, flag) -> int:
-    if value < 0:
-        raise CliError(f"{flag} must be >= 0, got {value}")
-    return value
-
-
-def _check_workers(value) -> int:
-    if value < 1:
-        raise CliError(f"--workers must be >= 1, got {value}")
-    return value
-
-
-def _check_tol(value) -> float:
-    if not (np.isfinite(value) and value >= 0):
-        raise CliError(f"--tol must be >= 0 and finite, got {value}")
-    return value
 
 
 def _check_node(n, graph) -> int:
@@ -303,14 +288,13 @@ def _load_for_model(args) -> tuple:
         raise CliError(f"{args.checkpoint}: not a valid checkpoint ({type(exc).__name__}: {exc})")
     if params.layer_count < 3:
         raise CliError(f"{args.checkpoint}: dims {params.dims} have no hidden layer; the dual bound needs one")
-    bundle = load_dataset(
+    graph = load_dataset(
         args.edges,
         args.attributes,
         labels_path=args.labels,
         split_path=args.split,
         num_classes=params.dims[-1],
-    )
-    graph = bundle.graph
+    ).graph
     if params.dims[0] != graph.num_features:
         raise CliError(
             f"checkpoint expects D={params.dims[0]} input features but the "
@@ -385,7 +369,7 @@ def cmd_train(args):
     for key in ("edges", "attributes", "labels", "checkpoint_out"):
         if key not in cfg:
             raise CliError(f"config is missing required key {key!r}")
-    bundle = load_dataset(
+    graph = load_dataset(
         cfg["edges"],
         cfg["attributes"],
         labels_path=cfg["labels"],
@@ -393,8 +377,7 @@ def cmd_train(args):
         num_nodes=cfg.get("num_nodes"),
         num_features=cfg.get("num_features"),
         num_classes=cfg.get("num_classes"),
-    )
-    graph = bundle.graph
+    ).graph
     labeled = graph.labeled_nodes()
     if labeled.size == 0:
         raise CliError("no node is labeled; training needs at least one labeled node")
@@ -408,8 +391,6 @@ def cmd_train(args):
         q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
         kwargs["budget"] = _budget(q, cfg.get("Q", robust_train.DEFAULT_GLOBAL_Q))
     try:
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(int(tok) for tok in kwargs["hidden_dims"].split(",") if tok.strip())
         tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
         raise CliError(f"{args.config}: bad training config: {exc}") from None
@@ -428,12 +409,11 @@ def cmd_train(args):
 
 def cmd_certify(args):
     budget = _budget(args.q, args.Q)
-    workers = _check_workers(args.workers)
     params, graph = _load_for_model(args)
     nodes = _select_nodes(args.nodes, graph)
     certs = [
         sweep[0]
-        for sweep in _certify_nodes(graph, params, [budget], nodes, args.mode, args.use_labels, workers)
+        for sweep in _certify_nodes(graph, params, [budget], nodes, args.mode, args.use_labels, args.workers)
     ]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -454,8 +434,7 @@ CURVE_FIELDS = ("Q", "split", "fraction_certified_robust", "fraction_certified_n
 
 
 def cmd_curve(args):
-    budgets = [_budget(args.q, Q) for Q in range(_check_count(args.Q_max, "--Q-max") + 1)]
-    workers = _check_workers(args.workers)
+    budgets = [_budget(args.q, Q) for Q in range(args.Q_max + 1)]
     params, graph = _load_for_model(args)
     node_sets = {
         "all": list(range(graph.num_nodes)),
@@ -463,7 +442,7 @@ def cmd_curve(args):
         "unlabeled": [int(t) for t in graph.unlabeled_nodes()],
     }
     # sweeps[i][Q] is the certificate of node i at global budget Q
-    sweeps = _certify_nodes(graph, params, budgets, node_sets["all"], args.mode, args.use_labels, workers)
+    sweeps = _certify_nodes(graph, params, budgets, node_sets["all"], args.mode, args.use_labels, args.workers)
     rows = []
     for Q in range(args.Q_max + 1):
         status = [sweep[Q].status for sweep in sweeps]
@@ -512,20 +491,17 @@ def cmd_attack(args):
 
 
 def cmd_oracle_verify(args):
-    instances = _check_count(args.instances, "--instances")
-    steps = _check_count(args.pga_steps, "--pga-steps")
-    tol = _check_tol(args.tol)
-    rng = np.random.default_rng(_check_count(args.seed, "--seed"))
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0
-    for i in range(instances):
+    for i in range(args.instances):
         spr, params, budget = oracle.random_tiny_instance(rng)
         y_star = gcn.predict(gcn.forward_sliced(spr, params))
         K = params.dims[-1]
         bnds = compute_bounds(spr, params, budget)
         others, C = dual_cert.competing_classes(y_star, K)
         states = dual_cert.dual_states(spr, params, bnds, budget, C)
-        opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=steps)
+        opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=args.pga_steps)
         for k, c, st, opt in zip(others, C, states, opts):
             lp_val = oracle.solve_lp(oracle.build_primal_lp(spr, params, bnds, budget, c))[0]
             exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k).exact_min_margin
@@ -534,7 +510,7 @@ def cmd_oracle_verify(args):
             for a, b in zip(chain, chain[1:]):
                 gap = a - b
                 worst = max(worst, gap)
-                if gap > tol:
+                if gap > args.tol:
                     failures += 1
                     print(
                         f"instance {i} class {k}: ordering violated: "
@@ -542,18 +518,16 @@ def cmd_oracle_verify(args):
                         f"exact={exact!r} primal={primal!r}"
                     )
                     break
-    print(f"instances={instances} failures={failures} worst_gap={worst!r}")
+    print(f"instances={args.instances} failures={failures} worst_gap={worst!r}")
     return 1 if failures else 0
 
 
 def cmd_grad_check(args):
-    draws = _check_count(args.draws, "--draws")
-    tol = _check_tol(args.tol)
-    rng = np.random.default_rng(_check_count(args.seed, "--seed"))
+    rng = np.random.default_rng(args.seed)
     worst = {}
     for mode in ("CE", "RCE", "RH", "RH_U"):
         errs = []
-        for _ in range(draws):
+        for _ in range(args.draws):
             graph, params, budget = oracle.random_tiny_graph(rng)
             tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]))
             trainer = robust_train.Trainer(graph, tc)
@@ -564,22 +538,53 @@ def cmd_grad_check(args):
                 grad.finite_difference_check(lambda p: trainer.batch_loss(batch, p), params, rng=rng, num_coords=4)
             )
         worst[mode] = float(max(errs, default=0.0))
-        print(f"{mode}: max relative error {worst[mode]!r} over {draws} draws")
-    return 0 if max(worst.values()) <= tol else 1
+        print(f"{mode}: max relative error {worst[mode]!r} over {args.draws} draws")
+    return 0 if max(worst.values()) <= args.tol else 1
 
 
 # -- entry point -----------------------------------------------------------
 
 
-def _add_dataset_args(p):
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are CliErrors, so they print as one `error:` line."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _at_least(low, flag, convert=int):
+    """An argparse `type=` for `flag`: a finite `convert` value >= `low`, else a CliError."""
+    finite = " and finite" if convert is float else ""
+
+    def parse(text):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise CliError(f"{flag} must be >= {low}{finite}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _add_model_args(p):
+    """The flags of a command that reads a checkpoint and a dataset under a local budget q."""
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--attributes", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--split", default=None)
+    p.add_argument("--q", type=int, required=True)
+
+
+def _add_certify_args(p):
+    """The flags `certify` and `curve` share beyond `_add_model_args`."""
+    p.add_argument("--mode", choices=("default", "optimized"), default="default")
+    p.add_argument("--use-labels", action="store_true", help="certify w.r.t. ground-truth labels where available")
+    p.add_argument("--workers", type=_at_least(1, "--workers"), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcn-cert",
         description="Certify GCN robustness to bounded attribute flips; train robust GCNs.",
     )
@@ -590,33 +595,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("certify", help="emit per-node robustness certificates")
-    p.add_argument("--checkpoint", required=True)
-    _add_dataset_args(p)
-    p.add_argument("--q", type=int, required=True)
+    _add_model_args(p)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--mode", choices=("default", "optimized"), default="default")
+    _add_certify_args(p)
     p.add_argument("--nodes", default="all", help="'all' or comma-separated ids")
-    p.add_argument("--use-labels", action="store_true", help="certify w.r.t. ground-truth labels where available")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None, help="certificates JSON-lines path")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("curve", help="certified fractions for Q = 0..Q_max")
-    p.add_argument("--checkpoint", required=True)
-    _add_dataset_args(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--Q-max", dest="Q_max", type=int, required=True)
-    p.add_argument("--mode", choices=("default", "optimized"), default="default")
-    p.add_argument("--use-labels", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    _add_model_args(p)
+    p.add_argument("--Q-max", dest="Q_max", type=_at_least(0, "--Q-max"), required=True)
+    _add_certify_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("attack", help="construct a candidate adversarial flip set")
-    p.add_argument("--checkpoint", required=True)
-    _add_dataset_args(p)
+    _add_model_args(p)
     p.add_argument("--node", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
     p.add_argument("--Q", type=int, required=True)
     p.set_defaults(func=cmd_attack)
 
@@ -624,24 +619,24 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-verify",
         help="check dual <= PGA <= LP <= exact <= primal on random tiny instances",
     )
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--pga-steps", dest="pga_steps", type=int, default=50)
+    p.add_argument("--instances", type=_at_least(0, "--instances"), default=20)
+    p.add_argument("--seed", type=_at_least(0, "--seed"), default=0)
+    p.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-6)
+    p.add_argument("--pga-steps", dest="pga_steps", type=_at_least(0, "--pga-steps"), default=50)
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser("grad-check", help="finite-difference check of every loss")
-    p.add_argument("--draws", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--draws", type=_at_least(0, "--draws"), default=5)
+    p.add_argument("--seed", type=_at_least(0, "--seed"), default=0)
+    p.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import grad
+from . import grad, primal_attack
 from .bounds import ActivationBounds, Budget, compute_bounds, compute_bounds_sweep, top_k
 from .gcn import GcnParams
 from .graph_core import SlicedProblem
@@ -409,8 +409,6 @@ def certify_sweep(sp, params, budgets, y_star, mode="default") -> list:
 
 def _certificate(sp, params, bnds, budget, y_star, mode) -> Certificate:
     """The Certificate of `certify` from the bounds bnds for budget."""
-    from . import primal_attack
-
     others, C = competing_classes(y_star, params.dims[-1])
     states = (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)
     dual_lower = np.zeros(len(others) + 1)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import gcn, grad
 from .bounds import Budget
-from .dual_cert import DualState
 from .graph_core import SlicedProblem
+
+if TYPE_CHECKING:  # dual_cert imports this module
+    from .dual_cert import DualState
 
 __all__ = ["Perturbation", "construct", "exact_margin", "construct_and_evaluate"]
 

@@ -55,8 +55,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     l2_strength: float = 1e-5
     batch_size: int = 20
-    dropout_rate: float = 0.5
-    use_dropout: bool = False
+    dropout_rate: float = 0.0  # dropout in the exact CE terms is on exactly when > 0
     max_epochs: int = 200
     phase2_epochs: int | None = None  # RH_U only; defaults to max_epochs
     patience: int = 20
@@ -146,15 +145,15 @@ class Trainer:
         vector p as logits), or the robust hinge at MARGIN_LABELED plus exact CE
         (RH, RH_U).  An unlabeled node adds the robust hinge at MARGIN_UNLABELED
         w.r.t. its current prediction, held constant.  Labeled nodes are summed
-        first, then unlabeled ones, each in batch order.  `dropout_rng` drives dropout in
-        the exact CE terms when `use_dropout` is set.
+        first, then unlabeled ones, each in batch order.  `dropout_rng` drives dropout at
+        `dropout_rate` in the exact CE terms; without one there is no dropout.
         """
         cfg = self.config
         pen = 0.0
         for w in params.weights:  # weights only, biases excluded
             pen = pen + grad.total(w * w)
         loss = cfg.l2_strength * pen
-        rate = cfg.dropout_rate if (cfg.use_dropout and dropout_rng is not None) else 0.0
+        rate = cfg.dropout_rate if dropout_rng is not None else 0.0
         for t in [t for t in batch if t in self._labeled_set]:
             sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
@@ -221,7 +220,7 @@ class Trainer:
             epoch_loss, nbatches = 0.0, 0
             for start in range(0, len(order), cfg.batch_size):
                 batch = list(order[start:start + cfg.batch_size])
-                dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.use_dropout else None
+                dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.dropout_rate > 0 else None
                 try:
                     value, grads = grad.gradient(lambda p: self.batch_loss(batch, p, dropout_rng), params)
                 except FloatingPointError:

@@ -1,9 +1,11 @@
 import csv
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from contextlib import contextmanager
 
 import numpy as np
@@ -50,7 +52,7 @@ def test_load_dataset_edges_and_attrs(dataset):
     bundle = load_dataset(dataset["edges"], dataset["attributes"], labels_path=dataset["labels"])
     g = bundle.graph
     assert g.num_nodes == 3 and g.num_features == 2 and g.num_classes == 2
-    A = g.dense_adjacency()
+    A = g.adjacency
     assert A[0, 1] == A[1, 0] == 1.0 and A[0, 2] == 0.0
     X = g.attributes
     np.testing.assert_array_equal(X, [[1, 0], [0, 1], [1, 1]])
@@ -60,7 +62,7 @@ def test_load_dataset_edges_and_attrs(dataset):
 def test_load_dataset_duplicate_edges_deduplicated(tmp_path, dataset):
     edges = _write(tmp_path / "dup.tsv", "0\t1\n1\t0\n0\t1\n")
     bundle = load_dataset(edges, dataset["attributes"], num_classes=2)
-    assert bundle.graph.dense_adjacency().sum() == 2.0  # one mirrored edge
+    assert bundle.graph.adjacency.sum() == 2.0  # one mirrored edge
 
 
 def test_load_dataset_sparse_triplet(tmp_path):
@@ -277,7 +279,7 @@ def _reference_load_dataset(
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    return cli.DatasetBundle(edges_path, attributes_path, labels_path, split_path, graph)
+    return cli.DatasetBundle(graph)
 
 
 _BAD_INTS = ["x", "2.0", "1e3", "0x1", "--1", "1 2"]
@@ -407,10 +409,10 @@ def test_load_dataset_matches_the_line_by_line_reference(tmp_path):
 def test_parse_config_round_trip(tmp_path):
     cfg = _write(
         tmp_path / "train.cfg",
-        "# comment\nmode = RH\nseed = 3\nlearning_rate = 0.01\nuse_dropout = false\n",
+        "# comment\nmode = RH\nseed = 3\nlearning_rate = 0.01\ndropout_rate = 0.5\nhidden_dims = 4, 5\n",
     )
     parsed = parse_config(cfg)
-    assert parsed == {"mode": "RH", "seed": 3, "learning_rate": 0.01, "use_dropout": False}
+    assert parsed == {"mode": "RH", "seed": 3, "learning_rate": 0.01, "dropout_rate": 0.5, "hidden_dims": (4, 5)}
 
 
 def test_parse_config_unknown_key_lists_valid_keys(tmp_path):
@@ -431,10 +433,17 @@ def test_parse_config_bad_value(tmp_path):
         parse_config(cfg)
 
 
+def test_parse_config_rejects_a_key_given_twice(tmp_path):
+    cfg = _write(tmp_path / "twice.cfg", "mode = CE\n# comment\nseed = 1\nmode = RH_U\n")
+    with pytest.raises(CliError, match=r"twice.cfg:4: key 'mode' given again \(first on line 1\)$"):
+        parse_config(cfg)
+
+
 # -- train command ---------------------------------------------------------
 
 
 def _train_cfg(tmp_path, dataset, extra=""):
+    """A small CE config for `dataset`, then the lines of `extra`; a key set in `extra` replaces its line here."""
     ckpt = tmp_path / "out.json"
     text = (
         f"edges = {dataset['edges']}\n"
@@ -442,8 +451,10 @@ def _train_cfg(tmp_path, dataset, extra=""):
         f"labels = {dataset['labels']}\n"
         f"split = {dataset['split']}\n"
         "mode = CE\nmax_epochs = 2\npatience = 2\nhidden_dims = 2\n"
-        f"checkpoint_out = {ckpt}\n" + extra
+        f"checkpoint_out = {ckpt}\n"
     )
+    replaced = {line.partition("=")[0] for line in extra.splitlines()}
+    text = "".join(line for line in text.splitlines(True) if line.partition("=")[0] not in replaced) + extra
     return _write(tmp_path / "train.cfg", text), ckpt
 
 
@@ -515,7 +526,7 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
         ("batch_size = 0\n", "batch_size"),
         ("hidden_dims = a\n", "'a'"),
         ("learning_rate = nan\n", "learning_rate"),
-        ("use_dropout = true\ndropout_rate = 1.0\n", "dropout_rate"),
+        ("dropout_rate = 1.0\n", "dropout_rate"),
         ("max_epochs = -1\n", "max_epochs"),
         ("hidden_dims = 0\n", "hidden widths"),
         ("hidden_dims = ,\n", "hidden layer"),
@@ -794,6 +805,57 @@ def test_certification_commands_reject_workers_below_one(tmp_path, dataset, chec
     argv = [command, "--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1", *budget_args]
     err = _assert_one_line_error(main([*argv, "--workers", workers]), capsys)
     assert f"--workers must be >= 1, got {workers}" in err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing_Q_max", "gcn-cert curve: the following arguments are required: --Q-max"),
+        ("q_not_int", "gcn-cert certify: argument --q: invalid int value: 'x'"),
+        ("mode_fast", "gcn-cert certify: argument --mode: invalid choice: 'fast'"),
+        ("workers_not_int", "gcn-cert curve: argument --workers: invalid int value: '2.5'"),
+        ("tol_not_float", "gcn-cert grad-check: argument --tol: invalid float value: 'tiny'"),
+        ("no_command", "gcn-cert: the following arguments are required: command"),
+        ("unknown_flag", "gcn-cert: unrecognized arguments: --fast"),
+        ("repeated_config_key", "train.cfg:11: key 'seed' given again (first on line 10)"),
+    ],
+)
+def test_usage_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, case, message):
+    model = ["--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1"]
+    curve = ["curve", *model, "--output", str(tmp_path / "c.csv")]
+    argv = {
+        "missing_Q_max": curve,
+        "q_not_int": ["certify", *model, "--Q", "1", "--q", "x"],
+        "mode_fast": ["certify", *model, "--Q", "1", "--mode", "fast"],
+        "workers_not_int": [*curve, "--Q-max", "1", "--workers", "2.5"],
+        "tol_not_float": ["grad-check", "--tol", "tiny"],
+        "no_command": [],
+        "unknown_flag": ["certify", *model, "--Q", "1", "--fast"],
+        "repeated_config_key": ["train", _train_cfg(tmp_path, dataset, extra="seed = 1\nseed = 2\n")[0]],
+    }[case]
+    assert message in _assert_one_line_error(main(argv), capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_benchmark_curve_argv_parses(tmp_path, dataset, checkpoint, monkeypatch):
+    """The argv the benchmark's curve-sweep workload hands `cli.main` parses, with one worker, and runs."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    workloads = importlib.import_module("workloads")
+    seen = []
+
+    def traced(fn, argv):
+        seen.append(argv)
+        return fn(argv)
+
+    ctx = types.SimpleNamespace(
+        paths=dataset, checkpoint=checkpoint, scratch=str(tmp_path), seconds=0.0,
+        setup=lambda out, make: make(), step=lambda i: None, traced=traced,
+    )
+    out = workloads.Outcome()
+    workloads.run_curve(types.SimpleNamespace(Q=1, mode="default"), ctx, out)
+    assert out.failures == [] and len(seen) == 1
+    args = cli.build_parser().parse_args(seen[0])
+    assert (args.command, args.Q_max, args.workers) == ("curve", 1, 1)
 
 
 def _planted_dataset(tmp_path, n=12, D=10, seed=1):

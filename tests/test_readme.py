@@ -1,7 +1,8 @@
 import os
 import re
+import shlex
 
-from gcn_cert.cli import TRAIN_CONFIG_KEYS
+from gcn_cert.cli import TRAIN_CONFIG_KEYS, build_parser
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -22,3 +23,16 @@ def test_readme_lists_every_train_config_key():
         text = fh.read()
     listed = re.search(r"### Train config keys\n\n`([^`]*)`", text).group(1)
     assert [item.split()[0] for item in listed.split(",")] == list(TRAIN_CONFIG_KEYS)
+
+
+def test_readme_cli_invocations_parse():
+    """Every `gcn-cert ...` command in the README's CLI block parses as written."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, flags=re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert {argv[0] for argv in commands} == {"gcn-cert"}
+    assert [argv[1] for argv in commands] == ["train", "certify", "curve", "attack", "oracle-verify", "grad-check"]
+    for argv in commands:
+        assert build_parser().parse_args(argv[1:]).command == argv[1]

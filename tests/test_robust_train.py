@@ -334,7 +334,7 @@ def _reference_robust_hinge_loss(p, y_star, margin):
 
 
 def _reference_exact_ce(self, sp, params, y, dropout_rng=None):
-    rate = self.config.dropout_rate if (self.config.use_dropout and dropout_rng is not None) else 0.0
+    rate = self.config.dropout_rate if dropout_rng is not None else 0.0
     trace = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng)
     return gcn.cross_entropy(trace.logits, y)
 
@@ -386,7 +386,7 @@ def _reference_ce_loss(self, batch, params, dropout_rng=None):
 
 def _reference_batch_loss_closure(self, phase, batch):
     cfg = self.config
-    dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.use_dropout else None
+    dropout_rng = np.random.default_rng(self.rng.integers(2**32)) if cfg.dropout_rate > 0 else None
 
     def closure(shadow):
         if cfg.mode == "CE":
@@ -483,8 +483,8 @@ def _assert_same_gradient(a, b):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("use_dropout", [False, True])
-def test_batch_loss_matches_reference_bitwise(use_dropout):
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+def test_batch_loss_matches_reference_bitwise(dropout_rate):
     rng = np.random.default_rng(10)
     mixed = 0
     for _ in range(30):
@@ -492,7 +492,7 @@ def test_batch_loss_matches_reference_bitwise(use_dropout):
         for mode, phase in [("CE", 1), ("RCE", 1), ("RH", 1), ("RH_U", 1), ("RH_U", 2)]:
             cfg = TrainConfig(
                 mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]),
-                use_dropout=use_dropout, seed=int(rng.integers(2**31)),
+                dropout_rate=dropout_rate, seed=int(rng.integers(2**31)),
             )
             tr = Trainer(graph, cfg)
             pool = list(range(graph.num_nodes)) if phase == 2 else [int(t) for t in tr.labeled]
@@ -503,19 +503,19 @@ def test_batch_loss_matches_reference_bitwise(use_dropout):
             state = tr.rng.bit_generator.state
             ref = grad.gradient(_reference_batch_loss_closure(tr, phase, batch), params)
             tr.rng.bit_generator.state = state
-            dropout_rng = np.random.default_rng(tr.rng.integers(2**32)) if use_dropout else None
+            dropout_rng = np.random.default_rng(tr.rng.integers(2**32)) if dropout_rate > 0 else None
             _assert_same_gradient(grad.gradient(lambda p: tr.batch_loss(batch, p, dropout_rng), params), ref)
     assert mixed >= 10
 
 
-@pytest.mark.parametrize("use_dropout", [False, True])
-def test_rh_u_training_matches_reference_bitwise(use_dropout, monkeypatch):
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+def test_rh_u_training_matches_reference_bitwise(dropout_rate, monkeypatch):
     rng = np.random.default_rng(11)
     for seed in range(3):
         graph, _, budget = random_tiny_graph(rng)
         cfg = TrainConfig(
             mode="RH_U", budget=budget, hidden_dims=(3,), learning_rate=0.05, batch_size=3,
-            use_dropout=use_dropout, max_epochs=3, phase2_epochs=2, patience=5, seed=seed,
+            dropout_rate=dropout_rate, max_epochs=3, phase2_epochs=2, patience=5, seed=seed,
         )
         p_ref, log_ref = _ReferenceTrainer(graph, cfg).train()
         with monkeypatch.context() as m:
