@@ -215,7 +215,7 @@ def load_dataset(
 # -- config ----------------------------------------------------------------
 
 def _int_list(raw) -> tuple:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(int(tok) for tok in raw.split(","))  # an empty entry is a bad value
 
 
 # each key's parser; a ValueError from it is a bad value
@@ -323,12 +323,11 @@ def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
     """One list of Certificates per node, one per budget: each node is sliced and predicted once."""
     mp = build_message_passing(graph)
     L = params.layer_count
-    labels = np.asarray(graph.labels) if graph.labels is not None else None
 
     def one(t):
         spr = slice_problem(graph, mp, t, L)
-        if use_labels and labels is not None and labels[t] >= 0:
-            y_star = int(labels[t])
+        if use_labels and graph.labels[t] >= 0:
+            y_star = int(graph.labels[t])
         else:
             y_star = gcn.predict(gcn.forward_sliced(spr, params))
         return dual_cert.certify_sweep(spr, params, budgets, y_star, mode=mode)
@@ -547,6 +546,9 @@ def cmd_grad_check(args):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are CliErrors, so they print as one `error:` line."""
+
+    def __init__(self, **kwargs):  # subparsers are built from this class, so no command takes `--Q` for `--Q-max`
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")

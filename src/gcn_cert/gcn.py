@@ -127,11 +127,7 @@ def forward_sliced(
                 keep = (dropout_rng.random(grad.val(H).shape) >= dropout_rate).astype(np.float64)
                 H = H * (keep / (1.0 - dropout_rate))
             post.append(H)
-    logits = pre[-1]
-    if grad.is_var(logits):
-        logits = grad.gather(logits, np.arange(grad.val(logits).size))
-    else:
-        logits = np.asarray(logits)[0]
+    logits = grad.gather(pre[-1], np.arange(grad.val(pre[-1]).size))  # the one row, flattened
     return ForwardTrace(pre_activations=pre, post_activations=post, logits=logits)
 
 

@@ -85,15 +85,6 @@ class Var:
     def __truediv__(self, other):
         return _div(self, other)
 
-    def __rtruediv__(self, other):
-        return _div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
 
 def is_var(x):
     return isinstance(x, Var)
@@ -120,8 +111,6 @@ def _unbroadcast(g, shape):
 
 
 def _add(a, b):
-    if not (is_var(a) or is_var(b)):
-        return np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64)
     av, bv = val(a), val(b)
     out = av + bv
     parents = []
@@ -139,8 +128,6 @@ def _neg(a):
 
 
 def _mul(a, b):
-    if not (is_var(a) or is_var(b)):
-        return np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
     av, bv = val(a), val(b)
     out = av * bv
     parents = []
@@ -152,13 +139,10 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    if not (is_var(a) or is_var(b)):
-        return np.asarray(a, dtype=np.float64) / np.asarray(b, dtype=np.float64)
-    av, bv = val(a), val(b)
+    """a / b for a Var a (only `Var.__truediv__` calls this)."""
+    av, bv = a.value, val(b)
     out = av / bv
-    parents = []
-    if is_var(a):
-        parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh)))
+    parents = [(a, lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh))]
     if is_var(b):
         parents.append(
             (b, lambda g, n=av, d=bv, sh=bv.shape: _unbroadcast(-g * n / (d * d), sh))

@@ -21,8 +21,10 @@ class Graph:
         CSR array with no explicit zeros. Diagonal entries are allowed.
     attributes: N x D binary, stored as a dense bool array (8x smaller
         than float64); slices convert their rows to float64.
-    labels: optional int array of length N, -1 where unknown.
-    split: optional array of "labeled"/"unlabeled" strings, length N.
+    labels: int array of length N, -1 where a label is unknown; all -1
+        when none is given.
+    split: array of "labeled"/"unlabeled" strings, length N; when none is
+        given, a node is labeled exactly when it has a label.
     """
 
     num_nodes: int
@@ -50,30 +52,30 @@ class Graph:
         X_bool = X.astype(bool)
         if not np.array_equal(X_bool, X):
             raise ValueError("attributes must be binary")
-        if self.labels is not None:
-            lab = np.asarray(self.labels)
-            known = lab[lab >= 0]
-            if known.size and (known.max() >= self.num_classes):
-                raise ValueError(f"label {known.max()} out of range [0, {self.num_classes})")
+        N = self.num_nodes
+        labels = np.full(N, -1, dtype=np.int64) if self.labels is None else np.asarray(self.labels)
+        if labels.shape != (N,) or labels.dtype.kind != "i":
+            raise ValueError(f"labels must be ints of shape ({N},), got {labels.dtype} of shape {labels.shape}")
+        if labels.max(initial=-1) >= self.num_classes:
+            raise ValueError(f"label {labels.max()} out of range [0, {self.num_classes})")
+        split = np.where(labels >= 0, LABELED, UNLABELED) if self.split is None else np.asarray(self.split)
+        if split.shape != (N,):
+            raise ValueError(f"split shape {split.shape} != ({N},)")
+        if not ((split == LABELED) | (split == UNLABELED)).all():
+            raise ValueError(f"split entries must be {LABELED!r} or {UNLABELED!r}")
         object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "attributes", X_bool)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "split", split)
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
 
     def labeled_nodes(self) -> np.ndarray:
-        if self.split is None:
-            if self.labels is None:
-                return np.array([], dtype=int)
-            return np.flatnonzero(np.asarray(self.labels) >= 0)
-        return np.flatnonzero(np.asarray(self.split) == LABELED)
+        return np.flatnonzero(self.split == LABELED)
 
     def unlabeled_nodes(self) -> np.ndarray:
-        if self.split is None:
-            if self.labels is None:
-                return np.arange(self.num_nodes)
-            return np.flatnonzero(np.asarray(self.labels) < 0)
-        return np.flatnonzero(np.asarray(self.split) == UNLABELED)
+        return np.flatnonzero(self.split == UNLABELED)
 
 
 @dataclass(frozen=True)

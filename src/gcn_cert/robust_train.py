@@ -126,7 +126,7 @@ class Trainer:
         self.dims = [graph.num_features, *config.hidden_dims, graph.num_classes]
         self.layer_count = len(self.dims)
         self.mp = build_message_passing(graph)
-        self.labels = np.asarray(graph.labels) if graph.labels is not None else None
+        self.labels = graph.labels
         self.labeled = graph.labeled_nodes()
         self.unlabeled = graph.unlabeled_nodes()
         self._labeled_set = set(int(t) for t in self.labeled)
@@ -184,8 +184,6 @@ class Trainer:
 
     def _accuracy(self, pred, nodes):
         """Share of the `nodes` with a label (>= 0) that `pred` gets right; nan when none has one."""
-        if self.labels is None:
-            return math.nan
         nodes = np.asarray(nodes, dtype=np.intp)
         nodes = nodes[self.labels[nodes] >= 0]
         return float(np.mean(pred[nodes] == self.labels[nodes])) if nodes.size else math.nan
@@ -247,6 +245,9 @@ class Trainer:
         cfg = self.config
         if len(self.labeled) == 0:
             raise ValueError("labeled set is empty")
+        no_label = self.labeled[self.labels[self.labeled] < 0]
+        if no_label.size:
+            raise ValueError(f"node {no_label[0]} is marked labeled but has no label")
         if params is None:
             params = gcn.glorot_params(self.dims, seed=cfg.seed)
         log = []

@@ -529,7 +529,7 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
         ("dropout_rate = 1.0\n", "dropout_rate"),
         ("max_epochs = -1\n", "max_epochs"),
         ("hidden_dims = 0\n", "hidden widths"),
-        ("hidden_dims = ,\n", "hidden layer"),
+        ("hidden_dims = ,\n", "bad value ',' for hidden_dims"),
         ("l2_strength = nan\n", "l2_strength"),
         ("seed = -1\n", "seed"),
         ("patience = -1\n", "patience"),
@@ -835,6 +835,45 @@ def test_usage_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, 
     }[case]
     assert message in _assert_one_line_error(main(argv), capsys)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("curve_Q", "gcn-cert curve: the following arguments are required: --Q-max"),
+        ("oracle_inst_pga", "gcn-cert: unrecognized arguments: --inst 3 --pga 2"),
+        ("certify_use", "gcn-cert: unrecognized arguments: --use"),
+    ],
+)
+def test_abbreviated_flags_are_unknown(tmp_path, dataset, checkpoint, capsys, case, message):
+    """A flag must be spelled in full; each argv would run if argparse took the abbreviation."""
+    model = ["--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1"]
+    argv = {
+        "curve_Q": ["curve", *model, "--output", str(tmp_path / "c.csv"), "--Q", "1"],
+        "oracle_inst_pga": ["oracle-verify", "--inst", "3", "--pga", "2"],
+        "certify_use": ["certify", *model, "--Q", "1", "--use"],
+    }[case]
+    assert message in _assert_one_line_error(main(argv), capsys)
+    assert capsys.readouterr().out == "" and not (tmp_path / "c.csv").exists()
+
+
+def test_certify_use_labels_certifies_labeled_nodes_against_their_label(tmp_path, dataset, checkpoint):
+    """With --use-labels a node with a label is certified against it, even where the model predicts
+    another class; a node without one is certified against the prediction."""
+    params = gcn.load_checkpoint(checkpoint)
+    graph = load_dataset(dataset["edges"], dataset["attributes"], num_classes=2).graph
+    mp = build_message_passing(graph)
+    pred = [gcn.predict(gcn.forward_sliced(slice_problem(graph, mp, t, 3), params)) for t in range(3)]
+    labels = _write(tmp_path / "flipped.tsv", f"0\t{1 - pred[0]}\n1\t{pred[1]}\n")
+    out = tmp_path / "certs.jsonl"
+    argv = ["certify", "--checkpoint", checkpoint, "--edges", dataset["edges"], "--attributes", dataset["attributes"],
+            "--labels", labels, "--q", "1", "--Q", "1", "--output", str(out)]
+    y_stars = {}
+    for flag in ([], ["--use-labels"]):
+        assert main([*argv, *flag]) == 0
+        y_stars[tuple(flag)] = [json.loads(line)["y_star"] for line in out.read_text().splitlines()]
+    assert y_stars[()] == pred
+    assert y_stars[("--use-labels",)] == [1 - pred[0], pred[1], pred[2]]
 
 
 def test_benchmark_curve_argv_parses(tmp_path, dataset, checkpoint, monkeypatch):

@@ -102,6 +102,41 @@ def test_labeled_unlabeled_split():
     assert list(g2.unlabeled_nodes()) == [0]
 
 
+def test_labels_and_split_are_always_arrays():
+    """With neither given, every node is unlabeled: labels all -1 and split all "unlabeled"."""
+    g = _graph(np.zeros((3, 3)), np.eye(3))
+    assert g.labels.dtype.kind == "i" and list(g.labels) == [-1, -1, -1]
+    assert list(g.split) == ["unlabeled"] * 3
+    assert list(g.labeled_nodes()) == [] and list(g.unlabeled_nodes()) == [0, 1, 2]
+    g = _graph(np.zeros((2, 2)), np.eye(2), split=np.array(["labeled", "unlabeled"]))
+    assert list(g.labels) == [-1, -1] and list(g.labeled_nodes()) == [0]
+
+
+def test_split_is_derived_from_labels_when_none_is_given():
+    g = path_graph()  # labels [0, 1, -1]
+    assert list(g.split) == ["labeled", "labeled", "unlabeled"]
+    given = _graph(np.zeros((3, 3)), np.eye(3), labels=np.array([0, 1, -1]), split=np.array(["unlabeled"] * 3))
+    assert list(given.split) == ["unlabeled"] * 3 and list(given.labeled_nodes()) == []
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(labels=np.array([0, 1])), "labels"),
+        (dict(labels=np.array([0, 1, -1, 0])), "labels"),
+        (dict(labels=np.zeros((3, 1), dtype=int)), "labels"),
+        (dict(labels=np.array([0.0, 1.0, -1.0])), "labels"),
+        (dict(split=np.array(["labeled", "unlabeled"])), "split"),
+        (dict(split=np.array(["labeled"] * 4)), "split"),
+        (dict(split=np.array(["labeled", "unlabeled", "test"])), "split"),
+    ],
+    ids=["labels_short", "labels_long", "labels_2d", "labels_float", "split_short", "split_long", "split_tag"],
+)
+def test_graph_rejects_labels_or_split_of_another_shape(kw, match):
+    with pytest.raises(ValueError, match=match):
+        _graph(np.zeros((3, 3)), np.eye(3), **kw)
+
+
 def test_graph_validation_errors():
     with pytest.raises(ValueError, match="symmetric"):
         _graph([[0, 1], [0, 0]], np.eye(2))

@@ -212,6 +212,49 @@ def test_train_requires_labeled_nodes():
         train(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))
 
 
+def test_train_rejects_a_labeled_node_without_a_label():
+    """A split that marks a node labeled on a graph with no labels is a ValueError, not a TypeError."""
+    graph = Graph(
+        num_nodes=2,
+        num_features=2,
+        num_classes=2,
+        adjacency=np.zeros((2, 2)),
+        attributes=np.eye(2),
+        split=np.array(["labeled", "unlabeled"]),
+    )
+    with pytest.raises(ValueError, match="node 0 is marked labeled but has no label"):
+        train(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))
+
+
+def test_training_stops_after_patience_epochs_without_improvement(rng):
+    """Steps too small to lower the loss by 1e-9 stall every epoch after the first; `patience` stalls end the phase."""
+    graph, _, budget = random_tiny_graph(rng, all_labeled=True)
+    cfg = TrainConfig(mode="CE", budget=budget, hidden_dims=(2,), learning_rate=1e-15, max_epochs=50, patience=3)
+    _, log = train(graph, cfg)
+    assert [row["epoch"] for row in log] == [1, 2, 3, 4]
+
+
+def test_non_finite_batch_loss_keeps_the_last_finite_epoch(rng, monkeypatch):
+    """A NaN loss in epoch 2 ends training with the parameters after epoch 1, and RH_U skips phase 2."""
+    graph, _, budget = random_tiny_graph(rng)
+    cfg = dict(budget=budget, hidden_dims=(2,), max_epochs=5, patience=5, seed=2)
+    # phase 1 of RH_U is RH on the labeled nodes, so one RH epoch is what the aborted run must return
+    expected, expected_log = train(graph, TrainConfig(mode="RH", **{**cfg, "max_epochs": 1}))
+    calls = []
+
+    def nan_in_epoch_2(self, batch, params, dropout_rng=None, _real=Trainer.batch_loss):
+        calls.append(list(batch))
+        return grad.Var(math.nan) if len(calls) == 2 else _real(self, batch, params, dropout_rng)
+
+    monkeypatch.setattr(Trainer, "batch_loss", nan_in_epoch_2)
+    params, log = train(graph, TrainConfig(mode="RH_U", **cfg))
+    assert len(calls) == 2  # one batch an epoch: the NaN came in epoch 2, and phase 2 never ran
+    _assert_same_log(log, expected_log)
+    assert [row["phase"] for row in log] == [1]
+    for a, b in zip(params.weights + params.biases, expected.weights + expected.biases):
+        assert np.array_equal(a, b)
+
+
 def test_ce_training_reduces_loss(rng):
     graph, _, budget = random_tiny_graph(rng, all_labeled=True)
     cfg = TrainConfig(mode="CE", budget=budget, hidden_dims=(3,), max_epochs=25, patience=25, seed=3)
