@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import grad
 from .gcn import GcnParams
-from .graph_core import SlicedProblem
+from .graph_core import SlicedProblem, row_span
 
 __all__ = [
     "Budget",
     "ActivationBounds",
+    "FlipTable",
+    "flip_table",
     "CROSSING",
     "NONNEG",
     "NONPOS",
@@ -84,7 +87,7 @@ class ActivationBounds:
         return sorted(self.lower.keys())
 
 
-def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
+def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=None):
     """Tight bounds (R^(2), S^(2)) on the first hidden pre-activations.
 
     Per entry (m, j), the bound is the clean pre-activation plus/minus the
@@ -101,42 +104,60 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget):
     (node, feature) id n*D + d.  Both rules fix which entries the
     gradient flows through.  This is the one-budget case of
     `_first_layer_sweep`.
+
+    The selection of row m depends only on m's own neighbours, W1, q and
+    Q, so a whole-graph pass selects once per node into a `FlipTable`
+    (`flip_table`) and hands it here; without one the picks are selected
+    from the slice.  `cli` builds a table once per command and `Trainer`
+    once per metrics row and per batch, each from the weights of that
+    moment.  A table is never kept past its call: training updates W in
+    place, and a kept table would go stale.
     """
-    return _first_layer_sweep(sp, params, [budget])[0]
+    return _first_layer_sweep(sp, params, [budget], table)[0]
 
 
-def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
+def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None) -> list:
     """`first_layer_bounds` for each of `budgets`, which share q, from one selection.
 
     The top-Q picks of every budget are a prefix of one total order, so the
     selection runs once, at the largest Q, and each budget sums its prefix.
+    The picks are the `table` rows of the first layer's nodes
+    ``sp.hop_sets[-2]`` when a table is given (`cli` and `Trainer` build
+    one per pass from the same W1 and never cache it, see
+    `first_layer_bounds`), else selected from the slice.  Either way the
+    clean pre-activation and the sums over the picks are per target.
     """
-    if len({b.local_q for b in budgets}) != 1:
-        raise ValueError("a sweep takes one or more budgets that share one local budget q")
     X = sp.sliced_attrs
     A1 = sp.sliced_mp[0]
     W, b = params.weights[0], params.biases[0]
     n_outer, D = X.shape
-
-    q = budgets[0].effective_q(D)
+    q = _shared_q(budgets, D)
     Qs = [bud.effective_Q(n_outer, D) for bud in budgets]
 
     H_dot = grad.matmul(grad.matmul(A1, X), W) + b
     if q == 0 or max(Qs) == 0:
         return [(H_dot, H_dot)] * len(budgets)
 
-    # active features of each row, ascending, padded with the id D
-    nnz = np.count_nonzero(X, axis=1)
-    active = np.full((n_outer, nnz.max(initial=0)), D)
-    active[np.arange(active.shape[1]) < nnz[:, None]] = np.nonzero(X)[1]
-
     # toggling an off feature raises unit j by W+[d, j] and lowers it by
     # W-[d, j]; toggling an active one does the reverse
     Wp, Wm = grad.pos(W), grad.negpart(W)
-    A1 = grad.val(A1)
-    upper = _budgeted_increase(A1, X, active, Wp, Wm, q, Qs)
-    lower = _budgeted_increase(A1, X, active, Wm, Wp, q, Qs)
+    if table is None:
+        A1 = grad.val(A1)
+        nz = A1 != 0
+        cols, weight = _padded_rows(np.count_nonzero(nz, axis=1), np.nonzero(nz)[1], A1[nz])
+        up, down = _flip_picks(cols, weight, X, grad.val(Wp), grad.val(Wm), q, max(Qs))
+    else:
+        up, down = table.rows(sp.hop_sets[-2], q, max(Qs))
+    upper = _pick_sums(up, Wp, Wm, Qs)
+    lower = _pick_sums(down, Wm, Wp, Qs)
     return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
+
+
+def _shared_q(budgets, num_features) -> int:
+    """The effective local budget q that `budgets` share; a ValueError when they do not share one."""
+    if len({b.local_q for b in budgets}) != 1:
+        raise ValueError("a sweep takes one or more budgets that share one local budget q")
+    return budgets[0].effective_q(num_features)
 
 
 # rows at least this long are picked by a float partition in `top_k`; the
@@ -228,51 +249,178 @@ def top_k(values, ids, k):
     return -top.real, top.imag.astype(np.intp)
 
 
-def _budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
-    """{Q: sum of the top-Q of {A1[m,n] * (q-largest effects of row n)} per (m,j)} for each Q > 0 in Qs.
+class _Picks(NamedTuple):
+    """Each (row m, unit j)'s flip picks in descending order of effect: (rows, units, width) arrays.
 
-    The effect of toggling X[n, d] on unit j is W_off[d, j] when the
-    feature is off and W_on[d, j] when it is active; both are >= 0.
+    `at` is the flat index d*h + j of W[d, j], `coef` the weight A_hat[m, n]
+    of the pick's node n (0 on padding) and `on` whether X[n, d] is active.
     """
-    n_outer, D = X.shape
-    off, on = grad.val(W_off), grad.val(W_on)
-    h2 = off.shape[1]
+
+    at: np.ndarray
+    coef: np.ndarray
+    on: np.ndarray
+
+    @classmethod
+    def zeros(cls, shape):
+        return cls(np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape, dtype=bool))
+
+    def take(self, rows):
+        return _Picks(self.at[rows], self.coef[rows], self.on[rows])
+
+
+def _padded_rows(lengths, cols, weights):
+    """(cols, weight) arrays of rows holding `lengths` entries, from the entries' columns and weights
+    row after row; rows are padded to the longest with column 0 and weight 0."""
+    slots = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    padded_cols, padded_weights = np.zeros(slots.shape, dtype=np.intp), np.zeros(slots.shape)
+    padded_cols[slots], padded_weights[slots] = cols, weights
+    return padded_cols, padded_weights
+
+
+def _flip_picks(cols, weight, X, Wp, Wm, q, Q_max):
+    """The first-layer flip picks of a block of A_hat rows: (upper, lower) `_Picks`.
+
+    Row m of the block has the stored neighbours X[cols[m, s]] with weights
+    weight[m, s] >= 0, ascending in node id along s; padding slots have
+    weight 0.  For unit j, the candidates of row m are weight[m, s] times
+    each of neighbour s's q largest toggle effects, and the picks are the
+    min(Q_max, slots * q) largest, descending, ties to the smaller
+    (slot, feature), which is the smaller (node, feature) id n*D + d.  The
+    upper bound toggles effects W+ where X is off and W- where it is on
+    (`Wp`, `Wm`, numeric); the lower bound the reverse.
+    """
+    M, S = cols.shape
+    n, D = X.shape
+    h2 = Wp.shape[1]
+    k = min(Q_max, S * q)
+    if k == 0:
+        return _Picks.zeros((M, h2, 0)), _Picks.zeros((M, h2, 0))
+    # active features of each X row, ascending, padded with the id D
+    nnz = np.count_nonzero(X, axis=1)
+    active = np.full((n, nnz.max(initial=0)), D)
+    active[np.arange(active.shape[1]) < nnz[:, None]] = np.nonzero(X)[1]
+    rows = np.arange(M)[:, None, None]
     units = np.arange(h2)[:, None]
+    out = []
+    for off, on in ((Wp, Wm), (Wm, Wp)):
+        # The effect of toggling X[n, d] on unit j is off[d, j] when the
+        # feature is off and on[d, j] when it is active; both are >= 0.
+        # Row n's q largest effects on unit j lie among its active features
+        # and its first q off features in the order of off[:, j] (descending,
+        # ties to the smaller d); at most nnz(n) active features come before
+        # those, so the top q + nnz_max features of that order hold them.
+        K = min(D, q + active.shape[1])
+        off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
+        # candidates per (n, j): the head features that are off in row n,
+        # then the row's active features; an entry of -inf is never picked
+        off_eff = np.where(X[:, head] == 0, off_head, -np.inf)
+        on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(0, 2, 1)
+        feat = np.concatenate(
+            [np.broadcast_to(head, off_eff.shape), np.broadcast_to(active[:, None, :], on_eff.shape)], axis=2
+        )  # (n, h2, K + nnz_max)
+        eff, feat = top_k(np.concatenate([off_eff, on_eff], axis=2), feat, q)  # (n, h2, q)
 
-    # Row n's q largest effects on unit j lie among its active features
-    # and its first q off features in the order of W_off[:, j] (descending,
-    # ties to the smaller d); at most nnz(n) active features come before
-    # those, so the top q + nnz_max features of that order hold them.
-    K = min(D, q + active.shape[1])
-    off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
-    # candidates per (j, n): the head features that are off in row n, then
-    # the row's active features; an entry of -inf is never picked
-    off_eff = np.where(X[:, head] == 0, off_head, -np.inf).transpose(1, 0, 2)
-    on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(2, 0, 1)
-    feat = np.concatenate(
-        [np.broadcast_to(head[:, None, :], off_eff.shape), np.broadcast_to(active, on_eff.shape)], axis=2
-    )  # (h2, n, K + nnz_max)
-    eff = np.concatenate([off_eff, on_eff], axis=2)
-    eff, feat = top_k(eff, feat, q)  # (h2, n, q)
-    # the picks of unit j as one row over (n, k): (h2, n*q)
-    eff, feat = eff.reshape(h2, n_outer * q), feat.reshape(h2, n_outer * q)
+        # the candidates of unit j for row m as one row over (slot, pick):
+        # weight >= 0 keeps each neighbour's top q in order
+        cand = (weight[:, :, None, None] * eff[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
+        ids = (np.arange(S)[:, None, None] * D + feat[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
+        _, ids = top_k(cand, ids, k)
+        slot, d = np.divmod(ids, D)  # (M, h2, k)
+        out.append(_Picks(d * h2 + units, weight[rows, slot], X[cols[rows, slot], d] != 0))
+    return out[0], out[1]
 
-    # the candidates A1[m, n] * eff per (m, j) in descending order, ties to
-    # the smaller (node, feature) id n*D + d, down to the largest Q: each
-    # budget's top Q is a prefix of it.  A1 >= 0 keeps each row's top q.
-    node = np.repeat(np.arange(n_outer), q)
-    Q_max = max(Qs)
-    _, ids = top_k(A1[:, None, node] * eff, node * D + feat, Q_max)
-    n_top, d_top = np.divmod(ids, D)  # (M, h2, Q_max)
 
-    coef = A1[np.arange(A1.shape[0])[:, None, None], n_top]
-    at = d_top * h2 + units  # flat index of (d, j) in W
-    on_pick = X[n_top, d_top] != 0
+def _pick_sums(picks: _Picks, W_off, W_on, Qs):
+    """{Q: sum over each (m, j)'s first Q picks of coef times the toggled W entry} for each Q > 0 in Qs.
+
+    An off pick adds W_off[d, j] and an active one W_on[d, j]; the gathers
+    keep W on the tape.  Past a row's stored picks the sum runs on over
+    zero-weight padding, so each sum has Q terms in the layout that
+    selecting from a whole slice gives (its candidates off m's neighbours
+    have weight 0).
+    """
+    at, coef, on = picks
+    pad = max(Qs) - at.shape[-1]
+    if pad > 0:
+        widths = [(0, 0), (0, 0), (0, pad)]
+        at, coef, on = np.pad(at, widths), np.pad(coef, widths), np.pad(on, widths)
     out = {}
     for Q in sorted(set(Qs) - {0}):
-        c, a, o = coef[..., :Q], at[..., :Q], on_pick[..., :Q]
+        c, a, o = coef[..., :Q], at[..., :Q], on[..., :Q]
         out[Q] = grad.asum(grad.gather(W_off, a) * (c * ~o) + grad.gather(W_on, a) * (c * o), axis=2)
     return out
+
+
+# at most this many candidates (rows * slots * q * h) in one block of `flip_table`
+_TABLE_CANDIDATES = 1 << 18
+
+
+@dataclass(frozen=True)
+class FlipTable:
+    """The first-layer flip picks of a set of nodes, from `flip_table`; row i belongs to nodes[i].
+
+    It holds no weights: a target sums W at its rows' picks
+    (`_first_layer_sweep`), so W stays on the tape.  It is valid only for
+    the W1 it was selected from, and for its q and Q up to Q_max.
+    """
+
+    nodes: np.ndarray  # ascending global ids
+    q: int  # effective local budget
+    Q_max: int
+    upper: _Picks
+    lower: _Picks
+
+    def rows(self, nodes, q, Q):
+        """(upper, lower) picks of `nodes`, for a target whose effective budgets are q and Q <= Q_max."""
+        if q != self.q or Q > self.Q_max:
+            raise ValueError(f"table built for q={self.q}, Q<={self.Q_max}; asked for q={q}, Q={Q}")
+        nodes = np.asarray(nodes)
+        at = np.searchsorted(self.nodes, nodes)
+        found = at < self.nodes.size
+        found[found] = self.nodes[at[found]] == nodes[found]
+        if not found.all():
+            raise ValueError(f"node {nodes[~found][0]} is not in the table")
+        return self.upper.take(at), self.lower.take(at)
+
+
+def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
+    """A `FlipTable` of the A_hat rows `nodes` for `budgets`, which share q, from the values of W1.
+
+    `mp` is the graph's CSR A_hat and `attributes` its binary N x D matrix.
+    Each node's picks come from its own stored neighbours (`_flip_picks`),
+    so they equal the picks that any target's slice selects for it.  Rows
+    are taken in blocks of like degree, at most `_TABLE_CANDIDATES`
+    candidates a block.
+    """
+    D = attributes.shape[1]
+    q = _shared_q(budgets, D)
+    Q_max = max(b.global_Q for b in budgets)
+    W = grad.val(params.weights[0])
+    Wp, Wm = grad.pos(W), grad.negpart(W)
+    h2 = W.shape[1]
+    if not mp.has_sorted_indices:
+        mp = mp.sorted_indices()
+    nodes = np.unique(np.asarray(nodes, dtype=np.intp))
+    deg = mp.indptr[nodes + 1] - mp.indptr[nodes]
+    width = min(Q_max, int(deg.max(initial=0)) * q)
+    sides = [_Picks.zeros((nodes.size, h2, width)) for _ in range(2)]
+    order = np.argsort(deg, kind="stable")
+    start = 0
+    while width and start < nodes.size:
+        # the block's slots are its last (largest) degree
+        stop = start + 1
+        while stop < nodes.size and (stop + 1 - start) * deg[order[stop]] * q * h2 <= _TABLE_CANDIDATES:
+            stop += 1
+        block = order[start:stop]
+        span, lengths = row_span(mp, nodes[block])
+        touched, local = np.unique(mp.indices[span], return_inverse=True)
+        cols, weight = _padded_rows(lengths, local, mp.data[span])
+        X = attributes[touched].astype(np.float64)
+        for side, picks in zip(sides, _flip_picks(cols, weight, X, Wp, Wm, q, Q_max)):
+            k = picks.at.shape[-1]
+            side.at[block, :, :k], side.coef[block, :, :k], side.on[block, :, :k] = picks
+        start = stop
+    return FlipTable(nodes, q, Q_max, sides[0], sides[1])
 
 
 def deeper_layer_bounds(lower_prev, upper_prev, A_dot, W, b):
@@ -301,14 +449,15 @@ def classify_partition(lower, upper) -> np.ndarray:
     return tags
 
 
-def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget) -> ActivationBounds:
-    """Bounds and partition for every hidden layer l = 2..L-1."""
-    return _layer_bounds(sp, params, *first_layer_bounds(sp, params, budget))
+def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=None) -> ActivationBounds:
+    """Bounds and partition for every hidden layer l = 2..L-1; `table` as in `first_layer_bounds`."""
+    return _layer_bounds(sp, params, *first_layer_bounds(sp, params, budget, table))
 
 
-def compute_bounds_sweep(sp: SlicedProblem, params: GcnParams, budgets) -> list:
-    """`compute_bounds` for each of `budgets`, which share q; the first-layer selection runs once."""
-    return [_layer_bounds(sp, params, R, S) for R, S in _first_layer_sweep(sp, params, budgets)]
+def compute_bounds_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None) -> list:
+    """`compute_bounds` for each of `budgets`, which share q; the first-layer picks are selected once,
+    or read from `table`."""
+    return [_layer_bounds(sp, params, R, S) for R, S in _first_layer_sweep(sp, params, budgets, table)]
 
 
 def _layer_bounds(sp, params, R, S) -> ActivationBounds:

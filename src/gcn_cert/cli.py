@@ -34,8 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dual_cert, gcn, grad, oracle, primal_attack, robust_train
-from .bounds import Budget, compute_bounds
-from .graph_core import Graph, build_message_passing, slice_problem
+from .bounds import Budget, compute_bounds, flip_table
+from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
 __all__ = ["main", "load_dataset", "parse_config", "DatasetBundle"]
 
@@ -320,9 +320,14 @@ def _select_nodes(spec_text, graph) -> list:
 
 
 def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
-    """One list of Certificates per node, one per budget: each node is sliced and predicted once."""
+    """One list of Certificates per node, one per budget: each node is sliced and predicted once.
+
+    The first-layer flip picks of every node the targets' first layers read
+    are selected once, into one table that the workers share read-only.
+    """
     mp = build_message_passing(graph)
     L = params.layer_count
+    table = flip_table(mp, graph.attributes, params, budgets, first_layer_nodes(mp, nodes, L))
 
     def one(t):
         spr = slice_problem(graph, mp, t, L)
@@ -330,7 +335,7 @@ def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
             y_star = int(graph.labels[t])
         else:
             y_star = gcn.predict(gcn.forward_sliced(spr, params))
-        return dual_cert.certify_sweep(spr, params, budgets, y_star, mode=mode)
+        return dual_cert.certify_sweep(spr, params, budgets, y_star, mode=mode, table=table)
 
     if workers <= 1 or len(nodes) <= 1:
         return [one(t) for t in nodes]

@@ -381,7 +381,7 @@ def margin_vector(sp, params, bounds, budget, y):
     return grad.matmul(g, np.minimum(C, 0.0))
 
 
-def certify(sp, params, budget, y_star, mode="default") -> Certificate:
+def certify(sp, params, budget, y_star, mode="default", table=None) -> Certificate:
     """Robust / non-robust / undecided status for one target node.
 
     Robust means every competing dual bound g(e_y* - e_k) is strictly
@@ -391,19 +391,27 @@ def certify(sp, params, budget, y_star, mode="default") -> Certificate:
     is non-robust if one of them flips the exact network, else undecided.
     This is `certify_sweep` for one budget, through `compute_bounds` (the
     entry point `bench/tracer.py` times) in place of `compute_bounds_sweep`.
+
+    `table` is an optional `bounds.FlipTable` of the first-layer picks,
+    built from these params for this budget; without one they are selected
+    from the slice.  A caller that certifies many nodes builds it once
+    (`cli` does, per command) and passes it to each; it is never cached,
+    because a table is valid only for the weights it was built from.
     """
-    return _certificate(sp, params, compute_bounds(sp, params, budget), budget, y_star, mode)
+    return _certificate(sp, params, compute_bounds(sp, params, budget, table), budget, y_star, mode)
 
 
-def certify_sweep(sp, params, budgets, y_star, mode="default") -> list:
+def certify_sweep(sp, params, budgets, y_star, mode="default", table=None) -> list:
     """One `certify` Certificate per budget, for budgets that share q.
 
-    The first-layer selection runs once for all of them (`compute_bounds_sweep`);
-    the deeper-layer bounds and the dual run once per budget.
+    The first-layer selection runs once for all of them (`compute_bounds_sweep`),
+    or not at all with a `table` built for the largest Q (as in `certify`; `cli`
+    builds one per command and never caches it); the deeper-layer bounds and
+    the dual run once per budget.
     """
     return [
         _certificate(sp, params, bnds, budget, y_star, mode)
-        for budget, bnds in zip(budgets, compute_bounds_sweep(sp, params, budgets))
+        for budget, bnds in zip(budgets, compute_bounds_sweep(sp, params, budgets, table))
     ]
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Graph", "SlicedProblem", "build_message_passing", "slice_problem"]
+__all__ = ["Graph", "SlicedProblem", "build_message_passing", "first_layer_nodes", "row_span", "slice_problem"]
 
 LABELED = "labeled"
 UNLABELED = "unlabeled"
@@ -109,6 +109,25 @@ def build_message_passing(graph: Graph) -> sp.csr_array:
     return A_tilde
 
 
+def row_span(mp: sp.csr_array, rows) -> tuple:
+    """(span, lengths): where the stored entries of `rows` sit in mp.indices/data, row after row, and
+    how many each row has."""
+    starts = mp.indptr[rows]
+    lengths = mp.indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths), lengths
+
+
+def first_layer_nodes(mp: sp.csr_array, targets, layer_count: int) -> np.ndarray:
+    """The nodes whose A_hat rows feed the first layer of any of `targets`: the union of their
+    ``hop_sets[-2]`` (the N_{L-2}(t) of `slice_problem`), ascending."""
+    reach = np.zeros(mp.shape[0], dtype=bool)
+    reach[np.asarray(targets, dtype=np.intp)] = True
+    for _ in range(layer_count - 2):
+        reach[mp.indices[row_span(mp, np.flatnonzero(reach))[0]]] = True
+    return np.flatnonzero(reach)
+
+
 def slice_problem(graph: Graph, mp: sp.csr_array, target: int, layer_count: int) -> SlicedProblem:
     """Restrict the GCN to the (L-1)-hop neighborhood of the target.
 
@@ -129,11 +148,7 @@ def slice_problem(graph: Graph, mp: sp.csr_array, target: int, layer_count: int)
     blocks = []
     for _ in range(layer_count - 1):
         hop = hop_sets[-1]
-        starts = mp.indptr[hop]
-        lengths = mp.indptr[hop + 1] - starts
-        ends = np.cumsum(lengths)
-        # where the rows' stored entries sit in indices/data, row after row
-        span = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        span, lengths = row_span(mp, hop)
         cols = mp.indices[span]
         reach[cols] = True
         nxt = np.flatnonzero(reach)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual_cert, gcn, grad
-from .bounds import Budget, compute_bounds
+from .bounds import Budget, compute_bounds, flip_table
 from .gcn import GcnParams
-from .graph_core import Graph, build_message_passing, slice_problem
+from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
 __all__ = [
     "TrainConfig",
@@ -134,9 +134,18 @@ class Trainer:
 
     # -- the training loss -------------------------------------------------
 
-    def _margins(self, sp, params, y):
-        """`dual_cert.margin_vector` under the training budget; grad-aware."""
-        return dual_cert.margin_vector(sp, params, compute_bounds(sp, params, self.budget), self.budget, y)
+    def _margins(self, sp, params, y, table):
+        """`dual_cert.margin_vector` under the training budget, from the first-layer picks of `table`; grad-aware."""
+        return dual_cert.margin_vector(sp, params, compute_bounds(sp, params, self.budget, table), self.budget, y)
+
+    def _flip_table(self, params, targets):
+        """The first-layer flip picks of `targets`' first layers, selected from the current values of W1.
+
+        Built per batch and per metrics row and then dropped: `_Adam.step`
+        updates W in place, so a kept table would go stale.
+        """
+        rows = first_layer_nodes(self.mp, targets, self.layer_count)
+        return flip_table(self.mp, self.graph.attributes, params, [self.budget], rows)
 
     def batch_loss(self, batch, params, dropout_rng=None):
         """L2 on the weights plus one term per node of `batch`; grad-aware.
@@ -154,31 +163,33 @@ class Trainer:
             pen = pen + grad.total(w * w)
         loss = cfg.l2_strength * pen
         rate = cfg.dropout_rate if dropout_rng is not None else 0.0
-        for t in [t for t in batch if t in self._labeled_set]:
+        labeled = [t for t in batch if t in self._labeled_set]
+        unlabeled = [t for t in batch if t not in self._labeled_set]
+        table = self._flip_table(params, unlabeled if cfg.mode == "CE" else batch)  # the nodes it bounds
+        for t in labeled:
             sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
-                loss = loss + gcn.cross_entropy(self._margins(sp, params, y), y)
+                loss = loss + gcn.cross_entropy(self._margins(sp, params, y, table), y)
                 continue
             if cfg.mode != "CE":
-                loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, MARGIN_LABELED)
+                loss = loss + robust_hinge_loss(self._margins(sp, params, y, table), y, MARGIN_LABELED)
             logits = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng).logits
             loss = loss + gcn.cross_entropy(logits, y)
-        unlabeled = [t for t in batch if t not in self._labeled_set]
         held = params.copy() if unlabeled else None  # predictions see the values, not the tape
         for t in unlabeled:
             sp = slice_problem(self.graph, self.mp, t, self.layer_count)
             y = gcn.predict(gcn.forward_sliced(sp, held))
-            loss = loss + robust_hinge_loss(self._margins(sp, params, y), y, MARGIN_UNLABELED)
+            loss = loss + robust_hinge_loss(self._margins(sp, params, y, table), y, MARGIN_UNLABELED)
         return loss
 
     # -- metrics -----------------------------------------------------------
 
-    def _worst_case_margins(self, params, nodes, classes):
+    def _worst_case_margins(self, params, nodes, classes, table):
         """Mean over `nodes` of min_{k != y} -p_k, with y = classes[t] for node t; 0.0 for no nodes."""
         vals = []
         for t in nodes:
             sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(classes[t])
-            others = np.delete(self._margins(sp, params, y), y)
+            others = np.delete(self._margins(sp, params, y, table), y)
             vals.append(float(-np.max(others)) if others.size else 0.0)
         return float(np.mean(vals)) if vals else 0.0
 
@@ -189,12 +200,16 @@ class Trainer:
         return float(np.mean(pred[nodes] == self.labels[nodes])) if nodes.size else math.nan
 
     def metrics_row(self, params, epoch, phase, loss):
-        """One log row keyed by LOG_FIELDS: unlabeled margins and both accuracies read one prediction."""
+        """One log row keyed by LOG_FIELDS: unlabeled margins and both accuracies read one prediction.
+
+        Every node's first-layer flip picks are selected once, into one table.
+        """
         pred = np.argmax(gcn.forward_full(self.graph, self.mp, params), axis=1)
+        table = self._flip_table(params, np.arange(self.graph.num_nodes))
         values = (
             epoch, phase, loss,
-            self._worst_case_margins(params, self.labeled, self.labels),
-            self._worst_case_margins(params, self.unlabeled, pred),
+            self._worst_case_margins(params, self.labeled, self.labels, table),
+            self._worst_case_margins(params, self.unlabeled, pred, table),
             self._accuracy(pred, self.labeled),
             self._accuracy(pred, self.unlabeled),
         )

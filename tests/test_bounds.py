@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gcn_cert import bounds, gcn, grad, oracle
 from gcn_cert.bounds import (
@@ -17,9 +18,9 @@ from gcn_cert.bounds import (
     top_k,
 )
 from gcn_cert.gcn import GcnParams
-from gcn_cert.graph_core import SlicedProblem
+from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, first_layer_nodes, slice_problem
 
-from conftest import forced_tie_slice, random_tiny_instance, single_node_problem
+from conftest import forced_tie_slice, random_tiny_graph, random_tiny_instance, single_node_problem
 
 
 def _enumerated_range(sp, params, budget):
@@ -377,6 +378,36 @@ def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
     return out
 
 
+def _reference_first_layer_sweep(sp, params, budgets):
+    """`bounds._first_layer_sweep` as it was before it selected per node: each (m, j) ranks all n*q
+    candidates of the slice, zero-weight ones included, by `_reference_budgeted_increase`."""
+    X = sp.sliced_attrs
+    A1 = sp.sliced_mp[0]
+    W, b = params.weights[0], params.biases[0]
+    n_outer, D = X.shape
+    q = budgets[0].effective_q(D)
+    Qs = [bud.effective_Q(n_outer, D) for bud in budgets]
+    H_dot = grad.matmul(grad.matmul(A1, X), W) + b
+    if q == 0 or max(Qs) == 0:
+        return [(H_dot, H_dot)] * len(budgets)
+    nnz = np.count_nonzero(X, axis=1)
+    active = np.full((n_outer, nnz.max(initial=0)), D)
+    active[np.arange(active.shape[1]) < nnz[:, None]] = np.nonzero(X)[1]
+    Wp, Wm = grad.pos(W), grad.negpart(W)
+    upper = _reference_budgeted_increase(A1, X, active, Wp, Wm, q, Qs)
+    lower = _reference_budgeted_increase(A1, X, active, Wm, Wp, q, Qs)
+    return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
+
+
+def _slice_table(sp, params, budgets):
+    """A `FlipTable` of the first-layer rows of a hand-built L = 3 slice: its A1 block as rows 0..M-1
+    of an n x n CSR matrix, so row m's stored entries are A1[m]'s nonzeros."""
+    A1, X = sp.sliced_mp[0], sp.sliced_attrs
+    M, n = A1.shape
+    mp = scipy.sparse.csr_array(np.vstack([A1, np.zeros((n - M, n))]))
+    return bounds.flip_table(mp, X.astype(bool), params, budgets, sp.hop_sets[1])
+
+
 @pytest.mark.parametrize(
     "D, h, q, Qs",
     [
@@ -394,15 +425,20 @@ def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatc
 
     The picks decide which W entries each bound's gradient reaches, so
     bitwise-equal bounds and W/b gradients on the tape mean equal picks.
+    The picks from the slice and from a `FlipTable` built inside the loss,
+    from the weights' values as training builds it, are both checked
+    against the old whole-slice selection; Q = 29 * 30 runs past every
+    row's own n*q candidates.
     """
     rng = np.random.default_rng(D + q)
     sp, params = forced_tie_slice(rng, n=30, M=9, D=D, h=h, K=7)
     budgets = [Budget(q, Q) for Q in Qs]
     G = rng.normal(size=(len(Qs), 2, 9, h))
 
-    def run():
+    def run(with_table=False):
         def loss(p):
-            sweep = bounds._first_layer_sweep(sp, p, budgets)
+            table = (_slice_table(sp, p, budgets),) if with_table else ()
+            sweep = bounds._first_layer_sweep(sp, p, budgets, *table)
             out.append([(grad.val(R), grad.val(S)) for R, S in sweep])
             return sum(grad.total(R * g[0]) + grad.total(S * g[1]) for (R, S), g in zip(sweep, G))
 
@@ -410,14 +446,90 @@ def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatc
         _, grads = grad.gradient(loss, params)
         return out[0], grads
 
-    got, got_grads = run()
-    monkeypatch.setattr(bounds, "_budgeted_increase", _reference_budgeted_increase)
+    runs = [run(), run(with_table=True)]
+    monkeypatch.setattr(bounds, "_first_layer_sweep", _reference_first_layer_sweep)
     ref, ref_grads = run()
-    for (R, S), (R_ref, S_ref) in zip(got, ref):
-        np.testing.assert_array_equal(R, R_ref)
-        np.testing.assert_array_equal(S, S_ref)
-    for a, b in zip(got_grads.weights + got_grads.biases, ref_grads.weights + ref_grads.biases):
-        np.testing.assert_array_equal(a, b)
+    for got, got_grads in runs:
+        for (R, S), (R_ref, S_ref) in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(R, R_ref)
+            np.testing.assert_array_equal(S, S_ref)
+        for a, b in zip(got_grads.weights + got_grads.biases, ref_grads.weights + ref_grads.biases):
+            np.testing.assert_array_equal(a, b)
+
+
+def _random_graph_problem(rng, ties):
+    """A random graph with isolated nodes, a GCN of one or two hidden layers and a budget.
+
+    q runs past D and Q past N*q; with ``ties`` the weights are small
+    integers, so many flip effects are equal.
+    """
+    N, D = int(rng.integers(4, 15)), int(rng.integers(2, 9))
+    A = np.triu(rng.random((N, N)) < 0.25, 1)
+    A[:, rng.integers(N)] = A[rng.integers(N)] = False  # at least one isolated node
+    A = A | A.T
+    X = rng.random((N, D)) < rng.choice([0.1, 0.5, 0.9])
+    graph = Graph(num_nodes=N, num_features=D, num_classes=3, adjacency=A.astype(float), attributes=X)
+    dims = [D, *rng.integers(1, 6, size=int(rng.integers(1, 3))), 3]
+    params = gcn.glorot_params(dims, seed=int(rng.integers(2**31)))
+    if ties:
+        params.weights[0][...] = rng.integers(-2, 3, size=params.weights[0].shape)
+    q = int(rng.choice([1, D, D + 2, rng.integers(1, D + 1)]))
+    Q = int(rng.choice([1, rng.integers(1, N * min(q, D) + 1), N * min(q, D) + 3]))
+    return graph, params, Budget(q, Q)
+
+
+def test_compute_bounds_from_a_graph_table_equals_the_slice_on_every_node(rng):
+    """On every node of random graphs, bounds from a whole-graph `FlipTable` equal the bounds selected
+    from the node's slice, bitwise, values and the gradients of a random loss on them alike."""
+    for trial in range(60):
+        graph, params, budget = _random_graph_problem(rng, ties=trial % 2 == 0)
+        mp = build_message_passing(graph)
+        L = params.layer_count
+        table = bounds.flip_table(mp, graph.attributes, params, [budget], np.arange(graph.num_nodes))
+        for t in range(graph.num_nodes):
+            sp = slice_problem(graph, mp, t, L)
+            got = compute_bounds(sp, params, budget, table)
+            ref = compute_bounds(sp, params, budget)
+            for l in ref.layers():
+                for a, b in ((got.lower[l], ref.lower[l]), (got.upper[l], ref.upper[l])):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(got.partition[l], ref.partition[l])
+            G = {l: rng.normal(size=(2, *ref.lower[l].shape)) for l in ref.layers()}
+
+            def loss(p, table):
+                bnds = compute_bounds(sp, p, budget, table)
+                return sum(grad.total(bnds.lower[l] * g[0] + bnds.upper[l] * g[1]) for l, g in G.items())
+
+            got_v, got_g = grad.gradient(lambda p: loss(p, table), params)
+            ref_v, ref_g = grad.gradient(lambda p: loss(p, None), params)
+            assert got_v == ref_v
+            for a, b in zip(got_g.weights + got_g.biases, ref_g.weights + ref_g.biases, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_flip_table_serves_its_nodes_at_its_budget_only():
+    """`first_layer_nodes` is the union of the targets' ``hop_sets[-2]``; a table of those rows serves
+    those targets, at its own q and up to its largest Q, and names a node it lacks."""
+    graph = Graph(num_nodes=6, num_features=2, num_classes=2, adjacency=np.eye(6, k=1) + np.eye(6, k=-1),
+                  attributes=np.eye(6, 2))  # the path 0 - 1 - ... - 5
+    mp = build_message_passing(graph)
+    for L, rows in ((2, [0, 5]), (3, [0, 1, 4, 5]), (4, [0, 1, 2, 3, 4, 5])):
+        np.testing.assert_array_equal(first_layer_nodes(mp, [0, 5], L), rows)
+    params = gcn.glorot_params([2, 3, 2, 2], seed=0)  # L = 4: the first layer reads N_2(t)
+    rows = first_layer_nodes(mp, [0, 1], 4)
+    np.testing.assert_array_equal(rows, [0, 1, 2, 3])
+    table = bounds.flip_table(mp, graph.attributes, params, [Budget(1, 0), Budget(1, 2)], rows)
+    for t in (0, 1):
+        sp = slice_problem(graph, mp, t, 4)
+        got, ref = compute_bounds(sp, params, Budget(1, 2), table), compute_bounds(sp, params, Budget(1, 2))
+        np.testing.assert_array_equal(got.upper[2], ref.upper[2])
+    with pytest.raises(ValueError, match="table built for q=1, Q<=2; asked for q=2, Q=2"):
+        compute_bounds(sp, params, Budget(2, 2), table)
+    with pytest.raises(ValueError, match="asked for q=1, Q=3"):
+        compute_bounds_sweep(sp, params, [Budget(1, 1), Budget(1, 3)], table)
+    for t in (2, 5):  # N_2(2) and N_2(5) both hold node 4, which neither target reads
+        with pytest.raises(ValueError, match="node 4 is not in the table"):
+            compute_bounds(slice_problem(graph, mp, t, 4), params, Budget(1, 2), table)
 
 
 def _assert_sweep_matches_each_budget(sp, params, q, Q_max, rng):

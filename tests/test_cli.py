@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 
 import gcn_cert
 from conftest import assert_graphs_equal
-from gcn_cert import cli, dual_cert, gcn, robust_train
+from gcn_cert import cli, dual_cert, gcn, oracle, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
@@ -439,6 +440,12 @@ def test_parse_config_rejects_a_key_given_twice(tmp_path):
         parse_config(cfg)
 
 
+def test_parse_config_rejects_a_line_without_equals(tmp_path):
+    cfg = _write(tmp_path / "bad.cfg", "# comment\nmode = CE\n\nlearning_rate 0.1\n")
+    with pytest.raises(CliError, match=r"bad.cfg:4: expected 'key = value'$"):
+        parse_config(cfg)
+
+
 # -- train command ---------------------------------------------------------
 
 
@@ -509,6 +516,16 @@ def test_cmd_train_missing_labels_no_partial_checkpoint(tmp_path, dataset, capsy
     assert main(["train", cfg]) == 2
     assert not ckpt.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["edges", "attributes", "labels", "checkpoint_out"])
+def test_cmd_train_rejects_a_config_without_a_required_key(tmp_path, dataset, capsys, key):
+    cfg, ckpt = _train_cfg(tmp_path, dataset)
+    text = "".join(line for line in open(cfg, encoding="utf-8") if not line.startswith(f"{key} ="))
+    _write(tmp_path / "train.cfg", text)
+    err = _assert_one_line_error(main(["train", cfg]), capsys)
+    assert err == f"error: config is missing required key {key!r}\n"
+    assert not ckpt.exists()
 
 
 def test_cmd_train_is_deterministic(tmp_path, dataset):
@@ -790,6 +807,21 @@ def test_cmd_curve_zero_budget(tmp_path, dataset, checkpoint):
         assert float(r[2]) + float(r[3]) + float(r[4]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cmd_curve_writes_no_rows_for_an_empty_node_set(tmp_path, dataset, checkpoint):
+    """Without labels no node is labeled, so the CSV has `all` and `unlabeled` rows and no `labeled` one."""
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--checkpoint", checkpoint, "--edges", dataset["edges"], "--attributes", dataset["attributes"],
+            "--q", "1", "--Q-max", "2", "--output", str(out)]
+    assert main(argv) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["Q"], row["split"]) for row in rows] == [
+        (str(Q), split) for Q in range(3) for split in ("all", "unlabeled")
+    ]
+    for every, unlabeled in zip(rows[0::2], rows[1::2]):  # every node is unlabeled
+        assert {**every, "split": ""} == {**unlabeled, "split": ""}
+
+
 @pytest.mark.parametrize("budget_args", [["--q", "1", "--Q-max", "-1"], ["--q", "-1", "--Q-max", "-1"]])
 def test_cmd_curve_rejects_negative_budgets(tmp_path, dataset, checkpoint, capsys, budget_args):
     out = tmp_path / "curve.csv"
@@ -970,6 +1002,21 @@ def test_cmd_curve_matches_per_q_loop(tmp_path, mode, Q_max):
         assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["default", "optimized"])
+def test_certification_commands_write_the_same_bytes_with_two_workers(tmp_path, mode):
+    """Threads share one first-layer table: `certify` and `curve` write with 2 workers what they write with 1."""
+    paths, ckpt = _planted_dataset(tmp_path)
+    common = ["--checkpoint", ckpt, *_dataset_args(paths), "--q", "1", "--mode", mode]
+    commands = {"certify": ["certify", *common, "--Q", "2"], "curve": ["curve", *common, "--Q-max", "2"]}
+    for name, argv in commands.items():
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{name}_{workers}.out"
+            assert main([*argv, "--workers", workers, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0], name
+
+
 def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):
     rc = main(
         ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),
@@ -1030,6 +1077,17 @@ def test_cmd_oracle_verify_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "failures=0" in out
+
+
+def test_cmd_oracle_verify_reports_an_ordering_violation(capsys, monkeypatch):
+    """An LP value above the exact margin breaks the chain: one "ordering violated" line per class and exit 1."""
+    solve_lp = oracle.solve_lp
+    monkeypatch.setattr(oracle, "solve_lp", lambda model: (solve_lp(model)[0] + 1.0, *solve_lp(model)[1:]))
+    assert main(["oracle-verify", "--instances", "2", "--seed", "0", "--pga-steps", "5"]) == 1
+    *violations, summary = capsys.readouterr().out.splitlines()
+    assert violations and all(re.fullmatch(r"instance \d class \d: ordering violated: default=.* lp=.*", line)
+                              for line in violations)
+    assert summary.startswith(f"instances=2 failures={len(violations)} worst_gap=")
 
 
 def test_cmd_grad_check_passes(capsys):

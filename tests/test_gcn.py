@@ -115,3 +115,14 @@ def test_dropout_needs_a_generator():
     with pytest.raises(ValueError, match="dropout_rng"):
         forward_sliced(sp, params, dropout_rate=0.5)
     assert np.array_equal(forward_sliced(sp, params, dropout_rate=0.0).logits, forward_sliced(sp, params).logits)
+
+
+def test_forward_sliced_rejects_weights_that_do_not_chain(rng):
+    """A first-layer weight whose input width is not the graph's D is a ValueError naming both shapes."""
+    graph, params, _ = random_tiny_graph(rng)
+    sp = slice_problem(graph, build_message_passing(graph), 0, params.layer_count)
+    D = graph.num_features
+    wide = GcnParams([np.zeros((D + 1, params.dims[1])), *params.weights[1:]], params.biases)
+    with pytest.raises(ValueError, match=rf"layer 1: weight shape \({D + 1}, \d+\) does not chain with activation "
+                                         rf"shape \(\d+, {D}\)"):
+        forward_sliced(sp, wide)

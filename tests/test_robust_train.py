@@ -255,6 +255,25 @@ def test_non_finite_batch_loss_keeps_the_last_finite_epoch(rng, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_an_epoch_loss_that_overflows_keeps_the_parameters_before_the_epoch(rng, monkeypatch):
+    """Two batches of finite loss 1e308 sum past the float range: `_run_phase` aborts the epoch and returns
+    the parameters from before it, although each batch took an Adam step."""
+    graph, params, budget = random_tiny_graph(rng, all_labeled=True)
+    trainer = Trainer(graph, TrainConfig(mode="CE", budget=budget, hidden_dims=(params.dims[1],), batch_size=1))
+    start = params.copy()
+
+    def huge(self, batch, params, dropout_rng=None, _real=Trainer.batch_loss):
+        return _real(self, batch, params, dropout_rng) + 1e308  # still finite, and its gradient is the real one
+
+    monkeypatch.setattr(Trainer, "batch_loss", huge)
+    log = []
+    returned, epoch, aborted = trainer._run_phase(params, 1, [0, 1], log, 0)
+    assert aborted and epoch == 1 and log == []
+    for a, b in zip(returned.weights + returned.biases, start.weights + start.biases, strict=True):
+        assert np.array_equal(a, b)
+    assert not all(np.array_equal(a, b) for a, b in zip(params.weights, start.weights))  # the steps were taken
+
+
 def test_ce_training_reduces_loss(rng):
     graph, _, budget = random_tiny_graph(rng, all_labeled=True)
     cfg = TrainConfig(mode="CE", budget=budget, hidden_dims=(3,), max_epochs=25, patience=25, seed=3)
