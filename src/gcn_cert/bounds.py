@@ -145,7 +145,10 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None
         A1 = grad.val(A1)
         nz = A1 != 0
         cols, weight = _padded_rows(np.count_nonzero(nz, axis=1), np.nonzero(nz)[1], A1[nz])
-        up, down = _flip_picks(cols, weight, X, grad.val(Wp), grad.val(Wm), q, max(Qs))
+        up, down = (
+            _flip_picks(cols, weight, X, *_flip_effects(X, grad.val(off), grad.val(on), q), max(Qs))
+            for off, on in ((Wp, Wm), (Wm, Wp))
+        )
     else:
         up, down = table.rows(sp.hop_sets[-2], q, max(Qs))
     upper = _pick_sums(up, Wp, Wm, Qs)
@@ -277,57 +280,75 @@ def _padded_rows(lengths, cols, weights):
     return padded_cols, padded_weights
 
 
-def _flip_picks(cols, weight, X, Wp, Wm, q, Q_max):
-    """The first-layer flip picks of a block of A_hat rows: (upper, lower) `_Picks`.
+# at most this many candidates in one chunk of `_flip_effects` (rows * h * (K + nnz_max))
+# and in one block of `flip_table` (rows * slots * q * h)
+_TABLE_CANDIDATES = 1 << 18
 
-    Row m of the block has the stored neighbours X[cols[m, s]] with weights
-    weight[m, s] >= 0, ascending in node id along s; padding slots have
-    weight 0.  For unit j, the candidates of row m are weight[m, s] times
-    each of neighbour s's q largest toggle effects, and the picks are the
-    min(Q_max, slots * q) largest, descending, ties to the smaller
-    (slot, feature), which is the smaller (node, feature) id n*D + d.  The
-    upper bound toggles effects W+ where X is off and W- where it is on
-    (`Wp`, `Wm`, numeric); the lower bound the reverse.
+
+def _flip_effects(X, off, on, q):
+    """Each X row's q largest toggle effects on each unit for one bound: (eff, feat), (n, h2, q) arrays.
+
+    They come in descending order of effect, ties to the smaller feature.
+    The effect of toggling X[n, d] on unit j is off[d, j] when the feature
+    is off and on[d, j] when it is active (numeric, >= 0); the upper bound
+    toggles (off, on) = (W+, W-), the lower bound the reverse.  A row's
+    effects depend only on the row, W and q, so rows are taken in chunks of
+    at most `_TABLE_CANDIDATES` candidates and each is selected once,
+    whatever rows it is taken with.
     """
-    M, S = cols.shape
     n, D = X.shape
-    h2 = Wp.shape[1]
-    k = min(Q_max, S * q)
-    if k == 0:
-        return _Picks.zeros((M, h2, 0)), _Picks.zeros((M, h2, 0))
+    h2 = off.shape[1]
     # active features of each X row, ascending, padded with the id D
     nnz = np.count_nonzero(X, axis=1)
     active = np.full((n, nnz.max(initial=0)), D)
     active[np.arange(active.shape[1]) < nnz[:, None]] = np.nonzero(X)[1]
-    rows = np.arange(M)[:, None, None]
-    units = np.arange(h2)[:, None]
-    out = []
-    for off, on in ((Wp, Wm), (Wm, Wp)):
-        # The effect of toggling X[n, d] on unit j is off[d, j] when the
-        # feature is off and on[d, j] when it is active; both are >= 0.
-        # Row n's q largest effects on unit j lie among its active features
-        # and its first q off features in the order of off[:, j] (descending,
-        # ties to the smaller d); at most nnz(n) active features come before
-        # those, so the top q + nnz_max features of that order hold them.
-        K = min(D, q + active.shape[1])
-        off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
+    # Row n's q largest effects on unit j lie among its active features and
+    # its first q off features in the order of off[:, j] (descending, ties
+    # to the smaller d); at most nnz(n) active features come before those,
+    # so the top q + nnz_max features of that order hold them.
+    K = min(D, q + active.shape[1])
+    off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
+    on_pad = np.vstack([on, np.full((1, h2), -np.inf)])
+    eff, feat = np.empty((n, h2, q)), np.empty((n, h2, q), dtype=np.intp)
+    chunk = max(1, _TABLE_CANDIDATES // (h2 * (K + active.shape[1])))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
         # candidates per (n, j): the head features that are off in row n,
         # then the row's active features; an entry of -inf is never picked
-        off_eff = np.where(X[:, head] == 0, off_head, -np.inf)
-        on_eff = np.vstack([on, np.full((1, h2), -np.inf)])[active].transpose(0, 2, 1)
-        feat = np.concatenate(
-            [np.broadcast_to(head, off_eff.shape), np.broadcast_to(active[:, None, :], on_eff.shape)], axis=2
-        )  # (n, h2, K + nnz_max)
-        eff, feat = top_k(np.concatenate([off_eff, on_eff], axis=2), feat, q)  # (n, h2, q)
+        off_eff = np.where(X[rows][:, head] == 0, off_head, -np.inf)
+        on_eff = on_pad[active[rows]].transpose(0, 2, 1)
+        ids = np.concatenate(
+            [np.broadcast_to(head, off_eff.shape), np.broadcast_to(active[rows, None, :], on_eff.shape)], axis=2
+        )  # (chunk, h2, K + nnz_max)
+        eff[rows], feat[rows] = top_k(np.concatenate([off_eff, on_eff], axis=2), ids, q)
+    return eff, feat
 
-        # the candidates of unit j for row m as one row over (slot, pick):
-        # weight >= 0 keeps each neighbour's top q in order
-        cand = (weight[:, :, None, None] * eff[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
-        ids = (np.arange(S)[:, None, None] * D + feat[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
-        _, ids = top_k(cand, ids, k)
-        slot, d = np.divmod(ids, D)  # (M, h2, k)
-        out.append(_Picks(d * h2 + units, weight[rows, slot], X[cols[rows, slot], d] != 0))
-    return out[0], out[1]
+
+def _flip_picks(cols, weight, X, eff, feat, Q_max) -> _Picks:
+    """The first-layer flip picks of a block of A_hat rows for one bound.
+
+    Row m of the block has the stored neighbours cols[m, s], rows of X and
+    of their `_flip_effects` (eff, feat) for that bound, with weights
+    weight[m, s] >= 0, ascending in node id along s; padding slots have
+    weight 0.  For unit j, the candidates of row m are weight[m, s] times
+    each of neighbour s's q largest toggle effects, and the picks are the
+    min(Q_max, slots * q) largest, descending, ties to the smaller
+    (slot, feature), which is the smaller (node, feature) id n*D + d.
+    """
+    M, S = cols.shape
+    D = X.shape[1]
+    h2, q = eff.shape[1:]
+    k = min(Q_max, S * q)
+    if k == 0:
+        return _Picks.zeros((M, h2, 0))
+    # the candidates of unit j for row m as one row over (slot, pick):
+    # weight >= 0 keeps each neighbour's top q in order
+    cand = (weight[:, :, None, None] * eff[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
+    ids = (np.arange(S)[:, None, None] * D + feat[cols]).transpose(0, 2, 1, 3).reshape(M, h2, S * q)
+    _, ids = top_k(cand, ids, k)
+    slot, d = np.divmod(ids, D)  # (M, h2, k)
+    rows = np.arange(M)[:, None, None]
+    return _Picks(d * h2 + np.arange(h2)[:, None], weight[rows, slot], X[cols[rows, slot], d] != 0)
 
 
 def _pick_sums(picks: _Picks, W_off, W_on, Qs):
@@ -349,10 +370,6 @@ def _pick_sums(picks: _Picks, W_off, W_on, Qs):
         c, a, o = coef[..., :Q], at[..., :Q], on[..., :Q]
         out[Q] = grad.asum(grad.gather(W_off, a) * (c * ~o) + grad.gather(W_on, a) * (c * o), axis=2)
     return out
-
-
-# at most this many candidates (rows * slots * q * h) in one block of `flip_table`
-_TABLE_CANDIDATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -388,9 +405,10 @@ def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
 
     `mp` is the graph's CSR A_hat and `attributes` its binary N x D matrix.
     Each node's picks come from its own stored neighbours (`_flip_picks`),
-    so they equal the picks that any target's slice selects for it.  Rows
-    are taken in blocks of like degree, at most `_TABLE_CANDIDATES`
-    candidates a block.
+    so they equal the picks that any target's slice selects for it.  The
+    toggle effects of every neighbour are selected once (`_flip_effects`);
+    rows are then ranked in blocks of like degree, at most
+    `_TABLE_CANDIDATES` candidates a block.
     """
     D = attributes.shape[1]
     q = _shared_q(budgets, D)
@@ -403,23 +421,33 @@ def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
     nodes = np.unique(np.asarray(nodes, dtype=np.intp))
     deg = mp.indptr[nodes + 1] - mp.indptr[nodes]
     width = min(Q_max, int(deg.max(initial=0)) * q)
-    sides = [_Picks.zeros((nodes.size, h2, width)) for _ in range(2)]
+    if width == 0:
+        empty = _Picks.zeros((nodes.size, h2, 0))
+        return FlipTable(nodes, q, Q_max, empty, empty)
+    # the nodes the rows read: each one's effects are selected once a side
+    touched = np.unique(mp.indices[row_span(mp, nodes)[0]])
+    X = attributes[touched]
+    position = np.empty(mp.shape[0], dtype=np.intp)
+    position[touched] = np.arange(touched.size)
+    # blocks of rows of like degree; a block's slots are its last (largest) degree
     order = np.argsort(deg, kind="stable")
-    start = 0
-    while width and start < nodes.size:
-        # the block's slots are its last (largest) degree
+    blocks, start = [], 0
+    while start < nodes.size:
         stop = start + 1
         while stop < nodes.size and (stop + 1 - start) * deg[order[stop]] * q * h2 <= _TABLE_CANDIDATES:
             stop += 1
-        block = order[start:stop]
-        span, lengths = row_span(mp, nodes[block])
-        touched, local = np.unique(mp.indices[span], return_inverse=True)
-        cols, weight = _padded_rows(lengths, local, mp.data[span])
-        X = attributes[touched].astype(np.float64)
-        for side, picks in zip(sides, _flip_picks(cols, weight, X, Wp, Wm, q, Q_max)):
+        span, lengths = row_span(mp, nodes[order[start:stop]])
+        blocks.append((order[start:stop], *_padded_rows(lengths, position[mp.indices[span]], mp.data[span])))
+        start = stop
+    sides = []
+    for off, on in ((Wp, Wm), (Wm, Wp)):
+        eff, feat = _flip_effects(X, off, on, q)
+        side = _Picks.zeros((nodes.size, h2, width))
+        for block, cols, weight in blocks:
+            picks = _flip_picks(cols, weight, X, eff, feat, Q_max)
             k = picks.at.shape[-1]
             side.at[block, :, :k], side.coef[block, :, :k], side.on[block, :, :k] = picks
-        start = stop
+        sides.append(side)
     return FlipTable(nodes, q, Q_max, sides[0], sides[1])
 
 

@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -67,9 +68,14 @@ def _content_lines(path):
 
 
 def _reject(path, lines, mask, message, values=None):
-    """A CliError at the first line where `mask` holds; `{}` in `message` becomes that entry of `values`."""
+    """A CliError at the first line where `mask` holds; `{}` in `message` becomes that entry of `values`.
+
+    `lines` is None for a file that `_fast_pairs` read: `_content_lines` reads it again to name the line.
+    """
     if mask.any():
         i = int(mask.argmax())
+        if lines is None:
+            lines = _content_lines(path)[0]
         raise CliError(f"{path}:{lines[i]}: " + (message if values is None else message.format(values[i])))
 
 
@@ -89,7 +95,32 @@ def _column(path, lines, texts, dtype, what):
         raise
 
 
-def _read_pairs(path, content, what_a, what_b=None):
+def _fast_pairs(path, what_a, what_b):
+    """`_read_pairs` of a file of two id columns in one C-level pass, or None for a file it does not take.
+
+    It takes only a file that one `np.loadtxt` parses completely into two
+    int64 columns, and reads it as `_content_lines` would: both drop empty
+    lines, read CR and CRLF as line ends, and convert ``+3`` and blanks
+    around a field alike.  Every other file is None: `#` lines, lines of
+    blanks, a field more or less, a token that is not an int64 (``3.0``,
+    ``1e3``, an id past int64), an empty or unreadable file.  The line
+    numbers are None; `_reject` reads the file again to name a line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns of a file without data
+            cols = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, encoding="utf-8", ndmin=2)
+    except (ValueError, OSError):
+        return None
+    if cols.shape[0] == 0 or cols.shape[1] != 2:
+        return None
+    a, b = cols.T
+    for col, what in ((a, what_a), (b, what_b)):
+        _reject(path, None, col < 0, f"negative {what} {{}}", col)
+    return None, a, b
+
+
+def _split_pairs(path, content, what_a, what_b=None):
     """Line numbers and the two tab-separated fields of each line of `content`, which is `_content_lines(path)`.
 
     A named field is a column of ids >= 0.
@@ -103,6 +134,12 @@ def _read_pairs(path, content, what_a, what_b=None):
             cols[j] = _column(path, lines, cols[j], np.int64, what)
             _reject(path, lines, cols[j] < 0, f"negative {what} {{}}", cols[j])
     return lines, cols[0], cols[1]
+
+
+def _read_pairs(path, what_a, what_b=None):
+    """`_fast_pairs` of a file of two id columns when it takes the file, else `_split_pairs` line by line."""
+    pairs = None if what_b is None else _fast_pairs(path, what_a, what_b)
+    return _split_pairs(path, _content_lines(path), what_a, what_b) if pairs is None else pairs
 
 
 def _reject_conflicts(path, lines, nodes, values, what):
@@ -123,12 +160,13 @@ def load_dataset(
     for key, value in (("num_nodes", num_nodes), ("num_features", num_features), ("num_classes", num_classes)):
         if value is not None and value < 1:
             raise CliError(f"{key} must be >= 1, got {value}")
-    e_lines, eu, ev = _read_pairs(edges_path, _content_lines(edges_path), "node id", "node id")
+    e_lines, eu, ev = _read_pairs(edges_path, "node id", "node id")
 
-    content = _content_lines(attributes_path)
-    lines, texts = content
-    dense = bool(texts) and "," in texts[0]
+    pairs = _fast_pairs(attributes_path, "node id", "feature id")
+    content = _content_lines(attributes_path) if pairs is None else None
+    dense = pairs is None and bool(content[1]) and "," in content[1][0]
     if dense:
+        lines, texts = content
         # dense CSV matrix of 0/1 values
         cells = [text.split(",") for text in texts]
         widths = [len(row) for row in cells]
@@ -144,7 +182,7 @@ def load_dataset(
         if len(texts) != num_nodes:
             raise CliError(f"{attributes_path}: {len(texts)} rows but num_nodes={num_nodes}")
     else:
-        a_lines, an, ad = _read_pairs(attributes_path, content, "node id", "feature id")
+        a_lines, an, ad = _split_pairs(attributes_path, content, "node id", "feature id") if pairs is None else pairs
         if num_nodes is None:
             ids = np.concatenate([eu, ev, an])
             if not ids.size:
@@ -175,7 +213,7 @@ def load_dataset(
 
     labels = None
     if labels_path is not None:
-        l_lines, ln, ly = _read_pairs(labels_path, _content_lines(labels_path), "node id", "class")
+        l_lines, ln, ly = _read_pairs(labels_path, "node id", "class")
         _reject(labels_path, l_lines, ln >= num_nodes, f"node id >= N={num_nodes}")
         _reject_conflicts(labels_path, l_lines, ln, ly, "class")
         labels = np.full(num_nodes, -1, dtype=int)
@@ -189,7 +227,7 @@ def load_dataset(
 
     split = None
     if split_path is not None:
-        s_lines, sn, tags = _read_pairs(split_path, _content_lines(split_path), "node id")
+        s_lines, sn, tags = _read_pairs(split_path, "node id")
         tags = np.array(tags, dtype=object)
         _reject(split_path, s_lines, (tags != "labeled") & (tags != "unlabeled"), "split tag {!r}", tags)
         _reject(split_path, s_lines, sn >= num_nodes, f"node id >= N={num_nodes}")
@@ -239,6 +277,7 @@ TRAIN_CONFIG_KEYS = {
     "phase2_epochs": int,
     "patience": int,
     "seed": int,
+    "eval_every": int,
     "checkpoint_out": str,
     "log_out": str,
 }
@@ -403,11 +442,12 @@ def cmd_train(args):
         params = gcn.glorot_params(dims, seed=tc.seed)
     except (ValueError, MemoryError) as exc:
         raise CliError(f"no room for a model of dims {dims}, K={graph.num_classes} classes ({exc})") from None
-    params, log = robust_train.train(graph, tc, params)
+    trainer = robust_train.Trainer(graph, tc)
+    params, log = trainer.train(params)
     gcn.save_checkpoint(params, cfg["checkpoint_out"])
     if cfg.get("log_out"):
         _write_csv(cfg["log_out"], robust_train.LOG_FIELDS, log)
-    print(f"trained mode={tc.mode} epochs={log[-1]['epoch'] if log else 0} checkpoint={cfg['checkpoint_out']}")
+    print(f"trained mode={tc.mode} epochs={trainer.epochs} checkpoint={cfg['checkpoint_out']}")
     return 0
 
 

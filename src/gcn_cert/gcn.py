@@ -184,7 +184,11 @@ def load_checkpoint(path) -> GcnParams:
         )
     weights, biases = [], []
     for l in range(doc["L"] - 1):
-        w = np.array([float.fromhex(s) for s in doc["weights"][l]])
-        weights.append(w.reshape(dims[l], dims[l + 1]))
-        biases.append(np.array([float.fromhex(s) for s in doc["biases"][l]]))
+        weights.append(_hex_floats(doc["weights"][l]).reshape(dims[l], dims[l + 1]))
+        biases.append(_hex_floats(doc["biases"][l]))
     return GcnParams(weights, biases).validate()
+
+
+def _hex_floats(entries) -> np.ndarray:
+    """The float64 array of `entries`, hex-float strings, decoded by `float.fromhex` in one C-level pass."""
+    return np.fromiter(map(float.fromhex, entries), np.float64)

@@ -50,7 +50,7 @@ class Graph:
         if X.shape != (self.num_nodes, self.num_features):
             raise ValueError(f"attributes shape {X.shape} != ({self.num_nodes}, {self.num_features})")
         X_bool = X.astype(bool)
-        if not np.array_equal(X_bool, X):
+        if X.dtype != bool and not np.array_equal(X_bool, X):
             raise ValueError("attributes must be binary")
         N = self.num_nodes
         labels = np.full(N, -1, dtype=np.int64) if self.labels is None else np.asarray(self.labels)

@@ -61,7 +61,7 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
     hidden_dims: tuple = (32,)
-    eval_every: int = 1
+    eval_every: int = 1  # log a metrics row every this many epochs; 0 logs none
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 <= self.dropout_rate < 1):
@@ -131,6 +133,7 @@ class Trainer:
         self.unlabeled = graph.unlabeled_nodes()
         self._labeled_set = set(int(t) for t in self.labeled)
         self.rng = np.random.default_rng(config.seed)
+        self.epochs = 0  # epochs that `train` completed, over both phases
 
     # -- the training loss -------------------------------------------------
 
@@ -245,6 +248,7 @@ class Trainer:
             if not np.isfinite(epoch_loss):
                 return last_finite, epoch, True
             last_finite = params.copy()
+            self.epochs = epoch
             if cfg.eval_every and (epoch % cfg.eval_every == 0):
                 log.append(self.metrics_row(params, epoch, phase, epoch_loss))
             if epoch_loss < best_loss - 1e-9:

@@ -287,22 +287,25 @@ _BAD_INTS = ["x", "2.0", "1e3", "0x1", "--1", "1 2"]
 MUTATIONS = ["fields", "bad_int", "negative", "node_oob", "feature_oob", "split_tag", "csv_cell", "csv_value", "ragged"]
 
 
-def _file_text(rng, rows, sep):
+def _file_text(rng, rows, sep, clean=False):
     """`rows` of field texts as one file: blank and `#` lines, spaces around fields, LF or CRLF.
 
     A CSV file gets neither `#` lines nor a blank first line (the reference
     read both as content), and no comment holds a comma. Split tags are
-    compared as written, so words get no spaces.
+    compared as written, so words get no spaces. A `clean` file keeps its
+    spaces and line ends but gets no other line and no tab before a row, so
+    `cli._fast_pairs` can take it when it is a file of ids.
     """
     out = []
     for i, row in enumerate(rows):
-        if sep == "\t" or i:
+        if (sep == "\t" or i) and not clean:
             if rng.random() < 0.2:
                 out.append(str(rng.choice(["", "   ", "\t", "\x0c", "  "])))
             if sep == "\t" and rng.random() < 0.2:
                 out.append(f"# note {i}")
         cells = [f" {f} " if rng.random() < 0.2 and not f.isalpha() else f for f in row]
-        out.append(str(rng.choice(["", " ", "\t"])) + sep.join(cells) + str(rng.choice(["", " "])))
+        lead = rng.choice(["", " "] if clean else ["", " ", "\t"])
+        out.append(str(lead) + sep.join(cells) + str(rng.choice(["", " "])))
     end = str(rng.choice(["\n", "\r\n"]))
     return end.join(out) + (end if out and rng.random() < 0.8 else "")
 
@@ -374,8 +377,30 @@ def _outcome(load, paths, sizes):
         return str(exc)
 
 
-def test_load_dataset_matches_the_line_by_line_reference(tmp_path):
-    """Generated files, clean or with one defect: an equal Graph or the same message as the reference."""
+def _recording_fast_pairs(monkeypatch):
+    """A list that gains (path, reader) at each id file read: "array" when `cli._fast_pairs` takes the
+    file, "lines" when it leaves it to the line reader."""
+    reads = []
+
+    def fast_pairs(path, what_a, what_b, _fast_pairs=cli._fast_pairs):
+        try:
+            pairs = _fast_pairs(path, what_a, what_b)
+        except CliError:  # a negative id in a file it parsed
+            reads.append((path, "array"))
+            raise
+        reads.append((path, "lines" if pairs is None else "array"))
+        return pairs
+
+    monkeypatch.setattr(cli, "_fast_pairs", fast_pairs)
+    return reads
+
+
+def test_load_dataset_matches_the_line_by_line_reference(tmp_path, monkeypatch):
+    """Generated files, clean or with one defect: an equal Graph or the same message as the reference.
+
+    Half the files are written clean, so that each reader of id files reads more than 100 of them.
+    """
+    reads = _recording_fast_pairs(monkeypatch)
     rng = np.random.default_rng(16)
     failed = set()
     graphs = 0
@@ -386,7 +411,7 @@ def test_load_dataset_matches_the_line_by_line_reference(tmp_path):
         for key, rows in files.items():
             sep = "," if key == "attributes" and dense else "\t"
             path = tmp_path / f"{key}.{'csv' if sep == ',' else 'tsv'}"
-            path.write_bytes(_file_text(rng, rows, sep).encode("utf-8"))
+            path.write_bytes(_file_text(rng, rows, sep, clean=rng.random() < 0.5).encode("utf-8"))
             paths.append(str(path))
         if rng.random() < 0.2:
             paths[3] = None
@@ -402,6 +427,85 @@ def test_load_dataset_matches_the_line_by_line_reference(tmp_path):
             assert_graphs_equal(got, want)
             graphs += 1
     assert failed == set(MUTATIONS) | {None} and graphs > 100
+    taken = [reader for _, reader in reads]
+    assert taken.count("array") > 100 and taken.count("lines") > 100
+
+
+@pytest.mark.parametrize("key", ["edges", "attributes", "labels"])
+@pytest.mark.parametrize(
+    "text, reader",
+    [
+        ("# ids\n0\t1\n", "lines"),
+        ("0\t1\n1\t0 # again\n", "lines"),
+        ("0\t1\n\n1\t0\n", "array"),
+        ("0\t1\n   \n1\t0\n", "lines"),
+        ("0\t1\n\t\n1\t0\n", "lines"),
+        (" 0 \t 1\n1 \t0 \n", "array"),
+        ("\t0\t1\n", "lines"),
+        ("0\t1\t\n", "lines"),
+        ("0\t1\r\n1\t0\r\n", "array"),
+        ("0\t1\r1\t0\r", "array"),
+        ("+1\t0\n", "array"),
+        ("1.0\t0\n", "lines"),
+        ("1e0\t0\n", "lines"),
+        ("1_0\t0\n", "lines"),
+        (f"0\t1\n{2**63}\t0\n", "lines"),
+        (f"0\t1\n-{2**63 + 1}\t0\n", "lines"),
+        (f"0\t{2**63 - 1}\n", "array"),
+        ("", "lines"),
+        ("\n\n", "lines"),
+        ("0\t1", "array"),
+        ("0\n1\n", "lines"),
+        ("0\t1\t0\n", "lines"),
+        ("0\t1\n\n-1\t0\n", "array"),
+        ("0\t1\n\n\n9\t0\n", "array"),
+        ("0\t0\n1\t1\n\n0\t1\n", "array"),
+    ],
+    ids=["comment_line", "trailing_comment", "blank_line", "blank_spaces_line", "tab_line", "spaces_around_fields",
+         "leading_tab", "trailing_tab", "crlf", "cr", "plus_sign", "float", "exponent", "underscore", "past_int64",
+         "below_int64", "int64_max", "empty_file", "only_newlines", "no_last_newline", "one_field", "three_fields",
+         "negative_after_a_blank_line", "oob_after_blank_lines", "conflict_after_a_blank_line"],
+)
+def test_fast_pairs_reads_a_file_as_the_line_reader_does(tmp_path, monkeypatch, key, text, reader):
+    """Each trap input of one id file gives the same Graph or message with the array reader as with the
+    line reader alone, and takes the reader named; a message names the line that the line reader names."""
+    files = {"edges": "0\t1\n", "attributes": "0\t0\n1\t1\n", "labels": "0\t0\n1\t1\n"}
+    paths = {k: _write(tmp_path / f"{k}.tsv", text if k == key else v) for k, v in files.items()}
+    args = ([paths["edges"], paths["attributes"], paths["labels"], None], {"num_nodes": 2, "num_features": 2})
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_fast_pairs", lambda *a: None)
+        line_reader = _outcome(load_dataset, *args)
+    reads = _recording_fast_pairs(monkeypatch)
+    got = _outcome(load_dataset, *args)
+    assert {r for path, r in reads if path == paths[key]} == {reader}
+    if isinstance(line_reader, str):
+        assert got == line_reader
+    else:
+        assert_graphs_equal(got, line_reader)
+
+
+def test_load_dataset_reads_clean_cora_ml_size_files_without_the_line_reader(tmp_path, monkeypatch):
+    """Edges, attributes and labels of N = 2 995, D = 2 879 load without `_content_lines`, to the same Graph."""
+    rng = np.random.default_rng(0)
+    N, D, K = 2995, 2879, 7
+    X = rng.random((N, D)) < 0.005
+    X[N - 1, D - 1] = True
+    edges = np.unique(np.sort(rng.integers(N, size=(7500, 2)), axis=1), axis=0)
+    y = rng.integers(K, size=N)
+    labeled = np.sort(rng.choice(N, size=300, replace=False))
+    paths = [
+        _write(tmp_path / name, "".join(f"{a}\t{b}\n" for a, b in rows))
+        for name, rows in (("e.tsv", edges), ("a.tsv", zip(*np.nonzero(X))), ("l.tsv", zip(labeled, y[labeled])))
+    ]
+    want = _reference_load_dataset(*paths, num_classes=K).graph
+
+    def no_line_reader(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(cli, "_content_lines", no_line_reader)
+    got = load_dataset(*paths, num_classes=K).graph
+    assert_graphs_equal(got, want)
+    np.testing.assert_array_equal(got.attributes, X)
 
 
 # -- parse_config ----------------------------------------------------------
@@ -480,12 +584,12 @@ def test_cmd_train_log_csv_holds_every_logged_value(tmp_path, dataset, monkeypat
     """The log's header is LOG_FIELDS, one line per log row, and every cell reads back as the logged value."""
     logs = []
 
-    def train(graph, config, params, _train=robust_train.train):
-        params, log = _train(graph, config, params)
+    def train(self, params, _train=robust_train.Trainer.train):
+        params, log = _train(self, params)
         logs.append(log)
         return params, log
 
-    monkeypatch.setattr(robust_train, "train", train)
+    monkeypatch.setattr(robust_train.Trainer, "train", train)
     log_out = tmp_path / "log.csv"
     cfg = _write(
         tmp_path / "rhu.cfg",
@@ -550,15 +654,31 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
         ("l2_strength = nan\n", "l2_strength"),
         ("seed = -1\n", "seed"),
         ("patience = -1\n", "patience"),
+        ("eval_every = -2\n", "eval_every must be >= 0, got -2"),
+        ("eval_every = 1.5\n", "bad value '1.5' for eval_every"),
     ],
     ids=["mode", "batch_size", "hidden_dims_text", "learning_rate_nan", "dropout_rate_one", "max_epochs_negative",
-         "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan", "seed_negative", "patience_negative"],
+         "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan", "seed_negative", "patience_negative",
+         "eval_every_negative", "eval_every_text"],
 )
 def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, key):
     cfg, ckpt = _train_cfg(tmp_path, dataset, extra=extra)
     err = _assert_one_line_error(main(["train", cfg]), capsys)
     assert key in err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("eval_every, logged", [(1, [1, 2, 3, 4, 5]), (2, [2, 4]), (5, [5]), (0, [])])
+def test_cmd_train_logs_every_eval_every_epochs_and_reports_the_epochs_run(
+    tmp_path, dataset, capsys, eval_every, logged
+):
+    log_out = tmp_path / "log.csv"
+    extra = f"max_epochs = 5\npatience = 5\neval_every = {eval_every}\nlog_out = {log_out}\n"
+    cfg, ckpt = _train_cfg(tmp_path, dataset, extra=extra)
+    assert main(["train", cfg]) == 0
+    with open(log_out, encoding="utf-8", newline="") as fh:
+        assert [int(row["epoch"]) for row in csv.DictReader(fh)] == logged
+    assert capsys.readouterr().out == f"trained mode=CE epochs=5 checkpoint={ckpt}\n"
 
 
 def test_cmd_train_rejects_a_labeled_node_without_a_label(tmp_path, dataset, capsys):
@@ -624,11 +744,11 @@ def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monke
     """A config with only the required keys reaches `train` with TrainConfig's own defaults."""
     seen = []
 
-    def train(graph, config, params):
-        seen.append(config)
+    def train(self, params):
+        seen.append(self.config)
         return params, []
 
-    monkeypatch.setattr(robust_train, "train", train)
+    monkeypatch.setattr(robust_train.Trainer, "train", train)
     ckpt = tmp_path / "out.json"
     cfg = _write(
         tmp_path / "minimal.cfg",
@@ -690,6 +810,20 @@ def test_cmd_certify_malformed_checkpoint(tmp_path, dataset, capsys):
     ckpt = _write(tmp_path / "broken.json", '{"L": 3, "dims": [2, 3')
     rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
     assert "broken.json" in _assert_one_line_error(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [("0x1.8q1", "ValueError: invalid hexadecimal floating-point string"), ("", "ValueError"), (3.0, "TypeError")],
+    ids=["bad_exponent_letter", "empty", "a_json_number"],
+)
+def test_cmd_certify_rejects_a_malformed_weight_in_one_line(tmp_path, dataset, checkpoint, capsys, entry, error):
+    with open(checkpoint, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["weights"][0][3] = entry
+    ckpt = _write(tmp_path / "entry.json", json.dumps(doc))
+    rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
+    assert f"entry.json: not a valid checkpoint ({error}" in _assert_one_line_error(rc, capsys)
 
 
 @pytest.mark.parametrize("change", [{"L": 4}, {"L": 1}, {"dims": [2, 3]}], ids=["L_4", "L_1", "two_dims"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -84,6 +85,27 @@ def test_checkpoint_round_trip_is_exact(tmp_path, rng):
     loaded = load_checkpoint(path)
     for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
         assert np.array_equal(a, b)  # bit-exact via hex floats
+
+
+def test_checkpoint_round_trip_keeps_every_bit_of_signed_zeros_subnormals_and_extremes(tmp_path):
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny - 5e-324, tiny, -tiny, big, -big, np.nextafter(1.0, 2.0), 1 / 3, -1e300]
+    params = GcnParams([np.array(special).reshape(3, 4), np.array(special[:8]).reshape(4, 2)], [np.zeros(4), -np.zeros(2)])
+    save_checkpoint(params, tmp_path / "model.json")
+    loaded = load_checkpoint(tmp_path / "model.json")
+    for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("text", ["0x1.8p1", "0X1.8P+1", " 0x3p0 ", "1.8p1", "0x1.80000000000000000p1", "3"])
+def test_checkpoint_reads_a_non_canonical_hex_float_as_float_fromhex_does(tmp_path, text):
+    path = tmp_path / "model.json"
+    save_checkpoint(glorot_params([2, 3, 2], seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["weights"][1][4] = text
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_checkpoint(path).weights[1][2, 0] == 3.0
 
 
 def test_params_validation():

@@ -54,10 +54,11 @@ def test_config_validation():
         (dict(l2_strength=-1e-5), "l2_strength"),
         (dict(seed=-1), "seed"),
         (dict(patience=-1), "patience"),
+        (dict(eval_every=-2), "eval_every"),
     ]:
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
-    TrainConfig(max_epochs=0, dropout_rate=0.0)
+    TrainConfig(max_epochs=0, dropout_rate=0.0, eval_every=0)
 
 
 def test_robust_cross_entropy_values():
