@@ -145,10 +145,13 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None
         A1 = grad.val(A1)
         nz = A1 != 0
         cols, weight = _padded_rows(np.count_nonzero(nz, axis=1), np.nonzero(nz)[1], A1[nz])
-        up, down = (
-            _flip_picks(cols, weight, X, *_flip_effects(X, grad.val(off), grad.val(on), q), max(Qs))
-            for off, on in ((Wp, Wm), (Wm, Wp))
-        )
+        if cols.shape[1] == 0:  # no row has a stored neighbour: nothing to toggle
+            up = down = _Picks.zeros((cols.shape[0], H_dot.shape[1], 0))
+        else:
+            up, down = (
+                _flip_picks(cols, weight, X, eff, feat, max(Qs))
+                for eff, feat in _flip_effects(X, grad.val(Wp), grad.val(Wm), q)
+            )
     else:
         up, down = table.rows(sp.hop_sets[-2], q, max(Qs))
     upper = _pick_sums(up, Wp, Wm, Qs)
@@ -280,24 +283,24 @@ def _padded_rows(lengths, cols, weights):
     return padded_cols, padded_weights
 
 
-# at most this many candidates in one chunk of `_flip_effects` (rows * h * (K + nnz_max))
-# and in one block of `flip_table` (rows * slots * q * h)
+# at most this many candidates in one chunk of the `_flip_effects` of `flip_table`
+# (rows * h * (K + nnz_max)) and in one of its blocks (rows * slots * q * h)
 _TABLE_CANDIDATES = 1 << 18
 
 
-def _flip_effects(X, off, on, q):
-    """Each X row's q largest toggle effects on each unit for one bound: (eff, feat), (n, h2, q) arrays.
+def _flip_effects(X, Wp, Wm, q, max_candidates=None):
+    """Each X row's q largest toggle effects on each unit, as (eff, feat) (n, h2, q) arrays: [upper, lower].
 
     They come in descending order of effect, ties to the smaller feature.
     The effect of toggling X[n, d] on unit j is off[d, j] when the feature
-    is off and on[d, j] when it is active (numeric, >= 0); the upper bound
-    toggles (off, on) = (W+, W-), the lower bound the reverse.  A row's
-    effects depend only on the row, W and q, so rows are taken in chunks of
-    at most `_TABLE_CANDIDATES` candidates and each is selected once,
-    whatever rows it is taken with.
+    is off and on[d, j] when it is active; the upper bound toggles
+    (off, on) = (Wp, Wm), the lower bound the reverse (numeric, >= 0).  A
+    row's effects depend only on the row, W and q, so rows may be taken in
+    chunks of at most `max_candidates` candidates (all at once when None)
+    and each is selected once, whatever rows it is taken with.
     """
     n, D = X.shape
-    h2 = off.shape[1]
+    h2 = Wp.shape[1]
     # active features of each X row, ascending, padded with the id D
     nnz = np.count_nonzero(X, axis=1)
     active = np.full((n, nnz.max(initial=0)), D)
@@ -307,21 +310,24 @@ def _flip_effects(X, off, on, q):
     # to the smaller d); at most nnz(n) active features come before those,
     # so the top q + nnz_max features of that order hold them.
     K = min(D, q + active.shape[1])
-    off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
-    on_pad = np.vstack([on, np.full((1, h2), -np.inf)])
-    eff, feat = np.empty((n, h2, q)), np.empty((n, h2, q), dtype=np.intp)
-    chunk = max(1, _TABLE_CANDIDATES // (h2 * (K + active.shape[1])))
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        # candidates per (n, j): the head features that are off in row n,
-        # then the row's active features; an entry of -inf is never picked
-        off_eff = np.where(X[rows][:, head] == 0, off_head, -np.inf)
-        on_eff = on_pad[active[rows]].transpose(0, 2, 1)
-        ids = np.concatenate(
-            [np.broadcast_to(head, off_eff.shape), np.broadcast_to(active[rows, None, :], on_eff.shape)], axis=2
-        )  # (chunk, h2, K + nnz_max)
-        eff[rows], feat[rows] = top_k(np.concatenate([off_eff, on_eff], axis=2), ids, q)
-    return eff, feat
+    chunk = n if max_candidates is None else max(1, max_candidates // (h2 * (K + active.shape[1])))
+    sides = []
+    for off, on in ((Wp, Wm), (Wm, Wp)):
+        off_head, head = top_k(off.T, np.arange(D), K)  # (h2, K)
+        on_pad = np.vstack([on, np.full((1, h2), -np.inf)])
+        eff, feat = np.empty((n, h2, q)), np.empty((n, h2, q), dtype=np.intp)
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
+            # candidates per (n, j): the head features that are off in row n,
+            # then the row's active features; an entry of -inf is never picked
+            off_eff = np.where(X[rows][:, head] == 0, off_head, -np.inf)
+            on_eff = on_pad[active[rows]].transpose(0, 2, 1)
+            ids = np.concatenate(
+                [np.broadcast_to(head, off_eff.shape), np.broadcast_to(active[rows, None, :], on_eff.shape)], axis=2
+            )  # (chunk, h2, K + nnz_max)
+            eff[rows], feat[rows] = top_k(np.concatenate([off_eff, on_eff], axis=2), ids, q)
+        sides.append((eff, feat))
+    return sides
 
 
 def _flip_picks(cols, weight, X, eff, feat, Q_max) -> _Picks:
@@ -440,8 +446,7 @@ def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
         blocks.append((order[start:stop], *_padded_rows(lengths, position[mp.indices[span]], mp.data[span])))
         start = stop
     sides = []
-    for off, on in ((Wp, Wm), (Wm, Wp)):
-        eff, feat = _flip_effects(X, off, on, q)
+    for eff, feat in _flip_effects(X, Wp, Wm, q, _TABLE_CANDIDATES):
         side = _Picks.zeros((nodes.size, h2, width))
         for block, cols, weight in blocks:
             picks = _flip_picks(cols, weight, X, eff, feat, Q_max)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -53,16 +54,21 @@ class DatasetBundle:
 # -- parsing ---------------------------------------------------------------
 
 
-def _content_lines(path):
-    """Line numbers and stripped text of the lines of `path` that are neither blank nor `#` comments.
+def _read_text(path):
+    """The text of the file `path`, read once as UTF-8 with universal newlines, so a stream such as a FIFO works."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _content_lines(text):
+    """Line numbers and stripped text of the lines of `text`, a `_read_text`, that are neither blank nor `#` comments.
 
     The numbers count every line, as iterating over the file does (universal newlines).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh.read().split("\n")]
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = [line.strip() for line in text.split("\n")]
     keep = [i for i, line in enumerate(lines) if line and line[0] != "#"]
     return np.array(keep, dtype=np.int64) + 1, [lines[i] for i in keep]
 
@@ -70,12 +76,13 @@ def _content_lines(path):
 def _reject(path, lines, mask, message, values=None):
     """A CliError at the first line where `mask` holds; `{}` in `message` becomes that entry of `values`.
 
-    `lines` is None for a file that `_fast_pairs` read: `_content_lines` reads it again to name the line.
+    `lines` is the entries' line numbers, or for a file that `_fast_pairs` read, its text: `_content_lines`
+    numbers that only when there is a line to name.
     """
     if mask.any():
         i = int(mask.argmax())
-        if lines is None:
-            lines = _content_lines(path)[0]
+        if isinstance(lines, str):
+            lines = _content_lines(lines)[0]
         raise CliError(f"{path}:{lines[i]}: " + (message if values is None else message.format(values[i])))
 
 
@@ -95,33 +102,35 @@ def _column(path, lines, texts, dtype, what):
         raise
 
 
-def _fast_pairs(path, what_a, what_b):
-    """`_read_pairs` of a file of two id columns in one C-level pass, or None for a file it does not take.
+def _fast_pairs(path, text, what_a, what_b):
+    """`_read_pairs` of `text`, the file `path` of two id columns, in one C-level pass, or None if it does not take it.
 
     It takes only a file that one `np.loadtxt` parses completely into two
     int64 columns, and reads it as `_content_lines` would: both drop empty
     lines, read CR and CRLF as line ends, and convert ``+3`` and blanks
     around a field alike.  Every other file is None: `#` lines, lines of
     blanks, a field more or less, a token that is not an int64 (``3.0``,
-    ``1e3``, an id past int64), an empty or unreadable file.  The line
-    numbers are None; `_reject` reads the file again to name a line.
+    ``1e3``, an id past int64), an empty file.  In place of the line
+    numbers it returns `text`, which `_reject` numbers to name a line.
+    The text, never the path, goes to `np.loadtxt`: given a path, numpy
+    would also read compressed files and URLs.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt warns of a file without data
-            cols = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, encoding="utf-8", ndmin=2)
-    except (ValueError, OSError):
+            cols = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
         return None
     if cols.shape[0] == 0 or cols.shape[1] != 2:
         return None
     a, b = cols.T
     for col, what in ((a, what_a), (b, what_b)):
-        _reject(path, None, col < 0, f"negative {what} {{}}", col)
-    return None, a, b
+        _reject(path, text, col < 0, f"negative {what} {{}}", col)
+    return text, a, b
 
 
 def _split_pairs(path, content, what_a, what_b=None):
-    """Line numbers and the two tab-separated fields of each line of `content`, which is `_content_lines(path)`.
+    """Line numbers and the two tab-separated fields of each line of `content`, the `_content_lines` of `path`.
 
     A named field is a column of ids >= 0.
     """
@@ -138,8 +147,9 @@ def _split_pairs(path, content, what_a, what_b=None):
 
 def _read_pairs(path, what_a, what_b=None):
     """`_fast_pairs` of a file of two id columns when it takes the file, else `_split_pairs` line by line."""
-    pairs = None if what_b is None else _fast_pairs(path, what_a, what_b)
-    return _split_pairs(path, _content_lines(path), what_a, what_b) if pairs is None else pairs
+    text = _read_text(path)
+    pairs = None if what_b is None else _fast_pairs(path, text, what_a, what_b)
+    return _split_pairs(path, _content_lines(text), what_a, what_b) if pairs is None else pairs
 
 
 def _reject_conflicts(path, lines, nodes, values, what):
@@ -162,8 +172,9 @@ def load_dataset(
             raise CliError(f"{key} must be >= 1, got {value}")
     e_lines, eu, ev = _read_pairs(edges_path, "node id", "node id")
 
-    pairs = _fast_pairs(attributes_path, "node id", "feature id")
-    content = _content_lines(attributes_path) if pairs is None else None
+    text = _read_text(attributes_path)
+    pairs = _fast_pairs(attributes_path, text, "node id", "feature id")
+    content = _content_lines(text) if pairs is None else None
     dense = pairs is None and bool(content[1]) and "," in content[1][0]
     if dense:
         lines, texts = content
@@ -286,7 +297,7 @@ TRAIN_CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Flat ``key = value`` config; an unknown key and a key given twice are hard errors."""
     out, first = {}, {}
-    for lineno, line in zip(*_content_lines(path)):
+    for lineno, line in zip(*_content_lines(_read_text(path))):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")

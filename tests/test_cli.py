@@ -1,4 +1,5 @@
 import csv
+import gzip
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import types
 from contextlib import contextmanager
 
@@ -382,9 +384,9 @@ def _recording_fast_pairs(monkeypatch):
     file, "lines" when it leaves it to the line reader."""
     reads = []
 
-    def fast_pairs(path, what_a, what_b, _fast_pairs=cli._fast_pairs):
+    def fast_pairs(path, text, what_a, what_b, _fast_pairs=cli._fast_pairs):
         try:
-            pairs = _fast_pairs(path, what_a, what_b)
+            pairs = _fast_pairs(path, text, what_a, what_b)
         except CliError:  # a negative id in a file it parsed
             reads.append((path, "array"))
             raise
@@ -499,13 +501,87 @@ def test_load_dataset_reads_clean_cora_ml_size_files_without_the_line_reader(tmp
     ]
     want = _reference_load_dataset(*paths, num_classes=K).graph
 
-    def no_line_reader(path):
-        raise AssertionError(f"{path} was read line by line")
+    def no_line_reader(text):
+        raise AssertionError(f"a file was read line by line: {text[:40]!r}")
 
     monkeypatch.setattr(cli, "_content_lines", no_line_reader)
     got = load_dataset(*paths, num_classes=K).graph
     assert_graphs_equal(got, want)
     np.testing.assert_array_equal(got.attributes, X)
+
+
+def _error(load, paths, sizes):
+    try:
+        load(*paths, **sizes)
+    except (CliError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError(f"{paths} loaded")
+
+
+@pytest.mark.parametrize("key", ["edges", "attributes", "labels"])
+@pytest.mark.parametrize("name", ["gzip", "missing_beside_gzip", "url"])
+def test_load_dataset_reads_only_the_named_file_as_utf8_text(tmp_path, monkeypatch, key, name):
+    """A gzip file is not UTF-8 text, a file missing beside a compressed copy stays missing, and a URL is a
+    file name: each gives the reference's error, and the loader writes no file."""
+    files = {"edges": "0\t1\n", "attributes": "0\t0\n1\t1\n", "labels": "0\t0\n1\t1\n"}
+    paths = {k: _write(tmp_path / f"{k}.tsv", v) for k, v in files.items()}
+    packed = gzip.compress(files[key].encode("utf-8"))
+    if name == "gzip":
+        (tmp_path / "ids.tsv.gz").write_bytes(packed)
+        paths[key] = str(tmp_path / "ids.tsv.gz")
+    elif name == "missing_beside_gzip":
+        (tmp_path / "ids.tsv.gz").write_bytes(packed)
+        paths[key] = str(tmp_path / "ids.tsv")
+    else:
+        paths[key] = "http://localhost:9/ids.tsv"
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    args = ([paths["edges"], paths["attributes"], paths["labels"], None], {"num_nodes": 2, "num_features": 2})
+    assert _error(load_dataset, *args) == _error(_reference_load_dataset, *args)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def _feed_once(fifo, text, done):
+    """Write `text` into the FIFO once; each later reader then finds the stream exhausted, as a pipe's does."""
+    fifo.write_text(text, encoding="utf-8")
+    while not done.is_set():
+        with open(fifo, "w"):
+            pass
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("key", ["edges", "attributes", "labels"])
+@pytest.mark.parametrize("text", ["# ids\n0\t1\n1\t2\n", "0\t1\n1\t2\n", "0\t1\n-1\t2\n"],
+                         ids=["comment", "clean", "negative"])
+def test_load_dataset_reads_a_stream_once(tmp_path, key, text):
+    """An id file that can be read only once, a FIFO, gives the Graph or the message that the same file on
+    disk gives."""
+    files = {"edges": "0\t1\n", "attributes": "0\t0\n1\t1\n2\t1\n", "labels": "0\t0\n1\t1\n"}
+    paths = {k: _write(tmp_path / f"{k}.tsv", text if k == key else v) for k, v in files.items()}
+    sizes = {"num_nodes": 3, "num_features": 3}
+    on_disk = _outcome(load_dataset, [paths["edges"], paths["attributes"], paths["labels"], None], sizes)
+    fifo = tmp_path / "stream"
+    os.mkfifo(fifo)
+    done = threading.Event()
+    writer = threading.Thread(target=_feed_once, args=(fifo, text, done), daemon=True)
+    writer.start()
+    paths[key] = str(fifo)
+    try:
+        got = _outcome(load_dataset, [paths["edges"], paths["attributes"], paths["labels"], None], sizes)
+    except IndexError as exc:  # a reader that read the stream twice
+        got = exc
+    finally:
+        done.set()
+        for _ in range(200):
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # lets a pending open for writing return
+            writer.join(timeout=0.05)
+            if not writer.is_alive():
+                break
+    assert not writer.is_alive()
+    if isinstance(on_disk, str):
+        assert got == on_disk.replace(str(tmp_path / f"{key}.tsv"), str(fifo))
+    else:
+        assert_graphs_equal(got, on_disk)
 
 
 # -- parse_config ----------------------------------------------------------
