@@ -145,13 +145,10 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None
         A1 = grad.val(A1)
         nz = A1 != 0
         cols, weight = _padded_rows(np.count_nonzero(nz, axis=1), np.nonzero(nz)[1], A1[nz])
-        if cols.shape[1] == 0:  # no row has a stored neighbour: nothing to toggle
-            up = down = _Picks.zeros((cols.shape[0], H_dot.shape[1], 0))
-        else:
-            up, down = (
-                _flip_picks(cols, weight, X, eff, feat, max(Qs))
-                for eff, feat in _flip_effects(X, grad.val(Wp), grad.val(Wm), q)
-            )
+        up, down = (
+            _flip_picks(cols, weight, X, eff, feat, max(Qs))
+            for eff, feat in _flip_effects(X, grad.val(Wp), grad.val(Wm), q)
+        )
     else:
         up, down = table.rows(sp.hop_sets[-2], q, max(Qs))
     upper = _pick_sums(up, Wp, Wm, Qs)

@@ -74,15 +74,12 @@ def _content_lines(text):
 
 
 def _reject(path, lines, mask, message, values=None):
-    """A CliError at the first line where `mask` holds; `{}` in `message` becomes that entry of `values`.
+    """A CliError at the first line where `mask` holds, named by `lines`, the entries' line numbers.
 
-    `lines` is the entries' line numbers, or for a file that `_fast_pairs` read, its text: `_content_lines`
-    numbers that only when there is a line to name.
+    `{}` in `message` becomes that entry of `values`.
     """
     if mask.any():
         i = int(mask.argmax())
-        if isinstance(lines, str):
-            lines = _content_lines(lines)[0]
         raise CliError(f"{path}:{lines[i]}: " + (message if values is None else message.format(values[i])))
 
 
@@ -110,10 +107,11 @@ def _fast_pairs(path, text, what_a, what_b):
     lines, read CR and CRLF as line ends, and convert ``+3`` and blanks
     around a field alike.  Every other file is None: `#` lines, lines of
     blanks, a field more or less, a token that is not an int64 (``3.0``,
-    ``1e3``, an id past int64), an empty file.  In place of the line
-    numbers it returns `text`, which `_reject` numbers to name a line.
-    The text, never the path, goes to `np.loadtxt`: given a path, numpy
-    would also read compressed files and URLs.
+    ``1e3``, an id past int64), an empty file.  `np.loadtxt` drops only
+    empty lines, so the rows of a text without one are lines 1..n, and
+    only a text with one is numbered by `_content_lines`.  The text,
+    never the path, goes to `np.loadtxt`: given a path, numpy would also
+    read compressed files and URLs.
     """
     try:
         with warnings.catch_warnings():
@@ -124,9 +122,11 @@ def _fast_pairs(path, text, what_a, what_b):
     if cols.shape[0] == 0 or cols.shape[1] != 2:
         return None
     a, b = cols.T
+    empty_line = text.startswith("\n") or "\n\n" in text
+    lines = _content_lines(text)[0] if empty_line else np.arange(1, a.size + 1)
     for col, what in ((a, what_a), (b, what_b)):
-        _reject(path, text, col < 0, f"negative {what} {{}}", col)
-    return text, a, b
+        _reject(path, lines, col < 0, f"negative {what} {{}}", col)
+    return lines, a, b
 
 
 def _split_pairs(path, content, what_a, what_b=None):

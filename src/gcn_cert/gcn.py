@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -41,9 +41,6 @@ class GcnParams:
         ds.append(grad.val(self.weights[-1]).shape[1])
         return ds
 
-    def replace(self, **kw):
-        return replace(self, **kw)
-
     def validate(self):
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             w, b = grad.val(w), grad.val(b)
@@ -66,15 +63,8 @@ class GcnParams:
 
 @dataclass
 class ForwardTrace:
-    """Pre-/post-activations of one sliced forward pass.
+    """The result of one sliced forward pass: `logits`, the target's K-vector."""
 
-    pre_activations[i] is Hhat^(i+2); post_activations[0] is the input
-    attribute matrix, later entries the ReLU outputs.  logits is the final
-    K-vector (sliced mode) or an N x K matrix (full mode).
-    """
-
-    pre_activations: list
-    post_activations: list
     logits: object
 
 
@@ -110,7 +100,6 @@ def forward_sliced(
         raise ValueError(
             f"attrs_override shape {grad.val(H).shape} != {sp.sliced_attrs.shape}"
         )
-    pre, post = [], [H]
     for l in range(1, L):
         A_dot = sp.sliced_mp[l - 1]
         W, b = params.weights[l - 1], params.biases[l - 1]
@@ -120,15 +109,13 @@ def forward_sliced(
                 f"with activation shape {grad.val(H).shape}"
             )
         H_hat = grad.matmul(grad.matmul(A_dot, H), W) + b
-        pre.append(H_hat)
         if l < L - 1:
             H = grad.relu(H_hat)
             if dropout_rate > 0.0:
                 keep = (dropout_rng.random(grad.val(H).shape) >= dropout_rate).astype(np.float64)
                 H = H * (keep / (1.0 - dropout_rate))
-            post.append(H)
-    logits = grad.gather(pre[-1], np.arange(grad.val(pre[-1]).size))  # the one row, flattened
-    return ForwardTrace(pre_activations=pre, post_activations=post, logits=logits)
+    logits = grad.gather(H_hat, np.arange(grad.val(H_hat).size))  # the one row, flattened
+    return ForwardTrace(logits=logits)
 
 
 def forward_full(graph: Graph, mp: csr_array, params: GcnParams, attrs_override=None):

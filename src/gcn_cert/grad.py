@@ -12,6 +12,8 @@ its active piece.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "pos",
     "negpart",
     "asum",
-    "total",
     "gather",
     "expand_dims",
     "exp",
@@ -201,11 +202,6 @@ def asum(a, axis=None, keepdims=False):
     return Var(a.value.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-def total(a):
-    """Sum of all entries as a scalar."""
-    return asum(a)
-
-
 def gather(a, indices):
     """Select flat entries of a by a fixed index array, shaped like the index."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -249,7 +245,7 @@ def log_softmax_entry(logits, index):
     z = val(logits)
     shift = float(z.max())
     shifted = logits - shift
-    lse = log(total(exp(shifted)))
+    lse = log(asum(exp(shifted)))
     picked = gather(shifted, [int(index)])
     return asum(picked) - lse
 
@@ -303,17 +299,17 @@ def gradient(loss_closure, params):
     """
     w_vars = [Var(w) for w in params.weights]
     b_vars = [Var(b) for b in params.biases]
-    shadow = params.replace(weights=w_vars, biases=b_vars)
+    shadow = replace(params, weights=w_vars, biases=b_vars)
     loss = loss_closure(shadow)
     if not is_var(loss):
         # loss never touched the parameters
         zero_w = [np.zeros_like(w) for w in params.weights]
         zero_b = [np.zeros_like(b) for b in params.biases]
-        return float(np.asarray(loss)), params.replace(weights=zero_w, biases=zero_b)
+        return float(np.asarray(loss)), replace(params, weights=zero_w, biases=zero_b)
     backward(loss)
     gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in w_vars]
     gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in b_vars]
-    return float(loss.value), params.replace(weights=gw, biases=gb)
+    return float(loss.value), replace(params, weights=gw, biases=gb)
 
 
 def finite_difference_check(loss_closure, params, rng=None, num_coords=10, eps=1e-6):

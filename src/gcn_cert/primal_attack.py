@@ -25,7 +25,11 @@ class Perturbation:
     perturbed_attrs: np.ndarray
 
     def validate(self, budget: Budget, attrs: np.ndarray):
-        D = attrs.shape[1]
+        """Self if the flips keep to `budget`, each listed once, and toggle `attrs` into `perturbed_attrs`.
+
+        No other entry may change; otherwise a ValueError.  `exact_margin`
+        evaluates `perturbed_attrs`, so a non-robust status rests on this check.
+        """
         if len(self.flips) > budget.global_Q:
             raise ValueError("global budget exceeded")
         per_row = {}
@@ -35,6 +39,13 @@ class Perturbation:
             raise ValueError("local budget exceeded")
         if not np.isin(self.perturbed_attrs, (0, 1)).all():
             raise ValueError("perturbed attributes must stay binary")
+        if len(set(self.flips)) != len(self.flips):
+            raise ValueError("a flip is listed more than once")
+        n, d = np.array(self.flips, dtype=np.intp).reshape(-1, 2).T
+        # each listed entry toggles, so it changes; the count then rules out any other change
+        toggled = self.perturbed_attrs[n, d] == 1 - attrs[n, d]
+        if not toggled.all() or np.count_nonzero(self.perturbed_attrs != attrs) != n.size:
+            raise ValueError("perturbed attributes must be attrs with exactly the listed flips toggled")
         return self
 
 

@@ -163,7 +163,7 @@ class Trainer:
         cfg = self.config
         pen = 0.0
         for w in params.weights:  # weights only, biases excluded
-            pen = pen + grad.total(w * w)
+            pen = pen + grad.asum(w * w)
         loss = cfg.l2_strength * pen
         rate = cfg.dropout_rate if dropout_rng is not None else 0.0
         labeled = [t for t in batch if t in self._labeled_set]

@@ -131,7 +131,7 @@ def test_first_layer_bounds_match_dense_reference(rng):
             G = rng.normal(size=R.shape)
 
             def loss(p, fn):
-                return grad.total(fn(sp, p, budget)[side] * G)
+                return grad.asum(fn(sp, p, budget)[side] * G)
 
             _, got = grad.gradient(lambda p: loss(p, first_layer_bounds), params)
             _, ref = grad.gradient(lambda p: loss(p, _reference_first_layer_bounds), params)
@@ -440,7 +440,7 @@ def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatc
             table = (_slice_table(sp, p, budgets),) if with_table else ()
             sweep = bounds._first_layer_sweep(sp, p, budgets, *table)
             out.append([(grad.val(R), grad.val(S)) for R, S in sweep])
-            return sum(grad.total(R * g[0]) + grad.total(S * g[1]) for (R, S), g in zip(sweep, G))
+            return sum(grad.asum(R * g[0]) + grad.asum(S * g[1]) for (R, S), g in zip(sweep, G))
 
         out = []
         _, grads = grad.gradient(loss, params)
@@ -498,12 +498,29 @@ def test_compute_bounds_from_a_graph_table_equals_the_slice_on_every_node(rng):
 
             def loss(p, table):
                 bnds = compute_bounds(sp, p, budget, table)
-                return sum(grad.total(bnds.lower[l] * g[0] + bnds.upper[l] * g[1]) for l, g in G.items())
+                return sum(grad.asum(bnds.lower[l] * g[0] + bnds.upper[l] * g[1]) for l, g in G.items())
 
             got_v, got_g = grad.gradient(lambda p: loss(p, table), params)
             ref_v, ref_g = grad.gradient(lambda p: loss(p, None), params)
             assert got_v == ref_v
             for a, b in zip(got_g.weights + got_g.biases, ref_g.weights + ref_g.biases, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_flip_table_sorts_unsorted_column_indices(rng):
+    """A CSR A_hat whose rows store their columns in descending order gives the picks of the sorted one, bitwise."""
+    for trial in range(20):
+        graph, params, budget = _random_graph_problem(rng, ties=trial % 2 == 0)
+        mp = build_message_passing(graph)
+        # each row's stored entries reversed; rows keep their (column, weight) pairs
+        order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(mp.indptr[:-1], mp.indptr[1:])])
+        unsorted = scipy.sparse.csr_array((mp.data[order], mp.indices[order], mp.indptr), shape=mp.shape)
+        assert not unsorted.has_sorted_indices
+        nodes = np.arange(graph.num_nodes)
+        got = bounds.flip_table(unsorted, graph.attributes, params, [budget], nodes)
+        ref = bounds.flip_table(mp, graph.attributes, params, [budget], nodes)
+        for side in ("upper", "lower"):
+            for a, b in zip(getattr(got, side), getattr(ref, side), strict=True):
                 np.testing.assert_array_equal(a, b)
 
 

@@ -252,7 +252,7 @@ def test_dual_states_rejects_the_tape(rng):
     """dual_states holds values; Var params or Omega raise rather than drop the tape."""
     sp, params, budget = random_tiny_instance(rng)
     _, C = competing_classes(0, params.dims[-1])
-    shadow = params.replace(weights=[grad.Var(w) for w in params.weights])
+    shadow = dataclasses.replace(params, weights=[grad.Var(w) for w in params.weights])
     with pytest.raises(TypeError, match="numeric"):
         dual_states(sp, shadow, compute_bounds(sp, shadow, budget), budget, C)
     bnds = compute_bounds(sp, params, budget)
@@ -311,7 +311,7 @@ def test_certify_zero_dual_bound_is_not_robust(rng):
     sp, params, _ = random_tiny_instance(rng)
     W2, b2 = params.weights[-1].copy(), params.biases[-1].copy()
     W2[:, :2], b2[1] = 0.0, b2[0]  # classes 0 and 1 tie on every input, with exact zeros
-    params = params.replace(weights=[params.weights[0], W2], biases=[params.biases[0], b2])
+    params = dataclasses.replace(params, weights=[params.weights[0], W2], biases=[params.biases[0], b2])
     cert = certify(sp, params, Budget(1, 2), 0)
     assert cert.dual_lower[1] == 0.0
     assert cert.status != ROBUST
@@ -404,15 +404,15 @@ def _reference_evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, 
     for l in bounds.layers():
         R, S = bounds.lower[l], bounds.upper[l]
         _, denom, cross = _reference_envelope_slope(bounds, l)
-        g = g + grad.total((S * R * cross) / denom * grad.pos(phi_hat[l]))
+        g = g + grad.asum((S * R * cross) / denom * grad.pos(phi_hat[l]))
     for l in range(1, L):
-        g = g - grad.total(phi[l + 1] * params.biases[l - 1])
-    g = g - grad.total(X * phi_hat[1])
+        g = g - grad.asum(phi[l + 1] * params.biases[l - 1])
+    g = g - grad.asum(X * phi_hat[1])
     if q > 0 and Q > 0:
         eta_col = grad.expand_dims(eta, 1) if grad.is_var(eta) else np.asarray(eta).reshape(-1, 1)
         psi = grad.relu(delta - eta_col - rho)
-        g = g - grad.total(psi)
-        g = g - q * grad.total(eta) - Q * grad.total(rho)
+        g = g - grad.asum(psi)
+        g = g - q * grad.asum(eta) - Q * grad.asum(rho)
     else:
         psi = np.zeros_like(grad.val(delta))
     return g, psi
@@ -510,7 +510,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
 
     def batched(shadow):
         bb = compute_bounds(sp, shadow, budget)
-        return grad.total(margin_vector(sp, shadow, bb, budget, y) * mix)
+        return grad.asum(margin_vector(sp, shadow, bb, budget, y) * mix)
 
     def per_class(shadow):
         bb = compute_bounds(sp, shadow, budget)

@@ -30,9 +30,7 @@ def test_forward_hand_example():
         [np.array([[2.0]]), np.array([[1.0, -1.0]])],
         [np.array([-1.0]), np.zeros(2)],
     )
-    trace = forward_sliced(sp, params)
-    np.testing.assert_allclose(trace.pre_activations[0], [[1.0]])
-    np.testing.assert_allclose(trace.logits, [1.0, -1.0])
+    np.testing.assert_allclose(forward_sliced(sp, params).logits, [1.0, -1.0])
 
 
 def test_forward_is_pure(rng):

@@ -29,7 +29,7 @@ def test_primitives_match_numpy_on_plain_arrays(rng):
     np.testing.assert_array_equal(grad.pos(a), np.maximum(a, 0.0))
     np.testing.assert_array_equal(grad.negpart(a), np.maximum(-a, 0.0))
     np.testing.assert_array_equal(grad.asum(a, axis=1), a.sum(axis=1))
-    np.testing.assert_array_equal(grad.total(a), a.sum())
+    np.testing.assert_array_equal(grad.asum(a), a.sum())
     np.testing.assert_array_equal(grad.gather(a, [0, 5]), a.ravel()[[0, 5]])
     np.testing.assert_array_equal(grad.expand_dims(a, 0), a[None])
     np.testing.assert_allclose(grad.exp(a), np.exp(a))
@@ -49,7 +49,7 @@ def test_composite_gradient_matches_finite_differences(rng):
         return float(np.maximum(A @ w, 0.0).sum() + np.exp(0.1 * w).sum() + (w @ c) @ c)
 
     v = Var(W)
-    loss = grad.total(grad.relu(grad.matmul(A, v))) + grad.total(grad.exp(0.1 * v)) + grad.total(
+    loss = grad.asum(grad.relu(grad.matmul(A, v))) + grad.asum(grad.exp(0.1 * v)) + grad.asum(
         grad.matmul(grad.matmul(v, c.reshape(3, 1)).T, c.reshape(3, 1))
     )
     backward(loss)
@@ -58,7 +58,7 @@ def test_composite_gradient_matches_finite_differences(rng):
 
 def test_relu_subgradient_zero_at_kink():
     v = Var(np.array([0.0, -1.0, 2.0]))
-    loss = grad.total(grad.relu(v))
+    loss = grad.asum(grad.relu(v))
     backward(loss)
     np.testing.assert_array_equal(v.grad, [0.0, 0.0, 1.0])
 
@@ -77,7 +77,7 @@ def test_log_softmax_entry_gradient(rng):
 
 def test_gather_accumulates_duplicate_indices():
     v = Var(np.arange(4.0))
-    loss = grad.total(grad.gather(v, [1, 1, 3]))
+    loss = grad.asum(grad.gather(v, [1, 1, 3]))
     backward(loss)
     np.testing.assert_array_equal(v.grad, [0.0, 2.0, 0.0, 1.0])
 
@@ -86,7 +86,7 @@ def test_broadcasting_gradients(rng):
     a = rng.normal(size=(3, 1))
     b = rng.normal(size=(1, 4))
     va, vb = Var(a), Var(b)
-    backward(grad.total(va * vb))
+    backward(grad.asum(va * vb))
     np.testing.assert_allclose(va.grad, np.broadcast_to(b, (3, 4)).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(vb.grad, np.broadcast_to(a, (3, 4)).sum(axis=0, keepdims=True))
 
@@ -100,7 +100,7 @@ def test_loss_and_gradient_are_bit_identical_on_rerun(rng):
 
     def loss(shadow):
         p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, budget), budget, 0)
-        return grad.total(p * p) + ce(shadow)
+        return grad.asum(p * p) + ce(shadow)
 
     first_value, first = gradient(loss, params)
     second_value, second = gradient(loss, params)
@@ -136,9 +136,9 @@ def test_gradient_returns_params_structure(rng):
     def closure(shadow):
         loss = 0.0
         for w in shadow.weights:
-            loss = loss + grad.total(w * w)
+            loss = loss + grad.asum(w * w)
         for b in shadow.biases:
-            loss = loss + grad.total(grad.relu(b))
+            loss = loss + grad.asum(grad.relu(b))
         return loss
 
     value, grads = gradient(closure, params)
@@ -152,7 +152,7 @@ def test_finite_difference_check_on_smooth_loss(rng):
     params = GcnParams([rng.normal(size=(3, 3))], [rng.normal(size=3)])
 
     def closure(shadow):
-        return grad.total(grad.exp(0.1 * shadow.weights[0])) + grad.total(shadow.biases[0] * shadow.biases[0])
+        return grad.asum(grad.exp(0.1 * shadow.weights[0])) + grad.asum(shadow.biases[0] * shadow.biases[0])
 
     assert finite_difference_check(closure, params, rng=rng, num_coords=8) < 1e-7
 
@@ -171,7 +171,7 @@ def test_linear_chain_gradient_closed_form(rng):
     def closure(shadow):
         H = grad.relu(grad.matmul(grad.matmul(A1, X), shadow.weights[0]) + shadow.biases[0])
         out = grad.matmul(grad.matmul(A2, H), shadow.weights[1]) + shadow.biases[1]
-        return grad.total(out * c)
+        return grad.asum(out * c)
 
     _, grads = gradient(closure, params)
     expected = (A1 @ X).T @ (A2.T @ (c[None, :] @ W2.T))

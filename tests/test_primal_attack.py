@@ -53,6 +53,22 @@ def test_validate_rejects_budget_violations():
     p.validate(Budget(2, 2), attrs)
 
 
+def test_validate_rejects_a_matrix_other_than_the_listed_flips():
+    """perturbed_attrs must be attrs with exactly the listed flips toggled, each listed once."""
+    attrs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    flipped = attrs.copy()
+    flipped[0, 0] = 1.0
+    Perturbation(flips=[(0, 0)], perturbed_attrs=flipped).validate(Budget(2, 2), attrs)
+    unlisted = flipped.copy()
+    unlisted[1, 2] = 1.0
+    with pytest.raises(ValueError, match="exactly the listed flips"):
+        Perturbation(flips=[(0, 0)], perturbed_attrs=unlisted).validate(Budget(2, 2), attrs)
+    with pytest.raises(ValueError, match="exactly the listed flips"):
+        Perturbation(flips=[(0, 0), (1, 1)], perturbed_attrs=flipped).validate(Budget(2, 2), attrs)
+    with pytest.raises(ValueError, match="listed more than once"):
+        Perturbation(flips=[(0, 0), (0, 0)], perturbed_attrs=flipped).validate(Budget(2, 2), attrs)
+
+
 def test_constructed_perturbation_is_feasible(rng):
     for _ in range(30):
         sp, params, budget = random_tiny_instance(rng)

@@ -190,7 +190,7 @@ def test_margin_vector_on_the_tape_is_one_var(rng):
     def loss(shadow):
         p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, tr.budget), tr.budget, y)
         seen.append(p)
-        return robust_hinge_loss(p, y, MARGIN_LABELED) + grad.total(shadow.weights[0])
+        return robust_hinge_loss(p, y, MARGIN_LABELED) + grad.asum(shadow.weights[0])
 
     grad.gradient(loss, params)
     (p,) = seen
@@ -405,7 +405,7 @@ def _reference_exact_ce(self, sp, params, y, dropout_rng=None):
 def _reference_l2_penalty(self, params):
     pen = 0.0
     for w in params.weights:
-        pen = pen + grad.total(w * w)
+        pen = pen + grad.asum(w * w)
     return self.config.l2_strength * pen
 
 
