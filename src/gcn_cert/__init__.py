@@ -7,11 +7,11 @@ from .dual_cert import (
     Certificate,
     DualState,
     certify,
-    certify_sweep,
     dual_state,
     dual_states,
     margin_vector,
     optimize_omega,
+    status_curve,
 )
 from .gcn import GcnParams, forward_full, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
 from .graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
@@ -33,7 +33,6 @@ __all__ = [
     "Trainer",
     "build_message_passing",
     "certify",
-    "certify_sweep",
     "compute_bounds",
     "construct",
     "construct_and_evaluate",
@@ -48,5 +47,6 @@ __all__ = [
     "predict",
     "save_checkpoint",
     "slice_problem",
+    "status_curve",
     "train",
 ]

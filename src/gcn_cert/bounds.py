@@ -23,7 +23,6 @@ __all__ = [
     "deeper_layer_bounds",
     "classify_partition",
     "compute_bounds",
-    "compute_bounds_sweep",
     "top_k",
 ]
 
@@ -122,10 +121,9 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None
     The top-Q picks of every budget are a prefix of one total order, so the
     selection runs once, at the largest Q, and each budget sums its prefix.
     The picks are the `table` rows of the first layer's nodes
-    ``sp.hop_sets[-2]`` when a table is given (`cli` and `Trainer` build
-    one per pass from the same W1 and never cache it, see
-    `first_layer_bounds`), else selected from the slice.  Either way the
-    clean pre-activation and the sums over the picks are per target.
+    ``sp.hop_sets[-2]`` when a table is given (see `first_layer_bounds`),
+    else selected from the slice.  Either way the clean pre-activation and
+    the sums over the picks are per target.
     """
     X = sp.sliced_attrs
     A1 = sp.sliced_mp[0]
@@ -482,12 +480,6 @@ def classify_partition(lower, upper) -> np.ndarray:
 def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=None) -> ActivationBounds:
     """Bounds and partition for every hidden layer l = 2..L-1; `table` as in `first_layer_bounds`."""
     return _layer_bounds(sp, params, *first_layer_bounds(sp, params, budget, table))
-
-
-def compute_bounds_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None) -> list:
-    """`compute_bounds` for each of `budgets`, which share q; the first-layer picks are selected once,
-    or read from `table`."""
-    return [_layer_bounds(sp, params, R, S) for R, S in _first_layer_sweep(sp, params, budgets, table)]
 
 
 def _layer_bounds(sp, params, R, S) -> ActivationBounds:

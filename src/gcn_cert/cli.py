@@ -369,12 +369,9 @@ def _select_nodes(spec_text, graph) -> list:
     return nodes
 
 
-def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
-    """One list of Certificates per node, one per budget: each node is sliced and predicted once.
-
-    The first-layer flip picks of every node the targets' first layers read
-    are selected once, into one table that the workers share read-only.
-    """
+def _per_node(graph, params, budgets, nodes, use_labels, workers, run):
+    """run(slice, y_star, table) for each node, sliced and predicted once; the first-layer flip picks of
+    every node the targets' first layers read are selected once, into one table the workers share read-only."""
     mp = build_message_passing(graph)
     L = params.layer_count
     table = flip_table(mp, graph.attributes, params, budgets, first_layer_nodes(mp, nodes, L))
@@ -385,7 +382,7 @@ def _certify_nodes(graph, params, budgets, nodes, mode, use_labels, workers):
             y_star = int(graph.labels[t])
         else:
             y_star = gcn.predict(gcn.forward_sliced(spr, params))
-        return dual_cert.certify_sweep(spr, params, budgets, y_star, mode=mode, table=table)
+        return run(spr, y_star, table)
 
     if workers <= 1 or len(nodes) <= 1:
         return [one(t) for t in nodes]
@@ -466,22 +463,17 @@ def cmd_certify(args):
     budget = _budget(args.q, args.Q)
     params, graph = _load_for_model(args)
     nodes = _select_nodes(args.nodes, graph)
-    certs = [
-        sweep[0]
-        for sweep in _certify_nodes(graph, params, [budget], nodes, args.mode, args.use_labels, args.workers)
-    ]
+    certs = _per_node(
+        graph, params, [budget], nodes, args.use_labels, args.workers,
+        lambda spr, y_star, table: dual_cert.certify(spr, params, budget, y_star, args.mode, table),
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             for cert in certs:
                 fh.write(json.dumps(_certificate_doc(cert), sort_keys=True))
                 fh.write("\n")
-    counts = {dual_cert.ROBUST: 0, dual_cert.NON_ROBUST: 0, dual_cert.UNDECIDED: 0}
-    for cert in certs:
-        counts[cert.status] += 1
-    print(
-        f"nodes={len(certs)} robust={counts['robust']} "
-        f"non_robust={counts['non_robust']} undecided={counts['undecided']}"
-    )
+    statuses = (dual_cert.ROBUST, dual_cert.NON_ROBUST, dual_cert.UNDECIDED)
+    print(f"nodes={len(certs)} " + " ".join(f"{s}={sum(c.status == s for c in certs)}" for s in statuses))
     return 0
 
 
@@ -496,11 +488,14 @@ def cmd_curve(args):
         "labeled": [int(t) for t in graph.labeled_nodes()],
         "unlabeled": [int(t) for t in graph.unlabeled_nodes()],
     }
-    # sweeps[i][Q] is the certificate of node i at global budget Q
-    sweeps = _certify_nodes(graph, params, budgets, node_sets["all"], args.mode, args.use_labels, args.workers)
+    # curves[i][Q] is the status of node i at global budget Q
+    curves = _per_node(
+        graph, params, budgets, node_sets["all"], args.use_labels, args.workers,
+        lambda spr, y_star, table: dual_cert.status_curve(spr, params, budgets, y_star, args.mode, table),
+    )
     rows = []
     for Q in range(args.Q_max + 1):
-        status = [sweep[Q].status for sweep in sweeps]
+        status = [curve[Q] for curve in curves]
         for tag, nodes in node_sets.items():
             if not nodes:
                 continue

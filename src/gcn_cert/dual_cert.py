@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grad, primal_attack
-from .bounds import ActivationBounds, Budget, compute_bounds, compute_bounds_sweep, top_k
+from .bounds import ActivationBounds, Budget, _first_layer_sweep, _layer_bounds, compute_bounds, top_k
 from .gcn import GcnParams
 from .graph_core import SlicedProblem
 
@@ -30,7 +30,7 @@ __all__ = [
     "optimize_omega",
     "margin_vector",
     "certify",
-    "certify_sweep",
+    "status_curve",
     "class_vector",
     "competing_classes",
 ]
@@ -389,36 +389,10 @@ def certify(sp, params, budget, y_star, mode="default", table=None) -> Certifica
     worst-case margin, and a tolerance would certify nodes whose bound is
     <= 0.  Otherwise each class's dual solution yields a flip set; the node
     is non-robust if one of them flips the exact network, else undecided.
-    This is `certify_sweep` for one budget, through `compute_bounds` (the
-    entry point `bench/tracer.py` times) in place of `compute_bounds_sweep`.
-
-    `table` is an optional `bounds.FlipTable` of the first-layer picks,
-    built from these params for this budget; without one they are selected
-    from the slice.  A caller that certifies many nodes builds it once
-    (`cli` does, per command) and passes it to each; it is never cached,
-    because a table is valid only for the weights it was built from.
+    `status_curve` gives the status alone for many budgets.  `table` is an
+    optional `bounds.FlipTable`, as in `bounds.first_layer_bounds`.
     """
-    return _certificate(sp, params, compute_bounds(sp, params, budget, table), budget, y_star, mode)
-
-
-def certify_sweep(sp, params, budgets, y_star, mode="default", table=None) -> list:
-    """One `certify` Certificate per budget, for budgets that share q.
-
-    The first-layer selection runs once for all of them (`compute_bounds_sweep`),
-    or not at all with a `table` built for the largest Q (as in `certify`; `cli`
-    builds one per command and never caches it); the deeper-layer bounds and
-    the dual run once per budget.
-    """
-    return [
-        _certificate(sp, params, bnds, budget, y_star, mode)
-        for budget, bnds in zip(budgets, compute_bounds_sweep(sp, params, budgets, table))
-    ]
-
-
-def _certificate(sp, params, bnds, budget, y_star, mode) -> Certificate:
-    """The Certificate of `certify` from the bounds bnds for budget."""
-    others, C = competing_classes(y_star, params.dims[-1])
-    states = (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)
+    others, states = _duals(sp, params, compute_bounds(sp, params, budget, table), budget, y_star, mode)
     dual_lower = np.zeros(len(others) + 1)
     dual_lower[others] = [st.value for st in states]
     if others.size == 0 or dual_lower[others].min() > 0:
@@ -428,3 +402,40 @@ def _certificate(sp, params, bnds, budget, y_star, mode) -> Certificate:
         primal[k] = primal_attack.construct_and_evaluate(sp, params, st, budget, y_star, k)
     status = NON_ROBUST if primal[others].min() < 0 else UNDECIDED
     return Certificate(sp.target, budget, y_star, dual_lower, primal, status)
+
+
+def status_curve(sp, params, budgets, y_star, mode="default", table=None) -> list:
+    """`certify`'s status for each of `budgets`, which share q, evaluating only budgets whose status is unknown.
+
+    A dual bound > 0 at Q bounds every flip set of a smaller Q, and a flip set admissible at Q is admissible at
+    a larger one (q fixed): "robust" carries down, "non-robust" up, "undecided" nothing.  Each run of unknown
+    budgets, in the order of Q, is bisected at its middle.  A carried status is sound, but need not be what
+    `certify` gives that budget alone.  The first-layer picks are selected once; the primal stops at a flip.
+    """
+    first = _first_layer_sweep(sp, params, budgets, table)
+    order = np.argsort([b.global_Q for b in budgets], kind="stable")
+    # half-open runs of positions in `order` whose status is unknown; an evaluated one that none settles is undecided
+    status, runs = np.full(len(budgets), UNDECIDED, dtype=object), [(0, len(order))]
+    while runs:
+        lo, hi = runs.pop()
+        if lo == hi:
+            continue
+        mid = (lo + hi) // 2
+        i = order[mid]
+        others, states = _duals(sp, params, _layer_bounds(sp, params, *first[i]), budgets[i], y_star, mode)
+        if all(st.value > 0 for st in states):
+            status[order[lo : mid + 1]] = ROBUST
+            runs.append((mid + 1, hi))
+        elif any(primal_attack.construct_and_evaluate(sp, params, st, budgets[i], y_star, k) < 0
+                 for k, st in zip(others, states)):
+            status[order[mid:hi]] = NON_ROBUST
+            runs.append((lo, mid))
+        else:
+            runs += [(lo, mid), (mid + 1, hi)]
+    return status.tolist()
+
+
+def _duals(sp, params, bnds, budget, y_star, mode):
+    """(others, states): the classes competing with y_star and their DualStates under `mode`."""
+    others, C = competing_classes(y_star, params.dims[-1])
+    return others, (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)

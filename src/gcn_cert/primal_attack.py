@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,19 +33,17 @@ class Perturbation:
         """
         if len(self.flips) > budget.global_Q:
             raise ValueError("global budget exceeded")
-        per_row = {}
-        for n, d in self.flips:
-            per_row[n] = per_row.get(n, 0) + 1
-        if per_row and max(per_row.values()) > budget.local_q:
+        if self.flips and max(Counter(n for n, _ in self.flips).values()) > budget.local_q:
             raise ValueError("local budget exceeded")
-        if not np.isin(self.perturbed_attrs, (0, 1)).all():
+        changed = self.perturbed_attrs != attrs  # `Graph` keeps attrs binary: only a changed entry can be non-binary
+        at = np.flatnonzero(changed)
+        if not np.isin(self.perturbed_attrs.reshape(-1)[at], (0, 1)).all():
             raise ValueError("perturbed attributes must stay binary")
         if len(set(self.flips)) != len(self.flips):
             raise ValueError("a flip is listed more than once")
         n, d = np.array(self.flips, dtype=np.intp).reshape(-1, 2).T
-        # each listed entry toggles, so it changes; the count then rules out any other change
-        toggled = self.perturbed_attrs[n, d] == 1 - attrs[n, d]
-        if not toggled.all() or np.count_nonzero(self.perturbed_attrs != attrs) != n.size:
+        # a changed binary entry is toggled, so the listed entries must all change, and nothing else
+        if not changed[n, d].all() or at.size != n.size:
             raise ValueError("perturbed attributes must be attrs with exactly the listed flips toggled")
         return self
 

@@ -12,7 +12,6 @@ from gcn_cert.bounds import (
     Budget,
     classify_partition,
     compute_bounds,
-    compute_bounds_sweep,
     deeper_layer_bounds,
     first_layer_bounds,
     top_k,
@@ -543,27 +542,24 @@ def test_flip_table_serves_its_nodes_at_its_budget_only():
     with pytest.raises(ValueError, match="table built for q=1, Q<=2; asked for q=2, Q=2"):
         compute_bounds(sp, params, Budget(2, 2), table)
     with pytest.raises(ValueError, match="asked for q=1, Q=3"):
-        compute_bounds_sweep(sp, params, [Budget(1, 1), Budget(1, 3)], table)
+        bounds._first_layer_sweep(sp, params, [Budget(1, 1), Budget(1, 3)], table)
     for t in (2, 5):  # N_2(2) and N_2(5) both hold node 4, which neither target reads
         with pytest.raises(ValueError, match="node 4 is not in the table"):
             compute_bounds(slice_problem(graph, mp, t, 4), params, Budget(1, 2), table)
 
 
 def _assert_sweep_matches_each_budget(sp, params, q, Q_max, rng):
-    """compute_bounds_sweep over Q = 0..Q_max, in shuffled order, against compute_bounds per Q."""
+    """_first_layer_sweep over Q = 0..Q_max, in shuffled order, against first_layer_bounds per Q, bitwise."""
     budgets = [Budget(q, int(Q)) for Q in rng.permutation(Q_max + 1)]
-    swept = compute_bounds_sweep(sp, params, budgets)
+    swept = bounds._first_layer_sweep(sp, params, budgets)
     assert len(swept) == len(budgets)
-    for budget, got in zip(budgets, swept):
-        ref = compute_bounds(sp, params, budget)
-        assert got.layers() == ref.layers()
-        for l in ref.layers():
-            np.testing.assert_allclose(got.lower[l], ref.lower[l], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.upper[l], ref.upper[l], rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(got.partition[l], ref.partition[l])
+    for budget, (R, S) in zip(budgets, swept):
+        R_ref, S_ref = first_layer_bounds(sp, params, budget)
+        np.testing.assert_array_equal(R, R_ref)
+        np.testing.assert_array_equal(S, S_ref)
 
 
-def test_compute_bounds_sweep_matches_each_budget_alone(rng):
+def test_first_layer_sweep_matches_each_budget_alone(rng):
     """One first-layer selection for every Q gives each Q the bounds it gets alone.
 
     Forced-tie first-layer instances with q = 0, q >= D and random q, and
@@ -579,7 +575,7 @@ def test_compute_bounds_sweep_matches_each_budget_alone(rng):
         n, D = sp.sliced_attrs.shape
         _assert_sweep_matches_each_budget(sp, params, budget.local_q, n * min(budget.local_q, D) + 1, rng)
     with pytest.raises(ValueError, match="share one local budget"):
-        compute_bounds_sweep(sp, params, [Budget(1, 2), Budget(2, 2)])
+        bounds._first_layer_sweep(sp, params, [Budget(1, 2), Budget(2, 2)])
 
 
 def test_budget_validation_and_clamping():

@@ -1200,7 +1200,8 @@ def _reference_curve(argv):
 
 @pytest.mark.parametrize("mode, Q_max", [("default", 4), ("optimized", 2)])
 def test_cmd_curve_matches_per_q_loop(tmp_path, mode, Q_max):
-    """One certification per node for all Q writes the CSV of certifying again for every Q."""
+    """On a dataset whose statuses never weaken as Q grows, the status sweep writes the CSV of certifying
+    again for every Q."""
     paths, ckpt = _planted_dataset(tmp_path)
     argv = ["curve", "--checkpoint", ckpt, *_dataset_args(paths), "--q", "1", "--Q-max", str(Q_max), "--mode", mode]
     ref = tmp_path / "ref.csv"

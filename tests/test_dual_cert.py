@@ -17,7 +17,6 @@ from gcn_cert.dual_cert import (
     UNDECIDED,
     backward_phi,
     certify,
-    certify_sweep,
     class_vector,
     closed_form_eta_rho,
     competing_classes,
@@ -27,6 +26,7 @@ from gcn_cert.dual_cert import (
     evaluate_dual,
     margin_vector,
     optimize_omega,
+    status_curve,
 )
 
 from conftest import forced_tie_slice, random_tiny_instance
@@ -317,21 +317,107 @@ def test_certify_zero_dual_bound_is_not_robust(rng):
     assert cert.status != ROBUST
 
 
-def test_certify_sweep_equals_certify_per_budget(rng):
-    """certify_sweep gives every budget the certificate certify gives it alone (the CLI curve test covers
-    the optimized mode)."""
-    seen = set()
-    for trial in range(20):
+def _tiny_curves(rng, count):
+    """`count` random tiny instances, with 1 and 2 hidden layers in turn, each with its predicted class
+    and the budgets Q = 0..global_Q + 2 of its q."""
+    for trial in range(count):
         sp, params, budget = random_tiny_instance(rng, hidden_layers=1 + trial % 2)
         y_star = gcn.predict(gcn.forward_sliced(sp, params))
-        budgets = [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
-        for b, got in zip(budgets, certify_sweep(sp, params, budgets, y_star)):
-            ref = certify(sp, params, b, y_star)
-            assert got.budget == b and got.status == ref.status
-            np.testing.assert_array_equal(got.dual_lower, ref.dual_lower)
-            np.testing.assert_array_equal(got.primal_margins, ref.primal_margins)
-            seen.add(got.status)
-    assert len(seen) >= 2
+        yield sp, params, y_star, [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
+
+
+@pytest.mark.parametrize("mode", ["default", "optimized"])
+def test_status_curve_equals_certify_per_budget(rng, mode):
+    """Where certify's status never weakens as Q grows, the sweep gives each budget the status certify
+    gives it alone, whatever the order of the budgets.
+
+    Elsewhere a status that differs from certify's is carried from a
+    budget that certify gives it: robust from a larger Q, non-robust from a
+    smaller one (the optimized mode has such a draw here).
+    """
+    monotone = 0
+    seen = set()
+    for sp, params, y_star, budgets in _tiny_curves(rng, 20):
+        ref = [certify(sp, params, b, y_star, mode).status for b in budgets]
+        got = status_curve(sp, params, budgets, y_star, mode)
+        perm = rng.permutation(len(budgets))
+        assert status_curve(sp, params, [budgets[i] for i in perm], y_star, mode) == [got[i] for i in perm]
+        for i, (status, alone) in enumerate(zip(got, ref)):
+            assert status == alone or (status == ROBUST and ROBUST in ref[i:]) or (
+                status == NON_ROBUST and NON_ROBUST in ref[:i]
+            )
+        weakens = any(
+            (a == NON_ROBUST and b != NON_ROBUST) or (b == ROBUST and a != ROBUST)
+            for i, a in enumerate(ref)
+            for b in ref[i + 1 :]
+        )
+        if not weakens:
+            assert got == ref
+            monotone += 1
+        seen.update(ref)
+    assert monotone >= 19 and len(seen) >= 2
+
+
+def _bisection_probes(statuses):
+    """The positions that bisection evaluates on a curve whose per-budget statuses are `statuses`."""
+    probes, runs = [], [(0, len(statuses))]
+    while runs:
+        lo, hi = runs.pop()
+        if lo < hi:
+            mid = (lo + hi) // 2
+            probes.append(mid)
+            if statuses[mid] != NON_ROBUST:
+                runs.append((mid + 1, hi))
+            if statuses[mid] != ROBUST:
+                runs.append((lo, mid))
+    return probes
+
+
+@pytest.mark.parametrize("mode", ["default", "optimized"])
+def test_status_curve_carries_only_sound_statuses(rng, monkeypatch, mode):
+    """Every status the sweep carries rather than evaluates holds by exact enumeration, and the deeper
+    bounds are built once per evaluated budget, no more.
+
+    A carried robust status has an exact worst-case margin > 0 for every
+    competing class, a carried non-robust one a margin < 0 for some class.
+    Each evaluated budget gets certify's status; `_layer_bounds` is called
+    once per evaluation, as many times as bisection on certify's per-budget
+    statuses probes, so a per-budget loop fails.
+    """
+    layer_bounds, calls, evaluated = dual_cert._layer_bounds, [], []
+    duals = dual_cert._duals
+
+    def count(*args):
+        calls.append(None)
+        return layer_bounds(*args)
+
+    def record(sp, params, bnds, budget, y_star, mode):
+        evaluated.append(budget)
+        return duals(sp, params, bnds, budget, y_star, mode)
+
+    monkeypatch.setattr(dual_cert, "_layer_bounds", count)
+    monkeypatch.setattr(dual_cert, "_duals", record)
+    carried = {ROBUST: 0, NON_ROBUST: 0}
+    total = per_budget = 0
+    for sp, params, y_star, budgets in _tiny_curves(rng, 12):
+        ref = [certify(sp, params, b, y_star, mode).status for b in budgets]
+        calls.clear()
+        evaluated.clear()
+        got = status_curve(sp, params, budgets, y_star, mode)
+        assert len(calls) == len(evaluated) == len(_bisection_probes(ref))
+        total, per_budget = total + len(calls), per_budget + len(budgets)
+        assert len(set(evaluated)) == len(evaluated)
+        others, _ = competing_classes(y_star, params.dims[-1])
+        for b, status, alone in zip(budgets, got, ref):
+            if b in evaluated:
+                assert status == alone
+                continue
+            exact = [oracle.enumerate_exact_margin(sp, params, b, y_star, int(k)).exact_min_margin for k in others]
+            assert status in carried
+            assert min(exact) > 0 if status == ROBUST else min(exact) < 0
+            carried[status] += 1
+    assert min(carried.values()) > 0
+    assert total < 0.75 * per_budget
 
 
 # -- the per-class dual pass as it was before class batching: the reference
