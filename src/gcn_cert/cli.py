@@ -10,8 +10,9 @@ File formats (UTF-8, 0-indexed ids):
 Blank and ``#`` lines are skipped in every dataset file and in the train
 config. A node listed twice in labels or split with different values, a
 negative or out-of-range id, an id past int64 and a config key given twice
-are errors that name ``path:line``. Checkpoints are JSON (exact hex
-floats), certificates JSON-lines, curves and training logs CSV.
+are errors that name ``path:line``. Checkpoints are ``.npz`` archives of
+float64 ``w0…``, ``b0…``; certificates are JSON-lines, curves and training
+logs CSV.
 
 Every bad input, a usage error included, exits 2 with one ``error:`` line on
 stderr. A flag is read and range-checked by its ``type=``; a config key is
@@ -334,8 +335,8 @@ def _check_node(n, graph) -> int:
 def _load_for_model(args) -> tuple:
     try:
         params = gcn.load_checkpoint(args.checkpoint)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{args.checkpoint}: not a valid checkpoint ({type(exc).__name__}: {exc})")
+    except ValueError as exc:
+        raise CliError(f"{args.checkpoint}: not a valid checkpoint ({exc})") from None
     if params.layer_count < 3:
         raise CliError(f"{args.checkpoint}: dims {params.dims} have no hidden layer; the dual bound needs one")
     graph = load_dataset(

@@ -1,8 +1,10 @@
-"""Exact GCN forward pass (full-graph and sliced), parameters, losses."""
+"""Exact GCN forward pass (full-graph and sliced), parameters, losses and `.npz` checkpoints."""
 
 from __future__ import annotations
 
-import json
+import io
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,34 +150,27 @@ def cross_entropy(logits, label: int):
 
 
 def save_checkpoint(params: GcnParams, path):
-    """JSON checkpoint with hex floats for an exact round-trip."""
-    doc = {
-        "L": params.layer_count,
-        "dims": [int(d) for d in params.dims],
-        "weights": [[f.hex() for f in np.asarray(w, dtype=np.float64).ravel()] for w in params.weights],
-        "biases": [[f.hex() for f in np.asarray(b, dtype=np.float64).ravel()] for b in params.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    """Write `w0…`, `b0…` as float64 to an uncompressed `.npz`; fixed entry dates make its bytes reproducible."""
+    arrays = {f"w{l}": w for l, w in enumerate(params.weights)} | {f"b{l}": b for l, b in enumerate(params.biases)}
+    with open(path, "wb") as fh:  # given a name without ".npz", np.savez would append it
+        np.savez(fh, **{name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()})
 
 
 def load_checkpoint(path) -> GcnParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    dims = doc["dims"]
-    if not doc["L"] == len(dims) == len(doc["weights"]) + 1 == len(doc["biases"]) + 1:
-        raise ValueError(
-            f"L={doc['L']}, {len(dims)} dims, {len(doc['weights'])} weight and "
-            f"{len(doc['biases'])} bias lists do not agree"
-        )
-    weights, biases = [], []
-    for l in range(doc["L"] - 1):
-        weights.append(_hex_floats(doc["weights"][l]).reshape(dims[l], dims[l + 1]))
-        biases.append(_hex_floats(doc["biases"][l]))
+    """The parameters `save_checkpoint` wrote to `path`; a malformed file, a JSON one included, raises ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read()  # parsed in memory, so a damaged offset is not an OSError of the file
+    if not data.startswith(b"PK\x03\x04"):
+        raise ValueError("not an .npz zip archive (JSON checkpoints are no longer read)")
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as z:
+            layers = len(z.files) // 2
+            if not layers or sorted(z.files) != sorted(f"{p}{l}" for p in "wb" for l in range(layers)):
+                raise ValueError(f"holds arrays {z.files}, not w0…, b0… of one count")
+            weights, biases = [z[f"w{l}"] for l in range(layers)], [z[f"b{l}"] for l in range(layers)]
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError) as exc:
+        raise ValueError(f"damaged .npz archive ({type(exc).__name__}: {exc})") from None
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        if (w.ndim, w.dtype, b.ndim, b.dtype) != (2, np.float64, 1, np.float64):
+            raise ValueError(f"layer {l}: W is {w.ndim}-D {w.dtype}, b {b.ndim}-D {b.dtype}; need 2-D and 1-D float64")
     return GcnParams(weights, biases).validate()
-
-
-def _hex_floats(entries) -> np.ndarray:
-    """The float64 array of `entries`, hex-float strings, decoded by `float.fromhex` in one C-level pass."""
-    return np.fromiter(map(float.fromhex, entries), np.float64)

@@ -4,8 +4,9 @@
 `class_vector`, `optimize_omega` on one class vector, `primal_attack.construct`
 and `forward_sliced(...).logits`, and reads `DualState.value`, `.s_q` and
 `.delta`. Every workload loads its dataset with `cli.load_dataset` from the
-files `bench/fixtures.write_tsv` writes. A change to any of them fails here
-before it fails a benchmark run.
+files `bench/fixtures.write_tsv` writes, and its checkpoint with
+`gcn.load_checkpoint` from the file `bench/fixtures.checkpoint` writes. A
+change to any of them fails here before it fails a benchmark run.
 """
 
 import importlib
@@ -55,3 +56,30 @@ def test_load_dataset_reads_the_fixture_files_back(tmp_path, bench_fixtures, sha
         paths["edges"], paths["attributes"], paths["labels"], paths["split"], num_classes=s.num_classes
     )
     assert_graphs_equal(bundle.graph, bench_fixtures.to_graph(ds, s.num_classes))
+
+
+def _committed_arrays(bench_fixtures, shape):
+    with np.load(bench_fixtures.committed_checkpoint(bench_fixtures.SHAPES[shape])) as z:
+        return {name: z[name] for name in z.files}
+
+
+def _assert_params_hold_bitwise(params, arrays):
+    layers = len(arrays) // 2
+    assert len(params.weights) == len(params.biases) == layers
+    for l in range(layers):
+        for got, want in ((params.weights[l], arrays[f"w{l}"]), (params.biases[l], arrays[f"b{l}"])):
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", ["curve", "pga"])
+def test_fixture_checkpoint_loads_back_bitwise(tmp_path, bench_fixtures, shape):
+    """The file `fixtures.checkpoint` writes for a run holds the committed arrays, every bit."""
+    path = bench_fixtures.checkpoint(bench_fixtures.SHAPES[shape], str(tmp_path))
+    _assert_params_hold_bitwise(gcn.load_checkpoint(path), _committed_arrays(bench_fixtures, shape))
+
+
+@pytest.mark.parametrize("shape", ["coraml", "pga", "curve"])
+def test_committed_checkpoint_loads_directly(bench_fixtures, shape):
+    path = bench_fixtures.committed_checkpoint(bench_fixtures.SHAPES[shape])
+    _assert_params_hold_bitwise(gcn.load_checkpoint(path), _committed_arrays(bench_fixtures, shape))

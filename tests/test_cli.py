@@ -43,7 +43,7 @@ def checkpoint(tmp_path, dataset):
     params = gcn.glorot_params([2, 3, 2], seed=0)
     for b in params.biases:
         b += 0.05
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     gcn.save_checkpoint(params, path)
     return str(path)
 
@@ -631,7 +631,7 @@ def test_parse_config_rejects_a_line_without_equals(tmp_path):
 
 def _train_cfg(tmp_path, dataset, extra=""):
     """A small CE config for `dataset`, then the lines of `extra`; a key set in `extra` replaces its line here."""
-    ckpt = tmp_path / "out.json"
+    ckpt = tmp_path / "out.npz"
     text = (
         f"edges = {dataset['edges']}\n"
         f"attributes = {dataset['attributes']}\n"
@@ -671,7 +671,7 @@ def test_cmd_train_log_csv_holds_every_logged_value(tmp_path, dataset, monkeypat
         tmp_path / "rhu.cfg",
         "".join(f"{k} = {dataset[k]}\n" for k in ("edges", "attributes", "labels", "split"))
         + "mode = RH_U\nQ = 1\nmax_epochs = 2\nphase2_epochs = 2\npatience = 2\nhidden_dims = 2\n"
-        + f"checkpoint_out = {tmp_path / 'out.json'}\nlog_out = {log_out}\n",
+        + f"checkpoint_out = {tmp_path / 'out.npz'}\nlog_out = {log_out}\n",
     )
     assert main(["train", cfg]) == 0
     (log,) = logs
@@ -825,7 +825,7 @@ def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monke
         return params, []
 
     monkeypatch.setattr(robust_train.Trainer, "train", train)
-    ckpt = tmp_path / "out.json"
+    ckpt = tmp_path / "out.npz"
     cfg = _write(
         tmp_path / "minimal.cfg",
         "".join(f"{k} = {dataset[k]}\n" for k in ("edges", "attributes", "labels")) + f"checkpoint_out = {ckpt}\n",
@@ -888,30 +888,81 @@ def test_cmd_certify_malformed_checkpoint(tmp_path, dataset, capsys):
     assert "broken.json" in _assert_one_line_error(rc, capsys)
 
 
+def _npz_arrays(path):
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _write_npz(path, arrays, change=None):
+    """Write `arrays` as an `.npz`, each array of `change` set in, or left out where it is None."""
+    arrays = {k: a for k, a in {**arrays, **(change or {})}.items() if a is not None}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return str(path)
+
+
 @pytest.mark.parametrize(
-    "entry, error",
-    [("0x1.8q1", "ValueError: invalid hexadecimal floating-point string"), ("", "ValueError"), (3.0, "TypeError")],
-    ids=["bad_exponent_letter", "empty", "a_json_number"],
+    "change", [{"w2": np.eye(2)}, {"w0": None, "w1": None}, {"w1": None}], ids=["L_4", "L_1", "two_dims"]
 )
-def test_cmd_certify_rejects_a_malformed_weight_in_one_line(tmp_path, dataset, checkpoint, capsys, entry, error):
-    with open(checkpoint, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["weights"][0][3] = entry
-    ckpt = _write(tmp_path / "entry.json", json.dumps(doc))
-    rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
-    assert f"entry.json: not a valid checkpoint ({error}" in _assert_one_line_error(rc, capsys)
-
-
-@pytest.mark.parametrize("change", [{"L": 4}, {"L": 1}, {"dims": [2, 3]}], ids=["L_4", "L_1", "two_dims"])
 def test_cmd_certify_rejects_a_checkpoint_whose_sizes_disagree(tmp_path, dataset, checkpoint, capsys, change):
-    """The weights of dims [2, 3, 2] under another L or dims list."""
-    with open(checkpoint, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    ckpt = _write(tmp_path / "sizes.json", json.dumps({**doc, **change}))
-    with pytest.raises(ValueError, match="do not agree"):
+    """The arrays of dims [2, 3, 2] with a weight added or dropped, so weights and biases count other layers."""
+    ckpt = _write_npz(tmp_path / "sizes.npz", _npz_arrays(checkpoint), change)
+    with pytest.raises(ValueError, match="of one count"):
         gcn.load_checkpoint(ckpt)
     rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
-    assert "sizes.json: not a valid checkpoint" in _assert_one_line_error(rc, capsys)
+    assert "sizes.npz: not a valid checkpoint" in _assert_one_line_error(rc, capsys)
+
+
+def _malformed_checkpoint(case, path, arrays):
+    """Write to `path` the checkpoint `arrays` damaged as `case` says."""
+    if case == "json":
+        hexes = {k: [f.hex() for f in a.ravel()] for k, a in arrays.items()}
+        doc = {"L": 3, "dims": [2, 3, 2], "weights": [hexes["w0"], hexes["w1"]], "biases": [hexes["b0"], hexes["b1"]]}
+        return _write(path, json.dumps(doc))
+    if case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["w0"])
+        return str(path)
+    if case == "truncated_zip":
+        _write_npz(path, arrays)
+        path.write_bytes(path.read_bytes()[:-30])
+        return str(path)
+    change = {
+        "object_array": {"b0": np.array([{"pickled": 1}, None, 0.0], dtype=object)},
+        "extra_array": {"note": np.zeros(1)},
+        "misnamed_array": {"w0": None, "W0": arrays["w0"]},
+        "weight_1d": {"w1": arrays["w1"].ravel()[:2], "b1": np.zeros(2)},
+        "bias_float32": {"b0": arrays["b0"].astype(np.float32)},
+        "weight_int": {"w0": np.ones((2, 3), dtype=np.int64)},
+        "not_chaining": {"w1": np.zeros((4, 2))},
+        "non_finite": {"b1": np.array([0.0, np.inf])},
+    }[case]
+    return _write_npz(path, arrays, change)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("json", "JSON checkpoints are no longer read"),
+        ("npy", "not an .npz zip archive"),
+        ("truncated_zip", "damaged .npz archive (BadZipFile"),
+        ("object_array", "allow_pickle=False"),
+        ("extra_array", "of one count"),
+        ("misnamed_array", "of one count"),
+        ("weight_1d", "need 2-D and 1-D float64"),
+        ("bias_float32", "need 2-D and 1-D float64"),
+        ("weight_int", "need 2-D and 1-D float64"),
+        ("not_chaining", "layer 0->1"),
+        ("non_finite", "non-finite"),
+    ],
+)
+def test_cmd_certify_rejects_a_malformed_checkpoint_in_one_line(tmp_path, dataset, checkpoint, capsys, case, message):
+    ckpt = _malformed_checkpoint(case, tmp_path / f"{case}.npz", _npz_arrays(checkpoint))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gcn.load_checkpoint(ckpt)
+    rc = main(["certify", "--checkpoint", ckpt, *_dataset_args(dataset), "--q", "1", "--Q", "1"])
+    err = _assert_one_line_error(rc, capsys)
+    assert f"{case}.npz: not a valid checkpoint (" in err and message in err
 
 
 @pytest.mark.parametrize(
@@ -977,7 +1028,7 @@ def test_cmd_attack_node_out_of_range(dataset, checkpoint, capsys):
 
 def test_cmd_certify_dimension_mismatch(tmp_path, dataset, capsys):
     params = gcn.glorot_params([5, 3, 2], seed=0)
-    ckpt = tmp_path / "wide.json"
+    ckpt = tmp_path / "wide.npz"
     gcn.save_checkpoint(params, ckpt)
     rc = main(
         ["certify", "--checkpoint", str(ckpt), *_dataset_args(dataset),
@@ -990,7 +1041,7 @@ def test_cmd_certify_dimension_mismatch(tmp_path, dataset, capsys):
 
 @pytest.mark.parametrize("command", ["certify", "curve", "attack"])
 def test_certification_commands_reject_a_model_without_hidden_layer(tmp_path, dataset, capsys, command):
-    ckpt = tmp_path / "linear.json"
+    ckpt = tmp_path / "linear.npz"
     gcn.save_checkpoint(gcn.glorot_params([2, 2], seed=0), ckpt)
     extra = {"certify": ["--Q", "2"], "curve": ["--Q-max", "2", "--output", str(tmp_path / "c.csv")],
              "attack": ["--Q", "2", "--node", "1"]}[command]
@@ -1154,7 +1205,7 @@ def _planted_dataset(tmp_path, n=12, D=10, seed=1):
             "".join(f"{t}\t{'labeled' if t % 3 == 0 else 'unlabeled'}\n" for t in range(n)),
         ),
     }
-    ckpt = tmp_path / "pp_model.json"
+    ckpt = tmp_path / "pp_model.npz"
     gcn.save_checkpoint(gcn.glorot_params([D, 6, 2], seed=seed), ckpt)
     return paths, str(ckpt)
 
@@ -1238,7 +1289,7 @@ def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):
 
 
 def test_cmd_attack_one_class_model_has_no_competing_class(tmp_path, dataset, capsys):
-    ckpt = tmp_path / "one_class.json"
+    ckpt = tmp_path / "one_class.npz"
     gcn.save_checkpoint(gcn.glorot_params([2, 3, 1], seed=0), ckpt)
     argv = ["--checkpoint", str(ckpt), "--edges", dataset["edges"], "--attributes", dataset["attributes"]]
     assert main(["attack", *argv, "--node", "1", "--q", "1", "--Q", "2"]) == 0

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -78,32 +77,46 @@ def test_checkpoint_round_trip_is_exact(tmp_path, rng):
     params = glorot_params([5, 4, 3], seed=7)
     for b in params.biases:
         b += rng.normal(size=b.shape)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
-        assert np.array_equal(a, b)  # bit-exact via hex floats
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_round_trip_keeps_every_bit_of_signed_zeros_subnormals_and_extremes(tmp_path):
     tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     special = [0.0, -0.0, 5e-324, -5e-324, tiny - 5e-324, tiny, -tiny, big, -big, np.nextafter(1.0, 2.0), 1 / 3, -1e300]
     params = GcnParams([np.array(special).reshape(3, 4), np.array(special[:8]).reshape(4, 2)], [np.zeros(4), -np.zeros(2)])
-    save_checkpoint(params, tmp_path / "model.json")
-    loaded = load_checkpoint(tmp_path / "model.json")
+    save_checkpoint(params, tmp_path / "model.npz")
+    loaded = load_checkpoint(tmp_path / "model.npz")
     for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
         assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("text", ["0x1.8p1", "0X1.8P+1", " 0x3p0 ", "1.8p1", "0x1.80000000000000000p1", "3"])
-def test_checkpoint_reads_a_non_canonical_hex_float_as_float_fromhex_does(tmp_path, text):
-    path = tmp_path / "model.json"
+@pytest.mark.parametrize("name", ["model.json", "model"])
+def test_save_checkpoint_writes_exactly_the_path_it_is_given(tmp_path, name):
+    save_checkpoint(glorot_params([2, 3, 2], seed=0), tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    assert load_checkpoint(tmp_path / name).dims == [2, 3, 2]
+
+
+def test_load_checkpoint_raises_only_value_error_on_a_truncated_or_corrupted_file(tmp_path):
+    """Every prefix of a checkpoint, and every one-byte corruption of it, loads or raises ValueError."""
+    path = tmp_path / "model.npz"
     save_checkpoint(glorot_params([2, 3, 2], seed=0), path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["weights"][1][4] = text
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_checkpoint(path).weights[1][2, 0] == 3.0
+    good = path.read_bytes()
+    variants = [good[:i] for i in range(len(good))]
+    variants += [good[:i] + bytes([good[i] ^ flip]) + good[i + 1 :] for i in range(len(good)) for flip in (0x01, 0xFF)]
+    rejected = 0
+    for data in variants:
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            rejected += 1
+    assert rejected >= len(good)  # at least every strict prefix
 
 
 def test_params_validation():
