@@ -101,40 +101,25 @@ def first_layer_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, tab
     direction the bound moves.  Ties in a row's top q go to the ascending
     feature id; ties in the top Q across rows go to the ascending
     (node, feature) id n*D + d.  Both rules fix which entries the
-    gradient flows through.  This is the one-budget case of
-    `_first_layer_sweep`.
+    gradient flows through.
 
     The selection of row m depends only on m's own neighbours, W1, q and
     Q, so a whole-graph pass selects once per node into a `FlipTable`
-    (`flip_table`) and hands it here; without one the picks are selected
-    from the slice.  `cli` builds a table once per command and `Trainer`
-    once per metrics row and per batch, each from the weights of that
-    moment.  A table is never kept past its call: training updates W in
-    place, and a kept table would go stale.
+    (`flip_table`) and hands it here: the picks at any Q <= its Q_max are
+    a prefix of its rows of ``sp.hop_sets[-2]``, else they come from the
+    slice.  `cli` builds a table once per command and `Trainer` once per
+    metrics row and per batch, each from the weights of that moment.  A
+    table is never kept past its call: training updates W in place, and a
+    kept table would go stale.
     """
-    return _first_layer_sweep(sp, params, [budget], table)[0]
-
-
-def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None) -> list:
-    """`first_layer_bounds` for each of `budgets`, which share q, from one selection.
-
-    The top-Q picks of every budget are a prefix of one total order, so the
-    selection runs once, at the largest Q, and each budget sums its prefix.
-    The picks are the `table` rows of the first layer's nodes
-    ``sp.hop_sets[-2]`` when a table is given (see `first_layer_bounds`),
-    else selected from the slice.  Either way the clean pre-activation and
-    the sums over the picks are per target.
-    """
-    X = sp.sliced_attrs
-    A1 = sp.sliced_mp[0]
+    X, A1 = sp.sliced_attrs, sp.sliced_mp[0]
     W, b = params.weights[0], params.biases[0]
     n_outer, D = X.shape
-    q = _shared_q(budgets, D)
-    Qs = [bud.effective_Q(n_outer, D) for bud in budgets]
+    q, Q = budget.effective_q(D), budget.effective_Q(n_outer, D)
 
     H_dot = grad.matmul(grad.matmul(A1, X), W) + b
-    if q == 0 or max(Qs) == 0:
-        return [(H_dot, H_dot)] * len(budgets)
+    if Q == 0:
+        return H_dot, H_dot
 
     # toggling an off feature raises unit j by W+[d, j] and lowers it by
     # W-[d, j]; toggling an active one does the reverse
@@ -143,22 +128,11 @@ def _first_layer_sweep(sp: SlicedProblem, params: GcnParams, budgets, table=None
         A1 = grad.val(A1)
         nz = A1 != 0
         cols, weight = _padded_rows(np.count_nonzero(nz, axis=1), np.nonzero(nz)[1], A1[nz])
-        up, down = (
-            _flip_picks(cols, weight, X, eff, feat, max(Qs))
-            for eff, feat in _flip_effects(X, grad.val(Wp), grad.val(Wm), q)
-        )
+        effects = _flip_effects(X, grad.val(Wp), grad.val(Wm), q)
+        up, down = (_flip_picks(cols, weight, X, eff, feat, Q) for eff, feat in effects)
     else:
-        up, down = table.rows(sp.hop_sets[-2], q, max(Qs))
-    upper = _pick_sums(up, Wp, Wm, Qs)
-    lower = _pick_sums(down, Wm, Wp, Qs)
-    return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
-
-
-def _shared_q(budgets, num_features) -> int:
-    """The effective local budget q that `budgets` share; a ValueError when they do not share one."""
-    if len({b.local_q for b in budgets}) != 1:
-        raise ValueError("a sweep takes one or more budgets that share one local budget q")
-    return budgets[0].effective_q(num_features)
+        up, down = table.rows(sp.hop_sets[-2], q, Q)
+    return H_dot - _pick_sum(down, Wm, Wp, Q), H_dot + _pick_sum(up, Wp, Wm, Q)
 
 
 # rows at least this long are picked by a float partition in `top_k`; the
@@ -352,25 +326,18 @@ def _flip_picks(cols, weight, X, eff, feat, Q_max) -> _Picks:
     return _Picks(d * h2 + np.arange(h2)[:, None], weight[rows, slot], X[cols[rows, slot], d] != 0)
 
 
-def _pick_sums(picks: _Picks, W_off, W_on, Qs):
-    """{Q: sum over each (m, j)'s first Q picks of coef times the toggled W entry} for each Q > 0 in Qs.
+def _pick_sum(picks: _Picks, W_off, W_on, Q):
+    """The sum over each (m, j)'s first Q > 0 picks of coef times the toggled W entry.
 
     An off pick adds W_off[d, j] and an active one W_on[d, j]; the gathers
     keep W on the tape.  Past a row's stored picks the sum runs on over
-    zero-weight padding, so each sum has Q terms in the layout that
-    selecting from a whole slice gives (its candidates off m's neighbours
-    have weight 0).
+    zero-weight padding, so it has Q terms, as a selection from the whole
+    slice has (its candidates off m's neighbours have weight 0).
     """
-    at, coef, on = picks
-    pad = max(Qs) - at.shape[-1]
-    if pad > 0:
-        widths = [(0, 0), (0, 0), (0, pad)]
-        at, coef, on = np.pad(at, widths), np.pad(coef, widths), np.pad(on, widths)
-    out = {}
-    for Q in sorted(set(Qs) - {0}):
-        c, a, o = coef[..., :Q], at[..., :Q], on[..., :Q]
-        out[Q] = grad.asum(grad.gather(W_off, a) * (c * ~o) + grad.gather(W_on, a) * (c * o), axis=2)
-    return out
+    if Q > picks.at.shape[-1]:
+        picks = [np.pad(x, [(0, 0), (0, 0), (0, Q - x.shape[-1])]) for x in picks]
+    at, coef, on = (x[..., :Q] for x in picks)
+    return grad.asum(grad.gather(W_off, at) * (coef * ~on) + grad.gather(W_on, at) * (coef * on), axis=2)
 
 
 @dataclass(frozen=True)
@@ -378,8 +345,8 @@ class FlipTable:
     """The first-layer flip picks of a set of nodes, from `flip_table`; row i belongs to nodes[i].
 
     It holds no weights: a target sums W at its rows' picks
-    (`_first_layer_sweep`), so W stays on the tape.  It is valid only for
-    the W1 it was selected from, and for its q and Q up to Q_max.
+    (`first_layer_bounds`), so W stays on the tape.  It is valid only for
+    the W1 it was selected from, and for its q and every Q <= Q_max.
     """
 
     nodes: np.ndarray  # ascending global ids
@@ -401,8 +368,8 @@ class FlipTable:
         return self.upper.take(at), self.lower.take(at)
 
 
-def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
-    """A `FlipTable` of the A_hat rows `nodes` for `budgets`, which share q, from the values of W1.
+def flip_table(mp, attributes, params: GcnParams, budget: Budget, nodes) -> FlipTable:
+    """A `FlipTable` of the A_hat rows `nodes` for `budget`'s q and Q_max = its Q, from the values of W1.
 
     `mp` is the graph's CSR A_hat and `attributes` its binary N x D matrix.
     Each node's picks come from its own stored neighbours (`_flip_picks`),
@@ -411,9 +378,7 @@ def flip_table(mp, attributes, params: GcnParams, budgets, nodes) -> FlipTable:
     rows are then ranked in blocks of like degree, at most
     `_TABLE_CANDIDATES` candidates a block.
     """
-    D = attributes.shape[1]
-    q = _shared_q(budgets, D)
-    Q_max = max(b.global_Q for b in budgets)
+    q, Q_max = budget.effective_q(attributes.shape[1]), budget.global_Q
     W = grad.val(params.weights[0])
     Wp, Wm = grad.pos(W), grad.negpart(W)
     h2 = W.shape[1]
@@ -479,17 +444,9 @@ def classify_partition(lower, upper) -> np.ndarray:
 
 def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=None) -> ActivationBounds:
     """Bounds and partition for every hidden layer l = 2..L-1; `table` as in `first_layer_bounds`."""
-    return _layer_bounds(sp, params, *first_layer_bounds(sp, params, budget, table))
-
-
-def _layer_bounds(sp, params, R, S) -> ActivationBounds:
-    """ActivationBounds from the first-layer bounds (R, S), propagated through the deeper layers."""
-    L = sp.layer_count
-    lower, upper, partition = {}, {}, {}
-    lower[2], upper[2] = R, S
-    partition[2] = classify_partition(R, S)
-    for l in range(3, L):
+    R, S = first_layer_bounds(sp, params, budget, table)
+    lower, upper, partition = {2: R}, {2: S}, {2: classify_partition(R, S)}
+    for l in range(3, sp.layer_count):
         R, S = deeper_layer_bounds(R, S, sp.sliced_mp[l - 2], params.weights[l - 2], params.biases[l - 2])
-        lower[l], upper[l] = R, S
-        partition[l] = classify_partition(R, S)
+        lower[l], upper[l], partition[l] = R, S, classify_partition(R, S)
     return ActivationBounds(lower=lower, upper=upper, partition=partition)

@@ -370,12 +370,12 @@ def _select_nodes(spec_text, graph) -> list:
     return nodes
 
 
-def _per_node(graph, params, budgets, nodes, use_labels, workers, run):
-    """run(slice, y_star, table) for each node, sliced and predicted once; the first-layer flip picks of
-    every node the targets' first layers read are selected once, into one table the workers share read-only."""
+def _per_node(graph, params, budget, nodes, use_labels, workers, run):
+    """run(slice, y_star, table) for each node, sliced and predicted once; the first-layer flip picks of every
+    node the targets' first layers read are selected once, at the largest `budget`, into one shared table."""
     mp = build_message_passing(graph)
     L = params.layer_count
-    table = flip_table(mp, graph.attributes, params, budgets, first_layer_nodes(mp, nodes, L))
+    table = flip_table(mp, graph.attributes, params, budget, first_layer_nodes(mp, nodes, L))
 
     def one(t):
         spr = slice_problem(graph, mp, t, L)
@@ -465,7 +465,7 @@ def cmd_certify(args):
     params, graph = _load_for_model(args)
     nodes = _select_nodes(args.nodes, graph)
     certs = _per_node(
-        graph, params, [budget], nodes, args.use_labels, args.workers,
+        graph, params, budget, nodes, args.use_labels, args.workers,
         lambda spr, y_star, table: dual_cert.certify(spr, params, budget, y_star, args.mode, table),
     )
     if args.output:
@@ -491,7 +491,7 @@ def cmd_curve(args):
     }
     # curves[i][Q] is the status of node i at global budget Q
     curves = _per_node(
-        graph, params, budgets, node_sets["all"], args.use_labels, args.workers,
+        graph, params, budgets[-1], node_sets["all"], args.use_labels, args.workers,
         lambda spr, y_star, table: dual_cert.status_curve(spr, params, budgets, y_star, args.mode, table),
     )
     rows = []

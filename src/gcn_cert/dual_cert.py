@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grad, primal_attack
-from .bounds import ActivationBounds, Budget, _first_layer_sweep, _layer_bounds, compute_bounds, top_k
+from .bounds import ActivationBounds, Budget, compute_bounds, top_k
 from .gcn import GcnParams
 from .graph_core import SlicedProblem
 
@@ -410,9 +410,10 @@ def status_curve(sp, params, budgets, y_star, mode="default", table=None) -> lis
     A dual bound > 0 at Q bounds every flip set of a smaller Q, and a flip set admissible at Q is admissible at
     a larger one (q fixed): "robust" carries down, "non-robust" up, "undecided" nothing.  Each run of unknown
     budgets, in the order of Q, is bisected at its middle.  A carried status is sound, but need not be what
-    `certify` gives that budget alone.  The first-layer picks are selected once; the primal stops at a flip.
+    `certify` gives that budget alone.  Each evaluated budget gets its own `compute_bounds`; the primal stops at a flip.
     """
-    first = _first_layer_sweep(sp, params, budgets, table)
+    if len({b.local_q for b in budgets}) > 1:
+        raise ValueError("a curve takes budgets that share one local budget q")
     order = np.argsort([b.global_Q for b in budgets], kind="stable")
     # half-open runs of positions in `order` whose status is unknown; an evaluated one that none settles is undecided
     status, runs = np.full(len(budgets), UNDECIDED, dtype=object), [(0, len(order))]
@@ -422,7 +423,7 @@ def status_curve(sp, params, budgets, y_star, mode="default", table=None) -> lis
             continue
         mid = (lo + hi) // 2
         i = order[mid]
-        others, states = _duals(sp, params, _layer_bounds(sp, params, *first[i]), budgets[i], y_star, mode)
+        others, states = _duals(sp, params, compute_bounds(sp, params, budgets[i], table), budgets[i], y_star, mode)
         if all(st.value > 0 for st in states):
             status[order[lo : mid + 1]] = ROBUST
             runs.append((mid + 1, hi))

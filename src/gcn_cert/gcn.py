@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -156,6 +158,25 @@ def save_checkpoint(params: GcnParams, path):
         np.savez(fh, **{name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()})
 
 
+def _npz_arrays(data) -> list:
+    """(name less ".npy", array) of each member of the `.npz` bytes `data`.  A member whose `.npy` header claims
+    other than its stored byte count, or an object array, raises ValueError before any array is made."""
+    fmt, arrays = np.lib.format, []
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for info in archive.infolist():
+            with archive.open(info) as fh:
+                read_header = fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0) else fmt.read_array_header_2_0
+                shape, fortran_order, dtype = read_header(fh)
+                claimed = fh.tell() + math.prod(shape) * dtype.itemsize
+                if dtype.hasobject:
+                    raise ValueError(f"{info.filename}: object arrays are not read (allow_pickle=False)")
+                if claimed != info.file_size:
+                    raise ValueError(f"{info.filename}: its .npy header claims {claimed} bytes, not {info.file_size}")
+                a = np.frombuffer(bytearray(fh.read(claimed - fh.tell())), dtype)
+            arrays.append((info.filename.removesuffix(".npy"), a.reshape(shape, order="F" if fortran_order else "C")))
+    return arrays
+
+
 def load_checkpoint(path) -> GcnParams:
     """The parameters `save_checkpoint` wrote to `path`; a malformed file, a JSON one included, raises ValueError."""
     with open(path, "rb") as fh:
@@ -163,13 +184,14 @@ def load_checkpoint(path) -> GcnParams:
     if not data.startswith(b"PK\x03\x04"):
         raise ValueError("not an .npz zip archive (JSON checkpoints are no longer read)")
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as z:
-            layers = len(z.files) // 2
-            if not layers or sorted(z.files) != sorted(f"{p}{l}" for p in "wb" for l in range(layers)):
-                raise ValueError(f"holds arrays {z.files}, not w0…, b0… of one count")
-            weights, biases = [z[f"w{l}"] for l in range(layers)], [z[f"b{l}"] for l in range(layers)]
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError) as exc:
+        arrays = _npz_arrays(data)
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, tokenize.TokenError) as exc:
         raise ValueError(f"damaged .npz archive ({type(exc).__name__}: {exc})") from None
+    names, arrays = [name for name, _ in arrays], dict(arrays)
+    layers = len(names) // 2
+    if not layers or sorted(names) != sorted(f"{p}{l}" for p in "wb" for l in range(layers)):
+        raise ValueError(f"holds arrays {names}, not w0…, b0… of one count")
+    weights, biases = [arrays[f"w{l}"] for l in range(layers)], [arrays[f"b{l}"] for l in range(layers)]
     for l, (w, b) in enumerate(zip(weights, biases)):
         if (w.ndim, w.dtype, b.ndim, b.dtype) != (2, np.float64, 1, np.float64):
             raise ValueError(f"layer {l}: W is {w.ndim}-D {w.dtype}, b {b.ndim}-D {b.dtype}; need 2-D and 1-D float64")

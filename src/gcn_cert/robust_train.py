@@ -148,7 +148,7 @@ class Trainer:
         updates W in place, so a kept table would go stale.
         """
         rows = first_layer_nodes(self.mp, targets, self.layer_count)
-        return flip_table(self.mp, self.graph.attributes, params, [self.budget], rows)
+        return flip_table(self.mp, self.graph.attributes, params, self.budget, rows)
 
     def batch_loss(self, batch, params, dropout_rng=None):
         """L2 on the weights plus one term per node of `batch`; grad-aware.

@@ -1,4 +1,8 @@
-"""Shared fixtures: tiny random instances, small hand-built graphs, forced-tie slices and a Graph comparison."""
+"""Shared fixtures: tiny random instances, small hand-built graphs, forced-tie slices, a Graph comparison and
+checkpoints with a hand-made `w0.npy` member."""
+
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -31,6 +35,23 @@ def assert_graphs_equal(a, b):
         assert (x is None) == (y is None)
         if x is not None:
             assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def lying_npy(rows):
+    """`.npy` bytes whose header claims shape (rows, 3) but which store only 32 bytes of data."""
+    member = io.BytesIO()
+    np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (rows, 3)})
+    return member.getvalue() + bytes(32)
+
+
+def write_checkpoint_with_w0(path, arrays, w0):
+    """Write `arrays` as an `.npz` whose `w0.npy` member holds the bytes `w0`; return the path as a string."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, a in arrays.items():
+            member = io.BytesIO()
+            np.save(member, a)
+            zf.writestr(f"{name}.npy", w0 if name == "w0" else member.getvalue())
+    return str(path)
 
 
 def single_node_problem(X_row):

@@ -4,8 +4,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gcn_cert
 import gcn_cert.cli  # noqa: F401  (the tracer wraps names in every gcn_cert module)
+from gcn_cert import dual_cert, gcn
+from gcn_cert.bounds import Budget
+
+from conftest import random_tiny_instance
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -38,3 +44,28 @@ def test_tracer_installs_and_uninstalls_every_traced_name():
     for (m, a), original in before.items():
         assert _binding(m, a) is original, f"{m}.{a} was not restored"
     assert gcn_cert.grad.Var.__init__ is var_init
+
+
+def test_tracer_sees_one_bound_computation_per_evaluated_curve_budget(monkeypatch):
+    """`status_curve` computes its bounds through the traced `compute_bounds` and `first_layer_bounds`:
+    one span of each for every budget it evaluates, and none for a budget whose status it carries."""
+    sp, params, budget = random_tiny_instance(np.random.default_rng(3))
+    y_star = gcn.predict(gcn.forward_sliced(sp, params))
+    budgets = [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
+    duals, evaluated = dual_cert._duals, []
+
+    def record(sp, params, bnds, budget, y_star, mode):
+        evaluated.append(budget)
+        return duals(sp, params, bnds, budget, y_star, mode)
+
+    monkeypatch.setattr(dual_cert, "_duals", record)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        with tracer.on():
+            dual_cert.status_curve(sp, params, budgets, y_star)
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[row[0]] for row in tracer.spans]
+    assert 0 < len(evaluated) < len(budgets)
+    assert spans.count("bounds.compute_bounds") == spans.count("bounds.first_layer_bounds") == len(evaluated)

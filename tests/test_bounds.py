@@ -378,8 +378,9 @@ def _reference_budgeted_increase(A1, X, active, W_off, W_on, q, Qs):
 
 
 def _reference_first_layer_sweep(sp, params, budgets):
-    """`bounds._first_layer_sweep` as it was before it selected per node: each (m, j) ranks all n*q
-    candidates of the slice, zero-weight ones included, by `_reference_budgeted_increase`."""
+    """The first-layer bounds of each of `budgets`, which share q, as selected before selection went per
+    node: each (m, j) ranks all n*q candidates of the slice, zero-weight ones included, once at the largest
+    Q, by `_reference_budgeted_increase`, and each budget sums its prefix."""
     X = sp.sliced_attrs
     A1 = sp.sliced_mp[0]
     W, b = params.weights[0], params.biases[0]
@@ -398,13 +399,13 @@ def _reference_first_layer_sweep(sp, params, budgets):
     return [(H_dot - lower[Q], H_dot + upper[Q]) if Q else (H_dot, H_dot) for Q in Qs]
 
 
-def _slice_table(sp, params, budgets):
+def _slice_table(sp, params, budget):
     """A `FlipTable` of the first-layer rows of a hand-built L = 3 slice: its A1 block as rows 0..M-1
     of an n x n CSR matrix, so row m's stored entries are A1[m]'s nonzeros."""
     A1, X = sp.sliced_mp[0], sp.sliced_attrs
     M, n = A1.shape
     mp = scipy.sparse.csr_array(np.vstack([A1, np.zeros((n - M, n))]))
-    return bounds.flip_table(mp, X.astype(bool), params, budgets, sp.hop_sets[1])
+    return bounds.flip_table(mp, X.astype(bool), params, budget, sp.hop_sets[1])
 
 
 @pytest.mark.parametrize(
@@ -419,14 +420,15 @@ def _slice_table(sp, params, budgets):
         (bounds._FLOAT_ROW_MIN, 32, 3, [1, 12, 90]),
     ],
 )
-def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatch, D, h, q, Qs):
+def test_first_layer_picks_match_complex_key_reference_on_forced_ties(D, h, q, Qs):
     """Cora-ML- and certify-pga-shape slices with forced ties: the same picks as the old selection.
 
     The picks decide which W entries each bound's gradient reaches, so
     bitwise-equal bounds and W/b gradients on the tape mean equal picks.
-    The picks from the slice and from a `FlipTable` built inside the loss,
-    from the weights' values as training builds it, are both checked
-    against the old whole-slice selection; Q = 29 * 30 runs past every
+    `first_layer_bounds` at each Q, with the picks from the slice and from
+    one `FlipTable` built inside the loss at the largest Q, from the
+    weights' values as training builds it, is checked against the old
+    whole-slice selection of that Q alone; Q = 29 * 30 runs past every
     row's own n*q candidates.
     """
     rng = np.random.default_rng(D + q)
@@ -434,20 +436,19 @@ def test_first_layer_picks_match_complex_key_reference_on_forced_ties(monkeypatc
     budgets = [Budget(q, Q) for Q in Qs]
     G = rng.normal(size=(len(Qs), 2, 9, h))
 
-    def run(with_table=False):
+    def run(first_layer, with_table=False):
         def loss(p):
-            table = (_slice_table(sp, p, budgets),) if with_table else ()
-            sweep = bounds._first_layer_sweep(sp, p, budgets, *table)
-            out.append([(grad.val(R), grad.val(S)) for R, S in sweep])
-            return sum(grad.asum(R * g[0]) + grad.asum(S * g[1]) for (R, S), g in zip(sweep, G))
+            table = (_slice_table(sp, p, Budget(q, max(Qs))),) if with_table else ()
+            bnds = [first_layer(sp, p, budget, *table) for budget in budgets]
+            out.append([(grad.val(R), grad.val(S)) for R, S in bnds])
+            return sum(grad.asum(R * g[0]) + grad.asum(S * g[1]) for (R, S), g in zip(bnds, G))
 
         out = []
         _, grads = grad.gradient(loss, params)
         return out[0], grads
 
-    runs = [run(), run(with_table=True)]
-    monkeypatch.setattr(bounds, "_first_layer_sweep", _reference_first_layer_sweep)
-    ref, ref_grads = run()
+    runs = [run(first_layer_bounds), run(first_layer_bounds, with_table=True)]
+    ref, ref_grads = run(lambda sp, p, budget: _reference_first_layer_sweep(sp, p, [budget])[0])
     for got, got_grads in runs:
         for (R, S), (R_ref, S_ref) in zip(got, ref, strict=True):
             np.testing.assert_array_equal(R, R_ref)
@@ -484,7 +485,7 @@ def test_compute_bounds_from_a_graph_table_equals_the_slice_on_every_node(rng):
         graph, params, budget = _random_graph_problem(rng, ties=trial % 2 == 0)
         mp = build_message_passing(graph)
         L = params.layer_count
-        table = bounds.flip_table(mp, graph.attributes, params, [budget], np.arange(graph.num_nodes))
+        table = bounds.flip_table(mp, graph.attributes, params, budget, np.arange(graph.num_nodes))
         for t in range(graph.num_nodes):
             sp = slice_problem(graph, mp, t, L)
             got = compute_bounds(sp, params, budget, table)
@@ -516,8 +517,8 @@ def test_flip_table_sorts_unsorted_column_indices(rng):
         unsorted = scipy.sparse.csr_array((mp.data[order], mp.indices[order], mp.indptr), shape=mp.shape)
         assert not unsorted.has_sorted_indices
         nodes = np.arange(graph.num_nodes)
-        got = bounds.flip_table(unsorted, graph.attributes, params, [budget], nodes)
-        ref = bounds.flip_table(mp, graph.attributes, params, [budget], nodes)
+        got = bounds.flip_table(unsorted, graph.attributes, params, budget, nodes)
+        ref = bounds.flip_table(mp, graph.attributes, params, budget, nodes)
         for side in ("upper", "lower"):
             for a, b in zip(getattr(got, side), getattr(ref, side), strict=True):
                 np.testing.assert_array_equal(a, b)
@@ -525,7 +526,7 @@ def test_flip_table_sorts_unsorted_column_indices(rng):
 
 def test_flip_table_serves_its_nodes_at_its_budget_only():
     """`first_layer_nodes` is the union of the targets' ``hop_sets[-2]``; a table of those rows serves
-    those targets, at its own q and up to its largest Q, and names a node it lacks."""
+    those targets, at its own q and at every Q up to its own, and names a node it lacks."""
     graph = Graph(num_nodes=6, num_features=2, num_classes=2, adjacency=np.eye(6, k=1) + np.eye(6, k=-1),
                   attributes=np.eye(6, 2))  # the path 0 - 1 - ... - 5
     mp = build_message_passing(graph)
@@ -534,48 +535,62 @@ def test_flip_table_serves_its_nodes_at_its_budget_only():
     params = gcn.glorot_params([2, 3, 2, 2], seed=0)  # L = 4: the first layer reads N_2(t)
     rows = first_layer_nodes(mp, [0, 1], 4)
     np.testing.assert_array_equal(rows, [0, 1, 2, 3])
-    table = bounds.flip_table(mp, graph.attributes, params, [Budget(1, 0), Budget(1, 2)], rows)
-    for t in (0, 1):
+    table = bounds.flip_table(mp, graph.attributes, params, Budget(1, 2), rows)
+    for t, Q in itertools.product((0, 1), (0, 1, 2)):
         sp = slice_problem(graph, mp, t, 4)
-        got, ref = compute_bounds(sp, params, Budget(1, 2), table), compute_bounds(sp, params, Budget(1, 2))
+        got, ref = compute_bounds(sp, params, Budget(1, Q), table), compute_bounds(sp, params, Budget(1, Q))
         np.testing.assert_array_equal(got.upper[2], ref.upper[2])
     with pytest.raises(ValueError, match="table built for q=1, Q<=2; asked for q=2, Q=2"):
         compute_bounds(sp, params, Budget(2, 2), table)
     with pytest.raises(ValueError, match="asked for q=1, Q=3"):
-        bounds._first_layer_sweep(sp, params, [Budget(1, 1), Budget(1, 3)], table)
+        first_layer_bounds(sp, params, Budget(1, 3), table)
     for t in (2, 5):  # N_2(2) and N_2(5) both hold node 4, which neither target reads
         with pytest.raises(ValueError, match="node 4 is not in the table"):
             compute_bounds(slice_problem(graph, mp, t, 4), params, Budget(1, 2), table)
 
 
-def _assert_sweep_matches_each_budget(sp, params, q, Q_max, rng):
-    """_first_layer_sweep over Q = 0..Q_max, in shuffled order, against first_layer_bounds per Q, bitwise."""
+def test_a_table_built_at_Q_max_gives_the_slice_bounds_at_every_smaller_Q(rng):
+    """A whole-graph `FlipTable` built at a budget's Q serves every node at each Q <= it, zero included:
+    `first_layer_bounds` reads a prefix of each row's picks and equals the slice's selection, bitwise."""
+    for trial in range(30):
+        graph, params, budget = _random_graph_problem(rng, ties=trial % 2 == 0)
+        mp = build_message_passing(graph)
+        table = bounds.flip_table(mp, graph.attributes, params, budget, np.arange(graph.num_nodes))
+        Q_max = budget.global_Q
+        for t, Q in itertools.product(range(graph.num_nodes), sorted({0, 1, Q_max // 2, Q_max - 1, Q_max})):
+            sp = slice_problem(graph, mp, t, params.layer_count)
+            got = first_layer_bounds(sp, params, Budget(budget.local_q, Q), table)
+            ref = first_layer_bounds(sp, params, Budget(budget.local_q, Q))
+            for a, b in zip(got, ref, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
+def _assert_each_budget_matches_the_reference(sp, params, q, Q_max, rng):
+    """first_layer_bounds at each Q = 0..Q_max against one `_reference_first_layer_sweep` over every Q, in
+    shuffled order, bitwise."""
     budgets = [Budget(q, int(Q)) for Q in rng.permutation(Q_max + 1)]
-    swept = bounds._first_layer_sweep(sp, params, budgets)
-    assert len(swept) == len(budgets)
-    for budget, (R, S) in zip(budgets, swept):
-        R_ref, S_ref = first_layer_bounds(sp, params, budget)
+    for budget, (R_ref, S_ref) in zip(budgets, _reference_first_layer_sweep(sp, params, budgets), strict=True):
+        R, S = first_layer_bounds(sp, params, budget)
         np.testing.assert_array_equal(R, R_ref)
         np.testing.assert_array_equal(S, S_ref)
 
 
-def test_first_layer_sweep_matches_each_budget_alone(rng):
-    """One first-layer selection for every Q gives each Q the bounds it gets alone.
+def test_first_layer_bounds_match_the_reference_at_every_budget(rng):
+    """`first_layer_bounds` of each Q alone gives the bounds that the old whole-slice selection gives
+    that Q from one ranking at the largest Q.
 
-    Forced-tie first-layer instances with q = 0, q >= D and random q, and
-    tiny two- and three-layer GCNs; Q runs from 0 past n*q.
+    Forced-tie first-layer instances with q = 0, q = D, q = D + 1 and
+    random q, and tiny two- and three-layer GCNs; Q runs from 0 past n*q.
     """
     for trial in range(90):
         sp, params, budget = _random_first_layer_instance(rng, ties=trial % 3 != 2)
         n, D = sp.sliced_attrs.shape
         q = [0, D, D + 1, budget.local_q][trial % 4]
-        _assert_sweep_matches_each_budget(sp, params, q, n * min(q, D) + 2, rng)
+        _assert_each_budget_matches_the_reference(sp, params, q, n * min(q, D) + 2, rng)
     for trial in range(20):
         sp, params, budget = random_tiny_instance(rng, hidden_layers=1 + trial % 2)
         n, D = sp.sliced_attrs.shape
-        _assert_sweep_matches_each_budget(sp, params, budget.local_q, n * min(budget.local_q, D) + 1, rng)
-    with pytest.raises(ValueError, match="share one local budget"):
-        bounds._first_layer_sweep(sp, params, [Budget(1, 2), Budget(2, 2)])
+        _assert_each_budget_matches_the_reference(sp, params, budget.local_q, n * min(budget.local_q, D) + 1, rng)
 
 
 def test_budget_validation_and_clamping():

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import gcn_cert
-from conftest import assert_graphs_equal
+from conftest import assert_graphs_equal, lying_npy, write_checkpoint_with_w0
 from gcn_cert import cli, dual_cert, gcn, oracle, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
@@ -923,6 +923,12 @@ def _malformed_checkpoint(case, path, arrays):
         with open(path, "wb") as fh:
             np.save(fh, arrays["w0"])
         return str(path)
+    if case == "huge_shape":  # np.load would try to allocate 21.8 TiB
+        return write_checkpoint_with_w0(path, arrays, lying_npy(10**12))
+    if case == "unclosed_header":  # numpy's header parser raises tokenize.TokenError on it
+        header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), "
+        npy = np.lib.format.magic(1, 0) + len(header).to_bytes(2, "little") + header
+        return write_checkpoint_with_w0(path, arrays, npy)
     if case == "truncated_zip":
         _write_npz(path, arrays)
         path.write_bytes(path.read_bytes()[:-30])
@@ -946,6 +952,8 @@ def _malformed_checkpoint(case, path, arrays):
         ("json", "JSON checkpoints are no longer read"),
         ("npy", "not an .npz zip archive"),
         ("truncated_zip", "damaged .npz archive (BadZipFile"),
+        ("huge_shape", "w0.npy: its .npy header claims 24000000000128 bytes, not 160"),
+        ("unclosed_header", "damaged .npz archive (TokenError"),
         ("object_array", "allow_pickle=False"),
         ("extra_array", "of one count"),
         ("misnamed_array", "of one count"),

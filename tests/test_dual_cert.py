@@ -358,6 +358,13 @@ def test_status_curve_equals_certify_per_budget(rng, mode):
     assert monotone >= 19 and len(seen) >= 2
 
 
+def test_status_curve_takes_budgets_of_one_q(rng):
+    """A status carries across budgets soundly only while q is fixed, so a curve of two q is refused."""
+    sp, params, _ = random_tiny_instance(rng)
+    with pytest.raises(ValueError, match="share one local budget q"):
+        status_curve(sp, params, [Budget(1, 2), Budget(2, 2)], 0)
+
+
 def _bisection_probes(statuses):
     """The positions that bisection evaluates on a curve whose per-budget statuses are `statuses`."""
     probes, runs = [], [(0, len(statuses))]
@@ -380,22 +387,22 @@ def test_status_curve_carries_only_sound_statuses(rng, monkeypatch, mode):
 
     A carried robust status has an exact worst-case margin > 0 for every
     competing class, a carried non-robust one a margin < 0 for some class.
-    Each evaluated budget gets certify's status; `_layer_bounds` is called
-    once per evaluation, as many times as bisection on certify's per-budget
-    statuses probes, so a per-budget loop fails.
+    Each evaluated budget gets certify's status; `compute_bounds` is called
+    once per evaluation, at the evaluated budget, as many times as bisection
+    on certify's per-budget statuses probes, so a per-budget loop fails.
     """
-    layer_bounds, calls, evaluated = dual_cert._layer_bounds, [], []
+    bounds_of, calls, evaluated = dual_cert.compute_bounds, [], []
     duals = dual_cert._duals
 
-    def count(*args):
-        calls.append(None)
-        return layer_bounds(*args)
+    def count(sp, params, budget, table=None):
+        calls.append(budget)
+        return bounds_of(sp, params, budget, table)
 
     def record(sp, params, bnds, budget, y_star, mode):
         evaluated.append(budget)
         return duals(sp, params, bnds, budget, y_star, mode)
 
-    monkeypatch.setattr(dual_cert, "_layer_bounds", count)
+    monkeypatch.setattr(dual_cert, "compute_bounds", count)
     monkeypatch.setattr(dual_cert, "_duals", record)
     carried = {ROBUST: 0, NON_ROBUST: 0}
     total = per_budget = 0
@@ -404,7 +411,7 @@ def test_status_curve_carries_only_sound_statuses(rng, monkeypatch, mode):
         calls.clear()
         evaluated.clear()
         got = status_curve(sp, params, budgets, y_star, mode)
-        assert len(calls) == len(evaluated) == len(_bisection_probes(ref))
+        assert calls == evaluated and len(calls) == len(_bisection_probes(ref))
         total, per_budget = total + len(calls), per_budget + len(budgets)
         assert len(set(evaluated)) == len(evaluated)
         others, _ = competing_classes(y_star, params.dims[-1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from gcn_cert import gcn
 from gcn_cert.gcn import GcnParams, cross_entropy, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
 from gcn_cert.graph_core import build_message_passing, slice_problem
 
-from conftest import random_tiny_graph, single_node_problem
+from conftest import lying_npy, random_tiny_graph, single_node_problem, write_checkpoint_with_w0
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -117,6 +118,21 @@ def test_load_checkpoint_raises_only_value_error_on_a_truncated_or_corrupted_fil
         except ValueError:
             rejected += 1
     assert rejected >= len(good)  # at least every strict prefix
+
+
+def test_load_checkpoint_rejects_a_header_that_lies_about_its_size_without_allocating_it(tmp_path):
+    """A w0.npy member that claims 240 MB of data and stores 32 bytes is refused from its header alone."""
+    params = glorot_params([3, 4, 2], seed=0)
+    arrays = {f"w{l}": w for l, w in enumerate(params.weights)} | {f"b{l}": b for l, b in enumerate(params.biases)}
+    path = write_checkpoint_with_w0(tmp_path / "lie.npz", arrays, lying_npy(10**7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"w0\.npy: its \.npy header claims 240000128 bytes, not 160"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # far below the 240 MB that the header claims
 
 
 def test_params_validation():
