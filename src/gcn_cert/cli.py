@@ -319,13 +319,6 @@ def parse_config(path) -> dict:
 # -- shared command helpers ------------------------------------------------
 
 
-def _budget(q, Q) -> Budget:
-    try:
-        return Budget(q, Q)
-    except ValueError as exc:
-        raise CliError(f"{exc} (q={q}, Q={Q})")
-
-
 def _check_node(n, graph) -> int:
     if not (0 <= n < graph.num_nodes):
         raise CliError(f"node id {n} out of range [0, {graph.num_nodes})")
@@ -441,7 +434,11 @@ def cmd_train(args):
     kwargs = {k: v for k, v in cfg.items() if k in names}
     if "q" in cfg or "Q" in cfg:
         q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
-        kwargs["budget"] = _budget(q, cfg.get("Q", robust_train.DEFAULT_GLOBAL_Q))
+        Q = cfg.get("Q", robust_train.DEFAULT_GLOBAL_Q)
+        try:
+            kwargs["budget"] = Budget(q, Q)
+        except ValueError as exc:
+            raise CliError(f"{exc} (q={q}, Q={Q})") from None
     try:
         tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
@@ -461,7 +458,7 @@ def cmd_train(args):
 
 
 def cmd_certify(args):
-    budget = _budget(args.q, args.Q)
+    budget = Budget(args.q, args.Q)
     params, graph = _load_for_model(args)
     nodes = _select_nodes(args.nodes, graph)
     certs = _per_node(
@@ -482,7 +479,7 @@ CURVE_FIELDS = ("Q", "split", "fraction_certified_robust", "fraction_certified_n
 
 
 def cmd_curve(args):
-    budgets = [_budget(args.q, Q) for Q in range(args.Q_max + 1)]
+    budgets = [Budget(args.q, Q) for Q in range(args.Q_max + 1)]
     params, graph = _load_for_model(args)
     node_sets = {
         "all": list(range(graph.num_nodes)),
@@ -510,8 +507,8 @@ def cmd_curve(args):
 
 
 def cmd_attack(args):
+    budget = Budget(args.q, args.Q)
     params, graph = _load_for_model(args)
-    budget = _budget(args.q, args.Q)
     mp = build_message_passing(graph)
     spr = slice_problem(graph, mp, _check_node(args.node, graph), params.layer_count)
     y_star = gcn.predict(gcn.forward_sliced(spr, params))
@@ -555,7 +552,7 @@ def cmd_oracle_verify(args):
         opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=args.pga_steps)
         for k, c, st, opt in zip(others, C, states, opts):
             lp_val = oracle.solve_lp(oracle.build_primal_lp(spr, params, bnds, budget, c))[0]
-            exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k).exact_min_margin
+            exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k)
             primal = primal_attack.construct_and_evaluate(spr, params, st, budget, y_star, k)
             chain = [st.value, opt.value, lp_val, exact, primal]
             for a, b in zip(chain, chain[1:]):
@@ -627,7 +624,7 @@ def _add_model_args(p):
     p.add_argument("--attributes", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--split", default=None)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_at_least(0, "--q"), required=True)
 
 
 def _add_certify_args(p):
@@ -650,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit per-node robustness certificates")
     _add_model_args(p)
-    p.add_argument("--Q", type=int, required=True)
+    p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
     _add_certify_args(p)
     p.add_argument("--nodes", default="all", help="'all' or comma-separated ids")
     p.add_argument("--output", default=None, help="certificates JSON-lines path")
@@ -666,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="construct a candidate adversarial flip set")
     _add_model_args(p)
     p.add_argument("--node", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
+    p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser(

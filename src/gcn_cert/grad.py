@@ -3,7 +3,9 @@
 Every differentiable quantity in this package (exact forward pass,
 activation bounds, dual objective) is built from a small set of array
 primitives.  Each primitive works on plain numpy arrays and on :class:`Var`
-nodes; mixing the two is allowed.  Gradients follow a frozen-selection
+nodes; mixing the two is allowed.  A node records only its Var operands,
+each with the VJP that carries the node's gradient back to that operand;
+an array operand is a constant.  Gradients follow a frozen-selection
 subgradient convention: all case-split masks ([.]_+/[.]_- signs, ReLU
 masks, top-k selections) are fixed at their forward values, so the
 backward pass is the gradient of a piecewise-linear function evaluated on
@@ -59,9 +61,6 @@ class Var:
     def T(self):
         return transpose(self)
 
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
-
     def __add__(self, other):
         return _add(self, other)
 
@@ -111,15 +110,17 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _parents(*pairs):
+    """The (operand, VJP) pairs whose operand is a Var, in the order given."""
+    return [(x, vjp) for x, vjp in pairs if is_var(x)]
+
+
 def _add(a, b):
     av, bv = val(a), val(b)
-    out = av + bv
-    parents = []
-    if is_var(a):
-        parents.append((a, lambda g, sh=av.shape: _unbroadcast(g, sh)))
-    if is_var(b):
-        parents.append((b, lambda g, sh=bv.shape: _unbroadcast(g, sh)))
-    return Var(out, parents)
+    return Var(av + bv, _parents(
+        (a, lambda g, sh=av.shape: _unbroadcast(g, sh)),
+        (b, lambda g, sh=bv.shape: _unbroadcast(g, sh)),
+    ))
 
 
 def _neg(a):
@@ -130,39 +131,30 @@ def _neg(a):
 
 def _mul(a, b):
     av, bv = val(a), val(b)
-    out = av * bv
-    parents = []
-    if is_var(a):
-        parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh)))
-    if is_var(b):
-        parents.append((b, lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh)))
-    return Var(out, parents)
+    return Var(av * bv, _parents(
+        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh)),
+        (b, lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh)),
+    ))
 
 
 def _div(a, b):
     """a / b for a Var a (only `Var.__truediv__` calls this)."""
     av, bv = a.value, val(b)
-    out = av / bv
-    parents = [(a, lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh))]
-    if is_var(b):
-        parents.append(
-            (b, lambda g, n=av, d=bv, sh=bv.shape: _unbroadcast(-g * n / (d * d), sh))
-        )
-    return Var(out, parents)
+    return Var(av / bv, _parents(
+        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh)),
+        (b, lambda g, n=av, d=bv, sh=bv.shape: _unbroadcast(-g * n / (d * d), sh)),
+    ))
 
 
 def matmul(a, b):
     if not (is_var(a) or is_var(b)):
         return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
     av, bv = val(a), val(b)
-    out = av @ bv
-    parents = []
     # leading batch axes of the other operand are summed out of the VJP
-    if is_var(a):
-        parents.append((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g @ o.swapaxes(-1, -2), sh)))
-    if is_var(b):
-        parents.append((b, lambda g, o=av, sh=bv.shape: _unbroadcast(o.swapaxes(-1, -2) @ g, sh)))
-    return Var(out, parents)
+    return Var(av @ bv, _parents(
+        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g @ o.swapaxes(-1, -2), sh)),
+        (b, lambda g, o=av, sh=bv.shape: _unbroadcast(o.swapaxes(-1, -2) @ g, sh)),
+    ))
 
 
 def transpose(a):
@@ -277,9 +269,7 @@ def backward(loss):
 
     grads = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
+        g = grads[id(node)]  # written by a child, which comes earlier in this order
         node.grad = g if node.grad is None else node.grad + g
         for parent, vjp in node._parents:
             contrib = vjp(g)

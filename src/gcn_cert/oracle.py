@@ -21,7 +21,6 @@ from .graph_core import Graph, SlicedProblem, build_message_passing, slice_probl
 
 __all__ = [
     "LpModel",
-    "EnumerationResult",
     "enumerate_exact_margin",
     "admissible_flip_count",
     "iter_admissible",
@@ -48,12 +47,6 @@ class LpModel:
     b_ub: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-
-@dataclass
-class EnumerationResult:
-    exact_min_margin: float
-    count_enumerated: int
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +143,8 @@ def iter_admissible(num_rows: int, num_features: int, budget: Budget):
 
 def enumerate_exact_margin(
     sp: SlicedProblem, params: GcnParams, budget: Budget, y_star: int, y: int, guard: int = 10**6
-) -> EnumerationResult:
-    """Exact minimum margin over all admissible binary perturbations."""
+) -> float:
+    """Exact minimum margin logits[y_star] - logits[y] over all admissible binary perturbations."""
     X = sp.sliced_attrs
     n, D = X.shape
     count = admissible_flip_count(n, D, budget)
@@ -161,15 +154,13 @@ def enumerate_exact_margin(
             f"{n} nodes x {D} features exceeds the guard of {guard}"
         )
     best = np.inf
-    seen = 0
     for flips in iter_admissible(n, D, budget):
-        seen += 1
         Xt = X.copy()
         for r, d in flips:
             Xt[r, d] = 1.0 - Xt[r, d]
         logits = grad.val(gcn.forward_sliced(sp, params, attrs_override=Xt).logits)
         best = min(best, float(logits[y_star] - logits[y]))
-    return EnumerationResult(exact_min_margin=best, count_enumerated=seen)
+    return best
 
 
 # ---------------------------------------------------------------------------

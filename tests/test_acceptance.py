@@ -41,7 +41,7 @@ def test_acceptance_1_sandwich_chain_on_100_instances():
         base = dual_state(sp, params, bnds, budget, c)
         opt = optimize_omega(sp, params, bnds, budget, c, steps=200)
         lp_val = oracle.solve_lp(oracle.build_primal_lp(sp, params, bnds, budget, c))[0]
-        exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
+        exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k)
         primal = primal_attack.construct_and_evaluate(sp, params, base, budget, y_star, k)
         chain = [base.value, opt.value, lp_val, exact, primal]
         for a, b in zip(chain, chain[1:]):

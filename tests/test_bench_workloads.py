@@ -10,13 +10,14 @@ change to any of them fails here before it fails a benchmark run.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_graphs_equal
-from gcn_cert import cli, dual_cert, gcn, oracle
+from gcn_cert import Budget, cli, dual_cert, gcn, oracle, robust_train
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -83,3 +84,22 @@ def test_fixture_checkpoint_loads_back_bitwise(tmp_path, bench_fixtures, shape):
 def test_committed_checkpoint_loads_directly(bench_fixtures, shape):
     path = bench_fixtures.committed_checkpoint(bench_fixtures.SHAPES[shape])
     _assert_params_hold_bitwise(gcn.load_checkpoint(path), _committed_arrays(bench_fixtures, shape))
+
+
+@pytest.mark.parametrize("name", ["certify-coraml", "certify-pga", "curve-sweep"])
+def test_recorded_certificates_replay(tmp_path, workloads, bench_fixtures, name):
+    """Every seed-0 node that `bench/reference.json` records for a workload, certified as the
+    workload certifies it, keeps the certificate contract and is no weaker than its recording."""
+    w = workloads.WORKLOADS[name]
+    shape = bench_fixtures.SHAPES[w.shape]
+    paths = bench_fixtures.write_tsv(bench_fixtures.generate(shape, 0), str(tmp_path))
+    params, graph, mp = workloads.load_model(paths, bench_fixtures.committed_checkpoint(shape))
+    with open(BENCH / "reference.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)[name]["seeds"]["0"]
+    budget = Budget(robust_train.default_local_budget(graph.num_features), w.Q)
+    records = [(t, *workloads.certify_node(graph, mp, params, budget, t, w.mode)) for t in map(int, recorded)]
+    out = workloads.Outcome()
+    workloads.check_all(out, records, params, budget, w.mode)
+    assert workloads.check_reference(w, 0, out)
+    assert set(out.certificates) == set(recorded)
+    assert out.failures == []

@@ -732,10 +732,11 @@ def test_cmd_train_is_deterministic(tmp_path, dataset):
         ("patience = -1\n", "patience"),
         ("eval_every = -2\n", "eval_every must be >= 0, got -2"),
         ("eval_every = 1.5\n", "bad value '1.5' for eval_every"),
+        ("q = -1\n", "budgets must be nonnegative (q=-1, Q="),
     ],
     ids=["mode", "batch_size", "hidden_dims_text", "learning_rate_nan", "dropout_rate_one", "max_epochs_negative",
          "hidden_dims_zero", "hidden_dims_empty", "l2_strength_nan", "seed_negative", "patience_negative",
-         "eval_every_negative", "eval_every_text"],
+         "eval_every_negative", "eval_every_text", "q_negative"],
 )
 def test_cmd_train_rejects_bad_config_values(tmp_path, dataset, capsys, extra, key):
     cfg, ckpt = _train_cfg(tmp_path, dataset, extra=extra)
@@ -1023,7 +1024,16 @@ def test_cmd_certify_negative_budget(dataset, checkpoint, capsys):
         ["certify", "--checkpoint", checkpoint, *_dataset_args(dataset),
          "--q", "-1", "--Q", "1"]
     )
-    assert "nonnegative" in _assert_one_line_error(rc, capsys)
+    assert "--q must be >= 0, got -1" in _assert_one_line_error(rc, capsys)
+
+
+def test_cmd_attack_rejects_a_negative_budget_before_reading_files(tmp_path, dataset, capsys):
+    missing = str(tmp_path / "missing.npz")
+    rc = main(
+        ["attack", "--checkpoint", missing, *_dataset_args(dataset),
+         "--node", "0", "--q", "1", "--Q", "-1"]
+    )
+    assert "--Q must be >= 0, got -1" in _assert_one_line_error(rc, capsys)
 
 
 def test_cmd_attack_node_out_of_range(dataset, checkpoint, capsys):

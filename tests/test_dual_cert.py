@@ -173,7 +173,7 @@ def test_weak_duality_against_enumeration(rng):
             if k == y_star:
                 continue
             st_ = dual_state(sp, params, bnds, budget, class_vector(y_star, k, K))
-            exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
+            exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k)
             assert st_.value <= exact + 1e-9
 
 
@@ -288,7 +288,7 @@ def test_certify_statuses_consistent_with_enumeration(rng):
         seen.add(cert.status)
         K = params.dims[-1]
         exact = min(
-            oracle.enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
+            oracle.enumerate_exact_margin(sp, params, budget, y_star, k)
             for k in range(K)
             if k != y_star
         )
@@ -419,7 +419,7 @@ def test_status_curve_carries_only_sound_statuses(rng, monkeypatch, mode):
             if b in evaluated:
                 assert status == alone
                 continue
-            exact = [oracle.enumerate_exact_margin(sp, params, b, y_star, int(k)).exact_min_margin for k in others]
+            exact = [oracle.enumerate_exact_margin(sp, params, b, y_star, int(k)) for k in others]
             assert status in carried
             assert min(exact) > 0 if status == ROBUST else min(exact) < 0
             carried[status] += 1
@@ -1047,7 +1047,7 @@ def test_deeper_gcn_sandwich_chain():
         others, C = competing_classes(y, params.dims[-1])
         opts = optimize_omega(sp, params, bnds, budget, C, steps=100)
         for k, base, opt in zip(others, dual_states(sp, params, bnds, budget, C), opts):
-            exact = oracle.enumerate_exact_margin(sp, params, budget, y, k).exact_min_margin
+            exact = oracle.enumerate_exact_margin(sp, params, budget, y, k)
             primal = primal_attack.construct_and_evaluate(sp, params, base, budget, y, k)
             chain = [base.value, opt.value, exact, primal]
             for a, b in zip(chain, chain[1:]):

@@ -56,9 +56,8 @@ def test_enumeration_guard(rng):
 def test_enumeration_zero_budget_is_clean_margin(rng):
     sp, params, _ = random_tiny_instance(rng)
     logits = gcn.forward_sliced(sp, params).logits
-    res = enumerate_exact_margin(sp, params, Budget(1, 0), 0, 1)
-    assert res.count_enumerated == 1
-    assert res.exact_min_margin == pytest.approx(float(logits[0] - logits[1]), abs=1e-12)
+    exact = enumerate_exact_margin(sp, params, Budget(1, 0), 0, 1)
+    assert exact == pytest.approx(float(logits[0] - logits[1]), abs=1e-12)
 
 
 def test_enumeration_hand_example():
@@ -67,18 +66,17 @@ def test_enumeration_hand_example():
         [np.array([[2.0], [-1.0]]), np.array([[1.0, -1.0]])],
         [np.zeros(1), np.zeros(2)],
     )
-    res = enumerate_exact_margin(sp, params, Budget(1, 1), 0, 1)
-    assert res.count_enumerated == 3  # clean, flip dim 0, flip dim 1
-    assert res.exact_min_margin == pytest.approx(0.0, abs=1e-12)
+    exact = enumerate_exact_margin(sp, params, Budget(1, 1), 0, 1)
+    assert exact == pytest.approx(0.0, abs=1e-12)
 
 
 def test_enumeration_monotone_in_budget(rng):
     sp, params, _ = random_tiny_instance(rng)
     prev = np.inf
     for Q in range(4):
-        res = enumerate_exact_margin(sp, params, Budget(1, Q), 0, 1)
-        assert res.exact_min_margin <= prev + 1e-12
-        prev = res.exact_min_margin
+        exact = enumerate_exact_margin(sp, params, Budget(1, Q), 0, 1)
+        assert exact <= prev + 1e-12
+        prev = exact
 
 
 # -- LP solve --------------------------------------------------------------
@@ -211,7 +209,7 @@ def test_lp_is_a_relaxation_of_enumeration(rng):
                 continue
             c = class_vector(y_star, k, K)
             value = solve_lp(build_primal_lp(sp, params, bnds, budget, c))[0]
-            exact = enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
+            exact = enumerate_exact_margin(sp, params, budget, y_star, k)
             assert value <= exact + 1e-6
             st = dual_state(sp, params, bnds, budget, c)
             assert st.value <= value + 1e-6  # weak duality against the LP
@@ -431,7 +429,7 @@ def test_relaxation_gap_counterexample():
     assert flip_relaxed == pytest.approx(0.0, abs=1e-8)
     assert flip_binary == pytest.approx(0.0, abs=1e-8)
     # the exact binary network agrees with the inner-LP minimum here
-    exact = enumerate_exact_margin(sp, params, budget, 0, 1).exact_min_margin
+    exact = enumerate_exact_margin(sp, params, budget, 0, 1)
     assert exact == pytest.approx(1.0, abs=1e-12)
 
 

@@ -104,7 +104,7 @@ def test_sandwich_dual_exact_primal(rng):
             if k == y_star:
                 continue
             st = dual_state(sp, params, bnds, budget, class_vector(y_star, k, K))
-            exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k).exact_min_margin
+            exact = oracle.enumerate_exact_margin(sp, params, budget, y_star, k)
             primal = construct_and_evaluate(sp, params, st, budget, y_star, k)
             assert st.value <= exact + 1e-9
             assert exact <= primal + 1e-9
