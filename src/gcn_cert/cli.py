@@ -520,17 +520,11 @@ def cmd_attack(args):
     if others.size == 0:
         print(f"node={args.node} y_star={y_star}: no competing class (one-class model)")
         return 0
-    bnds = compute_bounds(spr, params, budget)
-    best = None
-    for k, st in zip(others, dual_cert.dual_states(spr, params, bnds, budget, C)):
-        pert = primal_attack.construct(st, budget, spr.sliced_attrs)
-        margin = primal_attack.exact_margin(spr, params, pert, y_star, k)
-        if best is None or margin < best[0]:
-            best = (margin, k, pert)
-    margin, k, pert = best
-    flips = [
-        (int(spr.neighborhood[n_]), int(d)) for n_, d in pert.flips
-    ]
+    states = dual_cert.dual_states(spr, params, compute_bounds(spr, params, budget), budget, C)
+    margins = [primal_attack.construct_and_evaluate(spr, params, s, budget, y_star, k) for k, s in zip(others, states)]
+    b = int(np.argmin(margins))  # the first strongest class
+    margin, k = margins[b], others[b]
+    flips = [(int(spr.neighborhood[n_]), int(d)) for n_, d in states[b].flips]
     verdict = "prediction flipped" if margin < 0 else "prediction unchanged"
     print(f"node={args.node} y_star={y_star} strongest_class={k} margin={margin!r}")
     print(f"flips={flips}")

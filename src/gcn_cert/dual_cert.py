@@ -48,12 +48,11 @@ PGA_MIN_STEP = 1e-12
 
 @dataclass
 class DualState:
-    """One numeric dual evaluation for a (target node, class pair): Omega, delta, g and the flip selection."""
+    """One numeric dual evaluation for a (target node, class pair): Omega, g and the flips, its picks with delta > 0."""
 
     omega: dict
-    delta: np.ndarray
     value: float
-    s_q: list
+    flips: list
 
 
 @dataclass
@@ -100,10 +99,10 @@ def closed_form_eta_rho(delta, budget: Budget):
 
     delta is a stack (B, n, D); eta is (B, n) and rho (B,).  Returns (eta,
     rho, picks, info): picks (B, Q) holds the ids n*D + d of the Q largest
-    budget-feasible delta entries of each row, in descending order (s_q is
-    their (node, feature) pairs, `_flip_pairs`); info holds the flat indices
-    into delta of each node row's top q picks (B, n, q) in descending order,
-    of its q-th pick o (the last of them) and of rho.
+    budget-feasible delta entries of each row, in descending order (those
+    with delta > 0 are a DualState's flips, `_state`); info holds the flat
+    indices into delta of each node row's top q picks (B, n, q) in
+    descending order, of its q-th pick o (the last of them) and of rho.
     eta and rho are gathered from delta at those frozen indices, so they
     carry the tape when delta does.  Ties go to the smaller feature within a
     row, then to the smaller id n*D + d: `bounds.top_k` picks each row's top
@@ -128,11 +127,6 @@ def closed_form_eta_rho(delta, budget: Budget):
     o = grad.gather(delta, o_idx)
     eta = (o - grad.expand_dims(rho, -1)) * (grad.val(o) > grad.val(rho)[:, None])
     return eta, rho, ids, {"top_q_idx": top_q_idx, "o_idx": o_idx, "rho_idx": rho_idx}
-
-
-def _flip_pairs(picks, D) -> list:
-    """s_q: the (node, feature) pairs of one row of `closed_form_eta_rho`'s picks, in order."""
-    return [divmod(i, D) for i in picks.tolist()]
 
 
 def evaluate_dual(sp, params, bounds, eta, rho, phi, phi_hat, delta, budget, top_q_idx=None):
@@ -211,8 +205,9 @@ def _dual_pass(sp, params, bounds, budget, C, omega) -> _Pass:
 
 
 def _state(p: _Pass, b, omega) -> DualState:
-    """The DualState of row b of the numeric batched pass p."""
-    return DualState(omega, p.delta[b], float(p.g[b]), _flip_pairs(p.picks[b], p.delta.shape[-1]))
+    """The DualState of row b of the numeric batched pass p; its flips are the row's picks with delta > 0."""
+    delta = p.delta[b].reshape(-1)
+    return DualState(omega, float(p.g[b]), [divmod(i, p.delta.shape[-1]) for i in p.picks[b].tolist() if delta[i] > 0])
 
 
 def dual_states(sp, params, bounds, budget, C, omega=None) -> list:

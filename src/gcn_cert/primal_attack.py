@@ -15,7 +15,7 @@ from .graph_core import SlicedProblem
 if TYPE_CHECKING:  # dual_cert imports this module
     from .dual_cert import DualState
 
-__all__ = ["Perturbation", "construct", "exact_margin", "construct_and_evaluate"]
+__all__ = ["Perturbation", "construct", "construct_and_evaluate"]
 
 
 @dataclass
@@ -26,11 +26,12 @@ class Perturbation:
     perturbed_attrs: np.ndarray
 
     def validate(self, budget: Budget, attrs: np.ndarray):
-        """Self if the flips keep to `budget`, each listed once, and toggle `attrs` into `perturbed_attrs`.
+        """Self if the flips lie in `attrs`, keep to `budget`, each listed once, and toggle it into `perturbed_attrs`.
 
-        No other entry may change; otherwise a ValueError.  `exact_margin`
+        No other entry may change; otherwise a ValueError.  `construct_and_evaluate`
         evaluates `perturbed_attrs`, so a non-robust status rests on this check.
         """
+        _check_inside(self.flips, np.shape(attrs))
         if len(self.flips) > budget.global_Q:
             raise ValueError("global budget exceeded")
         if self.flips and max(Counter(n for n, _ in self.flips).values()) > budget.local_q:
@@ -48,23 +49,24 @@ class Perturbation:
         return self
 
 
+def _check_inside(flips, shape):
+    """A ValueError if a flip lies outside `shape`: a negative index would wrap to the last row or column."""
+    N, D = shape
+    if not all(0 <= n < N and 0 <= d < D for n, d in flips):
+        raise ValueError("a flip lies outside the attribute matrix")
+
+
 def construct(dual: DualState, budget: Budget, attrs: np.ndarray) -> Perturbation:
-    """Flip the strictly-improving entries of the dual's selection set."""
-    flips = [(n, d) for (n, d) in dual.s_q if dual.delta[n, d] > 0]
+    """Toggle the dual's flips in a copy of `attrs`; a ValueError unless they are admissible under `budget`."""
+    _check_inside(dual.flips, np.shape(attrs))
     perturbed = np.asarray(attrs, dtype=np.float64).copy()
-    for n, d in flips:
+    for n, d in dual.flips:
         perturbed[n, d] = 1.0 - perturbed[n, d]
-    return Perturbation(flips=flips, perturbed_attrs=perturbed).validate(budget, attrs)
+    return Perturbation(flips=list(dual.flips), perturbed_attrs=perturbed).validate(budget, attrs)
 
 
-def exact_margin(sp: SlicedProblem, params, pert: Perturbation, y_star: int, y: int) -> float:
-    """Exact margin logit[y*] - logit[y] of the network on the perturbed attributes."""
+def construct_and_evaluate(sp: SlicedProblem, params, dual: DualState, budget: Budget, y_star: int, y: int) -> float:
+    """Exact margin logit[y*] - logit[y] of the network on the dual's flips, admitted by `construct`."""
+    pert = construct(dual, budget, sp.sliced_attrs)
     logits = grad.val(gcn.forward_sliced(sp, params, attrs_override=pert.perturbed_attrs).logits)
     return float(logits[y_star] - logits[y])
-
-
-def construct_and_evaluate(
-    sp: SlicedProblem, params, dual: DualState, budget: Budget, y_star: int, y: int
-) -> float:
-    """Exact margin logit[y*] - logit[y] of the constructed perturbation."""
-    return exact_margin(sp, params, construct(dual, budget, sp.sliced_attrs), y_star, y)

@@ -69,3 +69,26 @@ def test_tracer_sees_one_bound_computation_per_evaluated_curve_budget(monkeypatc
     spans = [tracer.names[row[0]] for row in tracer.spans]
     assert 0 < len(evaluated) < len(budgets)
     assert spans.count("bounds.compute_bounds") == spans.count("bounds.first_layer_bounds") == len(evaluated)
+
+
+def test_tracer_sees_one_primal_per_competing_class_of_an_attack(tmp_path, capsys):
+    """`gcn-cert attack` evaluates each competing class's flip set through the traced `construct_and_evaluate`."""
+    n, D, K = 12, 10, 3
+    rng = np.random.default_rng(1)
+    A = np.triu(rng.random((n, n)) < 0.25, 1)
+    X = rng.random((n, D)) < 0.3
+    edges, attrs, ckpt = tmp_path / "edges.tsv", tmp_path / "attrs.tsv", tmp_path / "model.npz"
+    edges.write_text("".join(f"{u}\t{v}\n" for u, v in zip(*np.nonzero(A))))
+    attrs.write_text("".join(f"{u}\t{d}\n" for u, d in zip(*np.nonzero(X))))
+    gcn.save_checkpoint(gcn.glorot_params([D, 8, K], seed=0), ckpt)
+    argv = ["attack", "--checkpoint", str(ckpt), "--edges", str(edges), "--attributes", str(attrs)]
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        with tracer.on():
+            assert gcn_cert.cli.main([*argv, "--node", "0", "--q", "1", "--Q", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[row[0]] for row in tracer.spans]
+    assert "flips=" in capsys.readouterr().out
+    assert spans.count("primal_attack.construct_and_evaluate") == K - 1

@@ -2,8 +2,8 @@
 
 `bench/workloads.py` re-derives every certificate through `dual_state`,
 `class_vector`, `optimize_omega` on one class vector, `primal_attack.construct`
-and `forward_sliced(...).logits`, and reads `DualState.value`, `.s_q` and
-`.delta`. Every workload loads its dataset with `cli.load_dataset` from the
+and `forward_sliced(...).logits`, and reads `DualState.value`,
+`Perturbation.flips` and `.perturbed_attrs`. Every workload loads its dataset with `cli.load_dataset` from the
 files `bench/fixtures.write_tsv` writes, and its checkpoint with
 `gcn.load_checkpoint` from the file `bench/fixtures.checkpoint` writes. A
 change to any of them fails here before it fails a benchmark run.

@@ -86,34 +86,56 @@ def test_delta_nonnegative_always(rng):
         assert np.all(delta >= 0.0)
 
 
+def _pairs(picks, D):
+    """The (node, feature) pairs of one row of closed_form_eta_rho's picks, in order."""
+    return [divmod(i, D) for i in picks.tolist()]
+
+
+def _positive(pairs, delta):
+    """The pairs whose delta entry is > 0, in order: the flips of a DualState whose picks are `pairs`."""
+    return [(n, d) for n, d in pairs if delta[n, d] > 0]
+
+
+def _states_from_closed_form(delta, budget):
+    """The DualStates `_state` builds for each row of the stack delta (B, n, D), from closed_form_eta_rho alone."""
+    eta, rho, picks, info = closed_form_eta_rho(delta, budget)
+    p = dual_cert._Pass({}, {}, delta, eta, rho, None, np.zeros(len(delta)), picks, info)
+    return [dual_cert._state(p, b, {}) for b in range(len(delta))]
+
+
 def _closed_form_row(delta, budget):
-    """(eta, rho, s_q) of closed_form_eta_rho on the one-row stack delta[None]."""
+    """(eta, rho, picks as pairs, flips) of closed_form_eta_rho on the one-row stack delta[None]."""
     eta, rho, picks, _ = closed_form_eta_rho(delta[None], budget)
-    return eta[0], rho[0], dual_cert._flip_pairs(picks[0], delta.shape[1])
+    (st_,) = _states_from_closed_form(delta[None], budget)
+    return eta[0], rho[0], _pairs(picks[0], delta.shape[1]), st_.flips
 
 
 def test_closed_form_eta_rho_examples():
     delta = np.array([[3.0, 1.0], [2.0, 0.0]])
-    eta, rho, s_q = _closed_form_row(delta, Budget(1, 1))
+    eta, rho, s_q, flips = _closed_form_row(delta, Budget(1, 1))
     assert rho == 3.0
     np.testing.assert_array_equal(eta, [0.0, 0.0])
-    assert s_q == [(0, 0)]
+    assert s_q == flips == [(0, 0)]
 
-    eta, rho, s_q = _closed_form_row(delta, Budget(1, 2))
+    eta, rho, s_q, flips = _closed_form_row(delta, Budget(1, 2))
     assert rho == 2.0
     np.testing.assert_array_equal(eta, [1.0, 0.0])
-    assert sorted(s_q) == [(0, 0), (1, 0)]
+    assert sorted(s_q) == [(0, 0), (1, 0)] and flips == s_q
+
+    # a pick with delta = 0 is not a flip
+    eta, rho, s_q, flips = _closed_form_row(np.array([[3.0, 1.0], [0.0, 0.0]]), Budget(1, 2))
+    assert s_q == [(0, 0), (1, 0)] and flips == [(0, 0)]
 
 
 def test_closed_form_eta_rho_degenerate():
     delta = np.zeros((2, 3))
-    eta, rho, s_q = _closed_form_row(delta, Budget(2, 2))
-    assert rho == 0.0 and np.all(eta == 0.0) and len(s_q) == 2
+    eta, rho, s_q, flips = _closed_form_row(delta, Budget(2, 2))
+    assert rho == 0.0 and np.all(eta == 0.0) and len(s_q) == 2 and flips == []
 
-    eta, rho, s_q = _closed_form_row(np.ones((2, 3)), Budget(0, 2))
-    assert rho == 0.0 and np.all(eta == 0.0) and s_q == []
-    eta, rho, s_q = _closed_form_row(np.ones((2, 3)), Budget(2, 0))
-    assert rho == 0.0 and np.all(eta == 0.0) and s_q == []
+    eta, rho, s_q, flips = _closed_form_row(np.ones((2, 3)), Budget(0, 2))
+    assert rho == 0.0 and np.all(eta == 0.0) and s_q == flips == []
+    eta, rho, s_q, flips = _closed_form_row(np.ones((2, 3)), Budget(2, 0))
+    assert rho == 0.0 and np.all(eta == 0.0) and s_q == flips == []
 
 
 def _reduced_dual(delta, eta, rho, q, Q):
@@ -134,7 +156,7 @@ def _reduced_dual(delta, eta, rho, q, Q):
 def test_closed_form_eta_rho_beats_breakpoint_grid(delta, q, Q):
     budget = Budget(q, Q)
     n, D = delta.shape
-    eta, rho, _ = _closed_form_row(delta, budget)
+    eta, rho, _, _ = _closed_form_row(delta, budget)
     qe, Qe = budget.effective_q(D), budget.effective_Q(n, D)
     best = _reduced_dual(delta, eta, rho, qe, Qe)
     for rho_c in np.concatenate([[0.0], delta.ravel()]):
@@ -195,11 +217,11 @@ def test_dual_state_invariants(rng):
     c = class_vector(0, 1, K)
     st_ = dual_state(sp, params, bnds, budget, c)
     p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope)
-    eta, rho, psi = p.eta[0], p.rho[0], p.psi[0]
+    eta, rho, psi, delta = p.eta[0], p.rho[0], p.psi[0], p.delta[0]
     assert np.all(eta >= 0.0) and rho >= 0.0
-    assert np.all(st_.delta >= 0.0)
-    np.testing.assert_array_equal(p.delta[0], st_.delta)
-    np.testing.assert_allclose(psi, np.maximum(st_.delta - eta[:, None] - rho, 0.0), atol=1e-12)
+    assert np.all(delta >= 0.0)
+    assert st_.value == p.g[0] and st_.flips == _positive(_pairs(p.picks[0], delta.shape[1]), delta)
+    np.testing.assert_allclose(psi, np.maximum(delta - eta[:, None] - rho, 0.0), atol=1e-12)
     for l, om in st_.omega.items():
         assert np.all((om >= 0.0) & (om <= 1.0))
 
@@ -573,27 +595,31 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
     others, C = competing_classes(y, K)
     np.testing.assert_array_equal(C, [class_vector(y, k, K) for k in others])
     states = dual_states(sp, params, bnds, budget, C)
+    # dual_states runs this pass: its rows hold each state's delta and picks
     p = dual_cert._dual_pass(sp, params, bnds, budget, C, bnds.slope)
-    _, _, _, info = closed_form_eta_rho(np.stack([st_.delta for st_ in states]), budget)
+    _, _, _, info = closed_form_eta_rho(p.delta, budget)
     for b, (c, st_) in enumerate(zip(C, states)):
         ref = _reference_dual_state(sp, params, bnds, budget, c)
         _, _, _, ref_info = _reference_closed_form_eta_rho(ref.delta, budget)
         assert isinstance(st_.value, float)
         _close(st_.value, ref.value)
-        assert st_.s_q == ref.s_q
+        assert _pairs(p.picks[b], D) == ref.s_q
+        assert st_.flips == _positive(ref.s_q, ref.delta)
         if ref_info["o_idx"] is None:
             assert info["o_idx"] is None and info["rho_idx"] is None
         else:
             np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
             assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
-        for got, want in [(p.eta[b], ref.eta), (p.rho[b], ref.rho), (st_.delta, ref.delta), (p.psi[b], ref.psi)]:
+        for got, want in [(p.eta[b], ref.eta), (p.rho[b], ref.rho), (p.delta[b], ref.delta), (p.psi[b], ref.psi)]:
             _close(got, want)
         for l in ref.phi:
             _close(p.phi[l][b], ref.phi[l])
         for l in ref.phi_hat:
             _close(p.phi_hat[l][b], ref.phi_hat[l])
         np.testing.assert_array_equal(-p.phi[sp.layer_count][b], ref.c[None])
-        assert dual_state(sp, params, bnds, budget, c).s_q == ref.s_q
+        one = dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope)
+        assert _pairs(one.picks[0], D) == ref.s_q
+        assert dual_state(sp, params, bnds, budget, c).flips == _positive(ref.s_q, ref.delta)
 
     # tape gradients in the parameters (training) of a random mix of classes,
     # through the margin vector p = -g(e_y - e_k)
@@ -667,12 +693,14 @@ def test_relaxation_and_single_class_pass_equal_reference_bitwise():
         for k in range(1, K):
             c = class_vector(0, k, K)
             st_, ref = dual_state(sp, params, bnds, budget, c), _reference_dual_state(sp, params, bnds, budget, c)
-            assert st_.value == ref.value and st_.s_q == ref.s_q
+            # dual_state runs this pass: its row holds the state's delta and picks
             p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], bnds.slope)
+            assert st_.value == ref.value and _pairs(p.picks[0], sp.sliced_attrs.shape[1]) == ref.s_q
+            assert st_.flips == _positive(ref.s_q, ref.delta)
             for got, want in [(p.phi, ref.phi), (p.phi_hat, ref.phi_hat)]:
                 for l in want:
                     np.testing.assert_array_equal(got[l][0], want[l])
-            for got, want in [(st_.delta, ref.delta), (p.eta[0], ref.eta), (p.rho[0], ref.rho), (p.psi[0], ref.psi)]:
+            for got, want in [(p.delta[0], ref.delta), (p.eta[0], ref.eta), (p.rho[0], ref.rho), (p.psi[0], ref.psi)]:
                 np.testing.assert_array_equal(got, want)
 
 
@@ -691,10 +719,12 @@ def test_closed_form_eta_rho_batched_matches_reference_on_ties():
         delta = rng.integers(0, 3, size=(B, n, D)).astype(float)
         budget = Budget(int(rng.integers(0, D + 2)), int(rng.integers(0, n * D + 2)))
         eta, rho, picks, info = closed_form_eta_rho(delta, budget)
+        states = _states_from_closed_form(delta, budget)
         for b in range(B):
             e, r, s, ref_info = _reference_closed_form_eta_rho(delta[b], budget)
             np.testing.assert_array_equal(eta[b], e)
-            assert rho[b] == r and dual_cert._flip_pairs(picks[b], D) == s
+            assert rho[b] == r and _pairs(picks[b], D) == s
+            assert states[b].flips == _positive(s, delta[b])
             if ref_info["o_idx"] is not None:
                 np.testing.assert_array_equal(info["o_idx"][b] - b * n * D, ref_info["o_idx"])
                 assert info["rho_idx"][b] - b * n * D == ref_info["rho_idx"]
@@ -736,21 +766,37 @@ def _reference_optimize_omega(sp, params, bounds, budget, c, steps=dual_cert.PGA
     return best
 
 
+def _record_state_rows(mp):
+    """A list that gets (picks, delta) of the pass row behind each DualState `dual_cert._state` builds under `mp`."""
+    rows, state = [], dual_cert._state
+
+    def record(p, b, omega):
+        rows.append((p.picks[b], p.delta[b]))
+        return state(p, b, omega)
+
+    mp.setattr(dual_cert, "_state", record)
+    return rows
+
+
 def _assert_pga_matches_reference(sp, params, bnds, budget, C, steps):
-    states = optimize_omega(sp, params, bnds, budget, C, steps=steps)
-    assert len(states) == len(C)
-    for c, st_ in zip(C, states):
+    D = sp.sliced_attrs.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _record_state_rows(mp)
+        states = optimize_omega(sp, params, bnds, budget, C, steps=steps)
+    assert len(states) == len(rows) == len(C)
+    for c, st_, (picks, delta) in zip(C, states, rows):
         ref = _reference_optimize_omega(sp, params, bnds, budget, c, steps=steps)
         assert isinstance(st_.value, float)
         _close(st_.value, ref.value)
-        assert st_.s_q == ref.s_q
+        assert _pairs(picks, D) == ref.s_q
+        assert st_.flips == _positive(ref.s_q, ref.delta)
         assert st_.omega.keys() == ref.omega.keys()
         for l in ref.omega:
             _close(st_.omega[l], ref.omega[l])
         # the pass at the state's Omega: row 0 holds its eta, rho and psi
         p = dual_cert._dual_pass(sp, params, bnds, budget, c[None], st_.omega)
         _close(p.g[0], st_.value)
-        for got, want in [(p.eta[0], ref.eta), (p.rho[0], ref.rho), (st_.delta, ref.delta), (p.psi[0], ref.psi)]:
+        for got, want in [(p.eta[0], ref.eta), (p.rho[0], ref.rho), (delta, ref.delta), (p.psi[0], ref.psi)]:
             _close(got, want)
         np.testing.assert_array_equal(-p.phi[sp.layer_count][0], ref.c[None])
     # the one-class form runs the same ascent
@@ -800,16 +846,20 @@ def test_optimize_omega_matches_taped_reference_on_forced_ties(steps):
 
 
 def test_dual_states_and_pga_are_bitwise_equal_with_and_without_argmax_peeling(monkeypatch, peel_calls):
-    """certify-pga shape (n = 6, D = 300, q = 3): `top_k`'s argmax peeling changes no value, Omega, delta or s_q."""
+    """certify-pga shape (n = 6, D = 300, q = 3): `top_k`'s argmax peeling changes no value, Omega, delta, pick or flip."""
     rng = np.random.default_rng(18)
     sp, params = forced_tie_slice(rng, n=6, M=4, D=300, h=32, K=7)
     budget = Budget(3, 12)
     bnds = compute_bounds(sp, params, budget)
     assert bnds.cross[2].any()
     _, C = competing_classes(2, 7)
+    rows = _record_state_rows(monkeypatch)
 
     def run():
-        return dual_states(sp, params, bnds, budget, C) + optimize_omega(sp, params, bnds, budget, C)
+        """Each state with the picks and delta of its pass row."""
+        rows.clear()
+        states = dual_states(sp, params, bnds, budget, C) + optimize_omega(sp, params, bnds, budget, C)
+        return list(zip(states, list(rows), strict=True))
 
     on = run()
     n_peeled = len(peel_calls)
@@ -821,9 +871,10 @@ def test_dual_states_and_pga_are_bitwise_equal_with_and_without_argmax_peeling(m
         a = np.asarray(a)
         return a.dtype, a.shape, a.tobytes()
 
-    for got, want in zip(on, off, strict=True):
-        assert bits(got.value) == bits(want.value) and bits(got.delta) == bits(want.delta)
-        assert got.s_q == want.s_q and got.omega.keys() == want.omega.keys()
+    for (got, (got_picks, got_delta)), (want, (want_picks, want_delta)) in zip(on, off, strict=True):
+        assert bits(got.value) == bits(want.value) and bits(got_delta) == bits(want_delta)
+        assert bits(got_picks) == bits(want_picks) and got.flips == want.flips
+        assert got.omega.keys() == want.omega.keys()
         for l in want.omega:
             assert bits(got.omega[l]) == bits(want.omega[l])
 
@@ -1022,17 +1073,19 @@ def test_omega_gradient_from_picks_equals_dense_sweep():
 
 
 def test_optimize_omega_same_with_dense_gradient_sweep(monkeypatch):
-    """certify-pga shape forced ties: Omega-PGA reaches the same values, Omega and s_q with the dense sweep."""
+    """certify-pga shape forced ties: Omega-PGA reaches the same values, Omega, picks and flips with the dense sweep."""
     sp, params = forced_tie_slice(np.random.default_rng(43), n=30, M=9, D=300, h=32, K=7)
     budget = Budget(3, 12)
     bnds = compute_bounds(sp, params, budget)
     assert bnds.cross[2].any()
     _, C = competing_classes(2, 7)
+    rows = _record_state_rows(monkeypatch)
     picks = optimize_omega(sp, params, bnds, budget, C)
     monkeypatch.setattr(dual_cert, "_omega_gradient", _reference_omega_gradient)
     dense = optimize_omega(sp, params, bnds, budget, C)
-    for got, want in zip(picks, dense, strict=True):
-        assert got.value == want.value and got.s_q == want.s_q
+    assert len(rows) == 2 * len(C)
+    for got, want, (got_picks, _), (want_picks, _) in zip(picks, dense, rows[: len(C)], rows[len(C) :], strict=True):
+        assert got.value == want.value and np.array_equal(got_picks, want_picks) and got.flips == want.flips
         for l in want.omega:
             np.testing.assert_array_equal(got.omega[l], want.omega[l])
 

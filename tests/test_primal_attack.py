@@ -3,31 +3,64 @@ import pytest
 
 from gcn_cert import dual_cert, gcn, oracle
 from gcn_cert.bounds import Budget, compute_bounds
-from gcn_cert.dual_cert import DualState, class_vector, dual_state
+from gcn_cert.dual_cert import DualState, class_vector, competing_classes, dual_state, dual_states
 from gcn_cert.primal_attack import Perturbation, construct, construct_and_evaluate
 
 from conftest import random_tiny_instance
 
 
-def _dual_with(delta, s_q, attrs):
-    return DualState(omega={}, delta=delta, value=0.0, s_q=s_q)
-
-
-def test_construct_zero_delta_is_identity():
-    attrs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    delta = np.zeros((2, 2))
-    pert = construct(_dual_with(delta, [(0, 0), (1, 1)], attrs), Budget(1, 2), attrs)
+def test_construct_zero_delta_is_identity(rng):
+    """c = 0 makes every delta entry 0: the state's picks hold no flip, and construct changes nothing."""
+    sp, params, _ = random_tiny_instance(rng)
+    budget = Budget(1, 2)
+    bnds = compute_bounds(sp, params, budget)
+    C = np.zeros((1, params.dims[-1]))
+    p = dual_cert._dual_pass(sp, params, bnds, budget, C, bnds.slope)
+    assert p.picks.shape == (1, 2) and not p.delta.any()
+    (st,) = dual_states(sp, params, bnds, budget, C)
+    assert st.flips == []
+    pert = construct(st, budget, sp.sliced_attrs)
     assert pert.flips == []
-    np.testing.assert_array_equal(pert.perturbed_attrs, attrs)
+    np.testing.assert_array_equal(pert.perturbed_attrs, sp.sliced_attrs)
 
 
-def test_construct_keeps_strictly_positive_selected_entries():
-    attrs = np.zeros((2, 2))
-    delta = np.array([[3.0, 1.0], [2.0, 0.0]])
-    pert = construct(_dual_with(delta, [(0, 0)], attrs), Budget(1, 1), attrs)
-    assert pert.flips == [(0, 0)]
-    assert pert.perturbed_attrs[0, 0] == 1.0
-    assert pert.perturbed_attrs.sum() == 1.0
+def test_construct_keeps_strictly_positive_selected_entries(rng):
+    """With every entry picked (q = D, Q = n*D), a state's flips are its picks with delta > 0, in pick order,
+    and construct toggles exactly those."""
+    zero_picks = flips_seen = 0
+    for _ in range(20):
+        sp, params, _ = random_tiny_instance(rng)
+        X = sp.sliced_attrs
+        n, D = X.shape
+        budget = Budget(D, n * D)
+        bnds = compute_bounds(sp, params, budget)
+        _, C = competing_classes(0, params.dims[-1])
+        p = dual_cert._dual_pass(sp, params, bnds, budget, C, bnds.slope)
+        for b, st in enumerate(dual_states(sp, params, bnds, budget, C)):
+            pairs = [divmod(i, D) for i in p.picks[b].tolist()]
+            assert st.flips == [(i, d) for i, d in pairs if p.delta[b, i, d] > 0]
+            zero_picks += len(pairs) - len(st.flips)
+            flips_seen += len(st.flips)
+            pert = construct(st, budget, X)
+            assert pert.flips == st.flips
+            toggled = np.zeros(X.shape, dtype=bool)
+            toggled[tuple(np.array(st.flips, dtype=np.intp).reshape(-1, 2).T)] = True
+            np.testing.assert_array_equal(pert.perturbed_attrs, np.where(toggled, 1.0 - X, X))
+    assert zero_picks > 0 and flips_seen > 0
+
+
+@pytest.mark.parametrize("flip", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2)])
+def test_a_flip_outside_the_attributes_is_rejected(flip):
+    """A negative flip must not wrap to the last row or column, and one past the shape is a ValueError too."""
+    attrs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    wrapped = attrs.copy()
+    if max(flip) < 2:
+        wrapped[flip] = 1.0 - wrapped[flip]
+    with pytest.raises(ValueError, match="outside the attribute matrix"):
+        Perturbation([flip], wrapped).validate(Budget(2, 2), attrs)
+    with pytest.raises(ValueError, match="outside the attribute matrix"):
+        construct(DualState(omega={}, value=0.0, flips=[flip]), Budget(2, 2), attrs)
+    np.testing.assert_array_equal(attrs, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_construct_empty_budget(rng):
