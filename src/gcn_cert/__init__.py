@@ -1,6 +1,6 @@
 """Certifiable robustness of graph convolutional networks to L0-bounded
-binary attribute perturbations: dual certificates, exact oracles, primal
-attacks, and robust training."""
+binary attribute perturbations: dual certificates, primal attacks, and
+robust training."""
 
 from .bounds import ActivationBounds, Budget, compute_bounds
 from .dual_cert import (

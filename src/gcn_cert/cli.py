@@ -27,7 +27,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import dual_cert, gcn, grad, oracle, primal_attack, robust_train
+from . import dual_cert, gcn, primal_attack, robust_train
 from .bounds import Budget, compute_bounds, flip_table
 from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
@@ -532,58 +531,6 @@ def cmd_attack(args):
     return 0
 
 
-def cmd_oracle_verify(args):
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    failures = 0
-    for i in range(args.instances):
-        spr, params, budget = oracle.random_tiny_instance(rng)
-        y_star = gcn.predict(gcn.forward_sliced(spr, params))
-        K = params.dims[-1]
-        bnds = compute_bounds(spr, params, budget)
-        others, C = dual_cert.competing_classes(y_star, K)
-        states = dual_cert.dual_states(spr, params, bnds, budget, C)
-        opts = dual_cert.optimize_omega(spr, params, bnds, budget, C, steps=args.pga_steps)
-        for k, c, st, opt in zip(others, C, states, opts):
-            lp_val = oracle.solve_lp(oracle.build_primal_lp(spr, params, bnds, budget, c))[0]
-            exact = oracle.enumerate_exact_margin(spr, params, budget, y_star, k)
-            primal = primal_attack.construct_and_evaluate(spr, params, st, budget, y_star, k)
-            chain = [st.value, opt.value, lp_val, exact, primal]
-            for a, b in zip(chain, chain[1:]):
-                gap = a - b
-                worst = max(worst, gap)
-                if gap > args.tol:
-                    failures += 1
-                    print(
-                        f"instance {i} class {k}: ordering violated: "
-                        f"default={st.value!r} pga={opt.value!r} lp={lp_val!r} "
-                        f"exact={exact!r} primal={primal!r}"
-                    )
-                    break
-    print(f"instances={args.instances} failures={failures} worst_gap={worst!r}")
-    return 1 if failures else 0
-
-
-def cmd_grad_check(args):
-    rng = np.random.default_rng(args.seed)
-    worst = {}
-    for mode in ("CE", "RCE", "RH", "RH_U"):
-        errs = []
-        for _ in range(args.draws):
-            graph, params, budget = oracle.random_tiny_graph(rng)
-            tc = robust_train.TrainConfig(mode=mode, budget=budget, hidden_dims=tuple(params.dims[1:-1]))
-            trainer = robust_train.Trainer(graph, tc)
-            batch = [int(t) for t in trainer.labeled]
-            if mode == "RH_U" and len(trainer.unlabeled):
-                batch.append(int(trainer.unlabeled[0]))
-            errs.append(
-                grad.finite_difference_check(lambda p: trainer.batch_loss(batch, p), params, rng=rng, num_coords=4)
-            )
-        worst[mode] = float(max(errs, default=0.0))
-        print(f"{mode}: max relative error {worst[mode]!r} over {args.draws} draws")
-    return 0 if max(worst.values()) <= args.tol else 1
-
-
 # -- entry point -----------------------------------------------------------
 
 
@@ -597,17 +544,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _at_least(low, flag, convert=int):
-    """An argparse `type=` for `flag`: a finite `convert` value >= `low`, else a CliError."""
-    finite = " and finite" if convert is float else ""
+def _at_least(low, flag):
+    """An argparse `type=` for `flag`: an int >= `low`, else a CliError."""
 
     def parse(text):
-        value = convert(text)
-        if not low <= value < math.inf:
-            raise CliError(f"{flag} must be >= {low}{finite}, got {value}")
+        value = int(text)
+        if value < low:
+            raise CliError(f"{flag} must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -659,22 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
     p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser(
-        "oracle-verify",
-        help="check dual <= PGA <= LP <= exact <= primal on random tiny instances",
-    )
-    p.add_argument("--instances", type=_at_least(0, "--instances"), default=20)
-    p.add_argument("--seed", type=_at_least(0, "--seed"), default=0)
-    p.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-6)
-    p.add_argument("--pga-steps", dest="pga_steps", type=_at_least(0, "--pga-steps"), default=50)
-    p.set_defaults(func=cmd_oracle_verify)
-
-    p = sub.add_parser("grad-check", help="finite-difference check of every loss")
-    p.add_argument("--draws", type=_at_least(0, "--draws"), default=5)
-    p.add_argument("--seed", type=_at_least(0, "--seed"), default=0)
-    p.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-4)
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 

@@ -35,7 +35,6 @@ __all__ = [
     "log_softmax_entry",
     "backward",
     "gradient",
-    "finite_difference_check",
 ]
 
 
@@ -110,17 +109,37 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _parents(*pairs):
-    """The (operand, VJP) pairs whose operand is a Var, in the order given."""
-    return [(x, vjp) for x, vjp in pairs if is_var(x)]
+def _parents(*operands):
+    """The (Var, VJP) pairs of an op from its (operand, d, other) triples, in the order given.
+
+    Only a Var operand gets a VJP: g -> d(g, other) summed down to the
+    operand's shape.  A constant operand gets none.
+    """
+    return [(x, lambda g, d=d, o=other, sh=x.value.shape: _unbroadcast(d(g, o), sh))
+            for x, d, other in operands if isinstance(x, Var)]
+
+
+def _same(g, _):
+    return g
+
+
+def _by_denominator(g, fraction):
+    n, d = fraction
+    return -g * n / (d * d)
+
+
+# leading batch axes of the other operand are summed out by _unbroadcast
+def _matmul_left(g, right):
+    return g @ right.swapaxes(-1, -2)
+
+
+def _matmul_right(g, left):
+    return left.swapaxes(-1, -2) @ g
 
 
 def _add(a, b):
     av, bv = val(a), val(b)
-    return Var(av + bv, _parents(
-        (a, lambda g, sh=av.shape: _unbroadcast(g, sh)),
-        (b, lambda g, sh=bv.shape: _unbroadcast(g, sh)),
-    ))
+    return Var(av + bv, _parents((a, _same, None), (b, _same, None)))
 
 
 def _neg(a):
@@ -131,30 +150,20 @@ def _neg(a):
 
 def _mul(a, b):
     av, bv = val(a), val(b)
-    return Var(av * bv, _parents(
-        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh)),
-        (b, lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh)),
-    ))
+    return Var(av * bv, _parents((a, np.multiply, bv), (b, np.multiply, av)))
 
 
 def _div(a, b):
     """a / b for a Var a (only `Var.__truediv__` calls this)."""
     av, bv = a.value, val(b)
-    return Var(av / bv, _parents(
-        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh)),
-        (b, lambda g, n=av, d=bv, sh=bv.shape: _unbroadcast(-g * n / (d * d), sh)),
-    ))
+    return Var(av / bv, _parents((a, np.divide, bv), (b, _by_denominator, (av, bv))))
 
 
 def matmul(a, b):
     if not (is_var(a) or is_var(b)):
         return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
     av, bv = val(a), val(b)
-    # leading batch axes of the other operand are summed out of the VJP
-    return Var(av @ bv, _parents(
-        (a, lambda g, o=bv, sh=av.shape: _unbroadcast(g @ o.swapaxes(-1, -2), sh)),
-        (b, lambda g, o=av, sh=bv.shape: _unbroadcast(o.swapaxes(-1, -2) @ g, sh)),
-    ))
+    return Var(av @ bv, _parents((a, _matmul_left, bv), (b, _matmul_right, av)))
 
 
 def transpose(a):
@@ -300,35 +309,3 @@ def gradient(loss_closure, params):
     gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in w_vars]
     gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in b_vars]
     return float(loss.value), replace(params, weights=gw, biases=gb)
-
-
-def finite_difference_check(loss_closure, params, rng=None, num_coords=10, eps=1e-6):
-    """Max relative error of analytic vs central-difference derivatives.
-
-    Samples `num_coords` parameter coordinates uniformly.  The relative
-    error uses max(1, |fd|, |analytic|) as denominator so tiny matching
-    derivatives do not blow it up.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    _, grads = gradient(loss_closure, params)
-    tensors = list(params.weights) + list(params.biases)
-    gtensors = list(grads.weights) + list(grads.biases)
-    sizes = np.array([t.size for t in tensors])
-    flat_total = int(sizes.sum())
-    worst = 0.0
-    for _ in range(num_coords):
-        flat = int(rng.integers(flat_total))
-        ti = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))
-        local = flat - int(np.cumsum(sizes)[ti - 1]) if ti > 0 else flat
-        t = tensors[ti]
-        orig = t.flat[local]
-        t.flat[local] = orig + eps
-        hi = float(val(loss_closure(params)))
-        t.flat[local] = orig - eps
-        lo = float(val(loss_closure(params)))
-        t.flat[local] = orig
-        fd = (hi - lo) / (2.0 * eps)
-        an = gtensors[ti].flat[local]
-        rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
-        worst = max(worst, rel)
-    return worst

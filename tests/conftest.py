@@ -1,5 +1,5 @@
-"""Shared fixtures: tiny random instances, small hand-built graphs, forced-tie slices, a Graph comparison and
-checkpoints with a hand-made `w0.npy` member."""
+"""Shared fixtures: small hand-built graphs, forced-tie slices, a Graph comparison and checkpoints with a
+hand-made `w0.npy` member.  Tiny random instances come from the test helper `oracle`."""
 
 import io
 import zipfile
@@ -10,7 +10,6 @@ import pytest
 from gcn_cert import bounds
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
-from gcn_cert.oracle import random_tiny_graph, random_tiny_instance  # noqa: F401  (re-exported)
 
 
 def path_graph():

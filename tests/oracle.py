@@ -2,8 +2,9 @@
 
 Everything here is a test fixture: seeded tiny random instances,
 brute-force enumeration of the exact worst-case margin, the explicit
-linear program of the relaxation solved by SciPy's HiGHS, and the
-optimality checks for the closed-form budget duals.
+linear program of the relaxation solved by SciPy's HiGHS, the
+optimality checks for the closed-form budget duals, and a
+central-difference check of tape gradients.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import gcn, grad
-from .bounds import CROSSING, NONNEG, Budget
-from .gcn import GcnParams
-from .graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
+from gcn_cert import gcn, grad
+from gcn_cert.bounds import CROSSING, NONNEG, Budget
+from gcn_cert.dual_cert import closed_form_eta_rho
+from gcn_cert.gcn import GcnParams
+from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 
 __all__ = [
     "LpModel",
@@ -31,6 +34,7 @@ __all__ = [
     "check_eta_rho_optimality",
     "random_tiny_graph",
     "random_tiny_instance",
+    "finite_difference_check",
 ]
 
 MAX_LP_VARIABLES = 300
@@ -50,7 +54,7 @@ class LpModel:
 
 
 # ---------------------------------------------------------------------------
-# tiny random instances (tests, oracle-verify, grad-check)
+# tiny random instances
 
 
 def random_tiny_graph(rng, all_labeled=False, hidden_layers=1):
@@ -273,8 +277,6 @@ def solve_lp(model: LpModel):
     attains the LP optimum.  Raises RuntimeError with HiGHS's message
     when the LP is infeasible, unbounded or not solved.
     """
-    from scipy.optimize import linprog  # here, so importing the CLI does not load scipy.optimize
-
     rows = {}
     if model.a_eq.size:
         rows.update(A_eq=model.a_eq, b_eq=model.b_eq)
@@ -348,8 +350,6 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
 
     Returns (ok, lp_optimum, greedy_value, h_value).
     """
-    from .dual_cert import closed_form_eta_rho
-
     delta = np.asarray(delta, dtype=np.float64)
     if (delta < 0).any():
         raise ValueError("delta must be nonnegative")
@@ -378,3 +378,39 @@ def check_eta_rho_optimality(delta, budget: Budget, tol=1e-9):
         h = float(np.maximum(delta - eta[:, None] - rho, 0.0).sum() + q * eta.sum() + Q * rho)
     ok = abs(greedy - lp_opt) <= tol and abs(h - lp_opt) <= tol
     return ok, lp_opt, greedy, h
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+
+
+def finite_difference_check(loss_closure, params, rng=None, num_coords=10, eps=1e-6):
+    """Max relative error of analytic vs central-difference derivatives.
+
+    Samples `num_coords` parameter coordinates uniformly.  The relative
+    error uses max(1, |fd|, |analytic|) as denominator so tiny matching
+    derivatives do not blow it up.
+    """
+    rng = np.random.default_rng() if rng is None else rng
+    _, grads = grad.gradient(loss_closure, params)
+    tensors = list(params.weights) + list(params.biases)
+    gtensors = list(grads.weights) + list(grads.biases)
+    sizes = np.array([t.size for t in tensors])
+    flat_total = int(sizes.sum())
+    worst = 0.0
+    for _ in range(num_coords):
+        flat = int(rng.integers(flat_total))
+        ti = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))
+        local = flat - int(np.cumsum(sizes)[ti - 1]) if ti > 0 else flat
+        t = tensors[ti]
+        orig = t.flat[local]
+        t.flat[local] = orig + eps
+        hi = float(grad.val(loss_closure(params)))
+        t.flat[local] = orig - eps
+        lo = float(grad.val(loss_closure(params)))
+        t.flat[local] = orig
+        fd = (hi - lo) / (2.0 * eps)
+        an = gtensors[ti].flat[local]
+        rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
+        worst = max(worst, rel)
+    return worst

@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from gcn_cert import dual_cert, gcn, grad, oracle, primal_attack, robust_train
+from gcn_cert import dual_cert, gcn, primal_attack, robust_train
 from gcn_cert.bounds import Budget, compute_bounds, first_layer_bounds
 from gcn_cert.dual_cert import class_vector, closed_form_eta_rho, dual_state, optimize_omega
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
 from gcn_cert.robust_train import TrainConfig, Trainer
 
-from conftest import random_tiny_graph, random_tiny_instance
+import oracle
+from oracle import random_tiny_graph, random_tiny_instance
 
 
 def _random_class_pair(rng, sp, params):
@@ -136,7 +137,7 @@ def test_acceptance_5_loss_gradients_match_finite_differences(mode):
         if mode == "RH_U" and len(trainer.unlabeled):
             batch.append(int(trainer.unlabeled[0]))
         closure = lambda p: trainer.batch_loss(batch, p)
-        err = grad.finite_difference_check(closure, params, rng=rng, num_coords=2)
+        err = oracle.finite_difference_check(closure, params, rng=rng, num_coords=2)
         if err > 1e-4:
             # non-kink draws only: an isolated mismatch means the stencil
             # straddled a kink, so the draw is re-sampled; a systematic

@@ -11,7 +11,7 @@ import gcn_cert.cli  # noqa: F401  (the tracer wraps names in every gcn_cert mod
 from gcn_cert import dual_cert, gcn
 from gcn_cert.bounds import Budget
 
-from conftest import random_tiny_instance
+from oracle import random_tiny_instance
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

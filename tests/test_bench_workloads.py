@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from conftest import assert_graphs_equal
-from gcn_cert import Budget, cli, dual_cert, gcn, oracle, robust_train
+from gcn_cert import Budget, cli, dual_cert, gcn, robust_train
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

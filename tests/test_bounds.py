@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from gcn_cert import bounds, gcn, grad, oracle
+from gcn_cert import bounds, gcn, grad
 from gcn_cert.bounds import (
     CROSSING,
     NONNEG,
@@ -19,7 +19,9 @@ from gcn_cert.bounds import (
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, first_layer_nodes, slice_problem
 
-from conftest import forced_tie_slice, random_tiny_graph, random_tiny_instance, single_node_problem
+import oracle
+from conftest import forced_tie_slice, single_node_problem
+from oracle import random_tiny_instance
 
 
 def _enumerated_range(sp, params, budget):

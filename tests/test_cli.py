@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 import gcn_cert
 from conftest import assert_graphs_equal, lying_npy, write_checkpoint_with_w0
-from gcn_cert import cli, dual_cert, gcn, oracle, robust_train
+from gcn_cert import cli, dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
@@ -1125,8 +1125,8 @@ def test_certification_commands_reject_workers_below_one(tmp_path, dataset, chec
         ("q_not_int", "gcn-cert certify: argument --q: invalid int value: 'x'"),
         ("mode_fast", "gcn-cert certify: argument --mode: invalid choice: 'fast'"),
         ("workers_not_int", "gcn-cert curve: argument --workers: invalid int value: '2.5'"),
-        ("tol_not_float", "gcn-cert grad-check: argument --tol: invalid float value: 'tiny'"),
         ("no_command", "gcn-cert: the following arguments are required: command"),
+        ("removed_command", "gcn-cert: argument command: invalid choice: 'oracle-verify'"),
         ("unknown_flag", "gcn-cert: unrecognized arguments: --fast"),
         ("repeated_config_key", "train.cfg:11: key 'seed' given again (first on line 10)"),
     ],
@@ -1139,8 +1139,8 @@ def test_usage_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, 
         "q_not_int": ["certify", *model, "--Q", "1", "--q", "x"],
         "mode_fast": ["certify", *model, "--Q", "1", "--mode", "fast"],
         "workers_not_int": [*curve, "--Q-max", "1", "--workers", "2.5"],
-        "tol_not_float": ["grad-check", "--tol", "tiny"],
         "no_command": [],
+        "removed_command": ["oracle-verify"],
         "unknown_flag": ["certify", *model, "--Q", "1", "--fast"],
         "repeated_config_key": ["train", _train_cfg(tmp_path, dataset, extra="seed = 1\nseed = 2\n")[0]],
     }[case]
@@ -1152,7 +1152,6 @@ def test_usage_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, 
     "case, message",
     [
         ("curve_Q", "gcn-cert curve: the following arguments are required: --Q-max"),
-        ("oracle_inst_pga", "gcn-cert: unrecognized arguments: --inst 3 --pga 2"),
         ("certify_use", "gcn-cert: unrecognized arguments: --use"),
     ],
 )
@@ -1161,7 +1160,6 @@ def test_abbreviated_flags_are_unknown(tmp_path, dataset, checkpoint, capsys, ca
     model = ["--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1"]
     argv = {
         "curve_Q": ["curve", *model, "--output", str(tmp_path / "c.csv"), "--Q", "1"],
-        "oracle_inst_pga": ["oracle-verify", "--inst", "3", "--pga", "2"],
         "certify_use": ["certify", *model, "--Q", "1", "--use"],
     }[case]
     assert message in _assert_one_line_error(main(argv), capsys)
@@ -1347,54 +1345,6 @@ def test_cmd_attack_output_is_unchanged(tmp_path, capsys):
         "node=10 y_star=1 strongest_class=0 margin=-0.0454122490223646\n"
         "flips=[(10, 0)]\nprediction flipped\n"
     )
-
-
-# -- verification commands -------------------------------------------------
-
-
-def test_cmd_oracle_verify_passes(capsys):
-    rc = main(["oracle-verify", "--instances", "3", "--seed", "0", "--pga-steps", "10"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "failures=0" in out
-
-
-def test_cmd_oracle_verify_reports_an_ordering_violation(capsys, monkeypatch):
-    """An LP value above the exact margin breaks the chain: one "ordering violated" line per class and exit 1."""
-    solve_lp = oracle.solve_lp
-    monkeypatch.setattr(oracle, "solve_lp", lambda model: (solve_lp(model)[0] + 1.0, *solve_lp(model)[1:]))
-    assert main(["oracle-verify", "--instances", "2", "--seed", "0", "--pga-steps", "5"]) == 1
-    *violations, summary = capsys.readouterr().out.splitlines()
-    assert violations and all(re.fullmatch(r"instance \d class \d: ordering violated: default=.* lp=.*", line)
-                              for line in violations)
-    assert summary.startswith(f"instances=2 failures={len(violations)} worst_gap=")
-
-
-def test_cmd_grad_check_passes(capsys):
-    rc = main(["grad-check", "--draws", "2", "--seed", "0"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    for mode in ("CE", "RCE", "RH", "RH_U"):
-        assert f"{mode}: max relative error" in out
-    assert "np.float64" not in out
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["oracle-verify", "--instances", "-1"], "--instances"),
-        (["oracle-verify", "--instances", "1", "--pga-steps", "-5"], "--pga-steps"),
-        (["grad-check", "--draws", "-2"], "--draws"),
-        (["oracle-verify", "--instances", "1", "--tol", "nan"], "--tol"),
-        (["oracle-verify", "--instances", "1", "--tol=-1"], "--tol"),
-        (["grad-check", "--draws", "1", "--tol", "nan"], "--tol"),
-        (["grad-check", "--draws", "1", "--tol=-1"], "--tol"),
-        (["oracle-verify", "--instances", "1", "--seed", "-1"], "--seed"),
-        (["grad-check", "--draws", "1", "--seed", "-1"], "--seed"),
-    ],
-)
-def test_verification_commands_reject_negative_counts(argv, flag, capsys):
-    assert f"{flag} must be >= 0" in _assert_one_line_error(main(argv), capsys)
 
 
 def test_cli_import_does_not_load_scipy_optimize():

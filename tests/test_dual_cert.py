@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcn_cert import bounds, dual_cert, gcn, grad, oracle, primal_attack
+from gcn_cert import bounds, dual_cert, gcn, grad, primal_attack
 from gcn_cert.bounds import CROSSING, NONNEG, ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
     DualState,
@@ -29,7 +29,9 @@ from gcn_cert.dual_cert import (
     status_curve,
 )
 
-from conftest import forced_tie_slice, random_tiny_instance
+import oracle
+from conftest import forced_tie_slice
+from oracle import random_tiny_instance
 
 
 def _bounds_from(R, S):

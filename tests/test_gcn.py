@@ -8,7 +8,8 @@ from gcn_cert import gcn
 from gcn_cert.gcn import GcnParams, cross_entropy, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
 from gcn_cert.graph_core import build_message_passing, slice_problem
 
-from conftest import lying_npy, random_tiny_graph, single_node_problem, write_checkpoint_with_w0
+from conftest import lying_npy, single_node_problem, write_checkpoint_with_w0
+from oracle import random_tiny_graph
 
 
 def test_forward_zero_params_gives_zero_logits():

@@ -4,9 +4,9 @@ import pytest
 from gcn_cert import dual_cert, gcn, grad
 from gcn_cert.bounds import compute_bounds
 from gcn_cert.gcn import GcnParams
-from gcn_cert.grad import Var, backward, finite_difference_check, gradient
+from gcn_cert.grad import Var, backward, gradient
 
-from conftest import random_tiny_instance
+from oracle import finite_difference_check, random_tiny_instance
 
 
 def _scalar_fd(fn, x, eps=1e-6):
@@ -89,6 +89,31 @@ def test_broadcasting_gradients(rng):
     backward(grad.asum(va * vb))
     np.testing.assert_allclose(va.grad, np.broadcast_to(b, (3, 4)).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(vb.grad, np.broadcast_to(a, (3, 4)).sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "op, var_a, var_b",
+    [(op, var_a, var_b) for op in ("add", "mul", "div", "matmul")
+     for var_a, var_b in ((True, True), (True, False), (False, True)) if var_a or op != "div"],  # only a Var divides
+)
+def test_binary_ops_record_each_var_operand_with_its_vjp(rng, op, var_a, var_b):
+    """A binary op's parents are its Var operands, in operand order, each with the closed-form VJP (bitwise);
+    an array operand is no parent."""
+    a = rng.normal(size=(3, 4))
+    b = rng.uniform(1.0, 2.0, size=(4, 4) if op == "matmul" else (1, 4))
+    g = rng.normal(size=(3, 4))
+    fn, vjp_a, vjp_b = {
+        "add": (lambda x, y: x + y, lambda: g, lambda: g.sum(axis=0, keepdims=True)),
+        "mul": (lambda x, y: x * y, lambda: g * b, lambda: (g * a).sum(axis=0, keepdims=True)),
+        "div": (lambda x, y: x / y, lambda: g / b, lambda: (-g * a / (b * b)).sum(axis=0, keepdims=True)),
+        "matmul": (grad.matmul, lambda: g @ b.T, lambda: a.T @ g),
+    }[op]
+    x, y = Var(a) if var_a else a, Var(b) if var_b else b
+    out = fn(x, y)
+    expected = [(v, vjp()) for v, vjp, is_var in ((x, vjp_a, var_a), (y, vjp_b, var_b)) if is_var]
+    assert [p for p, _ in out._parents] == [v for v, _ in expected]
+    for (_, vjp), (_, want) in zip(out._parents, expected):
+        np.testing.assert_array_equal(vjp(g), want)
 
 
 def test_loss_and_gradient_are_bit_identical_on_rerun(rng):

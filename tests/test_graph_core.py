@@ -8,7 +8,8 @@ from gcn_cert import gcn
 from gcn_cert.cli import load_dataset
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
 
-from conftest import path_graph, random_tiny_graph
+from conftest import path_graph
+from oracle import random_tiny_graph
 
 
 def _graph(A, X, **kw):

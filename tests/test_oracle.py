@@ -10,7 +10,9 @@ from gcn_cert.bounds import CROSSING, NONNEG, Budget, compute_bounds
 from gcn_cert.dual_cert import class_vector, dual_state
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
-from gcn_cert.oracle import (
+
+from conftest import single_node_problem
+from oracle import (
     MAX_LP_VARIABLES,
     LpModel,
     admissible_flip_count,
@@ -20,10 +22,9 @@ from gcn_cert.oracle import (
     check_integrality,
     enumerate_exact_margin,
     iter_admissible,
+    random_tiny_instance,
     solve_lp,
 )
-
-from conftest import random_tiny_instance, single_node_problem
 
 
 # -- enumeration -----------------------------------------------------------

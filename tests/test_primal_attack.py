@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from gcn_cert import dual_cert, gcn, oracle
+from gcn_cert import dual_cert, gcn
 from gcn_cert.bounds import Budget, compute_bounds
 from gcn_cert.dual_cert import DualState, class_vector, competing_classes, dual_state, dual_states
 from gcn_cert.primal_attack import Perturbation, construct, construct_and_evaluate
 
-from conftest import random_tiny_instance
+import oracle
+from oracle import random_tiny_instance
 
 
 def test_construct_zero_delta_is_identity(rng):

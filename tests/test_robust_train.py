@@ -17,7 +17,8 @@ from gcn_cert.robust_train import (
     train,
 )
 
-from conftest import path_graph, random_tiny_graph
+from conftest import path_graph
+from oracle import random_tiny_graph
 
 
 def _mv(entries):
