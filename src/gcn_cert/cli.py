@@ -15,9 +15,10 @@ float64 ``w0…``, ``b0…``; certificates are JSON-lines, curves and training
 logs CSV.
 
 Every bad input, a usage error included, exits 2 with one ``error:`` line on
-stderr. A flag is read and range-checked by its ``type=``; a config key is
-read by its parser in ``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``
-or ``load_dataset``.
+stderr. A flag is read and range-checked by its ``type=`` (``--nodes``: ``all``
+or distinct ids >= 0, each checked < N once the dataset is read; ``--mode``: a
+name in ``dual_cert.MODES``). A config key is read by its parser in
+``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``, ``Trainer`` or ``load_dataset``.
 """
 
 from __future__ import annotations
@@ -233,6 +234,7 @@ def load_dataset(
             if not ly.size:
                 raise CliError("cannot infer class count; pass num_classes")
             num_classes = int(ly.max()) + 1
+        _reject(labels_path, l_lines, ly >= num_classes, f"class {{}} >= K={num_classes}", ly)
     elif num_classes is None:
         raise CliError("num_classes required when no labels file is given")
 
@@ -346,22 +348,6 @@ def _load_for_model(args) -> tuple:
     return params, graph
 
 
-def _select_nodes(spec_text, graph) -> list:
-    if spec_text in (None, "all"):
-        return list(range(graph.num_nodes))
-    nodes, seen = [], set()
-    for tok in spec_text.split(","):
-        try:
-            n = int(tok)
-        except ValueError:
-            raise CliError(f"bad node id {tok!r} in --nodes")
-        if n in seen:
-            raise CliError(f"node id {n} listed twice in --nodes")
-        seen.add(n)
-        nodes.append(_check_node(n, graph))
-    return nodes
-
-
 def _per_node(graph, params, budget, nodes, use_labels, workers, run):
     """run(slice, y_star, table) for each node, sliced and predicted once; the first-layer flip picks of every
     node the targets' first layers read are selected once, at the largest `budget`, into one shared table."""
@@ -422,12 +408,6 @@ def cmd_train(args):
         num_features=cfg.get("num_features"),
         num_classes=cfg.get("num_classes"),
     ).graph
-    labeled = graph.labeled_nodes()
-    if labeled.size == 0:
-        raise CliError("no node is labeled; training needs at least one labeled node")
-    no_label = labeled[graph.labels[labeled] < 0]
-    if no_label.size:
-        raise CliError(f"{cfg['split']}: node {no_label[0]} is marked labeled but has no label in {cfg['labels']}")
     # TrainConfig gets only what the file sets, so its defaults stand for the rest
     names = {f.name for f in dataclasses.fields(robust_train.TrainConfig)}
     kwargs = {k: v for k, v in cfg.items() if k in names}
@@ -442,12 +422,15 @@ def cmd_train(args):
         tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
         raise CliError(f"{args.config}: bad training config: {exc}") from None
-    dims = [graph.num_features, *tc.hidden_dims, graph.num_classes]
     try:
-        params = gcn.glorot_params(dims, seed=tc.seed)
+        trainer = robust_train.Trainer(graph, tc)
+    except ValueError as exc:  # the labeled set, as the split and labels files give it
+        files = ", ".join(cfg[k] for k in ("split", "labels") if k in cfg)
+        raise CliError(f"{args.config}: {exc} (read from {files})") from None
+    try:
+        params = gcn.glorot_params(trainer.dims, seed=tc.seed)
     except (ValueError, MemoryError) as exc:
-        raise CliError(f"no room for a model of dims {dims}, K={graph.num_classes} classes ({exc})") from None
-    trainer = robust_train.Trainer(graph, tc)
+        raise CliError(f"no room for a model of dims {trainer.dims}, K={graph.num_classes} classes ({exc})") from None
     params, log = trainer.train(params)
     gcn.save_checkpoint(params, cfg["checkpoint_out"])
     if cfg.get("log_out"):
@@ -459,7 +442,7 @@ def cmd_train(args):
 def cmd_certify(args):
     budget = Budget(args.q, args.Q)
     params, graph = _load_for_model(args)
-    nodes = _select_nodes(args.nodes, graph)
+    nodes = list(range(graph.num_nodes)) if args.nodes is None else [_check_node(n, graph) for n in args.nodes]
     certs = _per_node(
         graph, params, budget, nodes, args.use_labels, args.workers,
         lambda spr, y_star, table: dual_cert.certify(spr, params, budget, y_star, args.mode, table),
@@ -557,6 +540,24 @@ def _at_least(low, flag):
     return parse
 
 
+def _node_ids(text):
+    """The argparse `type=` of `--nodes`: None for ``all``, else the distinct ids >= 0 of a comma-separated list."""
+    if text == "all":
+        return None
+    nodes = {}  # the ids in the order given
+    for tok in text.split(","):
+        try:
+            n = int(tok)
+        except ValueError:
+            raise CliError(f"bad node id {tok!r} in --nodes") from None
+        if n < 0:
+            raise CliError(f"negative node id {n} in --nodes")
+        if n in nodes:
+            raise CliError(f"node id {n} listed twice in --nodes")
+        nodes[n] = None
+    return list(nodes)
+
+
 def _add_model_args(p):
     """The flags of a command that reads a checkpoint and a dataset under a local budget q."""
     p.add_argument("--checkpoint", required=True)
@@ -569,7 +570,7 @@ def _add_model_args(p):
 
 def _add_certify_args(p):
     """The flags `certify` and `curve` share beyond `_add_model_args`."""
-    p.add_argument("--mode", choices=("default", "optimized"), default="default")
+    p.add_argument("--mode", choices=dual_cert.MODES, default="default")
     p.add_argument("--use-labels", action="store_true", help="certify w.r.t. ground-truth labels where available")
     p.add_argument("--workers", type=_at_least(1, "--workers"), default=1)
 
@@ -589,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
     _add_certify_args(p)
-    p.add_argument("--nodes", default="all", help="'all' or comma-separated ids")
+    p.add_argument("--nodes", type=_node_ids, default="all", help="'all' or comma-separated ids")
     p.add_argument("--output", default=None, help="certificates JSON-lines path")
     p.set_defaults(func=cmd_certify)
 

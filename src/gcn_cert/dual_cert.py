@@ -38,6 +38,7 @@ __all__ = [
 ROBUST = "robust"
 NON_ROBUST = "non_robust"
 UNDECIDED = "undecided"
+MODES = ("default", "optimized")  # the default Omega, or Omega-PGA from it
 
 # projected-gradient-ascent defaults for Omega
 PGA_STEPS = 200
@@ -432,6 +433,8 @@ def status_curve(sp, params, budgets, y_star, mode="default", table=None) -> lis
 
 
 def _duals(sp, params, bnds, budget, y_star, mode):
-    """(others, states): the classes competing with y_star and their DualStates under `mode`."""
+    """(others, states): the classes competing with y_star and their DualStates under `mode`, one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode {mode!r} not in {MODES}")
     others, C = competing_classes(y_star, params.dims[-1])
     return others, (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)

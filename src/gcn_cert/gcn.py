@@ -100,10 +100,8 @@ def forward_sliced(
         raise ValueError(f"dropout_rate={dropout_rate} needs a dropout_rng")
     L = sp.layer_count
     H = sp.sliced_attrs if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
-    if grad.val(H).shape != sp.sliced_attrs.shape:
-        raise ValueError(
-            f"attrs_override shape {grad.val(H).shape} != {sp.sliced_attrs.shape}"
-        )
+    if H.shape != sp.sliced_attrs.shape:
+        raise ValueError(f"attrs_override shape {H.shape} != {sp.sliced_attrs.shape}")
     for l in range(1, L):
         A_dot = sp.sliced_mp[l - 1]
         W, b = params.weights[l - 1], params.biases[l - 1]
@@ -122,9 +120,9 @@ def forward_sliced(
     return ForwardTrace(logits=logits)
 
 
-def forward_full(graph: Graph, mp: csr_array, params: GcnParams, attrs_override=None):
+def forward_full(graph: Graph, mp: csr_array, params: GcnParams):
     """Full-graph logits (N x K), softmax omitted."""
-    H = np.asarray(graph.attributes if attrs_override is None else attrs_override, dtype=np.float64)
+    H = np.asarray(graph.attributes, dtype=np.float64)
     L = params.layer_count
     for l in range(1, L):
         W = grad.val(params.weights[l - 1])

@@ -176,7 +176,7 @@ def relu(a):
     """max(a, 0) with the mask frozen at the forward value."""
     if not is_var(a):
         return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
-    mask = (a.value > 0).astype(np.float64)
+    mask = a.value > 0
     return Var(a.value * mask, [(a, lambda g, m=mask: g * m)])
 
 
@@ -190,9 +190,9 @@ def negpart(a):
     return relu(_neg(a))
 
 
-def asum(a, axis=None, keepdims=False):
+def asum(a, axis=None):
     if not is_var(a):
-        return np.asarray(a, dtype=np.float64).sum(axis=axis, keepdims=keepdims)
+        return np.asarray(a, dtype=np.float64).sum(axis=axis)
 
     def vjp(g, sh=a.value.shape, ax=axis):
         if ax is not None:  # put the summed axes back as unit axes
@@ -200,7 +200,7 @@ def asum(a, axis=None, keepdims=False):
             g = np.reshape(g, [1 if i in axes else size for i, size in enumerate(sh)])
         return np.broadcast_to(g, sh).copy()
 
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
+    return Var(a.value.sum(axis=axis), [(a, vjp)])
 
 
 def gather(a, indices):
@@ -252,7 +252,7 @@ def log_softmax_entry(logits, index):
 
 
 def backward(loss):
-    """Accumulate gradients of a scalar Var into .grad of every ancestor."""
+    """Accumulate gradients of a scalar Var into .grad of its leaf ancestors (Vars without parents) only."""
     if not is_var(loss):
         raise TypeError("backward() needs a Var")
     if loss.value.size != 1:
@@ -278,8 +278,9 @@ def backward(loss):
 
     grads = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
-        g = grads[id(node)]  # written by a child, which comes earlier in this order
-        node.grad = g if node.grad is None else node.grad + g
+        g = grads.pop(id(node))  # written by a child, which comes earlier in this order
+        if not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
         for parent, vjp in node._parents:
             contrib = vjp(g)
             key = id(parent)
@@ -300,12 +301,9 @@ def gradient(loss_closure, params):
     b_vars = [Var(b) for b in params.biases]
     shadow = replace(params, weights=w_vars, biases=b_vars)
     loss = loss_closure(shadow)
-    if not is_var(loss):
-        # loss never touched the parameters
-        zero_w = [np.zeros_like(w) for w in params.weights]
-        zero_b = [np.zeros_like(b) for b in params.biases]
-        return float(np.asarray(loss)), replace(params, weights=zero_w, biases=zero_b)
-    backward(loss)
+    if is_var(loss):
+        backward(loss)
+    # a parameter the loss never touched, or a loss that touched none, has gradient zero
     gw = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in w_vars]
     gb = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in b_vars]
-    return float(loss.value), replace(params, weights=gw, biases=gb)
+    return float(val(loss)), replace(params, weights=gw, biases=gb)

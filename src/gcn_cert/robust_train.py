@@ -116,9 +116,15 @@ class _Adam:
 
 
 class Trainer:
-    """Owns the graph, its propagation matrix and the training loss; slices nodes on demand."""
+    """Owns the graph, its propagation matrix and the training loss; slices nodes on demand; checks the labeled set."""
 
     def __init__(self, graph: Graph, config: TrainConfig):
+        self.labeled = graph.labeled_nodes()
+        if self.labeled.size == 0:
+            raise ValueError("no node is labeled; training needs at least one labeled node")
+        no_label = self.labeled[graph.labels[self.labeled] < 0]
+        if no_label.size:
+            raise ValueError(f"node {no_label[0]} is marked labeled but has no label")
         self.graph = graph
         self.config = config
         if config.budget is None:
@@ -129,7 +135,6 @@ class Trainer:
         self.layer_count = len(self.dims)
         self.mp = build_message_passing(graph)
         self.labels = graph.labels
-        self.labeled = graph.labeled_nodes()
         self.unlabeled = graph.unlabeled_nodes()
         self._labeled_set = set(int(t) for t in self.labeled)
         self.rng = np.random.default_rng(config.seed)
@@ -262,11 +267,6 @@ class Trainer:
 
     def train(self, params: GcnParams | None = None):
         cfg = self.config
-        if len(self.labeled) == 0:
-            raise ValueError("labeled set is empty")
-        no_label = self.labeled[self.labels[self.labeled] < 0]
-        if no_label.size:
-            raise ValueError(f"node {no_label[0]} is marked labeled but has no label")
         if params is None:
             params = gcn.glorot_params(self.dims, seed=cfg.seed)
         log = []

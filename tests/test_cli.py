@@ -762,14 +762,15 @@ def test_cmd_train_rejects_a_labeled_node_without_a_label(tmp_path, dataset, cap
     split = _write(tmp_path / "all.tsv", "0\tlabeled\n1\tlabeled\n2\tlabeled\n")
     cfg, ckpt = _train_cfg(tmp_path, {**dataset, "split": split})
     err = _assert_one_line_error(main(["train", cfg]), capsys)
-    assert "node 2" in err and "all.tsv" in err
+    assert "node 2 is marked labeled but has no label" in err and "all.tsv" in err and cfg in err
     assert not ckpt.exists()
 
 
 def test_cmd_train_rejects_a_split_without_labeled_nodes(tmp_path, dataset, capsys):
     split = _write(tmp_path / "none.tsv", "0\tunlabeled\n1\tunlabeled\n2\tunlabeled\n")
     cfg, ckpt = _train_cfg(tmp_path, {**dataset, "split": split})
-    assert "no node is labeled" in _assert_one_line_error(main(["train", cfg]), capsys)
+    err = _assert_one_line_error(main(["train", cfg]), capsys)
+    assert err.startswith(f"error: {cfg}: no node is labeled")
     assert not ckpt.exists()
 
 
@@ -787,7 +788,7 @@ BIG = "99999999999999999999999"  # past int64
         ({"labels": ("l.tsv", "0\t0\n9\t1\n")}, "", "l.tsv:2: node id >= N=3"),
         ({"labels": ("l.tsv", "")}, "", "cannot infer class count"),
         ({"split": ("s.tsv", "0\tlabeled\n1\ttrain\n")}, "", "s.tsv:2: split tag 'train'"),
-        ({"labels": ("l.tsv", "0\t0\n1\t5\n")}, "num_classes = 2\n", "label 5 out of range [0, 2)"),
+        ({"labels": ("l.tsv", "0\t0\n1\t5\n")}, "num_classes = 2\n", "l.tsv:2: class 5 >= K=2"),
         ({}, "num_nodes = 0\n", "num_nodes must be >= 1, got 0"),
         ({}, "num_features = -1\n", "num_features must be >= 1, got -1"),
         ({}, "num_classes = 0\n", "num_classes must be >= 1, got 0"),
@@ -1017,6 +1018,36 @@ def test_cmd_certify_repeated_node_id(dataset, checkpoint, capsys):
     )
     assert _assert_one_line_error(rc, capsys) == "error: node id 1 listed twice in --nodes\n"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("1,x", "bad node id 'x' in --nodes"), ("0,-1", "negative node id -1 in --nodes"),
+     ("2,0,2", "node id 2 listed twice in --nodes")],
+    ids=["syntax", "negative", "repeated"],
+)
+def test_cmd_certify_reads_nodes_before_any_file(tmp_path, dataset, capsys, spec, message):
+    missing = str(tmp_path / "missing.npz")
+    rc = main(["certify", "--checkpoint", missing, *_dataset_args(dataset), "--q", "1", "--Q", "1", "--nodes", spec])
+    assert _assert_one_line_error(rc, capsys) == f"error: {message}\n"
+
+
+def test_certify_and_curve_modes_are_dual_cert_modes(tmp_path, dataset, checkpoint, capsys):
+    """`--mode` offers exactly `dual_cert.MODES`; another name is a usage error."""
+    for command in (["certify", "--Q", "1"], ["curve", "--Q-max", "1", "--output", str(tmp_path / "c.csv")]):
+        rc = main([*command, "--checkpoint", checkpoint, *_dataset_args(dataset), "--q", "1", "--mode", "optimised"])
+        err = _assert_one_line_error(rc, capsys)
+        assert "invalid choice: 'optimised'" in err and all(repr(m) in err for m in dual_cert.MODES)
+
+
+def test_cmd_certify_names_the_line_of_a_class_past_the_checkpoint(tmp_path, dataset, checkpoint, capsys):
+    """The checkpoint fixes K = 2, so class 5 is an error at its line of the labels file."""
+    labels = _write(tmp_path / "l.tsv", "0\t0\n1\t5\n")
+    args = _dataset_args({**dataset, "labels": labels})
+    rc = main(["certify", "--checkpoint", checkpoint, *args, "--q", "1", "--Q", "1"])
+    assert _assert_one_line_error(rc, capsys) == f"error: {labels}:2: class 5 >= K=2\n"
+    with pytest.raises(CliError, match=r"l\.tsv:2: class 5 >= K=2$"):
+        load_dataset(dataset["edges"], dataset["attributes"], labels_path=labels, num_classes=2)
 
 
 def test_cmd_certify_negative_budget(dataset, checkpoint, capsys):

@@ -389,6 +389,16 @@ def test_status_curve_takes_budgets_of_one_q(rng):
         status_curve(sp, params, [Budget(1, 2), Budget(2, 2)], 0)
 
 
+def test_certify_and_status_curve_refuse_an_unknown_mode(rng):
+    """Only a name in MODES runs: a misspelt "optimized" is an error, not the default mode."""
+    sp, params, _ = random_tiny_instance(rng)
+    assert dual_cert.MODES == ("default", "optimized")
+    with pytest.raises(ValueError, match="mode 'optimised' not in"):
+        certify(sp, params, Budget(1, 2), 0, "optimised")
+    with pytest.raises(ValueError, match="mode 'optimised' not in"):
+        status_curve(sp, params, [Budget(1, 2)], 0, "optimised")
+
+
 def _bisection_probes(statuses):
     """The positions that bisection evaluates on a curve whose per-budget statuses are `statuses`."""
     probes, runs = [], [(0, len(statuses))]

@@ -91,6 +91,31 @@ def test_broadcasting_gradients(rng):
     np.testing.assert_allclose(vb.grad, np.broadcast_to(a, (3, 4)).sum(axis=0, keepdims=True))
 
 
+def test_gradient_of_a_loss_that_touches_no_parameter_is_zero():
+    params = GcnParams([np.ones((2, 3)), np.ones((3, 2))], [np.zeros(3), np.zeros(2)])
+    value, g = gradient(lambda p: 2.5, params)
+    assert value == 2.5
+    assert all(np.array_equal(x, np.zeros_like(x)) for x in g.weights + g.biases)
+
+
+def test_backward_leaves_gradients_on_leaf_vars_only(rng):
+    """An intermediate Var, the loss included, keeps no .grad; a leaf gets its closed form, and a second pass adds."""
+    a = rng.normal(size=(3, 1))
+    b = rng.normal(size=(1, 4))
+    va, vb = Var(a), Var(b)
+    product = va * vb
+    hidden = grad.relu(product)
+    loss = grad.asum(hidden)
+    backward(loss)
+    assert product.grad is None and hidden.grad is None and loss.grad is None
+    on = a * b > 0
+    np.testing.assert_allclose(va.grad, (b * on).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(vb.grad, (a * on).sum(axis=0, keepdims=True))
+    backward(loss)
+    assert product.grad is None and hidden.grad is None and loss.grad is None
+    np.testing.assert_allclose(va.grad, 2 * (b * on).sum(axis=1, keepdims=True))
+
+
 @pytest.mark.parametrize(
     "op, var_a, var_b",
     [(op, var_a, var_b) for op in ("add", "mul", "div", "matmul")

@@ -210,8 +210,8 @@ def test_train_requires_labeled_nodes():
         attributes=np.eye(2),
         labels=np.array([-1, -1]),
     )
-    with pytest.raises(ValueError, match="labeled"):
-        train(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))
+    with pytest.raises(ValueError, match="no node is labeled"):
+        Trainer(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))  # before any training
 
 
 def test_train_rejects_a_labeled_node_without_a_label():
@@ -225,7 +225,7 @@ def test_train_rejects_a_labeled_node_without_a_label():
         split=np.array(["labeled", "unlabeled"]),
     )
     with pytest.raises(ValueError, match="node 0 is marked labeled but has no label"):
-        train(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))
+        Trainer(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))  # before any training
 
 
 def test_training_stops_after_patience_epochs_without_improvement(rng):
