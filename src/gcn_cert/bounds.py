@@ -40,7 +40,7 @@ class Budget:
 
     def __post_init__(self):
         if self.local_q < 0 or self.global_Q < 0:
-            raise ValueError("budgets must be nonnegative")
+            raise ValueError(f"budgets must be nonnegative (q={self.local_q}, Q={self.global_Q})")
 
     def effective_q(self, num_features: int) -> int:
         return min(self.local_q, num_features)
@@ -444,6 +444,8 @@ def classify_partition(lower, upper) -> np.ndarray:
 
 def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=None) -> ActivationBounds:
     """Bounds and partition for every hidden layer l = 2..L-1; `table` as in `first_layer_bounds`."""
+    if params.layer_count != sp.layer_count:
+        raise ValueError(f"params of depth L={params.layer_count} on a slice of depth L={sp.layer_count}")
     R, S = first_layer_bounds(sp, params, budget, table)
     lower, upper, partition = {2: R}, {2: S}, {2: classify_partition(R, S)}
     for l in range(3, sp.layer_count):

@@ -16,9 +16,9 @@ logs CSV.
 
 Every bad input, a usage error included, exits 2 with one ``error:`` line on
 stderr. A flag is read and range-checked by its ``type=`` (``--nodes``: ``all``
-or distinct ids >= 0, each checked < N once the dataset is read; ``--mode``: a
-name in ``dual_cert.MODES``). A config key is read by its parser in
-``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``, ``Trainer`` or ``load_dataset``.
+or distinct ids >= 0, ``--node``: an id >= 0, each checked < N once the dataset
+is read; ``--mode``: a name in ``dual_cert.MODES``). A config key is read by its
+parser in ``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``, ``Trainer`` or ``load_dataset``.
 """
 
 from __future__ import annotations
@@ -412,12 +412,10 @@ def cmd_train(args):
     names = {f.name for f in dataclasses.fields(robust_train.TrainConfig)}
     kwargs = {k: v for k, v in cfg.items() if k in names}
     if "q" in cfg or "Q" in cfg:
-        q = cfg.get("q", robust_train.default_local_budget(graph.num_features))
-        Q = cfg.get("Q", robust_train.DEFAULT_GLOBAL_Q)
         try:
-            kwargs["budget"] = Budget(q, Q)
+            kwargs["budget"] = robust_train.training_budget(graph.num_features, cfg.get("q"), cfg.get("Q"))
         except ValueError as exc:
-            raise CliError(f"{exc} (q={q}, Q={Q})") from None
+            raise CliError(str(exc)) from None
     try:
         tc = robust_train.TrainConfig(**kwargs)
     except ValueError as exc:
@@ -603,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="construct a candidate adversarial flip set")
     _add_model_args(p)
-    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--node", type=_at_least(0, "--node"), required=True)
     p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
     p.set_defaults(func=cmd_attack)
 

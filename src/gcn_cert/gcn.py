@@ -99,6 +99,8 @@ def forward_sliced(
     if dropout_rate > 0.0 and dropout_rng is None:
         raise ValueError(f"dropout_rate={dropout_rate} needs a dropout_rng")
     L = sp.layer_count
+    if params.layer_count != L:
+        raise ValueError(f"params of depth L={params.layer_count} on a slice of depth L={L}")
     H = sp.sliced_attrs if attrs_override is None else np.asarray(attrs_override, dtype=np.float64)
     if H.shape != sp.sliced_attrs.shape:
         raise ValueError(f"attrs_override shape {H.shape} != {sp.sliced_attrs.shape}")

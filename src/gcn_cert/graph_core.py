@@ -88,10 +88,14 @@ class SlicedProblem:
     """
 
     target: int
-    layer_count: int
     sliced_mp: list = field(default_factory=list)
     sliced_attrs: np.ndarray = None
     hop_sets: list = field(default_factory=list)
+
+    @property
+    def layer_count(self) -> int:
+        """L, read off the blocks: one per layer l = 1..L-1."""
+        return len(self.sliced_mp) + 1
 
     @property
     def neighborhood(self) -> np.ndarray:
@@ -159,7 +163,6 @@ def slice_problem(graph: Graph, mp: sp.csr_array, target: int, layer_count: int)
         hop_sets.append(nxt)
     return SlicedProblem(
         target=target,
-        layer_count=layer_count,
         sliced_mp=blocks[::-1],
         sliced_attrs=graph.attributes[hop_sets[-1]].astype(np.float64),
         hop_sets=hop_sets,

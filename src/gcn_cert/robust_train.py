@@ -19,6 +19,7 @@ __all__ = [
     "Trainer",
     "default_local_budget",
     "DEFAULT_GLOBAL_Q",
+    "training_budget",
     "robust_hinge_loss",
     "train",
     "MARGIN_LABELED",
@@ -48,10 +49,15 @@ def default_local_budget(num_features: int) -> int:
     return max(1, math.ceil(0.01 * num_features))
 
 
+def training_budget(num_features: int, q: int | None = None, Q: int | None = None) -> Budget:
+    """Budget(q, Q), with default_local_budget(D) for a q and DEFAULT_GLOBAL_Q for a Q that is None."""
+    return Budget(default_local_budget(num_features) if q is None else q, DEFAULT_GLOBAL_Q if Q is None else Q)
+
+
 @dataclass
 class TrainConfig:
     mode: str = "CE"
-    budget: Budget | None = None  # omitted: (default_local_budget(D), DEFAULT_GLOBAL_Q)
+    budget: Budget | None = None  # omitted: training_budget(D)
     learning_rate: float = 0.001
     l2_strength: float = 1e-5
     batch_size: int = 20
@@ -60,7 +66,7 @@ class TrainConfig:
     phase2_epochs: int | None = None  # RH_U only; defaults to max_epochs
     patience: int = 20
     seed: int = 0
-    hidden_dims: tuple = (32,)
+    hidden_dims: tuple = (32,)  # sizes only the model that `Trainer.train` draws when given none
     eval_every: int = 1  # log a metrics row every this many epochs; 0 logs none
 
     def __post_init__(self):
@@ -116,7 +122,8 @@ class _Adam:
 
 
 class Trainer:
-    """Owns the graph, its propagation matrix and the training loss; slices nodes on demand; checks the labeled set."""
+    """Owns the graph, its propagation matrix and the training loss; slices nodes on demand, at the depth of the
+    parameters it is given; checks the labeled set."""
 
     def __init__(self, graph: Graph, config: TrainConfig):
         self.labeled = graph.labeled_nodes()
@@ -127,12 +134,8 @@ class Trainer:
             raise ValueError(f"node {no_label[0]} is marked labeled but has no label")
         self.graph = graph
         self.config = config
-        if config.budget is None:
-            self.budget = Budget(default_local_budget(graph.num_features), DEFAULT_GLOBAL_Q)
-        else:
-            self.budget = config.budget
+        self.budget = training_budget(graph.num_features) if config.budget is None else config.budget
         self.dims = [graph.num_features, *config.hidden_dims, graph.num_classes]
-        self.layer_count = len(self.dims)
         self.mp = build_message_passing(graph)
         self.labels = graph.labels
         self.unlabeled = graph.unlabeled_nodes()
@@ -152,7 +155,7 @@ class Trainer:
         Built per batch and per metrics row and then dropped: `_Adam.step`
         updates W in place, so a kept table would go stale.
         """
-        rows = first_layer_nodes(self.mp, targets, self.layer_count)
+        rows = first_layer_nodes(self.mp, targets, params.layer_count)
         return flip_table(self.mp, self.graph.attributes, params, self.budget, rows)
 
     def batch_loss(self, batch, params, dropout_rng=None):
@@ -175,7 +178,7 @@ class Trainer:
         unlabeled = [t for t in batch if t not in self._labeled_set]
         table = self._flip_table(params, unlabeled if cfg.mode == "CE" else batch)  # the nodes it bounds
         for t in labeled:
-            sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(self.labels[t])
+            sp, y = slice_problem(self.graph, self.mp, t, params.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
                 loss = loss + gcn.cross_entropy(self._margins(sp, params, y, table), y)
                 continue
@@ -185,7 +188,7 @@ class Trainer:
             loss = loss + gcn.cross_entropy(logits, y)
         held = params.copy() if unlabeled else None  # predictions see the values, not the tape
         for t in unlabeled:
-            sp = slice_problem(self.graph, self.mp, t, self.layer_count)
+            sp = slice_problem(self.graph, self.mp, t, params.layer_count)
             y = gcn.predict(gcn.forward_sliced(sp, held))
             loss = loss + robust_hinge_loss(self._margins(sp, params, y, table), y, MARGIN_UNLABELED)
         return loss
@@ -196,7 +199,7 @@ class Trainer:
         """Mean over `nodes` of min_{k != y} -p_k, with y = classes[t] for node t; 0.0 for no nodes."""
         vals = []
         for t in nodes:
-            sp, y = slice_problem(self.graph, self.mp, t, self.layer_count), int(classes[t])
+            sp, y = slice_problem(self.graph, self.mp, t, params.layer_count), int(classes[t])
             others = np.delete(self._margins(sp, params, y, table), y)
             vals.append(float(-np.max(others)) if others.size else 0.0)
         return float(np.mean(vals)) if vals else 0.0
@@ -269,6 +272,8 @@ class Trainer:
         cfg = self.config
         if params is None:
             params = gcn.glorot_params(self.dims, seed=cfg.seed)
+        elif params.dims[0] != self.dims[0] or params.dims[-1] != self.dims[-1]:
+            raise ValueError(f"params of dims {params.dims} do not fit the graph's D={self.dims[0]}, K={self.dims[-1]}")
         log = []
         pool1 = list(int(t) for t in self.labeled)
         params, epoch, aborted = self._run_phase(params, 1, pool1, log, 0)

@@ -87,7 +87,7 @@ def forced_tie_slice(rng, n, M, D, h, K):
     b1 = rng.integers(-3, 4, size=h).astype(float)
     b2 = rng.integers(-1, 2, size=K).astype(float)
     sp = SlicedProblem(
-        target=0, layer_count=3, sliced_mp=[A1, A2], sliced_attrs=X,
+        target=0, sliced_mp=[A1, A2], sliced_attrs=X,
         hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
     )
     return sp, GcnParams([W1, W2], [b1, b2])

@@ -112,7 +112,6 @@ def _random_first_layer_instance(rng, ties):
     A2 = rng.random((1, M))
     sp = SlicedProblem(
         target=0,
-        layer_count=3,
         sliced_mp=[A1, A2],
         sliced_attrs=X,
         hop_sets=[np.array([0]), np.arange(M), np.arange(n)],

@@ -1067,6 +1067,15 @@ def test_cmd_attack_rejects_a_negative_budget_before_reading_files(tmp_path, dat
     assert "--Q must be >= 0, got -1" in _assert_one_line_error(rc, capsys)
 
 
+def test_cmd_attack_reads_node_before_any_file(tmp_path, dataset, capsys):
+    missing = str(tmp_path / "missing.npz")
+    rc = main(
+        ["attack", "--checkpoint", missing, *_dataset_args(dataset),
+         "--node", "-1", "--q", "1", "--Q", "1"]
+    )
+    assert _assert_one_line_error(rc, capsys) == "error: --node must be >= 0, got -1\n"
+
+
 def test_cmd_attack_node_out_of_range(dataset, checkpoint, capsys):
     rc = main(
         ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcn_cert import gcn
+from gcn_cert.bounds import compute_bounds
 from gcn_cert.gcn import GcnParams, cross_entropy, forward_sliced, glorot_params, load_checkpoint, predict, save_checkpoint
 from gcn_cert.graph_core import build_message_passing, slice_problem
 
@@ -176,3 +177,15 @@ def test_forward_sliced_rejects_weights_that_do_not_chain(rng):
     with pytest.raises(ValueError, match=rf"layer 1: weight shape \({D + 1}, \d+\) does not chain with activation "
                                          rf"shape \(\d+, {D}\)"):
         forward_sliced(sp, wide)
+
+
+def test_a_slice_and_its_parameters_must_agree_on_depth():
+    """An L = 3 slice under an L = 4 model is a ValueError in the sliced forward and in the bounds, not 5 logits."""
+    graph, _, budget = random_tiny_graph(np.random.default_rng(0), all_labeled=True)
+    sp = slice_problem(graph, build_message_passing(graph), 0, 3)
+    params = glorot_params([graph.num_features, 4, 5, graph.num_classes], seed=0)
+    assert sp.layer_count == len(sp.sliced_mp) + 1 == 3
+    with pytest.raises(ValueError, match="params of depth L=4 on a slice of depth L=3"):
+        forward_sliced(sp, params)
+    with pytest.raises(ValueError, match="params of depth L=4 on a slice of depth L=3"):
+        compute_bounds(sp, params, budget)

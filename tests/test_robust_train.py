@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -87,7 +88,7 @@ def _trainer(rng, mode="RH", **cfg_kw):
 
 def _slice(tr, t):
     """Node t's slice, as the trainer cuts it."""
-    return slice_problem(tr.graph, tr.mp, t, tr.layer_count)
+    return slice_problem(tr.graph, tr.mp, t, len(tr.dims))
 
 
 def _with_mode(tr, mode):
@@ -226,6 +227,39 @@ def test_train_rejects_a_labeled_node_without_a_label():
     )
     with pytest.raises(ValueError, match="node 0 is marked labeled but has no label"):
         Trainer(graph, TrainConfig(mode="CE", budget=Budget(1, 1), hidden_dims=(2,)))  # before any training
+
+
+def test_training_budget_fills_in_the_default_it_is_not_given():
+    assert robust_train.training_budget(101) == Budget(default_local_budget(101), robust_train.DEFAULT_GLOBAL_Q)
+    assert robust_train.training_budget(101, Q=3) == Budget(2, 3)
+    assert robust_train.training_budget(101, q=5) == Budget(5, robust_train.DEFAULT_GLOBAL_Q)
+    with pytest.raises(ValueError, match=r"budgets must be nonnegative \(q=-1, Q=12\)"):
+        robust_train.training_budget(101, q=-1)
+
+
+@pytest.mark.parametrize("mode, phase", [("CE", 1), ("RCE", 1), ("RH", 1), ("RH_U", 1), ("RH_U", 2)])
+def test_batch_loss_slices_at_the_depth_of_the_params(mode, phase):
+    """On [D, 4, K, K] params, the loss and gradient do not depend on the `hidden_dims` the trainer was given."""
+    graph, _, budget = random_tiny_graph(np.random.default_rng(0), all_labeled=phase == 1)
+    D, K = graph.num_features, graph.num_classes
+    params = gcn.glorot_params([D, 4, K, K], seed=3)
+    batch = list(range(graph.num_nodes)) if phase == 2 else [int(t) for t in graph.labeled_nodes()]
+    got = []
+    for hidden_dims in [(4,), (4, K)]:
+        tr = Trainer(graph, TrainConfig(mode=mode, budget=budget, hidden_dims=hidden_dims))
+        got.append(grad.gradient(lambda p: tr.batch_loss(batch, p), params))
+    _assert_same_gradient(*got)
+    assert len(got[0][1].weights) == 3 and np.any(got[0][1].weights[2])  # w2 is in the loss
+
+
+def test_train_rejects_params_whose_widths_the_graph_does_not_fix(rng):
+    graph, _, budget = random_tiny_graph(rng, all_labeled=True)
+    D, K = graph.num_features, graph.num_classes
+    tr = Trainer(graph, TrainConfig(mode="CE", budget=budget, hidden_dims=(4,), max_epochs=2))
+    for dims in ([D, 4, K + 1], [D + 1, 4, K], [D, 4, 4, K + 1]):
+        with pytest.raises(ValueError, match=re.escape(f"params of dims {dims} do not fit the graph's D={D}, K={K}")):
+            tr.train(gcn.glorot_params(dims))
+    assert tr.epochs == 0
 
 
 def test_training_stops_after_patience_epochs_without_improvement(rng):
