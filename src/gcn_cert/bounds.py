@@ -446,6 +446,8 @@ def compute_bounds(sp: SlicedProblem, params: GcnParams, budget: Budget, table=N
     """Bounds and partition for every hidden layer l = 2..L-1; `table` as in `first_layer_bounds`."""
     if params.layer_count != sp.layer_count:
         raise ValueError(f"params of depth L={params.layer_count} on a slice of depth L={sp.layer_count}")
+    if params.layer_count < 3:
+        raise ValueError(f"params of dims {params.dims} have no hidden layer; the dual bound needs one")
     R, S = first_layer_bounds(sp, params, budget, table)
     lower, upper, partition = {2: R}, {2: S}, {2: classify_partition(R, S)}
     for l in range(3, sp.layer_count):

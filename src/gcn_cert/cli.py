@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dual_cert, gcn, primal_attack, robust_train
-from .bounds import Budget, compute_bounds, flip_table
+from .bounds import Budget, flip_table
 from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
 __all__ = ["main", "load_dataset", "parse_config", "DatasetBundle"]
@@ -459,7 +459,7 @@ CURVE_FIELDS = ("Q", "split", "fraction_certified_robust", "fraction_certified_n
 
 
 def cmd_curve(args):
-    budgets = [Budget(args.q, Q) for Q in range(args.Q_max + 1)]
+    budget = Budget(args.q, args.Q_max)
     params, graph = _load_for_model(args)
     node_sets = {
         "all": list(range(graph.num_nodes)),
@@ -468,8 +468,8 @@ def cmd_curve(args):
     }
     # curves[i][Q] is the status of node i at global budget Q
     curves = _per_node(
-        graph, params, budgets[-1], node_sets["all"], args.use_labels, args.workers,
-        lambda spr, y_star, table: dual_cert.status_curve(spr, params, budgets, y_star, args.mode, table),
+        graph, params, budget, node_sets["all"], args.use_labels, args.workers,
+        lambda spr, y_star, table: dual_cert.status_curve(spr, params, budget, y_star, args.mode, table),
     )
     rows = []
     for Q in range(args.Q_max + 1):
@@ -496,11 +496,10 @@ def cmd_attack(args):
     if budget.effective_Q(n, D) == 0:
         print("no admissible perturbation (empty budget)")
         return 0
-    others, C = dual_cert.competing_classes(y_star, params.dims[-1])
+    others, states = dual_cert.duals(spr, params, budget, y_star)
     if others.size == 0:
         print(f"node={args.node} y_star={y_star}: no competing class (one-class model)")
         return 0
-    states = dual_cert.dual_states(spr, params, compute_bounds(spr, params, budget), budget, C)
     margins = [primal_attack.construct_and_evaluate(spr, params, s, budget, y_star, k) for k, s in zip(others, states)]
     b = int(np.argmin(margins))  # the first strongest class
     margin, k = margins[b], others[b]

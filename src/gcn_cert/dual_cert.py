@@ -29,6 +29,7 @@ __all__ = [
     "dual_states",
     "optimize_omega",
     "margin_vector",
+    "duals",
     "certify",
     "status_curve",
     "class_vector",
@@ -211,26 +212,24 @@ def _state(p: _Pass, b, omega) -> DualState:
     return DualState(omega, float(p.g[b]), [divmod(i, p.delta.shape[-1]) for i in p.picks[b].tolist() if delta[i] > 0])
 
 
-def dual_states(sp, params, bounds, budget, C, omega=None) -> list:
-    """One numeric DualState per row of the class matrix C (B, K), from one batched pass.
+def dual_states(sp, params, bounds, budget, C) -> list:
+    """One numeric DualState per row of the class matrix C (B, K), from one batched pass at the default Omega.
 
-    Closed-form (eta, rho).  Raises TypeError when params, bounds or omega carry
+    Closed-form (eta, rho).  Raises TypeError when params or bounds carry
     grad.Vars: the states hold values and would drop the tape.  On the tape, use
     `margin_vector` or `dual_value_differentiable`.
     """
-    if omega is None:
-        omega = bounds.slope
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    p = _dual_pass(sp, params, bounds, budget, C, omega)
+    p = _dual_pass(sp, params, bounds, budget, C, bounds.slope)
     if grad.is_var(p.g):
-        raise TypeError("dual_states takes numeric params, bounds and omega, not grad.Vars")
-    om = {l: np.array(w) for l, w in omega.items()}
+        raise TypeError("dual_states takes numeric params and bounds, not grad.Vars")
+    om = {l: np.array(w) for l, w in bounds.slope.items()}
     return [_state(p, b, om) for b in range(len(C))]
 
 
-def dual_state(sp, params, bounds, budget, c, omega=None) -> DualState:
-    """Full dual evaluation for one class vector c; numeric output."""
-    return dual_states(sp, params, bounds, budget, c, omega)[0]
+def dual_state(sp, params, bounds, budget, c) -> DualState:
+    """Full dual evaluation for one class vector c at the default Omega; numeric output."""
+    return dual_states(sp, params, bounds, budget, c)[0]
 
 
 def dual_value_differentiable(sp, params, bounds, budget, c, omega):
@@ -377,6 +376,18 @@ def margin_vector(sp, params, bounds, budget, y):
     return grad.matmul(g, np.minimum(C, 0.0))
 
 
+def duals(sp, params, budget, y_star, mode="default", table=None):
+    """(others, states): the classes competing with y_star and their DualStates at `budget` under `mode`, one of MODES.
+
+    The one evaluation of a node at a budget; `table` is an optional `bounds.FlipTable`, as in `first_layer_bounds`.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode {mode!r} not in {MODES}")
+    others, C = competing_classes(y_star, params.dims[-1])
+    bnds = compute_bounds(sp, params, budget, table)
+    return others, (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)
+
+
 def certify(sp, params, budget, y_star, mode="default", table=None) -> Certificate:
     """Robust / non-robust / undecided status for one target node.
 
@@ -385,10 +396,9 @@ def certify(sp, params, budget, y_star, mode="default", table=None) -> Certifica
     worst-case margin, and a tolerance would certify nodes whose bound is
     <= 0.  Otherwise each class's dual solution yields a flip set; the node
     is non-robust if one of them flips the exact network, else undecided.
-    `status_curve` gives the status alone for many budgets.  `table` is an
-    optional `bounds.FlipTable`, as in `bounds.first_layer_bounds`.
+    `status_curve` gives the status alone for Q = 0..budget.global_Q; `mode` and `table` are as in `duals`.
     """
-    others, states = _duals(sp, params, compute_bounds(sp, params, budget, table), budget, y_star, mode)
+    others, states = duals(sp, params, budget, y_star, mode, table)
     dual_lower = np.zeros(len(others) + 1)
     dual_lower[others] = [st.value for st in states]
     if others.size == 0 or dual_lower[others].min() > 0:
@@ -400,41 +410,30 @@ def certify(sp, params, budget, y_star, mode="default", table=None) -> Certifica
     return Certificate(sp.target, budget, y_star, dual_lower, primal, status)
 
 
-def status_curve(sp, params, budgets, y_star, mode="default", table=None) -> list:
-    """`certify`'s status for each of `budgets`, which share q, evaluating only budgets whose status is unknown.
+def status_curve(sp, params, budget, y_star, mode="default", table=None) -> list:
+    """`certify`'s status at Budget(budget.local_q, Q) for Q = 0..budget.global_Q, evaluating only unknown ones.
 
     A dual bound > 0 at Q bounds every flip set of a smaller Q, and a flip set admissible at Q is admissible at
     a larger one (q fixed): "robust" carries down, "non-robust" up, "undecided" nothing.  Each run of unknown
-    budgets, in the order of Q, is bisected at its middle.  A carried status is sound, but need not be what
-    `certify` gives that budget alone.  Each evaluated budget gets its own `compute_bounds`; the primal stops at a flip.
+    budgets is bisected at its middle.  A carried status is sound, but need not be what `certify` gives that
+    budget alone.  Each evaluated budget gets its own `duals`; the primal stops at a flip.
     """
-    if len({b.local_q for b in budgets}) > 1:
-        raise ValueError("a curve takes budgets that share one local budget q")
-    order = np.argsort([b.global_Q for b in budgets], kind="stable")
-    # half-open runs of positions in `order` whose status is unknown; an evaluated one that none settles is undecided
-    status, runs = np.full(len(budgets), UNDECIDED, dtype=object), [(0, len(order))]
+    # half-open runs of global budgets Q whose status is unknown; an evaluated one that none settles is undecided
+    status, runs = np.full(budget.global_Q + 1, UNDECIDED, dtype=object), [(0, budget.global_Q + 1)]
     while runs:
         lo, hi = runs.pop()
         if lo == hi:
             continue
         mid = (lo + hi) // 2
-        i = order[mid]
-        others, states = _duals(sp, params, compute_bounds(sp, params, budgets[i], table), budgets[i], y_star, mode)
+        at = Budget(budget.local_q, mid)
+        others, states = duals(sp, params, at, y_star, mode, table)
         if all(st.value > 0 for st in states):
-            status[order[lo : mid + 1]] = ROBUST
+            status[lo : mid + 1] = ROBUST
             runs.append((mid + 1, hi))
-        elif any(primal_attack.construct_and_evaluate(sp, params, st, budgets[i], y_star, k) < 0
+        elif any(primal_attack.construct_and_evaluate(sp, params, st, at, y_star, k) < 0
                  for k, st in zip(others, states)):
-            status[order[mid:hi]] = NON_ROBUST
+            status[mid:hi] = NON_ROBUST
             runs.append((lo, mid))
         else:
             runs += [(lo, mid), (mid + 1, hi)]
     return status.tolist()
-
-
-def _duals(sp, params, bnds, budget, y_star, mode):
-    """(others, states): the classes competing with y_star and their DualStates under `mode`, one of MODES."""
-    if mode not in MODES:
-        raise ValueError(f"mode {mode!r} not in {MODES}")
-    others, C = competing_classes(y_star, params.dims[-1])
-    return others, (optimize_omega if mode == "optimized" else dual_states)(sp, params, bnds, budget, C)

@@ -1,5 +1,6 @@
-"""Shared fixtures: small hand-built graphs, forced-tie slices, a Graph comparison and checkpoints with a
-hand-made `w0.npy` member.  Tiny random instances come from the test helper `oracle`."""
+"""Shared fixtures: small hand-built graphs, forced-tie slices, a Graph comparison, checkpoints with a
+hand-made `w0.npy` member and the probes of a status curve's bisection.  Tiny random instances come from
+the test helper `oracle`."""
 
 import io
 import zipfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from gcn_cert import bounds
+from gcn_cert.dual_cert import NON_ROBUST, ROBUST
 from gcn_cert.gcn import GcnParams
 from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 
@@ -91,6 +93,21 @@ def forced_tie_slice(rng, n, M, D, h, K):
         hop_sets=[np.array([0]), np.arange(M), np.arange(n)],
     )
     return sp, GcnParams([W1, W2], [b1, b2])
+
+
+def bisection_probes(statuses):
+    """The positions that bisection evaluates on a curve whose per-budget statuses are `statuses`."""
+    probes, runs = [], [(0, len(statuses))]
+    while runs:
+        lo, hi = runs.pop()
+        if lo < hi:
+            mid = (lo + hi) // 2
+            probes.append(mid)
+            if statuses[mid] != NON_ROBUST:
+                runs.append((mid + 1, hi))
+            if statuses[mid] != ROBUST:
+                runs.append((lo, mid))
+    return probes
 
 
 @pytest.fixture

@@ -51,23 +51,23 @@ def test_tracer_sees_one_bound_computation_per_evaluated_curve_budget(monkeypatc
     one span of each for every budget it evaluates, and none for a budget whose status it carries."""
     sp, params, budget = random_tiny_instance(np.random.default_rng(3))
     y_star = gcn.predict(gcn.forward_sliced(sp, params))
-    budgets = [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
-    duals, evaluated = dual_cert._duals, []
+    curve = Budget(budget.local_q, budget.global_Q + 2)
+    duals, evaluated = dual_cert.duals, []
 
-    def record(sp, params, bnds, budget, y_star, mode):
+    def record(sp, params, budget, y_star, mode="default", table=None):
         evaluated.append(budget)
-        return duals(sp, params, bnds, budget, y_star, mode)
+        return duals(sp, params, budget, y_star, mode, table)
 
-    monkeypatch.setattr(dual_cert, "_duals", record)
+    monkeypatch.setattr(dual_cert, "duals", record)
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         with tracer.on():
-            dual_cert.status_curve(sp, params, budgets, y_star)
+            dual_cert.status_curve(sp, params, curve, y_star)
     finally:
         tracer.uninstall()
     spans = [tracer.names[row[0]] for row in tracer.spans]
-    assert 0 < len(evaluated) < len(budgets)
+    assert 0 < len(evaluated) < curve.global_Q + 1
     assert spans.count("bounds.compute_bounds") == spans.count("bounds.first_layer_bounds") == len(evaluated)
 
 

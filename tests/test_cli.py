@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import gcn_cert
-from conftest import assert_graphs_equal, lying_npy, write_checkpoint_with_w0
+from conftest import assert_graphs_equal, bisection_probes, lying_npy, write_checkpoint_with_w0
 from gcn_cert import cli, dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
@@ -1333,6 +1333,61 @@ def test_certification_commands_write_the_same_bytes_with_two_workers(tmp_path, 
             assert main([*argv, "--workers", workers, "--output", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] and outputs[0], name
+
+
+def test_certify_curve_and_attack_reach_duals_once_per_evaluated_budget(tmp_path, monkeypatch):
+    """`dual_cert.duals` is the one evaluation of a node at a budget: `certify` and `attack` reach it once, and
+    `curve` once for each budget its bisection evaluates, as certify's per-budget statuses predict."""
+    paths, ckpt = _planted_dataset(tmp_path)
+    duals, seen = dual_cert.duals, []
+
+    def record(sp, params, budget, y_star, mode="default", table=None):
+        seen.append((sp.target, budget))
+        return duals(sp, params, budget, y_star, mode, table)
+
+    monkeypatch.setattr(dual_cert, "duals", record)
+    model = ["--checkpoint", ckpt, *_dataset_args(paths), "--q", "1"]
+    assert main(["certify", *model, "--nodes", "4", "--Q", "3"]) == 0
+    assert main(["attack", *model, "--node", "4", "--Q", "3"]) == 0
+    assert seen == [(4, Budget(1, 3))] * 2
+    Q_max, statuses = 4, {}
+    for Q in range(Q_max + 1):
+        out = tmp_path / f"certs_{Q}.jsonl"
+        assert main(["certify", *model, "--Q", str(Q), "--output", str(out)]) == 0
+        for doc in map(json.loads, out.read_text().splitlines()):
+            statuses.setdefault(doc["node"], []).append(doc["status"])
+    seen.clear()
+    assert main(["curve", *model, "--Q-max", str(Q_max), "--output", str(tmp_path / "curve.csv")]) == 0
+    for t, ref in statuses.items():
+        evaluated = [b for target, b in seen if target == t]
+        assert len(set(evaluated)) == len(evaluated) == len(bisection_probes(ref))
+        assert {b.local_q for b in evaluated} == {1}
+    assert len(seen) < len(statuses) * (Q_max + 1)
+
+
+@pytest.mark.parametrize("hidden", [(6,), (6, 4)])
+def test_attack_margin_is_the_smallest_primal_margin_of_certify(tmp_path, capsys, hidden):
+    """`attack` and `certify` evaluate a node through the same duals: attack's margin is the smallest competing
+    entry of certify's primal margins, and a node that certify proves robust keeps its prediction."""
+    paths, _ = _planted_dataset(tmp_path)
+    ckpt = tmp_path / "three_classes.npz"
+    gcn.save_checkpoint(gcn.glorot_params([10, *hidden, 3], seed=0), ckpt)
+    model = ["--checkpoint", str(ckpt), "--edges", paths["edges"], "--attributes", paths["attributes"]]
+    budget = ["--q", "1", "--Q", "2"]
+    out = tmp_path / "certs.jsonl"
+    assert main(["certify", *model, *budget, "--output", str(out)]) == 0
+    capsys.readouterr()
+    seen = set()
+    for doc in map(json.loads, out.read_text().splitlines()):
+        assert main(["attack", *model, *budget, "--node", str(doc["node"])]) == 0
+        head, _, verdict = capsys.readouterr().out.splitlines()
+        margin = float(head.rsplit("margin=", 1)[1])
+        seen.add(doc["status"])
+        if doc["status"] == dual_cert.ROBUST:
+            assert verdict == "prediction unchanged"
+        else:
+            assert margin == min(m for k, m in enumerate(doc["primal_margins"]) if k != doc["y_star"])
+    assert seen == {dual_cert.ROBUST, dual_cert.NON_ROBUST, dual_cert.UNDECIDED}
 
 
 def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):

@@ -30,7 +30,7 @@ from gcn_cert.dual_cert import (
 )
 
 import oracle
-from conftest import forced_tie_slice
+from conftest import bisection_probes, forced_tie_slice
 from oracle import random_tiny_instance
 
 
@@ -206,9 +206,8 @@ def test_dual_scaling_in_c_with_fixed_omega(rng):
     bnds = compute_bounds(sp, params, budget)
     K = params.dims[-1]
     c = class_vector(0, K - 1, K)
-    om = bnds.slope
-    a = dual_state(sp, params, bnds, budget, c, omega=om)
-    b = dual_state(sp, params, bnds, budget, 2.0 * c, omega=om)
+    a = dual_state(sp, params, bnds, budget, c)
+    b = dual_state(sp, params, bnds, budget, 2.0 * c)
     assert b.value == pytest.approx(2.0 * a.value, rel=1e-9, abs=1e-9)
 
 
@@ -273,17 +272,12 @@ def test_competing_classes_rejects_a_class_out_of_range():
 
 
 def test_dual_states_rejects_the_tape(rng):
-    """dual_states holds values; Var params or Omega raise rather than drop the tape."""
+    """dual_states holds values; Var params raise rather than drop the tape."""
     sp, params, budget = random_tiny_instance(rng)
     _, C = competing_classes(0, params.dims[-1])
     shadow = dataclasses.replace(params, weights=[grad.Var(w) for w in params.weights])
     with pytest.raises(TypeError, match="numeric"):
         dual_states(sp, shadow, compute_bounds(sp, shadow, budget), budget, C)
-    bnds = compute_bounds(sp, params, budget)
-    omega = {l: grad.Var(om) for l, om in bnds.slope.items()}
-    if omega:
-        with pytest.raises(TypeError, match="numeric"):
-            dual_states(sp, params, bnds, budget, C, omega)
 
 
 def test_margin_vector_zero_budget_is_clean_margin(rng):
@@ -343,17 +337,22 @@ def test_certify_zero_dual_bound_is_not_robust(rng):
 
 def _tiny_curves(rng, count):
     """`count` random tiny instances, with 1 and 2 hidden layers in turn, each with its predicted class
-    and the budgets Q = 0..global_Q + 2 of its q."""
+    and the budget (q, global_Q + 2) whose curve runs over Q = 0..global_Q + 2."""
     for trial in range(count):
         sp, params, budget = random_tiny_instance(rng, hidden_layers=1 + trial % 2)
         y_star = gcn.predict(gcn.forward_sliced(sp, params))
-        yield sp, params, y_star, [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 3)]
+        yield sp, params, y_star, Budget(budget.local_q, budget.global_Q + 2)
+
+
+def _curve_budgets(budget):
+    """The budgets whose statuses `status_curve(…, budget, …)` lists, in its order."""
+    return [Budget(budget.local_q, Q) for Q in range(budget.global_Q + 1)]
 
 
 @pytest.mark.parametrize("mode", ["default", "optimized"])
 def test_status_curve_equals_certify_per_budget(rng, mode):
     """Where certify's status never weakens as Q grows, the sweep gives each budget the status certify
-    gives it alone, whatever the order of the budgets.
+    gives it alone.
 
     Elsewhere a status that differs from certify's is carried from a
     budget that certify gives it: robust from a larger Q, non-robust from a
@@ -361,11 +360,9 @@ def test_status_curve_equals_certify_per_budget(rng, mode):
     """
     monotone = 0
     seen = set()
-    for sp, params, y_star, budgets in _tiny_curves(rng, 20):
-        ref = [certify(sp, params, b, y_star, mode).status for b in budgets]
-        got = status_curve(sp, params, budgets, y_star, mode)
-        perm = rng.permutation(len(budgets))
-        assert status_curve(sp, params, [budgets[i] for i in perm], y_star, mode) == [got[i] for i in perm]
+    for sp, params, y_star, budget in _tiny_curves(rng, 20):
+        ref = [certify(sp, params, b, y_star, mode).status for b in _curve_budgets(budget)]
+        got = status_curve(sp, params, budget, y_star, mode)
         for i, (status, alone) in enumerate(zip(got, ref)):
             assert status == alone or (status == ROBUST and ROBUST in ref[i:]) or (
                 status == NON_ROBUST and NON_ROBUST in ref[:i]
@@ -382,13 +379,6 @@ def test_status_curve_equals_certify_per_budget(rng, mode):
     assert monotone >= 19 and len(seen) >= 2
 
 
-def test_status_curve_takes_budgets_of_one_q(rng):
-    """A status carries across budgets soundly only while q is fixed, so a curve of two q is refused."""
-    sp, params, _ = random_tiny_instance(rng)
-    with pytest.raises(ValueError, match="share one local budget q"):
-        status_curve(sp, params, [Budget(1, 2), Budget(2, 2)], 0)
-
-
 def test_certify_and_status_curve_refuse_an_unknown_mode(rng):
     """Only a name in MODES runs: a misspelt "optimized" is an error, not the default mode."""
     sp, params, _ = random_tiny_instance(rng)
@@ -396,22 +386,7 @@ def test_certify_and_status_curve_refuse_an_unknown_mode(rng):
     with pytest.raises(ValueError, match="mode 'optimised' not in"):
         certify(sp, params, Budget(1, 2), 0, "optimised")
     with pytest.raises(ValueError, match="mode 'optimised' not in"):
-        status_curve(sp, params, [Budget(1, 2)], 0, "optimised")
-
-
-def _bisection_probes(statuses):
-    """The positions that bisection evaluates on a curve whose per-budget statuses are `statuses`."""
-    probes, runs = [], [(0, len(statuses))]
-    while runs:
-        lo, hi = runs.pop()
-        if lo < hi:
-            mid = (lo + hi) // 2
-            probes.append(mid)
-            if statuses[mid] != NON_ROBUST:
-                runs.append((mid + 1, hi))
-            if statuses[mid] != ROBUST:
-                runs.append((lo, mid))
-    return probes
+        status_curve(sp, params, Budget(1, 2), 0, "optimised")
 
 
 @pytest.mark.parametrize("mode", ["default", "optimized"])
@@ -426,26 +401,27 @@ def test_status_curve_carries_only_sound_statuses(rng, monkeypatch, mode):
     on certify's per-budget statuses probes, so a per-budget loop fails.
     """
     bounds_of, calls, evaluated = dual_cert.compute_bounds, [], []
-    duals = dual_cert._duals
+    duals = dual_cert.duals
 
     def count(sp, params, budget, table=None):
         calls.append(budget)
         return bounds_of(sp, params, budget, table)
 
-    def record(sp, params, bnds, budget, y_star, mode):
+    def record(sp, params, budget, y_star, mode="default", table=None):
         evaluated.append(budget)
-        return duals(sp, params, bnds, budget, y_star, mode)
+        return duals(sp, params, budget, y_star, mode, table)
 
     monkeypatch.setattr(dual_cert, "compute_bounds", count)
-    monkeypatch.setattr(dual_cert, "_duals", record)
+    monkeypatch.setattr(dual_cert, "duals", record)
     carried = {ROBUST: 0, NON_ROBUST: 0}
     total = per_budget = 0
-    for sp, params, y_star, budgets in _tiny_curves(rng, 12):
+    for sp, params, y_star, budget in _tiny_curves(rng, 12):
+        budgets = _curve_budgets(budget)
         ref = [certify(sp, params, b, y_star, mode).status for b in budgets]
         calls.clear()
         evaluated.clear()
-        got = status_curve(sp, params, budgets, y_star, mode)
-        assert calls == evaluated and len(calls) == len(_bisection_probes(ref))
+        got = status_curve(sp, params, budget, y_star, mode)
+        assert calls == evaluated and len(calls) == len(bisection_probes(ref))
         total, per_budget = total + len(calls), per_budget + len(budgets)
         assert len(set(evaluated)) == len(evaluated)
         others, _ = competing_classes(y_star, params.dims[-1])

@@ -7,7 +7,7 @@ import pytest
 
 from gcn_cert import dual_cert, gcn, grad, robust_train
 from gcn_cert.bounds import Budget, compute_bounds
-from gcn_cert.graph_core import Graph, slice_problem
+from gcn_cert.graph_core import Graph, build_message_passing, slice_problem
 from gcn_cert.robust_train import (
     MARGIN_LABELED,
     MARGIN_UNLABELED,
@@ -260,6 +260,26 @@ def test_train_rejects_params_whose_widths_the_graph_does_not_fix(rng):
         with pytest.raises(ValueError, match=re.escape(f"params of dims {dims} do not fit the graph's D={D}, K={K}")):
             tr.train(gcn.glorot_params(dims))
     assert tr.epochs == 0
+
+
+def test_a_model_with_no_hidden_layer_is_refused_where_it_is_bounded():
+    """The dual bound needs a hidden layer: `certify`, `status_curve` and a training run that bounds the model
+    raise a ValueError naming its dims; CE that logs no metrics rows never bounds it and trains it."""
+    graph, _, budget = random_tiny_graph(np.random.default_rng(0), all_labeled=True)
+    D, K = graph.num_features, graph.num_classes
+    params = gcn.glorot_params([D, K], seed=0)
+    message = re.escape(f"params of dims {[D, K]} have no hidden layer")
+    sp = slice_problem(graph, build_message_passing(graph), 0, 2)
+    for evaluate in (dual_cert.certify, dual_cert.status_curve):
+        with pytest.raises(ValueError, match=message):
+            evaluate(sp, params, budget, 0)
+    for mode, eval_every in (("RH", 0), ("CE", 1)):
+        cfg = TrainConfig(mode=mode, budget=budget, max_epochs=2, eval_every=eval_every)
+        with pytest.raises(ValueError, match=message):
+            Trainer(graph, cfg).train(params)
+    trainer = Trainer(graph, TrainConfig(mode="CE", budget=budget, max_epochs=2, eval_every=0))
+    trainer.train(params)
+    assert trainer.epochs == 2
 
 
 def test_training_stops_after_patience_epochs_without_improvement(rng):
