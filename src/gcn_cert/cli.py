@@ -16,9 +16,10 @@ logs CSV.
 
 Every bad input, a usage error included, exits 2 with one ``error:`` line on
 stderr. A flag is read and range-checked by its ``type=`` (``--nodes``: ``all``
-or distinct ids >= 0, ``--node``: an id >= 0, each checked < N once the dataset
-is read; ``--mode``: a name in ``dual_cert.MODES``). A config key is read by its
-parser in ``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``, ``Trainer`` or ``load_dataset``.
+or distinct ids >= 0, each checked < N once the dataset is read; ``--mode``: a
+name in ``dual_cert.MODES``). A config key is read by its parser in
+``TRAIN_CONFIG_KEYS`` and checked by ``TrainConfig``, ``Trainer`` or ``load_dataset``.
+A checkpoint fixes D and K of the dataset that ``certify`` and ``curve`` read with it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import dual_cert, gcn, primal_attack, robust_train
+from . import dual_cert, gcn, robust_train
 from .bounds import Budget, flip_table
 from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
@@ -338,13 +339,9 @@ def _load_for_model(args) -> tuple:
         args.attributes,
         labels_path=args.labels,
         split_path=args.split,
+        num_features=params.dims[0],
         num_classes=params.dims[-1],
     ).graph
-    if params.dims[0] != graph.num_features:
-        raise CliError(
-            f"checkpoint expects D={params.dims[0]} input features but the "
-            f"dataset has D={graph.num_features}"
-        )
     return params, graph
 
 
@@ -388,6 +385,7 @@ def _certificate_doc(cert) -> dict:
         "primal_margins": None
         if cert.primal_margins is None
         else [float(v) for v in cert.primal_margins],
+        "flips": cert.flips,
     }
 
 
@@ -486,31 +484,6 @@ def cmd_curve(args):
     return 0
 
 
-def cmd_attack(args):
-    budget = Budget(args.q, args.Q)
-    params, graph = _load_for_model(args)
-    mp = build_message_passing(graph)
-    spr = slice_problem(graph, mp, _check_node(args.node, graph), params.layer_count)
-    y_star = gcn.predict(gcn.forward_sliced(spr, params))
-    n, D = spr.sliced_attrs.shape
-    if budget.effective_Q(n, D) == 0:
-        print("no admissible perturbation (empty budget)")
-        return 0
-    others, states = dual_cert.duals(spr, params, budget, y_star)
-    if others.size == 0:
-        print(f"node={args.node} y_star={y_star}: no competing class (one-class model)")
-        return 0
-    margins = [primal_attack.construct_and_evaluate(spr, params, s, budget, y_star, k) for k, s in zip(others, states)]
-    b = int(np.argmin(margins))  # the first strongest class
-    margin, k = margins[b], others[b]
-    flips = [(int(spr.neighborhood[n_]), int(d)) for n_, d in states[b].flips]
-    verdict = "prediction flipped" if margin < 0 else "prediction unchanged"
-    print(f"node={args.node} y_star={y_star} strongest_class={k} margin={margin!r}")
-    print(f"flips={flips}")
-    print(verdict)
-    return 0
-
-
 # -- entry point -----------------------------------------------------------
 
 
@@ -597,12 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_certify_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("attack", help="construct a candidate adversarial flip set")
-    _add_model_args(p)
-    p.add_argument("--node", type=_at_least(0, "--node"), required=True)
-    p.add_argument("--Q", type=_at_least(0, "--Q"), required=True)
-    p.set_defaults(func=cmd_attack)
 
     return parser
 

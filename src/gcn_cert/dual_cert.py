@@ -59,12 +59,19 @@ class DualState:
 
 @dataclass
 class Certificate:
+    """A node's status at a budget, with its evidence: the dual bound and primal margin of each class (0 at y_star).
+
+    `flips` are the global (node, feature) pairs of the competing class with the smallest primal margin, the first
+    such class; `primal_margins` and `flips` are None for a robust node.
+    """
+
     node: int
     budget: Budget
     y_star: int
     dual_lower: np.ndarray
     primal_margins: np.ndarray | None
     status: str
+    flips: list | None
 
 
 def class_vector(y_star: int, y: int, num_classes: int) -> np.ndarray:
@@ -365,12 +372,13 @@ def competing_classes(y: int, num_classes: int):
     return others, C
 
 
-def margin_vector(sp, params, bounds, budget, y):
-    """p_k = -g(e_y - e_k) for every class k, as one (K,) array; p_y = 0.
+def margin_vector(sp, params, budget, y, table=None):
+    """p_k = -g(e_y - e_k) for every class k at the default Omega, as one (K,) array; p_y = 0.
 
-    Grad-aware: on the tape, p is a (K,) grad.Var.
+    Grad-aware: on the tape, p is a (K,) grad.Var.  `table` is as in `duals`.
     """
     _, C = competing_classes(y, params.dims[-1])
+    bounds = compute_bounds(sp, params, budget, table)
     g = _dual_pass(sp, params, bounds, budget, C, bounds.slope).g
     # row b of C is e_y - e_k, so its negative part puts -g_b at k and nothing at y
     return grad.matmul(g, np.minimum(C, 0.0))
@@ -395,19 +403,22 @@ def certify(sp, params, budget, y_star, mode="default", table=None) -> Certifica
     positive, with no round-off tolerance: g is a valid lower bound on the
     worst-case margin, and a tolerance would certify nodes whose bound is
     <= 0.  Otherwise each class's dual solution yields a flip set; the node
-    is non-robust if one of them flips the exact network, else undecided.
+    is non-robust if one of them flips the exact network, else undecided;
+    the certificate keeps the flip set of the smallest margin.
     `status_curve` gives the status alone for Q = 0..budget.global_Q; `mode` and `table` are as in `duals`.
     """
     others, states = duals(sp, params, budget, y_star, mode, table)
     dual_lower = np.zeros(len(others) + 1)
     dual_lower[others] = [st.value for st in states]
     if others.size == 0 or dual_lower[others].min() > 0:
-        return Certificate(sp.target, budget, y_star, dual_lower, None, ROBUST)
+        return Certificate(sp.target, budget, y_star, dual_lower, None, ROBUST, None)
     primal = np.zeros(dual_lower.size)
     for k, st in zip(others, states):
         primal[k] = primal_attack.construct_and_evaluate(sp, params, st, budget, y_star, k)
-    status = NON_ROBUST if primal[others].min() < 0 else UNDECIDED
-    return Certificate(sp.target, budget, y_star, dual_lower, primal, status)
+    b = int(np.argmin(primal[others]))  # the first class of the smallest margin
+    status = NON_ROBUST if primal[others[b]] < 0 else UNDECIDED
+    flips = [(int(sp.neighborhood[n]), int(d)) for n, d in states[b].flips]
+    return Certificate(sp.target, budget, y_star, dual_lower, primal, status, flips)
 
 
 def status_curve(sp, params, budget, y_star, mode="default", table=None) -> list:

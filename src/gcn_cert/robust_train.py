@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual_cert, gcn, grad
-from .bounds import Budget, compute_bounds, flip_table
+from .bounds import Budget, flip_table
 from .gcn import GcnParams
 from .graph_core import Graph, build_message_passing, first_layer_nodes, slice_problem
 
@@ -141,13 +141,9 @@ class Trainer:
         self.unlabeled = graph.unlabeled_nodes()
         self._labeled_set = set(int(t) for t in self.labeled)
         self.rng = np.random.default_rng(config.seed)
-        self.epochs = 0  # epochs that `train` completed, over both phases
+        self.epochs = 0  # epochs that the last `train` completed, over both phases
 
     # -- the training loss -------------------------------------------------
-
-    def _margins(self, sp, params, y, table):
-        """`dual_cert.margin_vector` under the training budget, from the first-layer picks of `table`; grad-aware."""
-        return dual_cert.margin_vector(sp, params, compute_bounds(sp, params, self.budget, table), self.budget, y)
 
     def _flip_table(self, params, targets):
         """The first-layer flip picks of `targets`' first layers, selected from the current values of W1.
@@ -180,17 +176,19 @@ class Trainer:
         for t in labeled:
             sp, y = slice_problem(self.graph, self.mp, t, params.layer_count), int(self.labels[t])
             if cfg.mode == "RCE":
-                loss = loss + gcn.cross_entropy(self._margins(sp, params, y, table), y)
+                loss = loss + gcn.cross_entropy(dual_cert.margin_vector(sp, params, self.budget, y, table), y)
                 continue
             if cfg.mode != "CE":
-                loss = loss + robust_hinge_loss(self._margins(sp, params, y, table), y, MARGIN_LABELED)
+                p = dual_cert.margin_vector(sp, params, self.budget, y, table)
+                loss = loss + robust_hinge_loss(p, y, MARGIN_LABELED)
             logits = gcn.forward_sliced(sp, params, dropout_rate=rate, dropout_rng=dropout_rng).logits
             loss = loss + gcn.cross_entropy(logits, y)
         held = params.copy() if unlabeled else None  # predictions see the values, not the tape
         for t in unlabeled:
             sp = slice_problem(self.graph, self.mp, t, params.layer_count)
             y = gcn.predict(gcn.forward_sliced(sp, held))
-            loss = loss + robust_hinge_loss(self._margins(sp, params, y, table), y, MARGIN_UNLABELED)
+            p = dual_cert.margin_vector(sp, params, self.budget, y, table)
+            loss = loss + robust_hinge_loss(p, y, MARGIN_UNLABELED)
         return loss
 
     # -- metrics -----------------------------------------------------------
@@ -200,7 +198,7 @@ class Trainer:
         vals = []
         for t in nodes:
             sp, y = slice_problem(self.graph, self.mp, t, params.layer_count), int(classes[t])
-            others = np.delete(self._margins(sp, params, y, table), y)
+            others = np.delete(dual_cert.margin_vector(sp, params, self.budget, y, table), y)
             vals.append(float(-np.max(others)) if others.size else 0.0)
         return float(np.mean(vals)) if vals else 0.0
 
@@ -228,17 +226,17 @@ class Trainer:
 
     # -- optimization ------------------------------------------------------
 
-    def _run_phase(self, params, phase, pool, log, epoch_offset, max_epochs=None):
+    def _run_phase(self, params, phase, pool, log, max_epochs):
+        """Up to `max_epochs` epochs over `pool`, counted on from `self.epochs`; returns (params, aborted).
+
+        An epoch whose loss is not finite aborts the phase with the parameters from before it, uncounted.
+        """
         cfg = self.config
-        if max_epochs is None:
-            max_epochs = cfg.max_epochs
         adam = _Adam(params, cfg.learning_rate)
         best_loss = np.inf
         stall = 0
         last_finite = params.copy()
-        epoch = epoch_offset
         for _ in range(max_epochs):
-            epoch += 1
             order = pool.copy()
             self.rng.shuffle(order)
             epoch_loss, nbatches = 0.0, 0
@@ -248,17 +246,17 @@ class Trainer:
                 try:
                     value, grads = grad.gradient(lambda p: self.batch_loss(batch, p, dropout_rng), params)
                 except FloatingPointError:
-                    return last_finite, epoch, True
+                    return last_finite, True
                 adam.step(params, grads)
                 epoch_loss += value
                 nbatches += 1
             epoch_loss /= max(nbatches, 1)
             if not np.isfinite(epoch_loss):
-                return last_finite, epoch, True
+                return last_finite, True
             last_finite = params.copy()
-            self.epochs = epoch
-            if cfg.eval_every and (epoch % cfg.eval_every == 0):
-                log.append(self.metrics_row(params, epoch, phase, epoch_loss))
+            self.epochs += 1
+            if cfg.eval_every and (self.epochs % cfg.eval_every == 0):
+                log.append(self.metrics_row(params, self.epochs, phase, epoch_loss))
             if epoch_loss < best_loss - 1e-9:
                 best_loss = epoch_loss
                 stall = 0
@@ -266,22 +264,20 @@ class Trainer:
                 stall += 1
                 if stall >= cfg.patience:
                     break
-        return params, epoch, False
+        return params, False
 
     def train(self, params: GcnParams | None = None):
         cfg = self.config
+        self.epochs = 0
         if params is None:
             params = gcn.glorot_params(self.dims, seed=cfg.seed)
         elif params.dims[0] != self.dims[0] or params.dims[-1] != self.dims[-1]:
             raise ValueError(f"params of dims {params.dims} do not fit the graph's D={self.dims[0]}, K={self.dims[-1]}")
         log = []
-        pool1 = list(int(t) for t in self.labeled)
-        params, epoch, aborted = self._run_phase(params, 1, pool1, log, 0)
+        params, aborted = self._run_phase(params, 1, [int(t) for t in self.labeled], log, cfg.max_epochs)
         if cfg.mode == "RH_U" and not aborted:
-            pool2 = list(range(self.graph.num_nodes))
-            params, epoch, aborted = self._run_phase(
-                params, 2, pool2, log, epoch, max_epochs=cfg.phase2_epochs
-            )
+            pool = list(range(self.graph.num_nodes))
+            params, _ = self._run_phase(params, 2, pool, log, cfg.phase2_epochs or cfg.max_epochs)
         return params.validate(), log
 
 

@@ -1,16 +1,17 @@
 """Shared fixtures: small hand-built graphs, forced-tie slices, a Graph comparison, checkpoints with a
-hand-made `w0.npy` member and the probes of a status curve's bisection.  Tiny random instances come from
-the test helper `oracle`."""
+hand-made `w0.npy` member, the probes of a status curve's bisection and the check of a certificate's flip
+set.  Tiny random instances come from the test helper `oracle`."""
 
 import io
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gcn_cert import bounds
 from gcn_cert.dual_cert import NON_ROBUST, ROBUST
-from gcn_cert.gcn import GcnParams
+from gcn_cert.gcn import GcnParams, forward_sliced
 from gcn_cert.graph_core import Graph, SlicedProblem, build_message_passing, slice_problem
 
 
@@ -108,6 +109,30 @@ def bisection_probes(statuses):
             if statuses[mid] != ROBUST:
                 runs.append((lo, mid))
     return probes
+
+
+def assert_flips_reproduce_the_smallest_primal_margin(spr, params, budget, cert):
+    """`cert`, a certificate's JSON document of the node sliced as `spr`, explains its status.
+
+    A robust one has no flips.  Otherwise its global (node, feature) flips lie in the slice, each once, and
+    keep to q and Q; toggled in the slice's attributes, they give bitwise the smallest competing entry of
+    `primal_margins`, the first such class's, and that margin is < 0 exactly when the node is non-robust.
+    """
+    if cert["status"] == ROBUST:
+        assert cert["flips"] is None and cert["primal_margins"] is None
+        return
+    row = {int(t): i for i, t in enumerate(spr.neighborhood)}
+    flips = [(row[n], d) for n, d in cert["flips"]]
+    assert len(set(flips)) == len(flips) <= budget.global_Q
+    assert max(Counter(n for n, _ in flips).values(), default=0) <= budget.local_q
+    X = spr.sliced_attrs.copy()
+    for n, d in flips:
+        X[n, d] = 1.0 - X[n, d]
+    logits = forward_sliced(spr, params, attrs_override=X).logits
+    y, margins = cert["y_star"], cert["primal_margins"]
+    k = min((k for k in range(len(margins)) if k != y), key=lambda k: margins[k])
+    assert float(logits[y] - logits[k]) == margins[k]
+    assert (margins[k] < 0) == (cert["status"] == NON_ROBUST)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The benchmark's `--trace 1` tracer rebinds library names by `getattr`; every traced name must resolve."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -71,8 +72,9 @@ def test_tracer_sees_one_bound_computation_per_evaluated_curve_budget(monkeypatc
     assert spans.count("bounds.compute_bounds") == spans.count("bounds.first_layer_bounds") == len(evaluated)
 
 
-def test_tracer_sees_one_primal_per_competing_class_of_an_attack(tmp_path, capsys):
-    """`gcn-cert attack` evaluates each competing class's flip set through the traced `construct_and_evaluate`."""
+def test_tracer_sees_one_primal_per_competing_class_of_an_attack(tmp_path):
+    """`certify` of a node it finds non-robust attacks it with each competing class's flip set, through the
+    traced `construct_and_evaluate`."""
     n, D, K = 12, 10, 3
     rng = np.random.default_rng(1)
     A = np.triu(rng.random((n, n)) < 0.25, 1)
@@ -81,14 +83,18 @@ def test_tracer_sees_one_primal_per_competing_class_of_an_attack(tmp_path, capsy
     edges.write_text("".join(f"{u}\t{v}\n" for u, v in zip(*np.nonzero(A))))
     attrs.write_text("".join(f"{u}\t{d}\n" for u, d in zip(*np.nonzero(X))))
     gcn.save_checkpoint(gcn.glorot_params([D, 8, K], seed=0), ckpt)
-    argv = ["attack", "--checkpoint", str(ckpt), "--edges", str(edges), "--attributes", str(attrs)]
+    argv = ["certify", "--checkpoint", str(ckpt), "--edges", str(edges), "--attributes", str(attrs), "--q", "1",
+            "--Q", "3"]
+    out = tmp_path / "certs.jsonl"
+    assert gcn_cert.cli.main([*argv, "--output", str(out)]) == 0
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    node = next(doc["node"] for doc in docs if doc["status"] == dual_cert.NON_ROBUST)
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         with tracer.on():
-            assert gcn_cert.cli.main([*argv, "--node", "0", "--q", "1", "--Q", "3"]) == 0
+            assert gcn_cert.cli.main([*argv, "--nodes", str(node)]) == 0
     finally:
         tracer.uninstall()
     spans = [tracer.names[row[0]] for row in tracer.spans]
-    assert "flips=" in capsys.readouterr().out
     assert spans.count("primal_attack.construct_and_evaluate") == K - 1

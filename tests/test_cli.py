@@ -16,7 +16,13 @@ import pytest
 import scipy.sparse as sp
 
 import gcn_cert
-from conftest import assert_graphs_equal, bisection_probes, lying_npy, write_checkpoint_with_w0
+from conftest import (
+    assert_flips_reproduce_the_smallest_primal_margin,
+    assert_graphs_equal,
+    bisection_probes,
+    lying_npy,
+    write_checkpoint_with_w0,
+)
 from gcn_cert import cli, dual_cert, gcn, robust_train
 from gcn_cert.bounds import Budget
 from gcn_cert.cli import CliError, load_dataset, main, parse_config
@@ -841,7 +847,7 @@ def test_cmd_train_passes_only_the_keys_the_config_sets(tmp_path, dataset, monke
     assert seen[-1] == want
 
 
-# -- certify / curve / attack ----------------------------------------------
+# -- certify / curve ------------------------------------------------------
 
 
 def _dataset_args(dataset):
@@ -1058,51 +1064,37 @@ def test_cmd_certify_negative_budget(dataset, checkpoint, capsys):
     assert "--q must be >= 0, got -1" in _assert_one_line_error(rc, capsys)
 
 
-def test_cmd_attack_rejects_a_negative_budget_before_reading_files(tmp_path, dataset, capsys):
+def test_cmd_certify_rejects_a_negative_Q_before_reading_files(tmp_path, dataset, capsys):
     missing = str(tmp_path / "missing.npz")
-    rc = main(
-        ["attack", "--checkpoint", missing, *_dataset_args(dataset),
-         "--node", "0", "--q", "1", "--Q", "-1"]
-    )
-    assert "--Q must be >= 0, got -1" in _assert_one_line_error(rc, capsys)
-
-
-def test_cmd_attack_reads_node_before_any_file(tmp_path, dataset, capsys):
-    missing = str(tmp_path / "missing.npz")
-    rc = main(
-        ["attack", "--checkpoint", missing, *_dataset_args(dataset),
-         "--node", "-1", "--q", "1", "--Q", "1"]
-    )
-    assert _assert_one_line_error(rc, capsys) == "error: --node must be >= 0, got -1\n"
-
-
-def test_cmd_attack_node_out_of_range(dataset, checkpoint, capsys):
-    rc = main(
-        ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),
-         "--node", "7", "--q", "1", "--Q", "1"]
-    )
-    assert "out of range" in _assert_one_line_error(rc, capsys)
+    rc = main(["certify", "--checkpoint", missing, *_dataset_args(dataset), "--q", "1", "--Q", "-1"])
+    assert _assert_one_line_error(rc, capsys) == "error: --Q must be >= 0, got -1\n"
 
 
 def test_cmd_certify_dimension_mismatch(tmp_path, dataset, capsys):
-    params = gcn.glorot_params([5, 3, 2], seed=0)
-    ckpt = tmp_path / "wide.npz"
-    gcn.save_checkpoint(params, ckpt)
-    rc = main(
-        ["certify", "--checkpoint", str(ckpt), *_dataset_args(dataset),
-         "--q", "1", "--Q", "1"]
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "D=5" in err and "D=2" in err
+    """The checkpoint fixes D: a feature id at or past it is an error at its line of the attributes file."""
+    ckpt = tmp_path / "narrow.npz"
+    gcn.save_checkpoint(gcn.glorot_params([1, 3, 2], seed=0), ckpt)
+    rc = main(["certify", "--checkpoint", str(ckpt), *_dataset_args(dataset), "--q", "1", "--Q", "1"])
+    assert _assert_one_line_error(rc, capsys) == f"error: {dataset['attributes']}:2: feature id >= D=1\n"
 
 
-@pytest.mark.parametrize("command", ["certify", "curve", "attack"])
+@pytest.mark.parametrize("command", ["certify", "curve"])
+def test_certification_commands_read_a_dataset_at_the_checkpoints_D(tmp_path, dataset, capsys, command):
+    """`train` with num_features = 3 on attributes that use features 0-1 only, then `certify` or `curve` on the
+    same files: the commands read the dataset at the checkpoint's D = 3, as training did."""
+    cfg, ckpt = _train_cfg(tmp_path, dataset, extra="num_features = 3\nmax_epochs = 1\n")
+    assert main(["train", cfg]) == 0
+    assert gcn.load_checkpoint(ckpt).dims[0] == 3
+    extra = {"certify": ["--Q", "2"], "curve": ["--Q-max", "2", "--output", str(tmp_path / "c.csv")]}[command]
+    assert main([command, "--checkpoint", str(ckpt), *_dataset_args(dataset), "--q", "1", *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "curve"])
 def test_certification_commands_reject_a_model_without_hidden_layer(tmp_path, dataset, capsys, command):
     ckpt = tmp_path / "linear.npz"
     gcn.save_checkpoint(gcn.glorot_params([2, 2], seed=0), ckpt)
-    extra = {"certify": ["--Q", "2"], "curve": ["--Q-max", "2", "--output", str(tmp_path / "c.csv")],
-             "attack": ["--Q", "2", "--node", "1"]}[command]
+    extra = {"certify": ["--Q", "2"], "curve": ["--Q-max", "2", "--output", str(tmp_path / "c.csv")]}[command]
     rc = main([command, "--checkpoint", str(ckpt), *_dataset_args(dataset), "--q", "1", *extra])
     assert "no hidden layer" in _assert_one_line_error(rc, capsys)
 
@@ -1167,6 +1159,7 @@ def test_certification_commands_reject_workers_below_one(tmp_path, dataset, chec
         ("workers_not_int", "gcn-cert curve: argument --workers: invalid int value: '2.5'"),
         ("no_command", "gcn-cert: the following arguments are required: command"),
         ("removed_command", "gcn-cert: argument command: invalid choice: 'oracle-verify'"),
+        ("removed_attack", "gcn-cert: argument command: invalid choice: 'attack'"),
         ("unknown_flag", "gcn-cert: unrecognized arguments: --fast"),
         ("repeated_config_key", "train.cfg:11: key 'seed' given again (first on line 10)"),
     ],
@@ -1181,6 +1174,7 @@ def test_usage_errors_exit_2_in_one_line(tmp_path, dataset, checkpoint, capsys, 
         "workers_not_int": [*curve, "--Q-max", "1", "--workers", "2.5"],
         "no_command": [],
         "removed_command": ["oracle-verify"],
+        "removed_attack": ["attack", *model, "--node", "0", "--Q", "1"],
         "unknown_flag": ["certify", *model, "--Q", "1", "--fast"],
         "repeated_config_key": ["train", _train_cfg(tmp_path, dataset, extra="seed = 1\nseed = 2\n")[0]],
     }[case]
@@ -1335,9 +1329,9 @@ def test_certification_commands_write_the_same_bytes_with_two_workers(tmp_path, 
         assert outputs[0] == outputs[1] and outputs[0], name
 
 
-def test_certify_curve_and_attack_reach_duals_once_per_evaluated_budget(tmp_path, monkeypatch):
-    """`dual_cert.duals` is the one evaluation of a node at a budget: `certify` and `attack` reach it once, and
-    `curve` once for each budget its bisection evaluates, as certify's per-budget statuses predict."""
+def test_certify_and_curve_reach_duals_once_per_evaluated_budget(tmp_path, monkeypatch):
+    """`dual_cert.duals` is the one evaluation of a node at a budget: `certify` reaches it once, and `curve` once
+    for each budget its bisection evaluates, as certify's per-budget statuses predict."""
     paths, ckpt = _planted_dataset(tmp_path)
     duals, seen = dual_cert.duals, []
 
@@ -1348,8 +1342,7 @@ def test_certify_curve_and_attack_reach_duals_once_per_evaluated_budget(tmp_path
     monkeypatch.setattr(dual_cert, "duals", record)
     model = ["--checkpoint", ckpt, *_dataset_args(paths), "--q", "1"]
     assert main(["certify", *model, "--nodes", "4", "--Q", "3"]) == 0
-    assert main(["attack", *model, "--node", "4", "--Q", "3"]) == 0
-    assert seen == [(4, Budget(1, 3))] * 2
+    assert seen == [(4, Budget(1, 3))]
     Q_max, statuses = 4, {}
     for Q in range(Q_max + 1):
         out = tmp_path / f"certs_{Q}.jsonl"
@@ -1366,80 +1359,42 @@ def test_certify_curve_and_attack_reach_duals_once_per_evaluated_budget(tmp_path
 
 
 @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
-def test_attack_margin_is_the_smallest_primal_margin_of_certify(tmp_path, capsys, hidden):
-    """`attack` and `certify` evaluate a node through the same duals: attack's margin is the smallest competing
-    entry of certify's primal margins, and a node that certify proves robust keeps its prediction."""
+def test_certify_flips_reproduce_the_smallest_primal_margin(tmp_path, hidden):
+    """A certificate's `flips`, toggled in the node's slice, give bitwise its smallest competing primal margin,
+    keep to q and Q, and flip the node exactly when it is non-robust; a robust certificate has none."""
     paths, _ = _planted_dataset(tmp_path)
     ckpt = tmp_path / "three_classes.npz"
     gcn.save_checkpoint(gcn.glorot_params([10, *hidden, 3], seed=0), ckpt)
     model = ["--checkpoint", str(ckpt), "--edges", paths["edges"], "--attributes", paths["attributes"]]
-    budget = ["--q", "1", "--Q", "2"]
     out = tmp_path / "certs.jsonl"
-    assert main(["certify", *model, *budget, "--output", str(out)]) == 0
-    capsys.readouterr()
-    seen = set()
-    for doc in map(json.loads, out.read_text().splitlines()):
-        assert main(["attack", *model, *budget, "--node", str(doc["node"])]) == 0
-        head, _, verdict = capsys.readouterr().out.splitlines()
-        margin = float(head.rsplit("margin=", 1)[1])
-        seen.add(doc["status"])
-        if doc["status"] == dual_cert.ROBUST:
-            assert verdict == "prediction unchanged"
-        else:
-            assert margin == min(m for k, m in enumerate(doc["primal_margins"]) if k != doc["y_star"])
-    assert seen == {dual_cert.ROBUST, dual_cert.NON_ROBUST, dual_cert.UNDECIDED}
+    assert main(["certify", *model, "--q", "1", "--Q", "2", "--output", str(out)]) == 0
+    params = gcn.load_checkpoint(ckpt)
+    graph = load_dataset(paths["edges"], paths["attributes"], num_features=10, num_classes=3).graph
+    mp = build_message_passing(graph)
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    for doc in docs:
+        spr = slice_problem(graph, mp, doc["node"], params.layer_count)
+        assert_flips_reproduce_the_smallest_primal_margin(spr, params, Budget(1, 2), doc)
+    assert {doc["status"] for doc in docs} == {dual_cert.ROBUST, dual_cert.NON_ROBUST, dual_cert.UNDECIDED}
 
 
-def test_cmd_attack_zero_budget_message(dataset, checkpoint, capsys):
-    rc = main(
-        ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),
-         "--node", "0", "--q", "1", "--Q", "0"]
-    )
-    assert rc == 0
-    assert "no admissible perturbation" in capsys.readouterr().out
-
-
-def test_cmd_attack_one_class_model_has_no_competing_class(tmp_path, dataset, capsys):
+def test_cmd_certify_one_class_model_is_robust(tmp_path, dataset):
+    """No class can overtake y* of a one-class model: every node is robust, with no primal margins and no flips."""
     ckpt = tmp_path / "one_class.npz"
     gcn.save_checkpoint(gcn.glorot_params([2, 3, 1], seed=0), ckpt)
+    out = tmp_path / "certs.jsonl"
     argv = ["--checkpoint", str(ckpt), "--edges", dataset["edges"], "--attributes", dataset["attributes"]]
-    assert main(["attack", *argv, "--node", "1", "--q", "1", "--Q", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == 1 and "no competing class" in out
-    # certify reports the same node as robust: no class can overtake y*
-    assert main(["certify", *argv, "--nodes", "1", "--q", "1", "--Q", "2", "--workers", "1"]) == 0
-    assert "robust=1" in capsys.readouterr().out
+    assert main(["certify", *argv, "--q", "1", "--Q", "2", "--output", str(out)]) == 0
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(docs) == 3
+    assert all(d["status"] == dual_cert.ROBUST and d["primal_margins"] is None and d["flips"] is None for d in docs)
 
 
-def test_cmd_attack_reports_flips(dataset, checkpoint, capsys):
-    rc = main(
-        ["attack", "--checkpoint", checkpoint, *_dataset_args(dataset),
-         "--node", "1", "--q", "1", "--Q", "2"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "y_star=" in out and "flips=" in out
-    assert ("prediction flipped" in out) or ("prediction unchanged" in out)
-
-
-def test_cmd_attack_output_is_unchanged(tmp_path, capsys):
-    """Byte for byte the output the attack command printed when it computed the margin inline."""
-    paths, ckpt = _planted_dataset(tmp_path)
-    for node, Q in [(0, 3), (1, 3), (4, 1), (7, 6), (10, 2)]:
-        argv = ["attack", "--checkpoint", ckpt, *_dataset_args(paths), "--node", str(node), "--q", "1", "--Q", str(Q)]
-        assert main(argv) == 0
-    assert capsys.readouterr().out == (
-        "node=0 y_star=1 strongest_class=0 margin=0.23632959116963692\n"
-        "flips=[(0, 1), (9, 5), (2, 1)]\nprediction unchanged\n"
-        "node=1 y_star=0 strongest_class=1 margin=-0.4678392102784287\n"
-        "flips=[(1, 0)]\nprediction flipped\n"
-        "node=4 y_star=1 strongest_class=0 margin=0.11786044099870717\n"
-        "flips=[(4, 0)]\nprediction unchanged\n"
-        "node=7 y_star=1 strongest_class=0 margin=0.26980733663517326\n"
-        "flips=[(7, 8), (9, 5), (0, 1)]\nprediction unchanged\n"
-        "node=10 y_star=1 strongest_class=0 margin=-0.0454122490223646\n"
-        "flips=[(10, 0)]\nprediction flipped\n"
-    )
+def test_help_lists_train_certify_and_curve(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{train,certify,curve}" in capsys.readouterr().out
 
 
 def test_cli_import_does_not_load_scipy_optimize():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcn_cert import bounds, dual_cert, gcn, grad, primal_attack
+from gcn_cert import bounds, cli, dual_cert, gcn, grad, primal_attack
 from gcn_cert.bounds import CROSSING, NONNEG, ActivationBounds, Budget, classify_partition, compute_bounds
 from gcn_cert.dual_cert import (
     DualState,
@@ -30,7 +30,7 @@ from gcn_cert.dual_cert import (
 )
 
 import oracle
-from conftest import bisection_probes, forced_tie_slice
+from conftest import assert_flips_reproduce_the_smallest_primal_margin, bisection_probes, forced_tie_slice
 from oracle import random_tiny_instance
 
 
@@ -252,14 +252,14 @@ def test_margin_vector_definition(rng):
         bnds = compute_bounds(sp, params, budget)
         K = params.dims[-1]
         y = int(rng.integers(K))
-        mv = margin_vector(sp, params, bnds, budget, y)
+        mv = margin_vector(sp, params, budget, y)
         assert isinstance(mv, np.ndarray) and mv.shape == (K,)
         assert mv[y] == 0.0
         for k in range(K):
             if k != y:
                 assert mv[k] == -dual_state(sp, params, bnds, budget, class_vector(y, k, K)).value
     with pytest.raises(ValueError, match="out of range"):
-        margin_vector(sp, params, bnds, budget, K + 3)
+        margin_vector(sp, params, budget, K + 3)
 
 
 def test_competing_classes_rejects_a_class_out_of_range():
@@ -283,9 +283,8 @@ def test_dual_states_rejects_the_tape(rng):
 def test_margin_vector_zero_budget_is_clean_margin(rng):
     sp, params, _ = random_tiny_instance(rng)
     budget = Budget(1, 0)
-    bnds = compute_bounds(sp, params, budget)
     logits = gcn.forward_sliced(sp, params).logits
-    mv = margin_vector(sp, params, bnds, budget, 0)
+    mv = margin_vector(sp, params, budget, 0)
     for k in range(1, params.dims[-1]):
         assert mv[k] == pytest.approx(-(logits[0] - logits[k]), abs=1e-9)
 
@@ -322,6 +321,20 @@ def test_certify_statuses_consistent_with_enumeration(rng):
                 if k != y_star:
                     assert cert.dual_lower[k] <= cert.primal_margins[k] + 1e-9
     assert ROBUST in seen  # the sample exercises the common branch
+
+
+@pytest.mark.parametrize("mode", dual_cert.MODES)
+@pytest.mark.parametrize("hidden_layers", [1, 2])
+def test_certificate_flips_reproduce_the_smallest_primal_margin(mode, hidden_layers):
+    """Each certificate's flip set explains its status, as `certify` writes it (`cli._certificate_doc`)."""
+    rng = np.random.default_rng(30 + hidden_layers)
+    seen = set()
+    for _ in range(30):
+        sp, params, budget = random_tiny_instance(rng, hidden_layers=hidden_layers)
+        cert = certify(sp, params, budget, gcn.predict(gcn.forward_sliced(sp, params)), mode)
+        assert_flips_reproduce_the_smallest_primal_margin(sp, params, budget, cli._certificate_doc(cert))
+        seen.add(cert.status)
+    assert {ROBUST, NON_ROBUST} <= seen
 
 
 def test_certify_zero_dual_bound_is_not_robust(rng):
@@ -616,8 +629,7 @@ def _assert_dual_states_match_reference(sp, params, budget, y):
     mix[others] = -r
 
     def batched(shadow):
-        bb = compute_bounds(sp, shadow, budget)
-        return grad.asum(margin_vector(sp, shadow, bb, budget, y) * mix)
+        return grad.asum(margin_vector(sp, shadow, budget, y) * mix)
 
     def per_class(shadow):
         bb = compute_bounds(sp, shadow, budget)

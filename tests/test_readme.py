@@ -33,6 +33,6 @@ def test_readme_cli_invocations_parse():
     commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
     commands = [argv for argv in commands if argv]
     assert {argv[0] for argv in commands} == {"gcn-cert"}
-    assert [argv[1] for argv in commands] == ["train", "certify", "curve", "attack"]
+    assert [argv[1] for argv in commands] == ["train", "certify", "curve"]
     for argv in commands:
         assert build_parser().parse_args(argv[1:]).command == argv[1]

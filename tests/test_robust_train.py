@@ -121,8 +121,7 @@ def test_rh_loss_decomposition(rng):
     for t in batch:
         sp = _slice(tr, t)
         y = int(tr.labels[t])
-        bnds = compute_bounds(sp, params, tr.budget)
-        mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
+        mv = dual_cert.margin_vector(sp, params, tr.budget, y)
         expected += robust_hinge_loss(mv, y, MARGIN_LABELED)
         expected += float(gcn.cross_entropy(gcn.forward_sliced(sp, params).logits, y))
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
@@ -159,8 +158,7 @@ def test_rh_u_loss_decomposition(rng):
     for t in unlab:
         sp = _slice(tr, t)
         y_pred = gcn.predict(gcn.forward_sliced(sp, params))
-        bnds = compute_bounds(sp, params, tr.budget)
-        mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y_pred)
+        mv = dual_cert.margin_vector(sp, params, tr.budget, y_pred)
         expected += robust_hinge_loss(mv, y_pred, MARGIN_UNLABELED)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
     assert float(tr.batch_loss(lab, params)) == pytest.approx(
@@ -176,8 +174,7 @@ def test_rce_loss_decomposition(rng):
     for t in batch:
         sp = _slice(tr, t)
         y = int(tr.labels[t])
-        bnds = compute_bounds(sp, params, tr.budget)
-        mv = dual_cert.margin_vector(sp, params, bnds, tr.budget, y)
+        mv = dual_cert.margin_vector(sp, params, tr.budget, y)
         expected += gcn.cross_entropy(mv, y)
     assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -190,7 +187,7 @@ def test_margin_vector_on_the_tape_is_one_var(rng):
     seen = []
 
     def loss(shadow):
-        p = dual_cert.margin_vector(sp, shadow, compute_bounds(sp, shadow, tr.budget), tr.budget, y)
+        p = dual_cert.margin_vector(sp, shadow, tr.budget, y)
         seen.append(p)
         return robust_hinge_loss(p, y, MARGIN_LABELED) + grad.asum(shadow.weights[0])
 
@@ -198,7 +195,7 @@ def test_margin_vector_on_the_tape_is_one_var(rng):
     (p,) = seen
     assert grad.is_var(p) and p.shape == (tr.graph.num_classes,)
     assert p.value[y] == 0.0
-    numeric = dual_cert.margin_vector(sp, params, compute_bounds(sp, params, tr.budget), tr.budget, y)
+    numeric = dual_cert.margin_vector(sp, params, tr.budget, y)
     np.testing.assert_array_equal(p.value, numeric)
 
 
@@ -323,11 +320,22 @@ def test_an_epoch_loss_that_overflows_keeps_the_parameters_before_the_epoch(rng,
 
     monkeypatch.setattr(Trainer, "batch_loss", huge)
     log = []
-    returned, epoch, aborted = trainer._run_phase(params, 1, [0, 1], log, 0)
-    assert aborted and epoch == 1 and log == []
+    returned, aborted = trainer._run_phase(params, 1, [0, 1], log, 5)
+    assert aborted and trainer.epochs == 0 and log == []
     for a, b in zip(returned.weights + returned.biases, start.weights + start.biases, strict=True):
         assert np.array_equal(a, b)
     assert not all(np.array_equal(a, b) for a, b in zip(params.weights, start.weights))  # the steps were taken
+
+
+def test_a_second_run_that_aborts_in_its_first_epoch_reports_no_epoch(rng, monkeypatch):
+    """`train` counts the epochs of its own run: after two finished epochs, a run whose first loss is NaN reports 0."""
+    graph, _, budget = random_tiny_graph(rng, all_labeled=True)
+    trainer = Trainer(graph, TrainConfig(mode="CE", budget=budget, hidden_dims=(2,), max_epochs=2, patience=5))
+    trainer.train()
+    assert trainer.epochs == 2
+    monkeypatch.setattr(Trainer, "batch_loss", lambda self, batch, params, dropout_rng=None: grad.Var(math.nan))
+    _, log = trainer.train()
+    assert trainer.epochs == 0 and log == []
 
 
 def test_ce_training_reduces_loss(rng):
@@ -590,8 +598,22 @@ def _reference_metrics_row(self, params, epoch, phase, loss):
     }
 
 
+def _reference_train(self, params=None):
+    cfg = self.config
+    if params is None:
+        params = gcn.glorot_params(self.dims, seed=cfg.seed)
+    log = []
+    pool1 = list(int(t) for t in self.labeled)
+    params, epoch, aborted = self._run_phase(params, 1, pool1, log, 0)
+    if cfg.mode == "RH_U" and not aborted:
+        pool2 = list(range(self.graph.num_nodes))
+        params, epoch, aborted = self._run_phase(params, 2, pool2, log, epoch, max_epochs=cfg.phase2_epochs)
+    return params.validate(), log
+
+
 class _ReferenceTrainer(Trainer):
     _run_phase = _reference_run_phase
+    train = _reference_train
 
 
 def _assert_same_gradient(a, b):
